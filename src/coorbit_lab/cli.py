@@ -676,7 +676,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    return run(config, args.out)
+    try:
+        return run(config, args.out)
+    except ConfigError as exc:  # a value only the runner can check against the group
+        print(f"config error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,13 +20,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.special import logsumexp
 
-from .gaussian import Gaussian, chirp, log_inner, log_stft_modulus, tensor, unit_gaussian
+from .gaussian import Gaussian, chirp, log_stft_modulus, tensor, unit_gaussian
 from .groups import GroupSpec, group_spec, quotient_multiply, section
 from .numerics import TailMassWarning
-from .representations import RepSpec, apply_rep
+from .representations import RepSpec, apply_rep, coefficient_log_modulus
 
 __all__ = [
     "WeightSpec",
@@ -45,7 +44,6 @@ __all__ = [
     "ScanResult",
     "orbit_scan",
     "fit_slope",
-    "scan_rows",
     "chirp_scan_task",
     "g53_curve_state",
     "g53_curve_tasks",
@@ -62,6 +60,10 @@ _COUPLED = {
     "g6_19": (3,),
     "dynin_folland": (2, 4),
 }
+
+# coefficients per kernel call: bounds the engine's working memory whatever
+# the mesh size
+_BLOCK = 1024
 
 # groups whose coupled slice masses decay only polynomially, where a linear
 # box would truncate visible mass
@@ -135,34 +137,45 @@ class NormSpec:
 
 @dataclass(frozen=True)
 class LogQuadratic:
-    """Q(r) = const + grad . r + r . hess . r / 2 with symmetric hess."""
+    """Q(r) = const + grad . r + r . hess . r / 2 with symmetric hess.
 
-    const: float
+    Leading axes of const, grad and hess are batch axes: one model per entry,
+    broadcast against each other and against batched arguments.
+    """
+
+    const: float | np.ndarray
     grad: np.ndarray
     hess: np.ndarray
 
     @property
     def ndim(self) -> int:
-        return self.grad.shape[0]
+        return self.grad.shape[-1]
 
-    def value(self, r) -> float:
+    def value(self, r):
         r = np.asarray(r, dtype=float)
-        return float(self.const + self.grad @ r + 0.5 * r @ self.hess @ r)
+        return (
+            self.const
+            + np.einsum("...i,...i->...", self.grad, r)
+            + 0.5 * np.einsum("...i,...ij,...j->...", r, self.hess, r)
+        )
 
     def scaled(self, s: float) -> "LogQuadratic":
         return LogQuadratic(s * self.const, s * self.grad, s * self.hess)
 
     def conditioned(self, dims: Sequence[int], values) -> "LogQuadratic":
-        """Fix the listed dimensions; remaining dims keep their relative order."""
+        """Fix the listed dimensions; remaining dims keep their relative order.
+
+        values has trailing axis len(dims); its leading axes broadcast against
+        the batch axes of the model.
+        """
         dims = list(dims)
         values = np.asarray(values, dtype=float)
         keep = [i for i in range(self.ndim) if i not in dims]
-        h_ss = self.hess[np.ix_(dims, dims)]
-        const = float(self.const + self.grad[dims] @ values + 0.5 * values @ h_ss @ values)
+        cond = LogQuadratic(self.const, self.grad[..., dims], _block(self.hess, dims, dims)).value(values)
         if not keep:
-            return LogQuadratic(const, np.zeros(0), np.zeros((0, 0)))
-        h_ts = self.hess[np.ix_(keep, dims)]
-        return LogQuadratic(const, self.grad[keep] + h_ts @ values, self.hess[np.ix_(keep, keep)])
+            return LogQuadratic(cond, np.zeros(np.shape(cond) + (0,)), np.zeros((0, 0)))
+        grad = self.grad[..., keep] + (_block(self.hess, keep, dims) @ values[..., None])[..., 0]
+        return LogQuadratic(cond, grad, _block(self.hess, keep, keep))
 
     def marginalized(self, dims: Sequence[int]) -> "LogQuadratic":
         """Integrate exp(Q) over the listed dimensions in closed form."""
@@ -170,36 +183,97 @@ class LogQuadratic:
         if not dims:
             return self
         keep = [i for i in range(self.ndim) if i not in dims]
-        h_ss = self.hess[np.ix_(dims, dims)]
         try:
-            low = np.linalg.cholesky(-h_ss)
+            low = np.linalg.cholesky(-_block(self.hess, dims, dims))
         except np.linalg.LinAlgError:
             raise RuntimeError(
                 "cannot integrate analytically: the log-modulus Hessian is not "
                 "negative definite in the requested directions"
             ) from None
-        g_s = self.grad[dims]
-        x = cho_solve((low, True), g_s)
+        g_s = self.grad[..., dims]
+        x = _cho_solve(low, g_s[..., None])[..., 0]
         const = (
             self.const
             + 0.5 * len(dims) * math.log(2.0 * math.pi)
-            - float(np.log(np.diag(low)).sum())
-            + 0.5 * float(g_s @ x)
+            - np.log(np.diagonal(low, axis1=-2, axis2=-1)).sum(axis=-1)
+            + 0.5 * np.einsum("...i,...i->...", g_s, x)
         )
         if not keep:
-            return LogQuadratic(const, np.zeros(0), np.zeros((0, 0)))
-        h_ts = self.hess[np.ix_(keep, dims)]
-        grad = self.grad[keep] + h_ts @ x
-        hess = self.hess[np.ix_(keep, keep)] + h_ts @ cho_solve((low, True), h_ts.T)
+            return LogQuadratic(const, np.zeros(np.shape(const) + (0,)), np.zeros((0, 0)))
+        h_ts = _block(self.hess, keep, dims)
+        grad = self.grad[..., keep] + (h_ts @ x[..., None])[..., 0]
+        hess = _block(self.hess, keep, keep) + h_ts @ _cho_solve(low, np.swapaxes(h_ts, -1, -2))
         return LogQuadratic(const, grad, hess)
 
-    def total(self) -> float:
+    def total(self):
+        """log of the integral of exp(Q) over every dimension; one value per batch entry."""
         return self.marginalized(range(self.ndim)).const
 
     def mode(self) -> np.ndarray:
         if self.ndim == 0:
             return np.zeros(0)
-        return np.linalg.solve(-self.hess, self.grad)
+        return np.linalg.solve(-self.hess, self.grad[..., None])[..., 0]
+
+
+def _block(mat, rows, cols):
+    """The (rows, cols) block of the trailing two axes of mat."""
+    return mat[..., rows, :][..., cols]
+
+
+def _cho_solve(low, rhs):
+    """Solve (low low^T) x = rhs for a stack of lower Cholesky factors."""
+    y = np.linalg.solve(low, rhs)
+    return np.linalg.solve(np.swapaxes(low, -1, -2), y)
+
+
+def _stencil(ndim: int) -> np.ndarray:
+    """Unit-step finite-difference offsets: 0, +e_i, -e_i, then e_i + e_j for i < j."""
+    eye = np.eye(ndim)
+    pairs = [eye[i] + eye[j] for i in range(ndim) for j in range(i + 1, ndim)]
+    return np.concatenate([np.zeros((1, ndim)), eye, -eye, np.reshape(pairs, (-1, ndim))])
+
+
+def _check_offsets(ndim: int, seed: int) -> np.ndarray:
+    """The three off-grid validation offsets, one per row."""
+    return np.random.default_rng(seed).uniform(-1.7, 1.7, (3, ndim))
+
+
+def _fit_and_validate(values, center, checks) -> LogQuadratic:
+    """The quadratic through stencil values around center, checked off the grid.
+
+    values has trailing axis len(_stencil(k)) + len(checks): the function at
+    center + _stencil(k), then at checks (absolute points, or none to skip
+    validation).  Leading axes are batch axes, one fit per entry.  Unit-step
+    differences are exact for quadratics; a model that misses a check value
+    raises, which is how a wrong coupled-coordinate table would show up.
+    """
+    k = center.shape[-1]
+    n_stencil = values.shape[-1] - len(checks)
+    f0 = values[..., 0]
+    f_plus = values[..., 1 : 1 + k]
+    f_minus = values[..., 1 + k : 1 + 2 * k]
+    f_pair = values[..., 1 + 2 * k : n_stencil]
+    fx = values[..., n_stencil:]
+    grad = 0.5 * (f_plus - f_minus)
+    hess = np.zeros(values.shape[:-1] + (k, k))
+    diag = np.arange(k)
+    hess[..., diag, diag] = f_plus + f_minus - 2.0 * f0[..., None]
+    iu, ju = np.triu_indices(k, 1)
+    hess[..., iu, ju] = hess[..., ju, iu] = f_pair - f_plus[..., iu] - f_plus[..., ju] + f0[..., None]
+    hc = (hess @ center[..., None])[..., 0]
+    const = f0 - np.einsum("...i,...i->...", grad, center) + 0.5 * np.einsum("...i,...i->...", center, hc)
+    quad = LogQuadratic(const, grad - hc, hess)
+    if len(checks):
+        model = np.stack([quad.value(x) for x in checks], axis=-1)
+        resid = np.abs(fx - model)
+        bad = resid > 1e-7 * np.maximum(np.maximum(100.0, np.abs(fx)), np.abs(f0)[..., None])
+        if bad.any():
+            raise RuntimeError(
+                "log-modulus is not quadratic in the marginalized coordinates "
+                f"(residual {resid[bad].max():.3e}); the coupled-coordinate "
+                "table does not match this representation"
+            )
+    return quad
 
 
 def fit_log_quadratic(
@@ -219,30 +293,9 @@ def fit_log_quadratic(
     center = np.zeros(ndim) if center is None else np.asarray(center, dtype=float)
     if ndim == 0:
         return LogQuadratic(float(func(center)), np.zeros(0), np.zeros((0, 0)))
-    f0 = float(func(center))
-    eye = np.eye(ndim)
-    f_plus = np.array([func(center + eye[i]) for i in range(ndim)])
-    f_minus = np.array([func(center - eye[i]) for i in range(ndim)])
-    grad = 0.5 * (f_plus - f_minus)
-    hess = np.zeros((ndim, ndim))
-    np.fill_diagonal(hess, f_plus + f_minus - 2.0 * f0)
-    for i in range(ndim):
-        for j in range(i + 1, ndim):
-            hess[i, j] = hess[j, i] = float(func(center + eye[i] + eye[j])) - f_plus[i] - f_plus[j] + f0
-    const = f0 - grad @ center + 0.5 * center @ hess @ center
-    quad = LogQuadratic(const, grad - hess @ center, hess)
-    if validate:
-        rng = np.random.default_rng(seed)
-        for _ in range(3):
-            x = center + rng.uniform(-1.7, 1.7, ndim)
-            fx = float(func(x))
-            if abs(fx - quad.value(x)) > 1e-7 * max(100.0, abs(fx), abs(f0)):
-                raise RuntimeError(
-                    "log-modulus is not quadratic in the marginalized coordinates "
-                    f"(residual {abs(fx - quad.value(x)):.3e}); the coupled-coordinate "
-                    "table does not match this representation"
-                )
-    return quad
+    checks = center + _check_offsets(ndim, seed) if validate else np.zeros((0, ndim))
+    points = np.concatenate([center + _stencil(ndim), checks])
+    return _fit_and_validate(np.array([float(func(x)) for x in points]), center, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +407,23 @@ def coorbit_norm_log(
     wdims = sorted(set(weight.coords) - set(coupled)) if weight is not None else []
     fitdims = [i for i in range(n) if i not in coupled]
     wpos = [fitdims.index(i) for i in wdims]
+    k = len(fitdims)
+    checks = _check_offsets(k, 0)
+    offsets = np.concatenate([_stencil(k), checks])
 
-    def fit_at(cvals):
-        def func(r):
-            qv = np.zeros(n)
-            qv[coupled] = cvals
-            qv[fitdims] = r
-            return float(log_inner(f, apply_rep(rep, section(group, qv), g)).real)
-
-        return fit_log_quadratic(func, len(fitdims))
+    def fit_nodes(cpts):
+        """One validated quadratic in the fit coordinates per coupled node (row of cpts)."""
+        qv = np.zeros((len(cpts), len(offsets), n))
+        qv[..., coupled] = cpts[:, None, :]
+        qv[..., fitdims] = offsets
+        a = section(group, qv.reshape(-1, n))
+        values = np.concatenate(
+            [coefficient_log_modulus(rep, a[i : i + _BLOCK], f, g) for i in range(0, len(a), _BLOCK)]
+        )
+        return _fit_and_validate(values.reshape(len(cpts), len(offsets)), np.zeros(k), checks)
 
     if not coupled and not wdims:
-        return fit_at(np.zeros(0)).scaled(p).total() / p
+        return float(fit_nodes(np.zeros((1, 0))).scaled(p).total()[0]) / p
 
     use_sinh = group.name in _SINH_MESH
     centers = [0.0] * len(coupled)
@@ -375,7 +433,7 @@ def coorbit_norm_log(
             def smass(c, j=j):
                 cv = np.array(centers)
                 cv[j] = c
-                return fit_at(cv).scaled(p).total()
+                return float(fit_nodes(cv[None]).scaled(p).total()[0])
 
             centers[j] = _probe_center(smass)
 
@@ -384,23 +442,18 @@ def coorbit_norm_log(
     cpts, clogw, cbound = _product_mesh(coupled_axes)
     wpts, wlogw, wbound = _product_mesh(weight_axes)
 
-    contribs = np.empty(len(cpts) * len(wpts))
-    boundary = np.empty(len(cpts) * len(wpts), dtype=bool)
-    qfull = np.zeros(n)
-    k = 0
-    for ic in range(len(cpts)):
-        quad = fit_at(cpts[ic]).scaled(p)
-        for iw in range(len(wpts)):
-            cond = quad.conditioned(wpos, wpts[iw]) if wpos else quad
-            val = cond.total()
-            if weight is not None:
-                qfull[:] = 0.0
-                qfull[coupled] = cpts[ic]
-                qfull[wdims] = wpts[iw]
-                val += p * float(weight.log_eval(qfull))
-            contribs[k] = val + clogw[ic] + wlogw[iw]
-            boundary[k] = cbound[ic] or wbound[iw]
-            k += 1
+    # one row per coupled node, one column per weight node
+    quad = fit_nodes(cpts).scaled(p)
+    if wpos:
+        quad = LogQuadratic(quad.const[:, None], quad.grad[:, None], quad.hess[:, None]).conditioned(wpos, wpts)
+    vals = np.reshape(quad.total(), (len(cpts), len(wpts)))
+    if weight is not None:
+        qfull = np.zeros((len(cpts), len(wpts), n))
+        qfull[..., coupled] = cpts[:, None, :]
+        qfull[..., wdims] = wpts[None, :, :]
+        vals = vals + p * weight.log_eval(qfull)
+    contribs = (vals + clogw[:, None] + wlogw[None, :]).ravel()
+    boundary = (cbound[:, None] | wbound[None, :]).ravel()
 
     total_log = float(logsumexp(contribs))
     _check_tail(contribs, boundary, total_log, tail, tail_tol, f"coorbit norm on {group.name}")
@@ -449,15 +502,9 @@ def modulation_norm_log(
         wpos = wdims  # fit spans all n dims
         axes = [_linear_axis(0.0, spec) for _ in wdims]
         pts, logw, bound = _product_mesh(axes)
-        quad_p = quad.scaled(p)
-        zfull = np.zeros(n)
-        contribs = np.empty(len(pts))
-        for i in range(len(pts)):
-            zfull[:] = 0.0
-            zfull[wdims] = pts[i]
-            contribs[i] = (
-                quad_p.conditioned(wpos, pts[i]).total() + p * float(weight.log_eval(zfull)) + logw[i]
-            )
+        zfull = np.zeros((len(pts), n))
+        zfull[:, wdims] = pts
+        contribs = quad.scaled(p).conditioned(wpos, pts).total() + p * weight.log_eval(zfull) + logw
         total_log = float(logsumexp(contribs))
         _check_tail(contribs, bound, total_log, tail, tail_tol, "modulation norm")
         return total_log / p
@@ -606,13 +653,6 @@ def orbit_scan(task: NormTask, u_values: Sequence[float] = DEFAULT_SCAN, u_min_f
             logs.append(coorbit_norm_log(task.rep, f, g, task.norm))
     slope, intercept = fit_slope(u_values, logs, task.growth, u_min_fit)
     return ScanResult(task.label, task.growth, tuple(float(u) for u in u_values), tuple(logs), slope, intercept, u_min_fit)
-
-
-def scan_rows(result: ScanResult) -> list[dict]:
-    rows = []
-    for u, ln in zip(result.u_values, result.log_norms):
-        rows.append({"u": u, "log_norm": ln, "norm": float(np.exp(ln)), "slope": result.slope})
-    return rows
 
 
 def chirp_scan_task(p: float, cross: bool = False) -> NormTask:

@@ -33,6 +33,7 @@ from .groups import GroupSpec, section
 __all__ = [
     "RepSpec",
     "apply_rep",
+    "coefficient_log_modulus",
     "rep_coefficient",
     "rep_coefficient_log_modulus",
     "quotient_coefficient_log_modulus",
@@ -45,6 +46,7 @@ __all__ = [
     "known_formal_dimension",
 ]
 
+_TWO_PI = 2.0 * np.pi
 _TWO_PI_I = 2j * np.pi
 
 
@@ -94,47 +96,51 @@ def _factors(rep: RepSpec, a):
     """Break pi(a) into (scalar phase theta, chirp C, modulation m, affine (S, v)).
 
     The operator is f -> e^{2 pi i theta} * M_m N_C (f o (t -> S t + v)); all
-    multiplications commute, so the order among them is immaterial.
+    multiplications commute, so the order among them is immaterial.  a holds
+    one element per row, shape (N, n); the factors come back stacked:
+    theta (N,), C (N, d, d), m (N, d), S (N, d, d), v (N, d).
     """
     lam, mu = rep.lam, rep.mu
     name = rep.group.name
     d = rep.acting_dim
-    S = np.eye(d)
-    C = np.zeros((d, d))
+    C = np.zeros((len(a), d, d))
+    S = C + np.eye(d)
     if name == "heisenberg":
-        x, y, z = a[:d], a[d : 2 * d], a[2 * d]
+        x, y, z = a[:, :d], a[:, d : 2 * d], a[:, 2 * d]
         theta = lam * z
         m = -lam * y
         v = -x
     elif name == "g6_16":
-        theta = lam * a[0] + mu * (a[1] - a[4] * a[5])
-        m = np.array([-lam * a[2] + mu * a[5], -lam * a[3]])
-        v = -a[4:6]
+        z1, z2, a3, a4, a5, a6 = a.T
+        theta = lam * z1 + mu * (z2 - a5 * a6)
+        m = np.stack([-lam * a3 + mu * a6, -lam * a4], axis=-1)
+        v = -a[:, 4:6]
     elif name == "g5_3":
-        theta = lam * (a[0] - a[2] * a[3])
-        C = np.diag([0.0, -lam * a[3]])
-        m = np.array([lam * a[3], -lam * a[1]])
-        v = -np.array([a[2], a[4]])
+        z, a2, a3, a4 = a.T[:4]
+        theta = lam * (z - a3 * a4)
+        C[:, 1, 1] = -lam * a4
+        m = np.stack([lam * a4, -lam * a2], axis=-1)
+        v = -a[:, [2, 4]]
     elif name == "g6_19":
-        theta = lam * a[0] + mu * (a[1] - 0.5 * a[4] ** 2 * a[5])
-        C = np.diag([mu * a[5], 0.0])
-        m = np.array([mu * (-a[3] + a[4] * a[5]), -lam * a[2]])
-        v = -a[4:6]
+        z1, z2, a3, a4, a5, a6 = a.T
+        theta = lam * z1 + mu * (z2 - 0.5 * a5**2 * a6)
+        C[:, 0, 0] = mu * a6
+        m = np.stack([mu * (-a4 + a5 * a6), -lam * a3], axis=-1)
+        v = -a[:, 4:6]
     else:  # dynin_folland, coordinates (z, y1, y2, y3, x1, x2, x3)
-        z, y1, y2, y3 = a[0], a[1], a[2], a[3]
-        x1, x2, x3 = a[4], a[5], a[6]
+        z, y3, x2 = a[:, 0], a[:, 3], a[:, 5]
         theta = lam * z
-        m = lam * np.array([y3, y2, y1])
-        C[1, 2] = C[2, 1] = lam * y3 / 2.0
-        S = np.array([[1.0, 0.0, x2], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        v = np.array([x1, x2, x3])
+        m = lam * a[:, [3, 2, 1]]
+        C[:, 1, 2] = C[:, 2, 1] = lam * y3 / 2.0
+        S[:, 0, 2] = x2
+        v = a[:, 4:7]
     return theta, C, m, S, v
 
 
 def apply_rep(rep: RepSpec, a, f):
     """pi(a) f for a in full group coordinates."""
-    a = np.asarray(a, dtype=float).reshape(rep.group.total_dim)
-    theta, C, m, S, v = _factors(rep, a)
+    a = np.asarray(a, dtype=float).reshape(1, rep.group.total_dim)
+    theta, C, m, S, v = (factor[0] for factor in _factors(rep, a))
     out = pullback_affine(f, S, v) if not np.allclose(S, np.eye(rep.acting_dim)) or np.any(v) else f
     if np.any(C):
         out = chirp(out, C)
@@ -143,6 +149,33 @@ def apply_rep(rep: RepSpec, a, f):
     if not rep.omit_phase and theta != 0.0:
         out = _phased(out, theta)
     return out
+
+
+def coefficient_log_modulus(rep: RepSpec, a, f: Gaussian, g: Gaussian) -> np.ndarray:
+    """log |<f, pi(a_k) g>| for every row a_k of a, shape (N, n) -> (N,).
+
+    The batched form of rep_coefficient_log_modulus: the product
+    f conj(pi(a) g) = exp(-pi t.Qt + L.t + la) is formed for all rows at once,
+    and the log modulus of its integral is
+    Re la - log|det Q| / 2 + Re(L.Q^{-1}L) / 4 pi.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, rep.group.total_dim)
+    _, C, m, S, v = _factors(rep, a)
+    A, b = g.quad, g.lin
+    St = np.swapaxes(S, -1, -2)
+    Av = v @ A.T
+    # g(S t + v), chirped by C and modulated by m, as in apply_rep
+    quad = St @ A @ S + 1j * C
+    lin = np.einsum("nij,nj->ni", St, b - _TWO_PI * Av) + _TWO_PI_I * m
+    log_amp = g.log_amp - np.pi * np.einsum("ni,ni->n", v, Av) + v @ b
+    Q = f.quad + np.conj(quad)
+    L = f.lin + np.conj(lin)
+    la = f.log_amp + np.conj(log_amp)
+    if np.linalg.eigvalsh(Q.real).min() <= 0.0:
+        raise ValueError("real part of the quadratic form must be positive definite")
+    _, log_abs_det = np.linalg.slogdet(Q)
+    y = np.linalg.solve(Q, L[..., None])[..., 0]
+    return la.real - 0.5 * log_abs_det + np.einsum("ni,ni->n", L, y).real / (4.0 * np.pi)
 
 
 def pointwise_action(rep: RepSpec, a):

@@ -158,6 +158,15 @@ def test_config_error_exits_3(tmp_path):
     assert main(["orbit-scan", "--config", str(tmp_path / "absent.cfg")]) == 3
 
 
+def test_late_config_error_exits_3(tmp_path, capsys):
+    # f_quad can only be checked against the group's acting dimension inside the runner
+    text = "[group]\nname = g5_3\n\n[state]\nf_quad = 1.0,1.0,1.0\n"
+    code, _ = run_cli(tmp_path, "late.cfg", text, "coorbit-norm")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "state.f_quad" in err
+
+
 def test_rep_selftest_end_to_end(tmp_path):
     text = "[suite]\ngroup = g5_3\nn_pairs = 40\n"
     code, out = run_cli(tmp_path, "reps.cfg", text, "rep-selftest")

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import logsumexp
 
 from coorbit_lab.coorbit import (
+    _COUPLED,
     DEFAULT_SCAN,
     LogQuadratic,
     NormSpec,
@@ -128,14 +129,10 @@ def test_heisenberg_norm_against_direct_grid_sum():
     g = unit_gaussian(1)
     step, half = 0.05, 7.0
     ax = np.arange(-half, half, step) + step / 2
+    log_mod = np.array([quotient_coefficient_log_modulus(rep, np.array([x, y]), f, g) for x in ax for y in ax])
     for p in (1.0, 3.0):
         engine = coorbit_norm_log(rep, f, g, NormSpec(p=p))
-        vals = [
-            p * quotient_coefficient_log_modulus(rep, np.array([x, y]), f, g)
-            for x in ax
-            for y in ax
-        ]
-        brute = (logsumexp(np.array(vals)) + 2 * np.log(step)) / p
+        brute = (logsumexp(p * log_mod) + 2 * np.log(step)) / p
         assert engine == pytest.approx(brute, abs=1e-7)
 
 
@@ -226,6 +223,26 @@ def test_p2_orthogonality_collapse(name, lam, mu):
     got = coorbit_norm(rep, f, g, NormSpec(p=2.0))
     want = l2_norm(f) * l2_norm(g) / np.sqrt(known_formal_dimension(rep))
     assert got == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_p2_orthogonality_on_dynin_folland(lam):
+    # d_pi = |lam|^3 for the 7-dimensional group (Moore & Wolf, Trans. AMS 185, 1973)
+    rep = RepSpec(group_spec("dynin_folland"), lam)
+    f = Gaussian(np.eye(3) * 1.2, np.full(3, 0.1))
+    g = unit_gaussian(3)
+    got = coorbit_norm(rep, f, g, NormSpec(p=2.0))
+    want = l2_norm(f) * l2_norm(g) / np.sqrt(abs(lam) ** 3)
+    assert got == pytest.approx(want, rel=1e-5)
+
+
+def test_engine_validates_every_node(monkeypatch):
+    # with the coupled coordinate treated as quadratic, the off-grid checks must fire
+    monkeypatch.setitem(_COUPLED, "g5_3", ())
+    rep = RepSpec(group_spec("g5_3"), 1.0)
+    f = Gaussian(np.diag([1.2, 0.9]), [0.1, -0.2])
+    with pytest.raises(RuntimeError, match="not quadratic"):
+        coorbit_norm_log(rep, f, unit_gaussian(2), NormSpec(p=2.0))
 
 
 def test_engine_against_full_grid_on_g5_3():

@@ -10,6 +10,7 @@ from coorbit_lab.numerics import quad_rep_coefficient
 from coorbit_lab.representations import (
     RepSpec,
     apply_rep,
+    coefficient_log_modulus,
     default_window,
     formal_dimension,
     homogeneity_check,
@@ -17,6 +18,7 @@ from coorbit_lab.representations import (
     known_formal_dimension,
     quotient_coefficient_log_modulus,
     rep_coefficient,
+    rep_coefficient_log_modulus,
     unitarity_check,
 )
 
@@ -86,6 +88,32 @@ def test_closed_coefficient_against_pointwise_quadrature(rep):
         closed = rep_coefficient(rep.with_full_phase(), a, f, g)
         numeric = quad_rep_coefficient(rep.with_full_phase(), a, f, g)
         assert closed == pytest.approx(numeric, abs=2e-8)
+
+
+KERNEL_REPS = [
+    RepSpec(group_spec("heisenberg", 1), 1.3),
+    RepSpec(group_spec("heisenberg", 2), -0.8),
+    RepSpec(group_spec("g6_16"), 2.0, 0.6),
+    RepSpec(group_spec("g5_3"), -1.5),
+    RepSpec(group_spec("g6_19"), 0.7, -1.4),
+    RepSpec(group_spec("dynin_folland"), 2.0),
+]
+
+
+@pytest.mark.parametrize(
+    "rep", KERNEL_REPS, ids=["heisenberg-d1", "heisenberg-d2", "g6_16", "g5_3", "g6_19", "dynin_folland"]
+)
+def test_batched_kernel_matches_scalar_route(rep):
+    rng = np.random.default_rng(4)
+    d = rep.acting_dim
+    quad = np.diag(rng.uniform(0.7, 1.4, d)) + 0.3j * np.eye(d)
+    f = Gaussian(quad, rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d))
+    g = Gaussian(np.eye(d) * 1.1, rng.uniform(-0.5, 0.5, d))
+    a = rng.uniform(-400.0, 400.0, (200, rep.group.total_dim))
+    got = coefficient_log_modulus(rep, a, f, g)
+    want = np.array([rep_coefficient_log_modulus(rep, x, f, g) for x in a])
+    assert got.shape == (200,)
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
 def test_g5_3_homogeneity():
