@@ -9,7 +9,6 @@ diagnostics, each backed by an independent grid oracle.
 from .gaussian import (
     Gaussian,
     GaussianSum,
-    PhaseSpacePoint,
     chirp,
     chirp_mp_norm,
     chirp_stft_modulus,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Gaussian",
     "GaussianSum",
-    "PhaseSpacePoint",
     "chirp",
     "chirp_mp_norm",
     "chirp_stft_modulus",

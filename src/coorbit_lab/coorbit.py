@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .gaussian import Gaussian, chirp, log_stft_modulus, tensor, unit_gaussian
 from .groups import GroupSpec, group_spec, quotient_multiply, section
-from .numerics import TailMassWarning
+from .numerics import TailMassWarning, logsumexp
 from .representations import RepSpec, apply_rep, coefficient_log_modulus
 
 __all__ = [
@@ -50,25 +49,9 @@ __all__ = [
     "df_modulation_task",
 ]
 
-# quotient coordinates whose value changes the quadratic form of the shifted
-# window (chirp parameters and affine shears); everything else is exactly
-# quadratic in the log modulus
-_COUPLED = {
-    "heisenberg": (),
-    "g6_16": (),
-    "g5_3": (2,),
-    "g6_19": (3,),
-    "dynin_folland": (2, 4),
-}
-
 # coefficients per kernel call: bounds the engine's working memory whatever
 # the mesh size
 _BLOCK = 1024
-
-# groups whose coupled slice masses decay only polynomially, where a linear
-# box would truncate visible mass
-_SINH_MESH = {"dynin_folland"}
-
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -245,7 +228,7 @@ def _fit_and_validate(values, center, checks) -> LogQuadratic:
     center + _stencil(k), then at checks (absolute points, or none to skip
     validation).  Leading axes are batch axes, one fit per entry.  Unit-step
     differences are exact for quadratics; a model that misses a check value
-    raises, which is how a wrong coupled-coordinate table would show up.
+    raises, which is how a wrong list of coupled coordinates would show up.
     """
     k = center.shape[-1]
     n_stencil = values.shape[-1] - len(checks)
@@ -270,8 +253,8 @@ def _fit_and_validate(values, center, checks) -> LogQuadratic:
         if bad.any():
             raise RuntimeError(
                 "log-modulus is not quadratic in the marginalized coordinates "
-                f"(residual {resid[bad].max():.3e}); the coupled-coordinate "
-                "table does not match this representation"
+                f"(residual {resid[bad].max():.3e}); the group record's coupled "
+                "coordinates do not match its representation"
             )
     return quad
 
@@ -287,8 +270,8 @@ def fit_log_quadratic(
 
     The differences are exact for quadratics at any step size; validation
     evaluates func at a few off-grid points and raises if the model does not
-    reproduce them, which is how a wrong coupled-coordinate table would show
-    up.
+    reproduce them, which is how a wrong list of coupled coordinates would
+    show up.
     """
     center = np.zeros(ndim) if center is None else np.asarray(center, dtype=float)
     if ndim == 0:
@@ -400,7 +383,7 @@ def coorbit_norm_log(
     _require_plain(g, "g")
     group, p = rep.group, spec.p
     n = group.quotient_dim
-    coupled = sorted(_COUPLED[group.name])
+    coupled = sorted(group.coupled)
     weight = spec.weight
     if weight is not None and any(i < 0 or i >= n for i in weight.coords):
         raise ValueError(f"weight coordinates {weight.coords} out of range for quotient dim {n}")
@@ -425,7 +408,7 @@ def coorbit_norm_log(
     if not coupled and not wdims:
         return float(fit_nodes(np.zeros((1, 0))).scaled(p).total()[0]) / p
 
-    use_sinh = group.name in _SINH_MESH
+    use_sinh = group.sinh_mesh
     centers = [0.0] * len(coupled)
     if coupled and not use_sinh and recenter:
         for j in range(len(coupled)):
@@ -455,7 +438,7 @@ def coorbit_norm_log(
     contribs = (vals + clogw[:, None] + wlogw[None, :]).ravel()
     boundary = (cbound[:, None] | wbound[None, :]).ravel()
 
-    total_log = float(logsumexp(contribs))
+    total_log = logsumexp(contribs)
     _check_tail(contribs, boundary, total_log, tail, tail_tol, f"coorbit norm on {group.name}")
     return total_log / p
 
@@ -505,7 +488,7 @@ def modulation_norm_log(
         zfull = np.zeros((len(pts), n))
         zfull[:, wdims] = pts
         contribs = quad.scaled(p).conditioned(wpos, pts).total() + p * weight.log_eval(zfull) + logw
-        total_log = float(logsumexp(contribs))
+        total_log = logsumexp(contribs)
         _check_tail(contribs, bound, total_log, tail, tail_tol, "modulation norm")
         return total_log / p
 
@@ -533,8 +516,8 @@ def modulation_norm_log(
             zfull[xw] = xw_pts[j]
             cond = sliced.conditioned(xw_pos_in_x, xw_pts[j]) if xw else sliced
             inner_vals[j] = cond.total() + p * float(weight.log_eval(zfull)) + xw_logw[j]
-        outer[i] = (q / p) * float(logsumexp(inner_vals)) + xi_logw[i]
-    total_log = float(logsumexp(outer))
+        outer[i] = (q / p) * logsumexp(inner_vals) + xi_logw[i]
+    total_log = logsumexp(outer)
     _check_tail(outer, xi_bound, total_log, tail, tail_tol, "modulation norm (mixed)")
     return total_log / q
 

@@ -324,16 +324,14 @@ def density_theorem_check(rep: RepSpec, eps: float, m_values=None, **density_kwa
     lat = QuasiLattice(rep.group, eps)
     dens = beurling_density(lat, m_values=m_values, **density_kwargs)
     d_pi = known_formal_dimension(rep)
-    out = {
+    return {
         "eps": eps,
         "density": dens["estimate"],
         "expected_density": dens["expected"],
         "formal_dimension": d_pi,
         "verified": dens["verified"],
+        "predicts_frame": dens["estimate"] > d_pi,
     }
-    if d_pi is not None:
-        out["predicts_frame"] = dens["estimate"] > d_pi
-    return out
 
 
 # ---------------------------------------------------------------------------

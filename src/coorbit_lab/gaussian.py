@@ -14,14 +14,11 @@ precision; its logarithm never does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "Gaussian",
     "GaussianSum",
-    "PhaseSpacePoint",
     "unit_gaussian",
     "translate",
     "modulate",
@@ -139,20 +136,6 @@ class GaussianSum:
 
     def __repr__(self):
         return f"GaussianSum({len(self.terms)} terms, dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class PhaseSpacePoint:
-    """A point (x, xi) in phase space: translation x, modulation xi."""
-
-    x: np.ndarray
-    xi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        object.__setattr__(self, "xi", np.atleast_1d(np.asarray(self.xi, dtype=float)))
-        if self.x.shape != self.xi.shape:
-            raise ValueError("x and xi must have the same shape")
 
 
 def unit_gaussian(dim: int = 1) -> Gaussian:
@@ -298,8 +281,6 @@ def fourier(f):
 
 
 def _split_phase_point(z, xi):
-    if isinstance(z, PhaseSpacePoint):
-        return z.x, z.xi
     if xi is None:
         x, w = z
         return np.atleast_1d(np.asarray(x, float)), np.atleast_1d(np.asarray(w, float))
@@ -309,8 +290,7 @@ def _split_phase_point(z, xi):
 def stft_closed(f, g, z, xi=None) -> complex:
     """<f, M_xi T_x g>: the short-time transform of f with window g at (x, xi).
 
-    z may be a PhaseSpacePoint, an (x, xi) pair, or the x part with xi passed
-    separately.
+    z may be an (x, xi) pair, or the x part with xi passed separately.
     """
     x, w = _split_phase_point(z, xi)
     return inner_product(f, modulate(translate(g, x), w))

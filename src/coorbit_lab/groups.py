@@ -1,10 +1,17 @@
-"""Five nilpotent Lie groups in global polynomial coordinates.
+"""Five nilpotent Lie groups in global polynomial coordinates, one record each.
 
-Each group is R^n with a polynomial product.  Four of the laws are written
-out explicitly; the seventh-dimensional one is generated from its structure
-constants through the Baker-Campbell-Hausdorff series in coordinates of the
-second kind (ordered exponentials e^{c1 E1} ... e^{c7 E7}), which is the
-parametrization its Schroedinger-type representation expects.
+Each group is R^n with a polynomial product.  A group's record (GroupSpec)
+declares only what cannot be worked out: the product law, the bracket table,
+the factors of its Schroedinger-type representation, the quotient coordinates
+that couple into those factors, and whether they need a geometric mesh.  The
+dimension, the centre and the quotient follow from the brackets, and so do
+the acting dimension and the formal dimension of the representation.
+
+Four of the laws are written out explicitly; the seventh-dimensional one is
+generated from its structure constants through the Baker-Campbell-Hausdorff
+series in coordinates of the second kind (ordered exponentials
+e^{c1 E1} ... e^{c7 E7}), which is the parametrization its Schroedinger-type
+representation expects.
 
 All operations broadcast over leading axes, so lattice and sampling code can
 push 10^4 points through at once.
@@ -13,6 +20,8 @@ push 10^4 points through at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -34,42 +43,55 @@ __all__ = [
     "jacobian_check",
 ]
 
-GROUPS = ("heisenberg", "g6_16", "g5_3", "g6_19", "dynin_folland")
-
 
 @dataclass(frozen=True)
 class GroupSpec:
+    """The record of one group.
+
+    brackets lists each nonzero [E_i, E_j] = c E_k as (i, j, k, c).
+    law(spec, a, b) returns the product of two coordinate arrays of one shape.
+    rep_factors(rep, a, C, S) returns the factors (theta, m, v) of pi(a) for
+    each row of a and writes the chirp and affine factors into C and S, which
+    come in as zeros and identities (see representations._factors).
+    coupled lists the quotient coordinates that enter C or S; sinh_mesh says
+    whether their coefficient mass decays so slowly that they need a
+    geometric mesh.  exact_inverse, where given, replaces the generic sweep
+    of inverse().
+    """
+
     name: str
-    total_dim: int
-    center_dim: int
+    brackets: tuple[tuple[int, int, int, float], ...]
+    law: Callable
+    rep_factors: Callable
+    coupled: tuple[int, ...] = ()
+    sinh_mesh: bool = False
+    exact_inverse: Callable | None = None
     heisenberg_d: int = 0
 
-    @property
+    @cached_property
+    def total_dim(self) -> int:
+        # every coordinate enters some bracket: one that did not would split
+        # off an abelian factor, which has no square-integrable representation
+        return 1 + max(max(i, j, k) for i, j, k, _ in self.brackets)
+
+    @cached_property
     def center_indices(self) -> tuple[int, ...]:
-        if self.name == "heisenberg":
-            return (self.total_dim - 1,)
-        return tuple(range(self.center_dim))
+        """The coordinates whose row of the bracket table is zero."""
+        C = structure_constants(self)
+        return tuple(int(i) for i in np.flatnonzero(~C.any(axis=(1, 2))))
+
+    @property
+    def center_dim(self) -> int:
+        return len(self.center_indices)
 
     @property
     def quotient_dim(self) -> int:
         return self.total_dim - self.center_dim
 
-    @property
+    @cached_property
     def noncenter_indices(self) -> tuple[int, ...]:
         c = set(self.center_indices)
         return tuple(i for i in range(self.total_dim) if i not in c)
-
-
-def group_spec(name: str, heisenberg_d: int = 1) -> GroupSpec:
-    if name == "heisenberg":
-        if heisenberg_d < 1:
-            raise ValueError("heisenberg_d must be >= 1")
-        return GroupSpec("heisenberg", 2 * heisenberg_d + 1, 1, heisenberg_d)
-    table = {"g6_16": (6, 2), "g5_3": (5, 1), "g6_19": (6, 2), "dynin_folland": (7, 1)}
-    if name not in table:
-        raise ValueError(f"unknown group {name!r}; choose from {GROUPS}")
-    dim, cdim = table[name]
-    return GroupSpec(name, dim, cdim)
 
 
 def identity(spec: GroupSpec, shape=()) -> np.ndarray:
@@ -88,27 +110,28 @@ def axis_point(dim: int, j: int, t) -> np.ndarray:
 # explicit product laws (0-based coordinates; centers come first except for
 # the Heisenberg group, whose center is the last coordinate)
 
-def _mul_heisenberg(d, a, b):
+def _mul_heisenberg(spec, a, b):
+    d = spec.heisenberg_d
     out = a + b
     out[..., 2 * d] += np.einsum("...i,...i->...", a[..., :d], b[..., d : 2 * d])
     return out
 
 
-def _mul_g6_16(a, b):
+def _mul_g6_16(spec, a, b):
     out = a + b
     out[..., 0] += a[..., 4] * b[..., 2] + a[..., 5] * b[..., 3]
     out[..., 1] += a[..., 5] * b[..., 4]
     return out
 
 
-def _mul_g5_3(a, b):
+def _mul_g5_3(spec, a, b):
     out = a + b
     out[..., 0] += a[..., 3] * b[..., 2] + a[..., 4] * b[..., 1] + 0.5 * a[..., 4] ** 2 * b[..., 3]
     out[..., 1] += a[..., 4] * b[..., 3]
     return out
 
 
-def _mul_g6_19(a, b):
+def _mul_g6_19(spec, a, b):
     out = a + b
     out[..., 0] += a[..., 5] * b[..., 2]
     out[..., 1] += a[..., 4] * b[..., 3] + a[..., 4] * a[..., 5] * b[..., 4] + 0.5 * a[..., 5] * b[..., 4] ** 2
@@ -120,23 +143,25 @@ def _mul_g6_19(a, b):
 # the 7-dimensional group: BCH in second-kind coordinates
 # basis order (Z, Y1, Y2, Y3, X1, X2, X3) = (E0, ..., E6)
 
-def _df_structure() -> np.ndarray:
-    C = np.zeros((7, 7, 7))
-    table = [
-        (6, 1, 0, 1.0),   # [X3, Y1] = Z
-        (5, 2, 0, 1.0),   # [X2, Y2] = Z
-        (4, 3, 0, 1.0),   # [X1, Y3] = Z
-        (5, 3, 1, 0.5),   # [X2, Y3] = Y1/2
-        (6, 3, 2, -0.5),  # [X3, Y3] = -Y2/2
-        (6, 5, 4, 1.0),   # [X3, X2] = X1
-    ]
-    for i, j, k, c in table:
+_DF_BRACKETS = (
+    (6, 1, 0, 1.0),  # [X3, Y1] = Z
+    (5, 2, 0, 1.0),  # [X2, Y2] = Z
+    (4, 3, 0, 1.0),  # [X1, Y3] = Z
+    (5, 3, 1, 0.5),  # [X2, Y3] = Y1/2
+    (6, 3, 2, -0.5),  # [X3, Y3] = -Y2/2
+    (6, 5, 4, 1.0),  # [X3, X2] = X1
+)
+
+
+def _structure(brackets, n: int) -> np.ndarray:
+    C = np.zeros((n, n, n))
+    for i, j, k, c in brackets:
         C[i, j, k] += c
         C[j, i, k] -= c
     return C
 
 
-_DF_C = _df_structure()
+_DF_C = _structure(_DF_BRACKETS, 7)
 
 
 def _df_bracket(u, v):
@@ -178,8 +203,87 @@ def _df_coords(W):
     return out
 
 
-def _mul_df(a, b):
+def _mul_df(spec, a, b):
     return _df_coords(_df_bch(_df_log(a), _df_log(b)))
+
+
+def _inv_df(a):
+    return _df_coords(-_df_log(a))
+
+
+# ---------------------------------------------------------------------------
+# factors of the Schroedinger-type representations: pi(a) f is
+# e^{2 pi i theta} M_m N_C (f o (t -> S t + v)), one factor per row of a
+
+def _rep_heisenberg(rep, a, C, S):
+    d = rep.group.heisenberg_d
+    return rep.lam * a[:, 2 * d], -rep.lam * a[:, d : 2 * d], -a[:, :d]
+
+
+def _rep_g6_16(rep, a, C, S):
+    lam, mu = rep.lam, rep.mu
+    z1, z2, a3, a4, a5, a6 = a.T
+    m = np.stack([-lam * a3 + mu * a6, -lam * a4], axis=-1)
+    return lam * z1 + mu * (z2 - a5 * a6), m, -a[:, 4:6]
+
+
+def _rep_g5_3(rep, a, C, S):
+    lam = rep.lam
+    z, a2, a3, a4 = a.T[:4]
+    C[:, 1, 1] = -lam * a4
+    return lam * (z - a3 * a4), np.stack([lam * a4, -lam * a2], axis=-1), -a[:, [2, 4]]
+
+
+def _rep_g6_19(rep, a, C, S):
+    lam, mu = rep.lam, rep.mu
+    z1, z2, a3, a4, a5, a6 = a.T
+    C[:, 0, 0] = mu * a6
+    m = np.stack([mu * (-a4 + a5 * a6), -lam * a3], axis=-1)
+    return lam * z1 + mu * (z2 - 0.5 * a5**2 * a6), m, -a[:, 4:6]
+
+
+def _rep_df(rep, a, C, S):
+    # coordinates (z, y1, y2, y3, x1, x2, x3)
+    lam = rep.lam
+    C[:, 1, 2] = C[:, 2, 1] = lam * a[:, 3] / 2.0
+    S[:, 0, 2] = a[:, 5]
+    return lam * a[:, 0], lam * a[:, [3, 2, 1]], a[:, 4:7]
+
+
+# ---------------------------------------------------------------------------
+# the records
+
+def _heisenberg(d: int) -> GroupSpec:
+    if d < 1:
+        raise ValueError("heisenberg_d must be >= 1")
+    brackets = tuple((i, d + i, 2 * d, 1.0) for i in range(d))  # [X_i, Y_i] = Z
+    return GroupSpec("heisenberg", brackets, _mul_heisenberg, _rep_heisenberg, heisenberg_d=d)
+
+
+# name -> its record; the Heisenberg family has one record per d
+_TABLE = {
+    "heisenberg": _heisenberg,
+    "g6_16": GroupSpec("g6_16", ((4, 2, 0, 1.0), (5, 3, 0, 1.0), (5, 4, 1, 1.0)), _mul_g6_16, _rep_g6_16),
+    "g5_3": GroupSpec(
+        "g5_3", ((3, 2, 0, 1.0), (4, 1, 0, 1.0), (4, 3, 1, 1.0)), _mul_g5_3, _rep_g5_3, coupled=(2,)
+    ),
+    "g6_19": GroupSpec(
+        "g6_19", ((5, 2, 0, 1.0), (4, 3, 1, 1.0), (5, 4, 3, 1.0)), _mul_g6_19, _rep_g6_19, coupled=(3,)
+    ),
+    "dynin_folland": GroupSpec(
+        "dynin_folland", _DF_BRACKETS, _mul_df, _rep_df, coupled=(2, 4), sinh_mesh=True, exact_inverse=_inv_df
+    ),
+}
+
+GROUPS = tuple(_TABLE)
+
+
+def group_spec(name: str, heisenberg_d: int = 1) -> GroupSpec:
+    """The record of a group; heisenberg_d picks the Heisenberg group H_d and is ignored elsewhere."""
+    if name not in _TABLE:
+        raise ValueError(f"unknown group {name!r}; choose from {GROUPS}")
+    entry = _TABLE[name]
+    return entry if isinstance(entry, GroupSpec) else entry(heisenberg_d)
 
 
 # ---------------------------------------------------------------------------
@@ -189,28 +293,19 @@ def multiply(spec: GroupSpec, a, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if a.shape[-1] != spec.total_dim or b.shape[-1] != spec.total_dim:
         raise ValueError(f"expected trailing dimension {spec.total_dim}")
-    a, b = np.broadcast_arrays(a, b)
-    a = a.copy()
-    if spec.name == "heisenberg":
-        return _mul_heisenberg(spec.heisenberg_d, a, b)
-    if spec.name == "g6_16":
-        return _mul_g6_16(a, b)
-    if spec.name == "g5_3":
-        return _mul_g5_3(a, b)
-    if spec.name == "g6_19":
-        return _mul_g6_19(a, b)
-    return _mul_df(a, b)
+    return spec.law(spec, *np.broadcast_arrays(a, b))
 
 
 def inverse(spec: GroupSpec, a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if spec.name == "dynin_folland":
-        return _df_coords(-_df_log(a))
-    # Coordinate i of a product is a_i + b_i + P_i with P_i depending only on
-    # coordinates the sweep has already fixed, so one sweep solves a.y = 0.
+    if spec.exact_inverse is not None:
+        return spec.exact_inverse(a)
+    # Coordinate i of a product is a_i + b_i + P_i, and P_i reads b only at
+    # coordinates that are final when the reversed sweep reaches i: later
+    # ones, and those with P_j = 0, which -a gets right from the start.  So
+    # one sweep solves a.y = 0.
     y = -a.copy()
-    order = range(spec.total_dim) if spec.name == "heisenberg" else reversed(range(spec.total_dim))
-    for i in order:
+    for i in reversed(range(spec.total_dim)):
         y[..., i] -= multiply(spec, a, y)[..., i]
     return y
 
@@ -247,32 +342,8 @@ def quotient_inverse(spec: GroupSpec, qa) -> np.ndarray:
 # declared structure constants, and the numeric checks against the laws
 
 def structure_constants(spec: GroupSpec) -> np.ndarray:
-    n = spec.total_dim
-    C = np.zeros((n, n, n))
-
-    def put(i, j, k, c):
-        C[i, j, k] += c
-        C[j, i, k] -= c
-
-    if spec.name == "heisenberg":
-        d = spec.heisenberg_d
-        for i in range(d):
-            put(i, d + i, 2 * d, 1.0)
-    elif spec.name == "g6_16":
-        put(4, 2, 0, 1.0)
-        put(5, 3, 0, 1.0)
-        put(5, 4, 1, 1.0)
-    elif spec.name == "g5_3":
-        put(3, 2, 0, 1.0)
-        put(4, 1, 0, 1.0)
-        put(4, 3, 1, 1.0)
-    elif spec.name == "g6_19":
-        put(5, 2, 0, 1.0)
-        put(4, 3, 1, 1.0)
-        put(5, 4, 3, 1.0)
-    else:
-        return _DF_C.copy()
-    return C
+    """C[i, j, k], the coefficient of E_k in [E_i, E_j], from the declared table."""
+    return _structure(spec.brackets, spec.total_dim)
 
 
 def bracket_check(spec: GroupSpec, step: float = 1e-3) -> dict:

@@ -9,7 +9,6 @@ tested against.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -22,8 +21,7 @@ __all__ = [
     "sample",
     "dft_stft",
     "quad_rep_coefficient",
-    "write_csv",
-    "read_csv",
+    "logsumexp",
 ]
 
 
@@ -201,23 +199,10 @@ def quad_rep_coefficient(rep, a, f, g, grid: GridSpec | None = None) -> complex:
     return complex(grid.cell_volume * integrand.sum())
 
 
-def write_csv(sf: SampledFunction, path) -> None:
-    """Node-indexed dump: rows (flat C-order index, re, im)."""
-    flat = sf.values.reshape(-1)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "re", "im"])
-        for k, val in enumerate(flat):
-            w.writerow([k, repr(float(val.real)), repr(float(val.imag))])
-
-
-def read_csv(path, grid: GridSpec) -> SampledFunction:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != ["index", "re", "im"]:
-        raise ValueError("unexpected CSV header")
-    n = grid.points_per_axis**grid.dim
-    vals = np.zeros(n, dtype=complex)
-    for row in rows[1:]:
-        vals[int(row[0])] = float(row[1]) + 1j * float(row[2])
-    return SampledFunction(grid, vals)
+def logsumexp(values) -> float:
+    """log(sum(exp(values))) over every entry, shifted by the maximum so nothing overflows."""
+    values = np.asarray(values, dtype=float)
+    peak = values.max()
+    if not np.isfinite(peak):
+        return float(peak)
+    return float(peak + np.log(np.exp(values - peak).sum()))

@@ -28,7 +28,7 @@ from .gaussian import (
     unit_gaussian,
     tensor,
 )
-from .groups import GroupSpec, section
+from .groups import GroupSpec, section, structure_constants
 
 __all__ = [
     "RepSpec",
@@ -59,19 +59,14 @@ class RepSpec:
 
     def __post_init__(self):
         name = self.group.name
-        if name == "g6_19":
-            if self.lam * self.mu == 0.0:
-                raise ValueError("g6_19 needs lambda * mu != 0")
-        elif self.lam == 0.0:
-            raise ValueError(f"{name} needs lambda != 0")
-        if name not in ("g6_16", "g6_19") and self.mu != 0.0:
-            raise ValueError(f"{name} does not take a mu parameter")
+        if self.mu != 0.0 and self.group.center_dim != 2:
+            raise ValueError(f"{name} has a one-dimensional centre and takes no mu parameter")
+        if known_formal_dimension(self) == 0.0:
+            raise ValueError(f"{name} has no square-integrable representation at lambda={self.lam}, mu={self.mu}")
 
     @property
     def acting_dim(self) -> int:
-        return {"heisenberg": self.group.heisenberg_d, "g6_16": 2, "g5_3": 2, "g6_19": 2, "dynin_folland": 3}[
-            self.group.name
-        ]
+        return self.group.quotient_dim // 2
 
     def with_full_phase(self) -> "RepSpec":
         return replace(self, omit_phase=False)
@@ -100,40 +95,10 @@ def _factors(rep: RepSpec, a):
     one element per row, shape (N, n); the factors come back stacked:
     theta (N,), C (N, d, d), m (N, d), S (N, d, d), v (N, d).
     """
-    lam, mu = rep.lam, rep.mu
-    name = rep.group.name
     d = rep.acting_dim
     C = np.zeros((len(a), d, d))
     S = C + np.eye(d)
-    if name == "heisenberg":
-        x, y, z = a[:, :d], a[:, d : 2 * d], a[:, 2 * d]
-        theta = lam * z
-        m = -lam * y
-        v = -x
-    elif name == "g6_16":
-        z1, z2, a3, a4, a5, a6 = a.T
-        theta = lam * z1 + mu * (z2 - a5 * a6)
-        m = np.stack([-lam * a3 + mu * a6, -lam * a4], axis=-1)
-        v = -a[:, 4:6]
-    elif name == "g5_3":
-        z, a2, a3, a4 = a.T[:4]
-        theta = lam * (z - a3 * a4)
-        C[:, 1, 1] = -lam * a4
-        m = np.stack([lam * a4, -lam * a2], axis=-1)
-        v = -a[:, [2, 4]]
-    elif name == "g6_19":
-        z1, z2, a3, a4, a5, a6 = a.T
-        theta = lam * z1 + mu * (z2 - 0.5 * a5**2 * a6)
-        C[:, 0, 0] = mu * a6
-        m = np.stack([mu * (-a4 + a5 * a6), -lam * a3], axis=-1)
-        v = -a[:, 4:6]
-    else:  # dynin_folland, coordinates (z, y1, y2, y3, x1, x2, x3)
-        z, y3, x2 = a[:, 0], a[:, 3], a[:, 5]
-        theta = lam * z
-        m = lam * a[:, [3, 2, 1]]
-        C[:, 1, 2] = C[:, 2, 1] = lam * y3 / 2.0
-        S[:, 0, 2] = x2
-        v = a[:, 4:7]
+    theta, m, v = rep.group.rep_factors(rep, a, C, S)
     return theta, C, m, S, v
 
 
@@ -339,13 +304,16 @@ def formal_dimension(rep: RepSpec, g=None, box_half: float = 8.0, resolution: fl
     return float(np.exp(4.0 * np.log(l2_norm(g)) - log_sq))
 
 
-def known_formal_dimension(rep: RepSpec) -> float | None:
-    """Closed-form formal dimension where one exists; None for the 7-dimensional group."""
-    name = rep.group.name
-    if name == "heisenberg":
-        return abs(rep.lam) ** rep.group.heisenberg_d
-    if name in ("g6_16", "g5_3"):
-        return rep.lam**2
-    if name == "g6_19":
-        return abs(rep.lam * rep.mu)
-    return None
+def known_formal_dimension(rep: RepSpec) -> float:
+    """The formal dimension in closed form: d_pi = |Pf(B)| = sqrt|det B|.
+
+    B(X, Y) = <l, [X, Y]> on the non-central coordinates, with l the central
+    character: lam on the first central coordinate, mu on the second
+    (Moore & Wolf, Trans. AMS 185, 1973; Corwin & Greenleaf 1990, sec. 4.5).
+    """
+    grp = rep.group
+    ell = np.zeros(grp.total_dim)
+    ell[list(grp.center_indices)] = (rep.lam, rep.mu)[: grp.center_dim]
+    outer = list(grp.noncenter_indices)
+    B = (structure_constants(grp) @ ell)[np.ix_(outer, outer)]
+    return float(np.sqrt(abs(np.linalg.det(B))))

@@ -133,9 +133,7 @@ def test_criterion_4_orthogonality_collapse():
         f = Gaussian(np.eye(d) * 1.2, np.full(d, 0.1))
         g = unit_gaussian(d)
         got = coorbit_norm(rep, f, g, NormSpec(p=2.0))
-        d_pi = known_formal_dimension(rep)
-        if d_pi is None:
-            d_pi = formal_dimension(rep)  # numeric route; consistency is the check
+        d_pi = known_formal_dimension(rep)  # the Pfaffian of the bracket form
         want = l2_norm(f) * l2_norm(g) / np.sqrt(d_pi)
         rel = abs(got - want) / want
         ok = ok and rel < 1e-3

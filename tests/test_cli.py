@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from coorbit_lab.cli import ConfigError, main, parse_config, serialize_config
+from coorbit_lab.numerics import TailMassWarning
 
 MINIMAL_SCAN = """\
 [scan]
@@ -198,6 +199,29 @@ def test_coorbit_norm_end_to_end(tmp_path):
     assert code == 0
     summary = json.loads((out / "coorbit-norm.json").read_text())
     assert summary["metrics"]["relative_error"] < 1e-6
+
+
+def test_coorbit_norm_tail_mass_fails_the_run(tmp_path):
+    # at p = 1 the g5_3 coefficients spread far past a box of half-width 0.5
+    text = "[group]\nname = g5_3\n\n[norm]\np = 1.0\nbox_half = 0.5\n"
+    with pytest.warns(TailMassWarning):
+        code, out = run_cli(tmp_path, "tail.cfg", text, "coorbit-norm")
+    assert code == 2
+    summary = json.loads((out / "coorbit-norm.json").read_text())
+    assert summary["pass"] is False
+    assert len(summary["metrics"]["warnings"]) == 1
+    assert "outer quadrature shell" in summary["metrics"]["warnings"][0]
+
+
+def test_coorbit_norm_on_dynin_folland_uses_the_closed_form(tmp_path):
+    text = "[group]\nname = dynin_folland\n"
+    code, out = run_cli(tmp_path, "df.cfg", text, "coorbit-norm")
+    assert code == 0
+    metrics = json.loads((out / "coorbit-norm.json").read_text())["metrics"]
+    assert metrics["formal_dimension"] == 1.0
+    assert metrics["formal_dimension_source"] == "closed-form"
+    assert 0.0 < metrics["relative_error"] < 1e-3
+    assert metrics["warnings"] == []
 
 
 def test_frame_sweep_end_to_end(tmp_path):

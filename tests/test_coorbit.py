@@ -1,12 +1,13 @@
 """Norm engine: analytic identities, scaling laws, independent quadrature
 routes, and the orbit scans."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from coorbit_lab.coorbit import (
-    _COUPLED,
     DEFAULT_SCAN,
     LogQuadratic,
     NormSpec,
@@ -236,10 +237,9 @@ def test_p2_orthogonality_on_dynin_folland(lam):
     assert got == pytest.approx(want, rel=1e-5)
 
 
-def test_engine_validates_every_node(monkeypatch):
+def test_engine_validates_every_node():
     # with the coupled coordinate treated as quadratic, the off-grid checks must fire
-    monkeypatch.setitem(_COUPLED, "g5_3", ())
-    rep = RepSpec(group_spec("g5_3"), 1.0)
+    rep = RepSpec(dataclasses.replace(group_spec("g5_3"), coupled=()), 1.0)
     f = Gaussian(np.diag([1.2, 0.9]), [0.1, -0.2])
     with pytest.raises(RuntimeError, match="not quadratic"):
         coorbit_norm_log(rep, f, unit_gaussian(2), NormSpec(p=2.0))

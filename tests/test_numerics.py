@@ -5,15 +5,16 @@ import pytest
 
 from coorbit_lab.gaussian import chirp, chirp_stft_modulus, stft_closed, unit_gaussian
 from coorbit_lab.groups import group_spec
+from scipy.special import logsumexp as scipy_logsumexp
+
 from coorbit_lab.numerics import (
     GridSpec,
     SampledFunction,
     TailMassWarning,
     dft_stft,
+    logsumexp,
     quad_rep_coefficient,
-    read_csv,
     sample,
-    write_csv,
 )
 from coorbit_lab.representations import RepSpec, rep_coefficient
 
@@ -93,21 +94,12 @@ def test_sampled_norm_and_inner():
     assert sf.inner(sf).real == pytest.approx(2.0 ** -0.5, rel=1e-10)
 
 
-def test_csv_round_trip(tmp_path):
-    grid = GridSpec(2, 3.0, 16)
-    rng = np.random.default_rng(0)
-    sf = SampledFunction(grid, rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
-    path = tmp_path / "dump.csv"
-    write_csv(sf, path)
-    back = read_csv(path, grid)
-    assert np.array_equal(back.values, sf.values)
-
-
-def test_csv_header_check(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n0,1,2\n")
-    with pytest.raises(ValueError):
-        read_csv(path, GridSpec(1, 1.0, 1))
+@pytest.mark.parametrize("shift", [0.0, 800.0, -800.0])
+def test_logsumexp_against_scipy(shift):
+    # shifts that overflow or underflow exp() on their own
+    values = np.random.default_rng(0).normal(0.0, 30.0, 500) + shift
+    assert logsumexp(values) == pytest.approx(float(scipy_logsumexp(values)), rel=1e-14)
+    assert logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "g5_3"])

@@ -9,6 +9,7 @@ from coorbit_lab.groups import GROUPS, group_spec, multiply, section
 from coorbit_lab.numerics import quad_rep_coefficient
 from coorbit_lab.representations import (
     RepSpec,
+    _factors,
     apply_rep,
     coefficient_log_modulus,
     default_window,
@@ -116,6 +117,21 @@ def test_batched_kernel_matches_scalar_route(rep):
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
+@pytest.mark.parametrize("rep", KERNEL_REPS, ids=["heisenberg-d1", "heisenberg-d2", "g6_16", "g5_3", "g6_19", "dynin_folland"])
+def test_declared_coupled_coordinates_are_the_ones_that_move_the_form(rep):
+    # a quotient coordinate is coupled exactly when moving it changes the chirp C or the substitution S
+    grp = rep.group
+    rng = np.random.default_rng(5)
+    moving = set()
+    for _ in range(4):
+        q = rng.uniform(-2.0, 2.0, grp.quotient_dim)
+        moved = q + np.diag(rng.uniform(0.5, 1.5, grp.quotient_dim))
+        _, C, _, S, _ = _factors(rep, section(grp, np.vstack([q, moved])))
+        changed = (np.abs(C[1:] - C[0]) + np.abs(S[1:] - S[0])).max(axis=(1, 2)) > 0
+        moving |= set(np.flatnonzero(changed).tolist())
+    assert moving == set(grp.coupled)
+
+
 def test_g5_3_homogeneity():
     res = homogeneity_check(RepSpec(group_spec("g5_3"), 2.0), n_points=30)
     assert res["ok"], res
@@ -150,20 +166,44 @@ def test_action_moves_window_as_expected():
         ("g6_16", 2.0, 1.0, 4.0),
         ("g5_3", 2.0, 0.0, 4.0),
         ("g6_19", 2.0, 3.0, 6.0),
+        ("dynin_folland", 1.0, 0.0, 1.0),
+        ("dynin_folland", -2.0, 0.0, 8.0),  # |lam|^3
     ],
 )
 def test_known_formal_dimension_values(name, lam, mu, expected):
     grp = group_spec(name, 1)
     rep = RepSpec(grp, lam, mu) if mu else RepSpec(grp, lam)
     assert known_formal_dimension(rep) == pytest.approx(expected)
-    assert known_formal_dimension(RepSpec(group_spec("dynin_folland"), 1.0)) is None
 
 
-@pytest.mark.parametrize("name,lam", [("heisenberg", 1.0), ("heisenberg", 2.0), ("g6_16", 1.0)])
-def test_formal_dimension_matches_closed_form(name, lam):
-    rep = RepSpec(group_spec(name, 1), lam, 1.0) if name == "g6_16" else RepSpec(group_spec(name, 1), lam)
+@pytest.mark.parametrize(
+    "name,lam,mu,rtol",
+    [
+        ("heisenberg", 1.0, 0.0, 1e-6),
+        ("heisenberg", 2.0, 0.0, 1e-6),
+        ("g6_16", 1.0, 1.0, 1e-6),
+        ("g6_16", 2.0, 1.0, 1e-6),
+        ("g5_3", -1.5, 0.0, 1e-6),
+        ("g6_19", 2.0, 1.0, 1e-6),
+        ("g6_19", 1.0, -0.6, 1e-6),
+        # the sinh mesh on the coupled axes is the coarsest quadrature of the five
+        ("dynin_folland", 2.0, 0.0, 1e-5),
+    ],
+    ids=[
+        "heisenberg-1.0",
+        "heisenberg-2.0",
+        "g6_16-1.0",
+        "g6_16-2.0",
+        "g5_3--1.5",
+        "g6_19-2.0",
+        "g6_19-mu=-0.6",
+        "dynin_folland-2.0",
+    ],
+)
+def test_formal_dimension_matches_closed_form(name, lam, mu, rtol):
+    rep = RepSpec(group_spec(name, 1), lam, mu)
     est = formal_dimension(rep)
-    assert est == pytest.approx(known_formal_dimension(rep), rel=1e-6)
+    assert est == pytest.approx(known_formal_dimension(rep), rel=rtol)
 
 
 def test_formal_dimension_is_window_independent():
