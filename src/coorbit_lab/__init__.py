@@ -57,56 +57,3 @@ from .frames import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Gaussian",
-    "GaussianSum",
-    "chirp",
-    "chirp_mp_norm",
-    "chirp_stft_modulus",
-    "delta_matrix",
-    "fourier",
-    "gauss_integral",
-    "inner_product",
-    "l2_norm",
-    "modulate",
-    "pullback_affine",
-    "stft_closed",
-    "tensor",
-    "translate",
-    "unit_gaussian",
-    "GroupSpec",
-    "group_spec",
-    "multiply",
-    "inverse",
-    "commutator",
-    "section",
-    "project",
-    "RepSpec",
-    "apply_rep",
-    "default_window",
-    "formal_dimension",
-    "known_formal_dimension",
-    "rep_coefficient",
-    "NormSpec",
-    "NormTask",
-    "WeightSpec",
-    "coorbit_norm",
-    "modulation_norm",
-    "moderate_check",
-    "orbit_scan",
-    "power_weight",
-    "weight_pullback_g616",
-    "window_equivalence",
-    "GridSpec",
-    "dft_stft",
-    "sample",
-    "QuasiLattice",
-    "beurling_density",
-    "density_theorem_check",
-    "dual_window_estimate",
-    "frame_bounds_estimate",
-    "quasilattice_points",
-    "tiling_check",
-    "__version__",
-]

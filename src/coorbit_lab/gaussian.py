@@ -307,7 +307,10 @@ def delta_matrix(C):
     With D = (4I + C^2)^{-1} the blocks are [[2D, DC], [DC, I - 2D]]; the
     modulus of the transform is det(4I+C^2)^{-1/4} exp(-pi z.Delta z).
     """
-    Cm = _as_real_sym(C)
+    return _delta(_as_real_sym(C))
+
+
+def _delta(Cm):
     d = Cm.shape[0]
     D = np.linalg.inv(4.0 * np.eye(d) + Cm @ Cm)
     DC = D @ Cm
@@ -319,15 +322,22 @@ def delta_matrix(C):
     return out
 
 
-def chirp_stft_modulus(C, z, xi=None) -> float:
-    """|<N_C phi, M_xi T_x phi>| in closed form."""
+def chirp_stft_modulus(C, z, xi=None):
+    """|<N_C phi, M_xi T_x phi>| in closed form.
+
+    x and xi are (..., d) arrays of phase-space points that broadcast against
+    each other; one point gives a float, a batch an array of its leading shape.
+    """
     x, w = _split_phase_point(z, xi)
     Cm = _as_real_sym(C)
     d = Cm.shape[0]
-    zvec = np.concatenate([w, x])
+    if x.shape[-1] != d or w.shape[-1] != d:
+        raise ValueError(f"phase-space points must have trailing dimension {d}")
+    zvec = np.concatenate(np.broadcast_arrays(w, x), axis=-1)
     det4 = np.linalg.det(4.0 * np.eye(d) + Cm @ Cm)
-    delta = delta_matrix(Cm)
-    return float(det4 ** -0.25 * np.exp(-np.pi * zvec @ delta @ zvec))
+    form = np.einsum("...i,ij,...j->...", zvec, _delta(Cm), zvec)
+    out = det4**-0.25 * np.exp(-np.pi * form)
+    return float(out) if out.ndim == 0 else out
 
 
 def chirp_mp_norm(C, p: float) -> float:

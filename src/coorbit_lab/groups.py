@@ -7,11 +7,11 @@ that couple into those factors, and whether they need a geometric mesh.  The
 dimension, the centre and the quotient follow from the brackets, and so do
 the acting dimension and the formal dimension of the representation.
 
-Four of the laws are written out explicitly; the seventh-dimensional one is
-generated from its structure constants through the Baker-Campbell-Hausdorff
-series in coordinates of the second kind (ordered exponentials
-e^{c1 E1} ... e^{c7 E7}), which is the parametrization its Schroedinger-type
-representation expects.
+All five laws are written out as polynomials.  The 7-dimensional one is in
+coordinates of the second kind (ordered exponentials e^{c1 E1} ... e^{c7 E7}),
+the parametrization its Schroedinger-type representation expects; it is the
+Baker-Campbell-Hausdorff series of its brackets, summed by hand, and the tests
+keep that series as its reference.
 
 All operations broadcast over leading axes, so lattice and sampling code can
 push 10^4 points through at once.
@@ -55,8 +55,7 @@ class GroupSpec:
     come in as zeros and identities (see representations._factors).
     coupled lists the quotient coordinates that enter C or S; sinh_mesh says
     whether their coefficient mass decays so slowly that they need a
-    geometric mesh.  exact_inverse, where given, replaces the generic sweep
-    of inverse().
+    geometric mesh.
     """
 
     name: str
@@ -65,7 +64,6 @@ class GroupSpec:
     rep_factors: Callable
     coupled: tuple[int, ...] = ()
     sinh_mesh: bool = False
-    exact_inverse: Callable | None = None
     heisenberg_d: int = 0
 
     @cached_property
@@ -139,10 +137,21 @@ def _mul_g6_19(spec, a, b):
     return out
 
 
-# ---------------------------------------------------------------------------
-# the 7-dimensional group: BCH in second-kind coordinates
-# basis order (Z, Y1, Y2, Y3, X1, X2, X3) = (E0, ..., E6)
+def _mul_df(spec, a, b):
+    # second-kind coordinates (z, y1, y2, y3, x1, x2, x3): a is the ordered
+    # product e^{a0 E0} ... e^{a6 E6}; the BCH series, kept in the tests as the
+    # reference, closes to these corrections because the algebra is 3-step
+    out = a + b
+    out[..., 0] += (
+        a[..., 4] * b[..., 3] + a[..., 5] * b[..., 2] + a[..., 6] * b[..., 1] - 0.5 * a[..., 5] * a[..., 6] * b[..., 3]
+    )
+    out[..., 1] += 0.5 * a[..., 5] * b[..., 3]
+    out[..., 2] -= 0.5 * a[..., 6] * b[..., 3]
+    out[..., 4] += a[..., 6] * b[..., 5]
+    return out
 
+
+# basis order (Z, Y1, Y2, Y3, X1, X2, X3) = (E0, ..., E6)
 _DF_BRACKETS = (
     (6, 1, 0, 1.0),  # [X3, Y1] = Z
     (5, 2, 0, 1.0),  # [X2, Y2] = Z
@@ -151,64 +160,6 @@ _DF_BRACKETS = (
     (6, 3, 2, -0.5),  # [X3, Y3] = -Y2/2
     (6, 5, 4, 1.0),  # [X3, X2] = X1
 )
-
-
-def _structure(brackets, n: int) -> np.ndarray:
-    C = np.zeros((n, n, n))
-    for i, j, k, c in brackets:
-        C[i, j, k] += c
-        C[j, i, k] -= c
-    return C
-
-
-_DF_C = _structure(_DF_BRACKETS, 7)
-
-
-def _df_bracket(u, v):
-    m = np.tensordot(u, _DF_C, axes=(-1, 0))
-    return np.matmul(v[..., None, :], m)[..., 0, :]
-
-
-def _df_bch(u, v):
-    """Baker-Campbell-Hausdorff product; exact here since the algebra is 3-step."""
-    w = _df_bracket(u, v)
-    return u + v + 0.5 * w + (_df_bracket(u, w) - _df_bracket(v, w)) / 12.0
-
-
-def _df_log(c):
-    """Algebra element of the ordered product e^{c0 E0} ... e^{c6 E6}."""
-    c = np.asarray(c, dtype=float)
-    W = np.zeros_like(c)
-    W[..., 0] = c[..., 0]
-    for j in range(1, 7):
-        V = np.zeros_like(c)
-        V[..., j] = c[..., j]
-        W = _df_bch(W, V)
-    return W
-
-
-def _df_coords(W):
-    """Inverse of _df_log: peel ordered-exponential coordinates off the top.
-
-    Works because every prefix span of the basis is an ideal, so brackets
-    never feed the coordinate currently being peeled.
-    """
-    W = np.array(W, dtype=float)
-    out = np.empty_like(W)
-    for j in range(6, -1, -1):
-        out[..., j] = W[..., j]
-        V = np.zeros_like(W)
-        V[..., j] = -out[..., j]
-        W = _df_bch(W, V)
-    return out
-
-
-def _mul_df(spec, a, b):
-    return _df_coords(_df_bch(_df_log(a), _df_log(b)))
-
-
-def _inv_df(a):
-    return _df_coords(-_df_log(a))
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +221,7 @@ _TABLE = {
     "g6_19": GroupSpec(
         "g6_19", ((5, 2, 0, 1.0), (4, 3, 1, 1.0), (5, 4, 3, 1.0)), _mul_g6_19, _rep_g6_19, coupled=(3,)
     ),
-    "dynin_folland": GroupSpec(
-        "dynin_folland", _DF_BRACKETS, _mul_df, _rep_df, coupled=(2, 4), sinh_mesh=True, exact_inverse=_inv_df
-    ),
+    "dynin_folland": GroupSpec("dynin_folland", _DF_BRACKETS, _mul_df, _rep_df, coupled=(2, 4), sinh_mesh=True),
 }
 
 GROUPS = tuple(_TABLE)
@@ -298,8 +247,6 @@ def multiply(spec: GroupSpec, a, b) -> np.ndarray:
 
 def inverse(spec: GroupSpec, a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if spec.exact_inverse is not None:
-        return spec.exact_inverse(a)
     # Coordinate i of a product is a_i + b_i + P_i, and P_i reads b only at
     # coordinates that are final when the reversed sweep reaches i: later
     # ones, and those with P_j = 0, which -a gets right from the start.  So
@@ -343,7 +290,12 @@ def quotient_inverse(spec: GroupSpec, qa) -> np.ndarray:
 
 def structure_constants(spec: GroupSpec) -> np.ndarray:
     """C[i, j, k], the coefficient of E_k in [E_i, E_j], from the declared table."""
-    return _structure(spec.brackets, spec.total_dim)
+    n = spec.total_dim
+    C = np.zeros((n, n, n))
+    for i, j, k, c in spec.brackets:
+        C[i, j, k] += c
+        C[j, i, k] -= c
+    return C
 
 
 def bracket_check(spec: GroupSpec, step: float = 1e-3) -> dict:

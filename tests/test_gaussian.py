@@ -171,6 +171,25 @@ def test_chirp_stft_modulus_matches_algebra(dim):
         assert chirp_stft_modulus(C, x, xi) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_chirp_stft_modulus_batches_like_the_scalar_call(dim):
+    rng = np.random.default_rng(20 + dim)
+    C = rng.uniform(-3, 3, (dim, dim))
+    C = (C + C.T) / 2
+    x = rng.uniform(-2, 2, (4, 1, dim))
+    xi = rng.uniform(-2, 2, (5, dim))
+    got = chirp_stft_modulus(C, x, xi)
+    assert got.shape == (4, 5)
+    for i in range(4):
+        for j in range(5):
+            want = chirp_stft_modulus(C, x[i, 0], xi[j])
+            assert isinstance(want, float)
+            assert abs(got[i, j] - want) <= 1e-15
+    np.testing.assert_array_equal(chirp_stft_modulus(C, (x, xi)), got)
+    with pytest.raises(ValueError):
+        chirp_stft_modulus(C, x, rng.uniform(-2, 2, (5, dim + 1)))
+
+
 def test_delta_matrix_determinant_identity():
     rng = np.random.default_rng(12)
     for dim in (1, 2, 3):
@@ -193,9 +212,7 @@ def test_chirp_mp_norm_against_grid_sum():
     step, half = 0.02, 7.0
     ax = np.arange(-half, half, step) + step / 2
     xs, xis = np.meshgrid(ax, ax, indexing="ij")
-    vals = np.array(
-        [chirp_stft_modulus(u, np.array([x]), np.array([w])) for x, w in zip(xs.ravel(), xis.ravel())]
-    )
+    vals = chirp_stft_modulus(u, xs[..., None], xis[..., None])
     num = (np.sum(vals**p) * step * step) ** (1 / p)
     assert chirp_mp_norm(u, p) == pytest.approx(num, rel=1e-6)
 

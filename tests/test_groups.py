@@ -43,6 +43,74 @@ def test_g5_3_pinned_product():
     assert np.allclose(multiply(g, b, a), [0.0, 0.0, 0.0, 1.0, 1.0])
 
 
+def test_dynin_folland_pinned_product():
+    g = group_spec("dynin_folland")
+    # coordinates (z, y1, y2, y3, x1, x2, x3)
+    a = [0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0]
+    b = [0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0]
+    assert np.allclose(multiply(g, a, b), [3.0, 2.0, -0.5, 1.0, 4.0, 3.0, 3.0])
+    # reversed order picks up no correction: b's only x, x2, meets no y2 or y3 in a
+    assert np.allclose(multiply(g, b, a), np.add(a, b))
+
+
+# The definition the 7-dimensional law is written out from: the ordered
+# exponential e^{c0 E0} ... e^{c6 E6}, multiplied through the
+# Baker-Campbell-Hausdorff series of the declared brackets.
+
+def _bracket(C, u, v):
+    return np.einsum("...i,...j,ijk->...k", u, v, C)
+
+
+def _bch(C, u, v):
+    """Baker-Campbell-Hausdorff product; exact here since the algebra is 3-step."""
+    w = _bracket(C, u, v)
+    return u + v + 0.5 * w + (_bracket(C, u, w) - _bracket(C, v, w)) / 12.0
+
+
+def _log(C, c):
+    """Algebra element of the ordered product e^{c0 E0} ... e^{c6 E6}."""
+    W = np.zeros_like(c)
+    for j in range(c.shape[-1]):
+        V = np.zeros_like(c)
+        V[..., j] = c[..., j]
+        W = _bch(C, W, V)
+    return W
+
+
+def _coords(C, W):
+    """Inverse of _log: peel ordered-exponential coordinates off the top.
+
+    Works because every prefix span of the basis is an ideal, so brackets
+    never feed the coordinate currently being peeled.
+    """
+    out = np.empty_like(W)
+    for j in reversed(range(W.shape[-1])):
+        out[..., j] = W[..., j]
+        V = np.zeros_like(W)
+        V[..., j] = -out[..., j]
+        W = _bch(C, W, V)
+    return out
+
+
+def _assert_close_per_coordinate(got, want, rtol=1e-12):
+    # each coordinate within rtol of the largest value it takes over the sample
+    assert np.all(np.abs(got - want) <= rtol * np.abs(want).max(axis=0))
+
+
+def test_dynin_folland_law_is_the_bch_product():
+    spec = group_spec("dynin_folland")
+    C = structure_constants(spec)
+    a, b = np.random.default_rng(7).uniform(-50, 50, (2, 10_000, 7))
+    _assert_close_per_coordinate(multiply(spec, a, b), _coords(C, _bch(C, _log(C, a), _log(C, b))))
+
+
+def test_dynin_folland_inverse_is_the_bch_inverse():
+    spec = group_spec("dynin_folland")
+    C = structure_constants(spec)
+    a = np.random.default_rng(8).uniform(-50, 50, (10_000, 7))
+    _assert_close_per_coordinate(inverse(spec, a), _coords(C, -_log(C, a)))
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_ids())
 def test_identity_and_inverse(spec):
     rng = np.random.default_rng(1)
