@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from coorbit_lab import coorbit
 from coorbit_lab.coorbit import (
     DEFAULT_SCAN,
     LogQuadratic,
@@ -33,16 +34,20 @@ from coorbit_lab.gaussian import (
     Gaussian,
     chirp,
     chirp_mp_norm,
+    chirp_stft_modulus,
     l2_norm,
     log_stft_modulus,
     tensor,
+    translate,
     unit_gaussian,
 )
-from coorbit_lab.groups import group_spec
+from coorbit_lab.groups import group_spec, section
 from coorbit_lab.representations import (
     RepSpec,
     formal_dimension,
+    coefficient_log_modulus,
     known_formal_dimension,
+    pointwise_action,
     quotient_coefficient_log_modulus,
 )
 
@@ -124,13 +129,22 @@ def test_moyal_collapse_on_heisenberg():
 
 
 def test_heisenberg_norm_against_direct_grid_sum():
-    # the full dual route: engine value vs a plain 2-d Riemann sum of |V|^p
+    # the full dual route: engine value vs a plain 2-d Riemann sum of |V|^p,
+    # each coefficient integrated in t from the displayed formula of the action
     rep = RepSpec(H1, 1.0)
     f = Gaussian(0.8 + 0.5j, 0.2 - 0.1j)
     g = unit_gaussian(1)
     step, half = 0.05, 7.0
     ax = np.arange(-half, half, step) + step / 2
-    log_mod = np.array([quotient_coefficient_log_modulus(rep, np.array([x, y]), f, g) for x in ax for y in ax])
+    t = np.arange(-12.0, 12.0 + 1e-9, 0.01)
+    w = np.full(t.shape, 0.01)
+    w[[0, -1]] /= 2.0  # trapezoidal rule
+    # (pi(x, y) g)(t) = phase(t) g(t + v): the phase reads only y, the shift v only x
+    phases = np.array([pointwise_action(rep, [0.0, y, 0.0])[0](t[:, None]) for y in ax])
+    shifts = np.array([pointwise_action(rep, [x, 0.0, 0.0])[2] for x in ax])
+    shifted = g(t[None, :, None] + shifts[:, None, :])
+    coeffs = (f(t) * w * np.conj(shifted)) @ np.conj(phases).T  # rows x, columns y
+    log_mod = np.log(np.abs(coeffs)).ravel()
     for p in (1.0, 3.0):
         engine = coorbit_norm_log(rep, f, g, NormSpec(p=p))
         brute = (logsumexp(p * log_mod) + 2 * np.log(step)) / p
@@ -145,9 +159,6 @@ def test_heisenberg_reduction_to_modulation_norm(lam, p):
     g = unit_gaussian(1)
     co = coorbit_norm_log(rep, f, g, NormSpec(p=p))
     # the quotient substitution contributes |lam|^{-1/p} against the plain norm
-    def tilde_log(z):
-        return np.zeros(z.shape[:-1])
-
     mod = modulation_norm_log(f, g, NormSpec(p=p)) - np.log(lam) / p
     assert co == pytest.approx(mod, abs=1e-10)
 
@@ -316,6 +327,128 @@ def test_modulation_norm_of_chirps_matches_closed_form():
     for u in (2.0, 4.0, 8.0):
         got = modulation_norm(chirp(g, u), g, NormSpec(p=1.0))
         assert got == pytest.approx(chirp_mp_norm(u, 1.0), rel=1e-8)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stft_kernel_matches_log_stft_modulus(d):
+    # modulation norms read V_g f(x, xi) = <f, M_xi T_x g> off the H_d kernel at
+    # lambda = -1; the Gaussian-algebra route is the independent reference
+    rng = np.random.default_rng(10 + d)
+    A = rng.uniform(-0.3, 0.3, (d, d))
+    quad = np.eye(d) * 1.1 + 0.2 * (A + A.T) + 0.4j * np.eye(d)
+    f = translate(chirp(Gaussian(quad, rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)), np.diag(rng.uniform(-3, 3, d))), rng.uniform(-2, 2, d))
+    g = Gaussian(np.eye(d) * 1.6, rng.uniform(-0.5, 0.5, d), log_amp=0.3)
+    z = rng.uniform(-6.0, 6.0, (200, 2 * d))
+    rep = coorbit._stft_rep(d)
+    assert rep == RepSpec(group_spec("heisenberg", d), -1.0)
+    got = coefficient_log_modulus(rep, section(rep.group, z), f, g)
+    want = np.array([log_stft_modulus(f, g, x[:d], x[d:]) for x in z])
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
+def _sequential_probe(slice_mass):
+    """The recentring probe one center at a time, as the engine ran it before batching."""
+    best_c, best_v = 0.0, slice_mass(0.0)
+    for mag in (float(2**k) for k in range(1, 11)):
+        for c in (mag, -mag):
+            v = slice_mass(c)
+            if v > best_v:
+                best_c, best_v = c, v
+    step = max(1.0, abs(best_c) / 2.0)
+    while step >= 0.25:
+        moved = False
+        for c in (best_c + step, best_c - step):
+            v = slice_mass(c)
+            if v > best_v:
+                best_c, best_v, moved = c, v, True
+        if not moved:
+            step /= 2.0
+    return best_c
+
+
+_SLICE_MASSES = {
+    "peak": lambda c: -((c - 3.3) ** 2),
+    "peak-near-1000": lambda c: -((c - 999.6) ** 2),
+    "peak-near-minus-1000": lambda c: -np.abs(c + 1000.2),
+    "flat": lambda c: np.zeros_like(c),
+    "plateau": lambda c: -np.maximum(np.abs(c - 37.0) - 6.0, 0.0),
+    "terraces": lambda c: -np.floor(np.abs(c + 211.0) / 3.0),
+    "twin-peaks": lambda c: -np.abs(np.abs(c) - 8.0),
+    "twin-plateaus": lambda c: -np.maximum(np.abs(np.abs(c) - 700.0) - 40.0, 0.0),
+    "ripples": lambda c: np.round(np.cos(c), 1) - 1e-4 * (c - 500.0) ** 2,
+    # from 512 with step 128 both neighbours gain; the larger gain wins
+    "both-sides-gain": lambda c: -1e-3 * np.abs(c - 512.0) + 2.0 * (np.abs(c - 384.0) < 1) + (np.abs(c - 640.0) < 1),
+    # ... and on equal gains the step up wins
+    "equal-gains": lambda c: -1e-3 * np.abs(c - 512.0) + (np.abs(np.abs(c - 512.0) - 128.0) < 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_SLICE_MASSES))
+def test_batched_probe_matches_sequential(name):
+    mass = _SLICE_MASSES[name]
+    calls = []
+
+    def batched(c):
+        calls.append(len(c))
+        return mass(np.asarray(c, dtype=float))
+
+    got = coorbit._probe_center(batched)
+    assert got == _sequential_probe(lambda c: float(mass(np.array([c]))[0]))
+    assert calls[0] == 21 and set(calls[1:]) <= {2}
+
+
+def test_g53_coorbit_scans_unchanged_by_batched_probe(monkeypatch):
+    # the g5_3 and g6_19 coorbit scans recentre through the probe; feeding it
+    # one center at a time must give the same centers and the same norms
+    own, _, sibling = g53_curve_tasks(1.0)
+    u_values = tuple(5.0 * 2**k for k in range(8))  # 5 .. 640
+    batched_probe = coorbit._probe_center
+
+    def run(probe):
+        centers = []
+
+        def recording(slice_mass):
+            centers.append(probe(slice_mass))
+            return centers[-1]
+
+        monkeypatch.setattr(coorbit, "_probe_center", recording)
+        logs = [orbit_scan(task, u_values=u_values).log_norms for task in (own, sibling)]
+        return centers, logs
+
+    batched = run(batched_probe)
+    sequential = run(lambda sm: _sequential_probe(lambda c: float(sm(np.array([c]))[0])))
+    assert len(batched[0]) == 2 * len(u_values)
+    assert batched == sequential
+
+
+@pytest.mark.parametrize("u", [320.0, 640.0])
+def test_df_chirp_direction_modulation_norm_precision(u):
+    # the state is the unit window chirped by the cross matrix u/2 in (w2, w3)
+    # and modulated, which leaves the norm alone; differencing the log modulus
+    # far from its mode lost digits (the route through log_stft_modulus missed
+    # by 2.7e-6 at u = 320 and 2.2e-5 at u = 640)
+    task = df_modulation_task(1.0)
+    f, g = task.prepare(u)
+    C = np.zeros((3, 3))
+    C[1, 2] = C[2, 1] = u / 2.0
+    assert modulation_norm_log(f, g, task.norm) == pytest.approx(np.log(chirp_mp_norm(C, 1.0)), abs=1e-8)
+
+
+@pytest.mark.parametrize("p,q,coords", [(2.0, 1.0, (0, 1)), (1.0, 3.0, (0,)), (3.0, 1.5, (1,))])
+def test_mixed_weighted_norm_against_grid_sum(p, q, coords):
+    # the mixed branch meshes xi and the weighted x directions; on the same
+    # nodes, a plain sum of the closed-form spectrogram of a chirp must agree
+    C = np.array([[1.5]])
+    spec = NormSpec(p=p, q=q, weight=power_weight(1.0, coords), box_half=7.0, resolution=0.25)
+    got = modulation_norm_log(chirp(unit_gaussian(1), C), unit_gaussian(1), spec)
+    xi = np.arange(-7.0, 7.0 + 0.125, 0.25)
+    x = xi if 0 in coords else np.arange(-40.0, 40.0, 0.05)
+    X, XI = np.meshgrid(x, xi, indexing="ij")
+    V = chirp_stft_modulus(C, X[..., None], XI[..., None])
+    m = 1.0 + np.hypot(X if 0 in coords else 0.0, XI if 1 in coords else 0.0)
+    inner = np.sum((V * m) ** p, axis=0) * (x[1] - x[0])
+    want = np.log(np.sum(inner ** (q / p)) * 0.25) / q
+    assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_mixed_weighted_path_consistency():
