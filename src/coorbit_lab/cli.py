@@ -3,7 +3,8 @@
 Each invocation runs one experiment kind from a small line-oriented config
 file, writes a CSV table plus a JSON summary into the output directory, and
 exits 0 on success, 2 when a declared tolerance is violated, and 3 on a bad
-config.  Given the same config and seed the CSV output is byte-identical.
+config, including a value that only a group, representation, norm or lattice
+can reject.  Given the same config and seed the CSV output is byte-identical.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,6 +243,16 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     return ExperimentConfig(kind=kind, seed=seed, params=params)
 
 
+@contextmanager
+def _rejected_values(section: str):
+    """Report a value the library rejects (a ValueError from building a group,
+    RepSpec, NormSpec or QuasiLattice) as a ConfigError on the config section."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc), key=section) from None
+
+
 def _pos(positions, sec, key):
     return positions.get((sec, key))
 
@@ -289,6 +301,8 @@ def _semantic_check(kind: str, params: dict, positions: dict) -> None:
             fail("lattice", "eps", "eps must be positive")
     elif kind == "rep-selftest":
         check_group("suite", "group")
+        if params[("suite", "n_pairs")] < 0:
+            fail("suite", "n_pairs", "n_pairs must be non-negative")
     elif kind == "frame-sweep":
         if any(e <= 0 for e in params[("sweep", "eps_values")]):
             fail("sweep", "eps_values", "eps values must be positive")
@@ -452,19 +466,21 @@ def _build_state(config, dim):
 
 def _run_coorbit_norm(config: ExperimentConfig):
     name = config.get("group", "name")
-    grp = group_spec(name, config.get("group", "heisenberg_d"))
-    rep = RepSpec(grp, config.get("group", "lam"), config.get("group", "mu"))
+    with _rejected_values("group"):
+        grp = group_spec(name, config.get("group", "heisenberg_d"))
+        rep = RepSpec(grp, config.get("group", "lam"), config.get("group", "mu"))
     f = _build_state(config, rep.acting_dim)
     g = unit_gaussian(rep.acting_dim)
     weight = None
     if config.get("norm", "weight_s") is not None:
         weight = power_weight(config.get("norm", "weight_s"), config.get("norm", "weight_coords"))
-    spec = NormSpec(
-        p=config.get("norm", "p"),
-        weight=weight,
-        box_half=config.get("norm", "box_half"),
-        resolution=config.get("norm", "resolution"),
-    )
+    with _rejected_values("norm"):
+        spec = NormSpec(
+            p=config.get("norm", "p"),
+            weight=weight,
+            box_half=config.get("norm", "box_half"),
+            resolution=config.get("norm", "resolution"),
+        )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         value = float(np.exp(coorbit_norm_log(rep, f, g, spec)))
@@ -492,7 +508,8 @@ def _run_coorbit_norm(config: ExperimentConfig):
 
 def _run_frame_sweep(config: ExperimentConfig):
     lam = config.get("sweep", "lam")
-    rep = RepSpec(group_spec("heisenberg", 1), lam)
+    with _rejected_values("sweep"):
+        rep = RepSpec(group_spec("heisenberg", 1), lam)
     d_pi = known_formal_dimension(rep)
     factor = config.get("tolerance", "density_factor")
     ratio_tol = config.get("tolerance", "ratio")
@@ -500,7 +517,9 @@ def _run_frame_sweep(config: ExperimentConfig):
     worst = 0.0
     passed = True
     for eps in config.get("sweep", "eps_values"):
-        dens = beurling_density(QuasiLattice(rep.group, eps))
+        with _rejected_values("sweep"):
+            lat = QuasiLattice(rep.group, eps)
+        dens = beurling_density(lat)
         fb = frame_bounds_estimate(
             rep,
             eps=eps,
@@ -525,9 +544,8 @@ def _run_frame_sweep(config: ExperimentConfig):
 def _density_groups(config, section):
     name = config.get(section, "group")
     hd = config.get(section, "heisenberg_d")
-    if name == "all":
-        return [group_spec(n, hd) for n in GROUPS]
-    return [group_spec(name, hd)]
+    with _rejected_values(section):
+        return [group_spec(n, hd) for n in (GROUPS if name == "all" else (name,))]
 
 
 def _run_density(config: ExperimentConfig):
@@ -537,7 +555,8 @@ def _run_density(config: ExperimentConfig):
     passed = True
     worst = 0
     for grp in _density_groups(config, "lattice"):
-        lat = QuasiLattice(grp, eps)
+        with _rejected_values("lattice"):
+            lat = QuasiLattice(grp, eps)
         tiles = tiling_check(lat, n_points=n_points, seed=config.seed)
         dens = beurling_density(lat, seed=config.seed)
         rows.append(

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .gaussian import Gaussian, chirp, tensor, unit_gaussian
 from .groups import GroupSpec, group_spec, quotient_multiply, section
 from .numerics import TailMassWarning, logsumexp
-from .representations import RepSpec, apply_rep, coefficient_log_modulus
+from .representations import RepSpec, _stft_rep, apply_rep, coefficient_log_modulus
 
 __all__ = [
     "WeightSpec",
@@ -331,6 +330,12 @@ def _check_tail(contribs, boundary, total_log, tail, tail_tol, what):
         warnings.warn(msg, TailMassWarning, stacklevel=3)
 
 
+def _row_logsumexp(values):
+    """logsumexp along each row of a 2-d array."""
+    peak = values.max(axis=1)
+    return peak + np.log(np.exp(values - peak[:, None]).sum(axis=1))
+
+
 _PROBE_MAGNITUDES = tuple(float(2**k) for k in range(1, 11))  # 2 .. 1024
 
 
@@ -452,12 +457,6 @@ def coorbit_norm(rep, f, g, spec=None, **kwargs) -> float:
 # ---------------------------------------------------------------------------
 # modulation norms on phase space
 
-@lru_cache(maxsize=None)
-def _stft_rep(d: int) -> RepSpec:
-    """The Schroedinger representation of H_d with pi(x, xi, 0) g = M_xi T_x g."""
-    return RepSpec(group_spec("heisenberg", d), -1.0)
-
-
 def modulation_norm_log(
     f: Gaussian,
     g: Gaussian | None = None,
@@ -519,7 +518,7 @@ def modulation_norm_log(
     # frequency node, one column per position node
     xw = sorted(i for i in weight.coords if i < d)
     xi_pts, xi_logw, xi_bound = _product_mesh([_linear_axis(0.0, spec) for _ in xidims])
-    xw_pts, xw_logw, _ = _product_mesh([_linear_axis(0.0, spec) for _ in xw])
+    xw_pts, xw_logw, xw_bound = _product_mesh([_linear_axis(0.0, spec) for _ in xw])
     sliced = quad.scaled(p).conditioned(xidims, xi_pts)  # quadratics over the x dims, in order
     sliced = LogQuadratic(sliced.const[:, None], sliced.grad[:, None], sliced.hess)
     if xw:
@@ -528,10 +527,16 @@ def modulation_norm_log(
     zfull[..., xidims] = xi_pts[:, None, :]
     zfull[..., xw] = xw_pts[None, :, :]
     inner = np.broadcast_to(sliced.total(), zfull.shape[:2]) + p * weight.log_eval(zfull) + xw_logw
-    peak = inner.max(axis=1)
-    outer = (q / p) * (peak + np.log(np.exp(inner - peak[:, None]).sum(axis=1))) + xi_logw
+    slice_log = _row_logsumexp(inner)
+    outer = (q / p) * slice_log + xi_logw
     total_log = logsumexp(outer)
     _check_tail(outer, xi_bound, total_log, tail, tail_tol, "modulation norm (mixed)")
+    if xw_bound.any():
+        # the position mesh is cut inside every frequency slice: check the slice
+        # whose position shell carries the largest share of its mass
+        worst = int(np.argmax(_row_logsumexp(inner[:, xw_bound]) - slice_log))
+        what = "modulation norm (mixed), position mesh"
+        _check_tail(inner[worst], xw_bound, slice_log[worst], tail, tail_tol, what)
     return total_log / q
 
 

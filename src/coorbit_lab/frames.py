@@ -11,7 +11,6 @@ possible in raw coordinates.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ import numpy as np
 from .gaussian import Gaussian, l2_norm, modulate, translate, unit_gaussian
 from .groups import GroupSpec, axis_point, quotient_inverse, quotient_multiply, section
 from .numerics import GridSpec, TailMassWarning
-from .representations import RepSpec, apply_rep, default_window, known_formal_dimension
+from .representations import RepSpec, _stft_rep, act, default_window, known_formal_dimension
 
 __all__ = [
     "QuasiLattice",
@@ -181,6 +180,23 @@ def lattice_points_in_box(lat: QuasiLattice, center, r: float) -> np.ndarray:
     return ks[:, ::-1]
 
 
+def _distinct_rows(ks) -> bool:
+    """Whether the integer rows of ks are pairwise distinct.
+
+    Each row becomes one int64 key in mixed radix (digit j is k_j minus its
+    minimum, radix the span of column j), so one flat sort decides.
+    """
+    if len(ks) == 0:
+        return True
+    lo = ks.min(axis=0)
+    span = ks.max(axis=0) - lo + 1
+    if math.prod(int(s) for s in span) > np.iinfo(np.int64).max:
+        raise OverflowError("lattice labels span more keys than int64 holds")
+    radix = np.concatenate([np.cumprod(span[:0:-1])[::-1], [1]])
+    keys = (ks - lo) @ radix
+    return len(np.unique(keys)) == len(ks)
+
+
 def beurling_density(lat: QuasiLattice, m_values=None, n_centers: int = 3, seed: int = 0) -> dict:
     """Counting density of the quasi-lattice from half-open coordinate boxes.
 
@@ -211,7 +227,7 @@ def beurling_density(lat: QuasiLattice, m_values=None, n_centers: int = 3, seed:
                 quasilattice_points(lat, ks),
             )
             inside = np.all((rel >= -r) & (rel < r), axis=-1)
-            if not inside.all() or len(np.unique(ks, axis=0)) != len(ks):
+            if not inside.all() or not _distinct_rows(ks):
                 verified = False
     if not verified:
         warnings.warn(
@@ -246,14 +262,14 @@ class FrameBounds:
     diagnostics: dict
 
 
-def _phase_space_dictionary(d: int, halfrange: float, step: float) -> list[Gaussian]:
-    offs = np.arange(-halfrange, halfrange + 0.5 * step, step)
-    atoms = []
-    base = unit_gaussian(d)
-    for x0 in itertools.product(offs, repeat=d):
-        for xi0 in itertools.product(offs, repeat=d):
-            atoms.append(modulate(translate(base, np.array(x0)), np.array(xi0)))
-    return atoms
+def _sampled(params, t) -> np.ndarray:
+    """Stacked Gaussians (quad, lin, log_amp) at the points t (M, d): one column each."""
+    quad, lin, log_amp = params
+    tt = (t[:, :, None] * t[:, None, :]).reshape(len(t), -1)
+    out = t @ lin.T
+    out -= tt @ (np.pi * quad.reshape(len(quad), -1)).T
+    out += log_amp
+    return np.exp(out, out=out)
 
 
 def frame_bounds_estimate(
@@ -289,15 +305,16 @@ def frame_bounds_estimate(
 
     mesh = grid.mesh().reshape(-1, d)
     root_cell = math.sqrt(grid.cell_volume)
-    v_cols = np.empty((mesh.shape[0], len(gamma)), dtype=complex)
-    for i in range(len(gamma)):
-        shifted = apply_rep(rep, section(rep.group, gamma[i]), g)
-        v_cols[:, i] = shifted(mesh) * root_cell
+    v_cols = _sampled(act(rep, section(rep.group, gamma), g.quad, g.lin, g.log_amp), mesh)
+    v_cols *= root_cell
 
-    atoms = _phase_space_dictionary(d, dict_halfrange, dict_step)
-    psi = np.empty((mesh.shape[0], len(atoms)), dtype=complex)
-    for i, atom in enumerate(atoms):
-        psi[:, i] = atom(mesh) * root_cell
+    # the test atoms M_xi T_x phi, (x, xi) on a grid, are the H_d action at lambda = -1
+    offs = np.arange(-dict_halfrange, dict_halfrange + 0.5 * dict_step, dict_step)
+    stft = _stft_rep(d)
+    z = np.stack(np.meshgrid(*([offs] * (2 * d)), indexing="ij"), axis=-1).reshape(-1, 2 * d)
+    phi = unit_gaussian(d)
+    psi = _sampled(act(stft, section(stft.group, z), phi.quad, phi.lin, phi.log_amp), mesh)
+    psi *= root_cell
 
     coeff = v_cols.conj().T @ psi
     frame_gram = coeff.conj().T @ coeff
@@ -316,7 +333,7 @@ def frame_bounds_estimate(
         "test_rank": int(keep.sum()),
         "eps": eps,
     }
-    return FrameBounds(lower, upper, lower / max(upper, 1e-300), len(gamma), len(atoms), diagnostics)
+    return FrameBounds(lower, upper, lower / max(upper, 1e-300), len(gamma), len(z), diagnostics)
 
 
 def density_theorem_check(rep: RepSpec, eps: float, m_values=None, **density_kwargs) -> dict:

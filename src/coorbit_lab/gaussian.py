@@ -25,6 +25,7 @@ __all__ = [
     "chirp",
     "tensor",
     "pullback_affine",
+    "quad_forms",
     "conjugate",
     "fourier",
     "gauss_integral",
@@ -46,11 +47,21 @@ def _as_quad(A):
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"quadratic form must be a square matrix, got shape {A.shape}")
-    scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - A.T).max() > 1e-10 * scale:
+    return quad_forms(A)
+
+
+def quad_forms(A):
+    """A stack (..., d, d) of quadratic forms, checked and symmetrized.
+
+    Each form must be symmetric to 1e-10 of its largest entry, and its real
+    part must be positive definite after symmetrizing; else ValueError.
+    """
+    At = np.swapaxes(A, -1, -2)
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1), initial=0.0))
+    if np.any(np.abs(A - At).max(axis=(-2, -1), initial=0.0) > 1e-10 * scale):
         raise ValueError("quadratic form must be symmetric")
-    A = 0.5 * (A + A.T)
-    if np.linalg.eigvalsh(A.real).min() <= 0.0:
+    A = 0.5 * (A + At)
+    if np.any(np.linalg.eigvalsh(A.real) <= 0.0):
         raise ValueError("real part of the quadratic form must be positive definite")
     return A
 

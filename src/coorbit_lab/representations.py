@@ -12,26 +12,24 @@ kept for homomorphism tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .gaussian import (
     Gaussian,
-    GaussianSum,
-    chirp,
     inner_product,
     l2_norm,
     log_inner,
-    modulate,
-    pullback_affine,
-    translate,
+    quad_forms,
     unit_gaussian,
     tensor,
 )
-from .groups import GroupSpec, section, structure_constants
+from .groups import GroupSpec, group_spec, multiply, section, structure_constants
 
 __all__ = [
     "RepSpec",
+    "act",
     "apply_rep",
     "coefficient_log_modulus",
     "rep_coefficient",
@@ -76,17 +74,6 @@ def default_window(rep: RepSpec) -> Gaussian:
     return unit_gaussian(rep.acting_dim)
 
 
-def _phased(f, theta: float):
-    """Multiply by the unit scalar exp(2 pi i theta)."""
-
-    def op(g: Gaussian) -> Gaussian:
-        return Gaussian(g.quad, g.lin, g.log_amp + _TWO_PI_I * theta)
-
-    if isinstance(f, GaussianSum):
-        return GaussianSum(op(t) for t in f.terms)
-    return op(f)
-
-
 def _factors(rep: RepSpec, a):
     """Break pi(a) into (scalar phase theta, chirp C, modulation m, affine (S, v)).
 
@@ -102,18 +89,46 @@ def _factors(rep: RepSpec, a):
     return theta, C, m, S, v
 
 
-def apply_rep(rep: RepSpec, a, f):
-    """pi(a) f for a in full group coordinates."""
+def act(rep: RepSpec, a, quad, lin, log_amp):
+    """pi(a_k) g for every row a_k of a, on Gaussian parameters.
+
+    g = exp(log_amp - pi t.(quad)t + lin.t) is one Gaussian, or a stack of
+    them with one per row of a.  Returns the stacked parameters of
+    e^{2 pi i theta} M_m N_C (g o (t -> S t + v)): quad (N, d, d), lin (N, d)
+    and log_amp (N,); the phase theta is left out when rep.omit_phase.  Plain
+    arithmetic: nothing is validated.
+    """
+    theta, C, m, S, v = _factors(rep, a)
+    St = np.swapaxes(S, -1, -2)
+    # one Gaussian: a single matrix product over all rows, which einsum would round differently
+    Av = v @ quad.T if quad.ndim == 2 else np.einsum("nij,nj->ni", quad, v)
+    lin = np.broadcast_to(lin, v.shape)
+    out_quad = St @ quad @ S + 1j * C
+    out_lin = np.einsum("nij,nj->ni", St, lin - _TWO_PI * Av) + _TWO_PI_I * m
+    out_amp = log_amp - np.pi * np.einsum("ni,ni->n", v, Av) + np.einsum("ni,ni->n", v, lin)
+    if not rep.omit_phase:
+        out_amp = out_amp + _TWO_PI_I * theta
+    return out_quad, out_lin, out_amp
+
+
+def apply_rep(rep: RepSpec, a, f: Gaussian) -> Gaussian:
+    """pi(a) f for one element a in full group coordinates."""
     a = np.asarray(a, dtype=float).reshape(1, rep.group.total_dim)
-    theta, C, m, S, v = (factor[0] for factor in _factors(rep, a))
-    out = pullback_affine(f, S, v) if not np.allclose(S, np.eye(rep.acting_dim)) or np.any(v) else f
-    if np.any(C):
-        out = chirp(out, C)
-    if np.any(m):
-        out = modulate(out, m)
-    if not rep.omit_phase and theta != 0.0:
-        out = _phased(out, theta)
-    return out
+    quad, lin, log_amp = act(rep, a, f.quad, f.lin, f.log_amp)
+    return Gaussian(quad[0], lin[0], log_amp[0])
+
+
+@lru_cache(maxsize=None)
+def _stft_rep(d: int) -> RepSpec:
+    """The Schroedinger representation of H_d with pi(x, xi, 0) g = M_xi T_x g."""
+    return RepSpec(group_spec("heisenberg", d), -1.0)
+
+
+def _log_integral_modulus(Q, L, la):
+    """log |integral of exp(la - pi t.Qt + L.t)| for stacked parameters."""
+    _, log_abs_det = np.linalg.slogdet(Q)
+    y = np.linalg.solve(Q, L[..., None])[..., 0]
+    return la.real - 0.5 * log_abs_det + np.einsum("ni,ni->n", L, y).real / (4.0 * np.pi)
 
 
 def coefficient_log_modulus(rep: RepSpec, a, f: Gaussian, g: Gaussian) -> np.ndarray:
@@ -125,22 +140,13 @@ def coefficient_log_modulus(rep: RepSpec, a, f: Gaussian, g: Gaussian) -> np.nda
     Re la - log|det Q| / 2 + Re(L.Q^{-1}L) / 4 pi.
     """
     a = np.asarray(a, dtype=float).reshape(-1, rep.group.total_dim)
-    _, C, m, S, v = _factors(rep, a)
-    A, b = g.quad, g.lin
-    St = np.swapaxes(S, -1, -2)
-    Av = v @ A.T
-    # g(S t + v), chirped by C and modulated by m, as in apply_rep
-    quad = St @ A @ S + 1j * C
-    lin = np.einsum("nij,nj->ni", St, b - _TWO_PI * Av) + _TWO_PI_I * m
-    log_amp = g.log_amp - np.pi * np.einsum("ni,ni->n", v, Av) + v @ b
+    quad, lin, log_amp = act(rep, a, g.quad, g.lin, g.log_amp)
     Q = f.quad + np.conj(quad)
     L = f.lin + np.conj(lin)
     la = f.log_amp + np.conj(log_amp)
     if np.linalg.eigvalsh(Q.real).min() <= 0.0:
         raise ValueError("real part of the quadratic form must be positive definite")
-    _, log_abs_det = np.linalg.slogdet(Q)
-    y = np.linalg.solve(Q, L[..., None])[..., 0]
-    return la.real - 0.5 * log_abs_det + np.einsum("ni,ni->n", L, y).real / (4.0 * np.pi)
+    return _log_integral_modulus(Q, L, la)
 
 
 def pointwise_action(rep: RepSpec, a):
@@ -220,50 +226,62 @@ def quotient_coefficient_log_modulus(rep: RepSpec, q, f: Gaussian, g: Gaussian) 
 # ---------------------------------------------------------------------------
 # self-tests used by the acceptance suite
 
-def _compare_gaussians(u: Gaussian, v: Gaussian, ignore_global_phase: bool) -> float:
-    scale = max(1.0, float(np.abs(u.quad).max()), float(np.abs(u.lin).max()), abs(u.log_amp))
-    err = max(float(np.abs(u.quad - v.quad).max()), float(np.abs(u.lin - v.lin).max()))
-    diff = u.log_amp - v.log_amp
-    if ignore_global_phase:
-        err = max(err, abs(diff.real))
-    else:
-        wrapped = (diff.imag + np.pi) % (2.0 * np.pi) - np.pi
-        err = max(err, abs(diff.real), abs(wrapped))
-    return err / scale
+def _checked(rep: RepSpec, a, quad):
+    """The checks the scalar route makes per Gaussian, over a whole stack.
+
+    Every substitution S of pi(a_k) must be invertible, as pullback_affine
+    demands, and every form of quad symmetric with positive definite real
+    part, as the Gaussian constructor demands.  Returns the symmetrized forms.
+    """
+    if np.any(np.abs(np.linalg.det(_factors(rep, a)[3])) < 1e-300):
+        raise ValueError("affine substitution must be invertible")
+    return quad_forms(quad)
 
 
 def homomorphism_check(rep: RepSpec, n_pairs: int = 500, seed: int = 0, box: float = 2.0) -> dict:
-    """pi(a) pi(b) g versus pi(ab) g on random pairs.
+    """pi(a) pi(b) g versus pi(ab) g on random pairs, all pairs at once.
 
     With the full phase the two Gaussians must agree exactly; with the phase
-    omitted they agree up to a constant phase.
+    omitted they agree up to a constant phase.  Each pair's error is the
+    largest parameter difference relative to the largest parameter of the
+    left side.
     """
-    from .groups import multiply
-
     rng = np.random.default_rng(seed)
     g = default_window(rep)
-    n = rep.group.total_dim
-    worst = 0.0
-    for _ in range(n_pairs):
-        a = rng.uniform(-box, box, n)
-        b = rng.uniform(-box, box, n)
-        lhs = apply_rep(rep, a, apply_rep(rep, b, g))
-        rhs = apply_rep(rep, multiply(rep.group, a, b), g)
-        worst = max(worst, _compare_gaussians(lhs, rhs, rep.omit_phase))
+    ab = rng.uniform(-box, box, (n_pairs, 2, rep.group.total_dim))
+    a, b = ab[:, 0], ab[:, 1]
+    prod = multiply(rep.group, a, b)
+    quad, lin, log_amp = act(rep, b, g.quad, g.lin, g.log_amp)
+    lq, ll, la = act(rep, a, _checked(rep, b, quad), lin, log_amp)
+    lq = _checked(rep, a, lq)
+    rq, rl, ra = act(rep, prod, g.quad, g.lin, g.log_amp)
+    rq = _checked(rep, prod, rq)
+    scale = np.maximum.reduce(
+        [np.ones(n_pairs), np.abs(lq).max(axis=(1, 2)), np.abs(ll).max(axis=1), np.abs(la)]
+    )
+    err = np.maximum(np.abs(lq - rq).max(axis=(1, 2)), np.abs(ll - rl).max(axis=1))
+    diff = la - ra
+    err = np.maximum(err, np.abs(diff.real))
+    if not rep.omit_phase:
+        err = np.maximum(err, np.abs((diff.imag + np.pi) % (2.0 * np.pi) - np.pi))
+    worst = float(np.max(err / scale, initial=0.0))
     return {"max_error": worst, "pairs": n_pairs, "ok": worst < 1e-10}
 
 
 def unitarity_check(rep: RepSpec, n_samples: int = 100, seed: int = 0, box: float = 3.0) -> dict:
+    """||pi(a) g|| against ||g|| on random elements, all at once."""
     rng = np.random.default_rng(seed)
     g = Gaussian(
         np.eye(rep.acting_dim) * 1.3,
         rng.uniform(-0.5, 0.5, rep.acting_dim) + 1j * rng.uniform(-0.5, 0.5, rep.acting_dim),
     )
     ref = l2_norm(g)
-    worst = 0.0
-    for _ in range(n_samples):
-        a = rng.uniform(-box, box, rep.group.total_dim)
-        worst = max(worst, abs(l2_norm(apply_rep(rep, a, g)) - ref) / ref)
+    a = rng.uniform(-box, box, (n_samples, rep.group.total_dim))
+    quad, lin, log_amp = act(rep, a, g.quad, g.lin, g.log_amp)
+    quad = _checked(rep, a, quad)
+    # ||h||^2 is the integral of h conj(h)
+    log_sq = _log_integral_modulus(quad + np.conj(quad), lin + np.conj(lin), log_amp + np.conj(log_amp))
+    worst = float(np.max(np.abs(np.exp(0.5 * log_sq) - ref) / ref, initial=0.0))
     return {"max_error": worst, "samples": n_samples, "ok": worst < 1e-10}
 
 

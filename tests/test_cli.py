@@ -168,6 +168,28 @@ def test_late_config_error_exits_3(tmp_path, capsys):
     assert err.startswith("config error:") and "state.f_quad" in err
 
 
+@pytest.mark.parametrize(
+    "kind,text",
+    [
+        ("coorbit-norm", "[group]\nname = g5_3\nlam = 0\n"),
+        ("coorbit-norm", "[group]\nname = g6_19\nmu = 0\n"),
+        ("coorbit-norm", "[group]\nname = heisenberg\n\n[norm]\nbox_half = -1\n"),
+        ("frame-sweep", "[sweep]\nlam = 0\n"),
+        ("density", "[lattice]\ngroup = heisenberg\nheisenberg_d = 0\n"),
+        ("rep-selftest", "[suite]\nn_pairs = -3\n"),
+    ],
+    ids=["g5_3-lam-0", "g6_19-mu-0", "negative-box", "sweep-lam-0", "heisenberg-d-0", "negative-pairs"],
+)
+def test_value_the_library_rejects_exits_3(tmp_path, capsys, kind, text):
+    # a RepSpec, NormSpec, QuasiLattice or group record that rejects a config
+    # value is a config error, not a traceback
+    code, _ = run_cli(tmp_path, "rejected.cfg", text, kind)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_rep_selftest_end_to_end(tmp_path):
     text = "[suite]\ngroup = g5_3\nn_pairs = 40\n"
     code, out = run_cli(tmp_path, "reps.cfg", text, "rep-selftest")

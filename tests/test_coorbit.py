@@ -2,6 +2,7 @@
 routes, and the orbit scans."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -42,13 +43,13 @@ from coorbit_lab.gaussian import (
     unit_gaussian,
 )
 from coorbit_lab.groups import group_spec, section
+from coorbit_lab.numerics import TailMassWarning
 from coorbit_lab.representations import (
     RepSpec,
     formal_dimension,
     coefficient_log_modulus,
     known_formal_dimension,
     pointwise_action,
-    quotient_coefficient_log_modulus,
 )
 
 H1 = group_spec("heisenberg", 1)
@@ -257,17 +258,46 @@ def test_engine_validates_every_node():
 
 
 def test_engine_against_full_grid_on_g5_3():
-    # honest four-dimensional Riemann sum; coarse but entirely independent
+    # honest four-dimensional Riemann sum; coarse but entirely independent.
+    # Each coefficient is integrated in t = (s, tau) from the displayed formula
+    # of the action.  f and g are diagonal and the phase is an s-term plus a
+    # tau-term, so the integral splits into an s-factor, which reads only
+    # (q1, q2), and a tau-factor, which reads only (q0, q2, q3).
     rep = RepSpec(group_spec("g5_3"), 1.0)
-    f = Gaussian(np.diag([1.2, 0.9]), [0.1, -0.2])
+    f_s, f_tau = Gaussian(1.2, 0.1), Gaussian(0.9, -0.2)
+    f = tensor(f_s, f_tau)
+    g1 = unit_gaussian(1)
     g = unit_gaussian(2)
     p = 2.0
     engine = coorbit_norm_log(rep, f, g, NormSpec(p=p))
     step, half = 0.5, 3.0
     ax = np.arange(-half, half, step) + step / 2
-    pts = np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"), -1).reshape(-1, 4)
-    vals = np.array([p * quotient_coefficient_log_modulus(rep, q, f, g) for q in pts])
-    brute = (logsumexp(vals) + 4 * np.log(step)) / p
+    t = np.arange(-10.0, 10.0 + 1e-9, 0.02)
+    w = np.full(t.shape, 0.02)
+    w[[0, -1]] /= 2.0  # trapezoidal rule
+    on_s = np.stack([t, np.zeros_like(t)], axis=-1)
+    on_tau = on_s[:, ::-1]
+
+    def factors(q):
+        """(pi(q) g)(t) restricted to the s-axis and to the tau-axis."""
+        phase, S, v = pointwise_action(rep, section(rep.group, q))
+        assert np.array_equal(S, np.eye(2))
+        return phase(on_s) * g1(t + v[0]), phase(on_tau) * g1(t + v[1])
+
+    rng = np.random.default_rng(12)
+    for q0, q1, q2, q3 in rng.uniform(-half, half, (5, 4)):
+        phase, _, v = pointwise_action(rep, section(rep.group, [q0, q1, q2, q3]))
+        i, j = rng.integers(0, len(t), 2)
+        whole = phase(np.array([t[i], t[j]])) * g(np.array([t[i], t[j]]) + v)
+        split = factors([0.0, q1, q2, 0.0])[0][i] * factors([q0, 0.0, q2, q3])[1][j]
+        assert whole == pytest.approx(split, rel=1e-12)
+
+    s_rows = np.array([factors([0.0, q1, q2, 0.0])[0] for q1 in ax for q2 in ax])
+    tau_rows = np.array([factors([q0, 0.0, q2, q3])[1] for q0 in ax for q2 in ax for q3 in ax])
+    log_s = np.log(np.abs(np.conj(s_rows) @ (f_s(t) * w))).reshape(len(ax), len(ax))
+    log_tau = np.log(np.abs(np.conj(tau_rows) @ (f_tau(t) * w))).reshape(len(ax), len(ax), len(ax))
+    log_mod = log_s[None, :, :, None] + log_tau[:, None, :, :]  # axes (q0, q1, q2, q3)
+    brute = (logsumexp(p * log_mod) + 4 * np.log(step)) / p
     assert abs(np.expm1(engine - brute)) < 2e-2
 
 
@@ -449,6 +479,21 @@ def test_mixed_weighted_norm_against_grid_sum(p, q, coords):
     inner = np.sum((V * m) ** p, axis=0) * (x[1] - x[0])
     want = np.log(np.sum(inner ** (q / p)) * 0.25) / q
     assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_mixed_weighted_tail_checks_the_position_mesh():
+    # a wide state spills past a small position box inside every frequency
+    # slice: box_half = 3 gives 1.3252 against 1.3651 at 12
+    f = Gaussian(0.05)
+    spec = dict(p=2.0, q=1.0, weight=power_weight(1.0, (0,)))
+    with pytest.warns(TailMassWarning, match="position mesh"):
+        modulation_norm_log(f, unit_gaussian(1), NormSpec(box_half=3.0, **spec))
+    with pytest.raises(ValueError, match="position mesh"):
+        modulation_norm_log(f, unit_gaussian(1), NormSpec(box_half=3.0, **spec), tail="raise")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wide = modulation_norm_log(f, unit_gaussian(1), NormSpec(box_half=12.0, **spec))
+    assert wide == pytest.approx(1.36506, abs=1e-5)
 
 
 def test_mixed_weighted_path_consistency():

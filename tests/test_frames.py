@@ -5,6 +5,7 @@ import pytest
 
 from coorbit_lab.frames import (
     QuasiLattice,
+    _distinct_rows,
     ascending_point,
     beurling_density,
     density_theorem_check,
@@ -98,6 +99,19 @@ def test_density_on_a_sheared_group():
     d = beurling_density(QuasiLattice(group_spec("g6_19"), 0.75))
     assert d["verified"]
     assert d["estimate"] == pytest.approx(0.75**-4, rel=1e-12)
+
+
+def test_distinct_rows_uses_one_key_per_row():
+    rng = np.random.default_rng(0)
+    ks = np.unique(rng.integers(-40, 40, (500, 4)), axis=0)
+    assert _distinct_rows(ks)
+    assert _distinct_rows(ks[::-1])
+    assert not _distinct_rows(np.vstack([ks, ks[17:18]]))
+    assert _distinct_rows(np.zeros((0, 4), dtype=np.int64))
+    # a key range of 2^62 fits in int64, one of 2^64 does not
+    assert _distinct_rows(np.array([[0, 0], [2**31, 2**31 - 2]]))
+    with pytest.raises(OverflowError):
+        _distinct_rows(np.array([[0, 0], [2**32, 2**32]]))
 
 
 def test_frame_bounds_on_a_comfortable_frame():

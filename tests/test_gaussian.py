@@ -22,6 +22,7 @@ from coorbit_lab.gaussian import (
     log_stft_modulus,
     modulate,
     pullback_affine,
+    quad_forms,
     stft_closed,
     tensor,
     translate,
@@ -226,6 +227,23 @@ def test_moyal_identity_for_windows():
 def test_rejects_indefinite_quadratic_part():
     with pytest.raises(ValueError):
         Gaussian(-1.0)
+
+
+def test_stacked_forms_are_checked_like_single_ones():
+    # the batched self-tests validate whole stacks with the constructor's rules
+    good = np.eye(2) + 0.3j * np.eye(2)
+    stack = np.stack([good] * 5)
+    assert np.array_equal(quad_forms(stack), stack)
+    indefinite = stack.copy()
+    indefinite[3] = np.diag([1.0, -0.2]) + 0.3j * np.eye(2)
+    with pytest.raises(ValueError, match="positive definite"):
+        quad_forms(indefinite)
+    skew = stack.copy()
+    skew[1, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="symmetric"):
+        quad_forms(skew)
+    with pytest.raises(ValueError, match="positive definite"):
+        Gaussian(indefinite[3])
 
 
 def test_amplitude_and_log_amp_agree():

@@ -1,15 +1,18 @@
 """The five unitary actions: exact group structure, two independent
 evaluation routes, and the orthogonality constants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from coorbit_lab.gaussian import Gaussian, chirp, inner_product, l2_norm, unit_gaussian
+from coorbit_lab.gaussian import Gaussian, chirp, inner_product, l2_norm, modulate, pullback_affine, unit_gaussian
 from coorbit_lab.groups import GROUPS, group_spec, multiply, section
 from coorbit_lab.numerics import quad_rep_coefficient
 from coorbit_lab.representations import (
     RepSpec,
     _factors,
+    act,
     apply_rep,
     coefficient_log_modulus,
     default_window,
@@ -17,6 +20,7 @@ from coorbit_lab.representations import (
     homogeneity_check,
     homomorphism_check,
     known_formal_dimension,
+    pointwise_action,
     quotient_coefficient_log_modulus,
     rep_coefficient,
     rep_coefficient_log_modulus,
@@ -101,9 +105,119 @@ KERNEL_REPS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "rep", KERNEL_REPS, ids=["heisenberg-d1", "heisenberg-d2", "g6_16", "g5_3", "g6_19", "dynin_folland"]
-)
+KERNEL_IDS = ["heisenberg-d1", "heisenberg-d2", "g6_16", "g5_3", "g6_19", "dynin_folland"]
+
+
+@pytest.mark.parametrize("rep", KERNEL_REPS, ids=KERNEL_IDS)
+def test_batched_action_matches_pointwise_action(rep):
+    # each row of act, evaluated at a random t, against the displayed formula
+    # (pi(a) g)(t) = phase(t) g(S t + v) with the full phase
+    full = rep.with_full_phase()
+    rng = np.random.default_rng(6)
+    d = rep.acting_dim
+    g = Gaussian(np.diag(rng.uniform(0.7, 1.4, d)) + 0.3j * np.eye(d), rng.uniform(-0.5, 0.5, d) + 0.2j, log_amp=0.1)
+    a = rng.uniform(-2.0, 2.0, (200, rep.group.total_dim))
+    t = rng.uniform(-2.0, 2.0, (200, d))
+    quad, lin, log_amp = act(full, a, g.quad, g.lin, g.log_amp)
+    assert quad.shape == (200, d, d) and lin.shape == (200, d) and log_amp.shape == (200,)
+    got = np.exp(log_amp - np.pi * np.einsum("ni,nij,nj->n", t, quad, t) + np.einsum("ni,ni->n", t, lin))
+    want = []
+    for a_k, t_k in zip(a, t):
+        phase, S, v = pointwise_action(full, a_k)
+        want.append(phase(t_k) * g(S @ t_k + v))
+    want = np.array(want)
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
+def _scalar_action(rep, a, f):
+    """pi(a) f composed one operator at a time from the factor table."""
+    theta, C, m, S, v = (factor[0] for factor in _factors(rep, np.reshape(a, (1, -1))))
+    out = modulate(chirp(pullback_affine(f, S, v), C), m)
+    phase = 0.0 if rep.omit_phase else 2j * np.pi * theta
+    return Gaussian(out.quad, out.lin, out.log_amp + phase)
+
+
+def _flipped_phase(grp):
+    """grp with the sign of the phase theta of its representation flipped."""
+
+    def rep_factors(rep, a, C, S):
+        theta, m, v = grp.rep_factors(rep, a, C, S)
+        return -theta, m, v
+
+    return dataclasses.replace(grp, rep_factors=rep_factors)
+
+
+@pytest.mark.parametrize("rep", ALL_REPS, ids=GROUPS)
+def test_homomorphism_check_catches_a_flipped_phase(rep):
+    mutated = RepSpec(_flipped_phase(rep.group), rep.lam, rep.mu, omit_phase=False)
+    res = homomorphism_check(mutated, n_pairs=60, seed=0)
+    assert not res["ok"]
+    assert res["max_error"] > 1e-3
+
+
+@pytest.mark.parametrize("rep", ALL_REPS, ids=GROUPS)
+def test_homomorphism_check_draws_the_scalar_pairs(rep):
+    # with the phase flipped, the error of a pair is large and depends on the
+    # pair; the batched check must give the worst error of the pairs a scalar
+    # loop draws (a, then b, pair by pair), composed operator by operator
+    mutated = RepSpec(_flipped_phase(rep.group), rep.lam, rep.mu, omit_phase=False)
+    n = rep.group.total_dim
+    rng = np.random.default_rng(8)
+    g = default_window(rep)
+    errors = []
+    for _ in range(3):
+        a = rng.uniform(-2.0, 2.0, n)
+        b = rng.uniform(-2.0, 2.0, n)
+        lhs = _scalar_action(mutated, a, _scalar_action(mutated, b, g))
+        rhs = _scalar_action(mutated, multiply(rep.group, a, b), g)
+        scale = max(1.0, np.abs(lhs.quad).max(), np.abs(lhs.lin).max(), abs(lhs.log_amp))
+        dphase = (lhs.log_amp - rhs.log_amp).imag
+        errors.append(abs((dphase + np.pi) % (2.0 * np.pi) - np.pi) / scale)
+    assert min(errors) > 1e-3
+    got = homomorphism_check(mutated, n_pairs=3, seed=8, box=2.0)["max_error"]
+    assert got == pytest.approx(max(errors), rel=1e-9)
+
+
+@pytest.mark.parametrize("rep", ALL_REPS, ids=GROUPS)
+def test_unitarity_check_draws_the_scalar_samples(rep):
+    # stretching S by 1 + a_0^2 breaks unitarity by an amount that depends on
+    # the element; the batched check on one sample must give the error of the
+    # element a scalar loop draws after the window
+    grp = rep.group
+
+    def rep_factors(rep_, a, C, S):
+        out = grp.rep_factors(rep_, a, C, S)
+        S *= 1.0 + a[:, :1, None] ** 2
+        return out
+
+    mutated = RepSpec(dataclasses.replace(grp, rep_factors=rep_factors), rep.lam, rep.mu)
+    d = rep.acting_dim
+    rng = np.random.default_rng(9)
+    g = Gaussian(np.eye(d) * 1.3, rng.uniform(-0.5, 0.5, d) + 1j * rng.uniform(-0.5, 0.5, d))
+    a = rng.uniform(-3.0, 3.0, grp.total_dim)
+    want = abs(l2_norm(_scalar_action(mutated, a, g)) / l2_norm(g) - 1.0)
+    assert want > 1e-3
+    got = unitarity_check(mutated, n_samples=1, seed=9, box=3.0)["max_error"]
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_checks_reject_a_singular_substitution():
+    # the batched checks keep pullback_affine's invertibility check
+    grp = group_spec("heisenberg", 1)
+
+    def rep_factors(rep, a, C, S):
+        out = grp.rep_factors(rep, a, C, S)
+        S[:] = 0.0
+        return out
+
+    rep = RepSpec(dataclasses.replace(grp, rep_factors=rep_factors), 1.0)
+    with pytest.raises(ValueError, match="invertible"):
+        homomorphism_check(rep, n_pairs=5)
+    with pytest.raises(ValueError, match="invertible"):
+        unitarity_check(rep, n_samples=5)
+
+
+@pytest.mark.parametrize("rep", KERNEL_REPS, ids=KERNEL_IDS)
 def test_batched_kernel_matches_scalar_route(rep):
     rng = np.random.default_rng(4)
     d = rep.acting_dim
@@ -117,7 +231,7 @@ def test_batched_kernel_matches_scalar_route(rep):
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
-@pytest.mark.parametrize("rep", KERNEL_REPS, ids=["heisenberg-d1", "heisenberg-d2", "g6_16", "g5_3", "g6_19", "dynin_folland"])
+@pytest.mark.parametrize("rep", KERNEL_REPS, ids=KERNEL_IDS)
 def test_declared_coupled_coordinates_are_the_ones_that_move_the_form(rep):
     # a quotient coordinate is coupled exactly when moving it changes the chirp C or the substitution S
     grp = rep.group
