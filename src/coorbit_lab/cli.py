@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import warnings
@@ -36,7 +37,15 @@ from .frames import (
     frame_bounds_estimate,
     tiling_check,
 )
-from .gaussian import Gaussian, chirp, chirp_stft_modulus, delta_matrix, l2_norm, stft_closed, unit_gaussian
+from .gaussian import (
+    Gaussian,
+    chirp,
+    chirp_stft_modulus,
+    delta_matrix,
+    l2_norm,
+    log_gauss_integrals,
+    unit_gaussian,
+)
 from .groups import GROUPS, group_spec
 from .numerics import GridSpec, TailMassWarning, dft_stft
 from .representations import RepSpec, homomorphism_check, known_formal_dimension, unitarity_check
@@ -51,6 +60,7 @@ KINDS = (
 )
 
 _REQUIRED = object()
+_TWO_PI = 2.0 * np.pi
 
 
 class ConfigError(Exception):
@@ -257,6 +267,11 @@ def _pos(positions, sec, key):
     return positions.get((sec, key))
 
 
+def _positive(value) -> bool:
+    """A finite positive number; NaN and infinity fail both tests."""
+    return value > 0 and math.isfinite(value)
+
+
 def _semantic_check(kind: str, params: dict, positions: dict) -> None:
     """Cross-field validation; errors cite the line that set the bad value."""
     def fail(sec, key, message):
@@ -273,6 +288,13 @@ def _semantic_check(kind: str, params: dict, positions: dict) -> None:
         if name != "all" and name not in GROUPS:
             fail(sec, key, f"unknown group {name!r}; expected one of {', '.join(GROUPS)} or all")
 
+    def check_positive(sec, key):
+        values = params[(sec, key)]
+        if not all(_positive(v) for v in (values if isinstance(values, tuple) else (values,))):
+            fail(sec, key, f"{key} must be finite and positive")
+
+    if params[("experiment", "seed")] < 0:
+        fail("experiment", "seed", "seed must be non-negative")
     if kind == "orbit-scan":
         task = params[("scan", "task")]
         if task not in _SCAN_TASKS:
@@ -293,19 +315,30 @@ def _semantic_check(kind: str, params: dict, positions: dict) -> None:
         check_norm_spec("norm", **spec_kwargs)
     elif kind == "verify-gaussian":
         for d in params[("samples", "dims")]:
-            if d < 1:
-                fail("samples", "dims", "dimensions must be positive")
+            try:
+                GridSpec.default_for(d)
+            except ValueError as exc:
+                fail("samples", "dims", str(exc))
+        for key in ("closed", "grid", "determinant"):
+            if params[("samples", key)] < 0:
+                fail("samples", key, f"{key} must be non-negative")
     elif kind == "density":
         check_group("lattice", "group")
-        if params[("lattice", "eps")] <= 0:
-            fail("lattice", "eps", "eps must be positive")
+        check_positive("lattice", "eps")
+        if params[("lattice", "n_points")] < 1:
+            fail("lattice", "n_points", "n_points must be positive")
     elif kind == "rep-selftest":
         check_group("suite", "group")
         if params[("suite", "n_pairs")] < 0:
             fail("suite", "n_pairs", "n_pairs must be non-negative")
+        check_positive("suite", "box")
     elif kind == "frame-sweep":
-        if any(e <= 0 for e in params[("sweep", "eps_values")]):
-            fail("sweep", "eps_values", "eps values must be positive")
+        check_positive("sweep", "eps_values")
+        for key in ("lattice_radius", "dict_step"):
+            check_positive("estimate", key)
+        halfrange = params[("estimate", "dict_halfrange")]
+        if not (halfrange >= 0 and math.isfinite(halfrange)):
+            fail("estimate", "dict_halfrange", "dict_halfrange must be finite and non-negative")
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -349,26 +382,53 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _closed_samples(rng, d: int, n: int):
+    """n draws of (C, x, xi): C symmetrized from U[-3, 3], x and xi from U[-2, 2].
+
+    One block of uniforms with its columns scaled as rng.uniform scales them,
+    so the values and their order are those of n scalar draws of C, x and xi
+    in turn.
+    """
+    u = rng.random((n, d * d + 2 * d))
+    C = (-3.0 + 6.0 * u[:, : d * d]).reshape(n, d, d)
+    x = -2.0 + 4.0 * u[:, d * d : d * d + d]
+    xi = -2.0 + 4.0 * u[:, d * d + d :]
+    return (C + np.swapaxes(C, -1, -2)) / 2.0, x, xi
+
+
+def _closed_reference(C, x, xi):
+    """|<N_C phi, M_xi T_x phi>| through the generic Gaussian integral, one row per sample.
+
+    N_C phi has quad I + iC; M_xi T_x phi has quad I, lin 2 pi (x + i xi) and
+    log amplitude -pi |x|^2.  The integrand N_C phi conj(M_xi T_x phi) is the
+    Gaussian with quad 2I + iC, lin 2 pi (x - i xi) and that log amplitude,
+    integrated by the solve and the eigenvalue branch of the algebra; the
+    covariance form of the closed form plays no part.
+    """
+    d = x.shape[-1]
+    quad = 2.0 * np.eye(d) + 1j * C
+    lin = _TWO_PI * x - _TWO_PI * 1j * xi
+    log_amp = -((np.pi * x)[:, None, :] @ x[:, :, None])[:, 0, 0]
+    return np.abs(np.exp(log_gauss_integrals(quad, lin, log_amp)))
+
+
+def _worst(errors) -> float:
+    """The largest error, 0 for none; a NaN stays NaN (the builtin max drops
+    it when it comes second), so the tolerance test fails on it."""
+    return float(np.max(np.fromiter(errors, dtype=float), initial=0.0))
+
+
 def _run_verify_gaussian(config: ExperimentConfig):
     rng = np.random.default_rng(config.seed)
     tol_closed = config.get("tolerance", "closed")
     tol_grid = config.get("tolerance", "grid")
     tol_det = config.get("tolerance", "determinant")
     rows = []
-    max_closed = 0.0
-    max_grid = 0.0
     for d in config.get("samples", "dims"):
         window = unit_gaussian(d)
-        for i in range(config.get("samples", "closed")):
-            C = rng.uniform(-3.0, 3.0, (d, d))
-            C = (C + C.T) / 2.0
-            x = rng.uniform(-2.0, 2.0, d)
-            xi = rng.uniform(-2.0, 2.0, d)
-            direct = abs(stft_closed(chirp(window, C), window, x, xi))
-            closed = chirp_stft_modulus(C, x, xi)
-            err = abs(direct - closed)
-            max_closed = max(max_closed, err)
-            rows.append(("closed", d, i, err))
+        C, x, xi = _closed_samples(rng, d, config.get("samples", "closed"))
+        errs = np.abs(_closed_reference(C, x, xi) - chirp_stft_modulus(C, x, xi))
+        rows.extend(("closed", d, i, err) for i, err in enumerate(errs))
         grid = GridSpec.default_for(d)
         freq_keep = 2.0
         for i in range(config.get("samples", "grid")):
@@ -381,9 +441,7 @@ def _run_verify_gaussian(config: ExperimentConfig):
             keep = np.all(np.abs(mesh) <= freq_keep, axis=-1)
             predicted = chirp_stft_modulus(C, x, mesh[keep])
             err = float(np.abs(np.abs(S[0][keep]) - predicted).max())
-            max_grid = max(max_grid, err)
             rows.append(("grid", d, i, err))
-    max_det = 0.0
     for i in range(config.get("samples", "determinant")):
         d = 1 + i % 2
         C = rng.uniform(-3.0, 3.0, (d, d))
@@ -391,8 +449,10 @@ def _run_verify_gaussian(config: ExperimentConfig):
         err = abs(
             np.linalg.det(delta_matrix(C)) * np.linalg.det(4.0 * np.eye(d) + C @ C) - 1.0
         )
-        max_det = max(max_det, err)
         rows.append(("determinant", d, i, err))
+    max_closed, max_grid, max_det = (
+        _worst(err for check, _, _, err in rows if check == name) for name in ("closed", "grid", "determinant")
+    )
     metrics = {
         "max_closed_error": max_closed,
         "max_grid_error": max_grid,
@@ -514,8 +574,7 @@ def _run_frame_sweep(config: ExperimentConfig):
     factor = config.get("tolerance", "density_factor")
     ratio_tol = config.get("tolerance", "ratio")
     rows = []
-    worst = 0.0
-    passed = True
+    subcritical = []  # frame-bound ratios below the critical density
     for eps in config.get("sweep", "eps_values"):
         with _rejected_values("sweep"):
             lat = QuasiLattice(rep.group, eps)
@@ -529,15 +588,14 @@ def _run_frame_sweep(config: ExperimentConfig):
         )
         rows.append((eps, dens["estimate"], fb.lower, fb.upper))
         if dens["estimate"] < factor * d_pi:
-            worst = max(worst, fb.ratio)
-            if fb.ratio >= ratio_tol:
-                passed = False
+            subcritical.append(fb.ratio)
     metrics = {
         "lam": lam,
         "formal_dimension": d_pi,
         "ratio_tolerance": ratio_tol,
-        "worst_subcritical_ratio": worst,
+        "worst_subcritical_ratio": _worst(subcritical),
     }
+    passed = all(ratio < ratio_tol for ratio in subcritical)
     return ("eps", "density", "A_est", "B_est"), rows, metrics, passed
 
 
@@ -590,8 +648,6 @@ def _run_rep_selftest(config: ExperimentConfig):
     tol_hom = config.get("tolerance", "homomorphism")
     tol_unit = config.get("tolerance", "unitarity")
     rows = []
-    max_hom = 0.0
-    max_unit = 0.0
     for grp in _density_groups(config, "suite"):
         rep = _selftest_rep(grp)
         hom = homomorphism_check(
@@ -602,8 +658,8 @@ def _run_rep_selftest(config: ExperimentConfig):
         )
         unit = unitarity_check(rep, seed=config.seed)
         rows.append((grp.name, hom["max_error"], unit["max_error"]))
-        max_hom = max(max_hom, hom["max_error"])
-        max_unit = max(max_unit, unit["max_error"])
+    max_hom = _worst(row[1] for row in rows)
+    max_unit = _worst(row[2] for row in rows)
     metrics = {"max_homomorphism_error": max_hom, "max_unitarity_error": max_unit}
     passed = max_hom < tol_hom and max_unit < tol_unit
     return ("group", "homomorphism_error", "unitarity_error"), rows, metrics, passed
@@ -620,20 +676,34 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig, out_dir: str = ".") -> int:
-    """Run one experiment; write <kind>.csv and <kind>.json under out_dir."""
-    header, rows, metrics, passed = _RUNNERS[config.kind](config)
+    """Run one experiment; write <kind>.csv and <kind>.json under out_dir.
+
+    A numerical failure inside the run (a RuntimeError, ValueError or
+    ArithmeticError that is not a config error) writes the JSON alone, with
+    pass false and the error, and returns 2.
+    """
+    error = None
+    try:
+        header, rows, metrics, passed = _RUNNERS[config.kind](config)
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        print(f"numerical error: {error}", file=sys.stderr)
+        metrics, passed = {}, False
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{config.kind}.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+    if error is None:
+        csv_path = os.path.join(out_dir, f"{config.kind}.csv")
+        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_cell(v) for v in row) + "\n")
     summary = {
         "experiment": config.kind,
         "params": _params_tree(config),
         "metrics": metrics,
         "pass": bool(passed),
     }
+    if error is not None:
+        summary["error"] = error
     json_path = os.path.join(out_dir, f"{config.kind}.json")
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=_jsonable)
@@ -681,6 +751,8 @@ def main(argv=None) -> int:
     try:
         config = parse_config(text, kind=args.kind)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("seed must be non-negative", key="--seed")
             params = dict(config.params)
             params[("experiment", "seed")] = args.seed
             config = dataclasses.replace(config, seed=args.seed, params=params)

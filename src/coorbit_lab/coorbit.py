@@ -105,8 +105,8 @@ class NormSpec:
                 raise ValueError(f"{name} = inf is not supported; use a finite exponent >= 1")
             if val < 1.0:
                 raise ValueError(f"{name} must be >= 1, got {val}")
-        if self.box_half <= 0 or self.resolution <= 0:
-            raise ValueError("box_half and resolution must be positive")
+        if not all(v > 0 and math.isfinite(v) for v in (self.box_half, self.resolution)):
+            raise ValueError("box_half and resolution must be finite and positive")
         if self.resolution > self.box_half:
             raise ValueError("resolution exceeds the integration box")
 

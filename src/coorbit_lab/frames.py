@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,8 +44,8 @@ class QuasiLattice:
     eps: float
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise ValueError("eps must be finite and positive")
 
     @property
     def ndim(self) -> int:
@@ -272,6 +273,31 @@ def _sampled(params, t) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+@lru_cache(maxsize=4)
+def _test_space(d: int, grid: GridSpec, dict_halfrange: float, dict_step: float, gram_cut: float):
+    """The sampled test atoms and the whitened basis of their span, read-only.
+
+    The atoms M_xi T_x phi, (x, xi) on a grid, are the H_d action at
+    lambda = -1.  None of this depends on the lattice, so a sweep over eps
+    builds it once.  Returns (mesh, psi, basis), one column of psi per atom.
+    """
+    mesh = grid.mesh().reshape(-1, d)
+    offs = np.arange(-dict_halfrange, dict_halfrange + 0.5 * dict_step, dict_step)
+    stft = _stft_rep(d)
+    z = np.stack(np.meshgrid(*([offs] * (2 * d)), indexing="ij"), axis=-1).reshape(-1, 2 * d)
+    phi = unit_gaussian(d)
+    psi = _sampled(act(stft, section(stft.group, z), phi.quad, phi.lin, phi.log_amp), mesh)
+    psi *= math.sqrt(grid.cell_volume)
+
+    test_gram = psi.conj().T @ psi
+    evals, evecs = np.linalg.eigh(test_gram)
+    keep = evals > gram_cut * float(evals.max())
+    basis = evecs[:, keep] / np.sqrt(evals[keep])
+    for arr in (mesh, psi, basis):
+        arr.flags.writeable = False
+    return mesh, psi, basis
+
+
 def frame_bounds_estimate(
     rep: RepSpec,
     g: Gaussian | None = None,
@@ -288,7 +314,8 @@ def frame_bounds_estimate(
     frequencies on a grid), which probes both coordinates of the time-
     frequency plane; its Gram matrix is eigenvalue-truncated before the
     generalized eigenproblem so near-dependent atoms cannot fake a collapsed
-    lower bound.
+    lower bound.  The test space depends only on the dimension, the grid and
+    the dictionary settings, and is built once per such setting.
     """
     g = default_window(rep) if g is None else g
     d = rep.acting_dim
@@ -303,25 +330,12 @@ def frame_bounds_estimate(
     gamma = quasilattice_points(lat, ks)
     gamma = gamma[np.all(np.abs(gamma) <= lattice_radius + eps, axis=-1)]
 
-    mesh = grid.mesh().reshape(-1, d)
-    root_cell = math.sqrt(grid.cell_volume)
+    mesh, psi, basis = _test_space(d, grid, dict_halfrange, dict_step, gram_cut)
     v_cols = _sampled(act(rep, section(rep.group, gamma), g.quad, g.lin, g.log_amp), mesh)
-    v_cols *= root_cell
-
-    # the test atoms M_xi T_x phi, (x, xi) on a grid, are the H_d action at lambda = -1
-    offs = np.arange(-dict_halfrange, dict_halfrange + 0.5 * dict_step, dict_step)
-    stft = _stft_rep(d)
-    z = np.stack(np.meshgrid(*([offs] * (2 * d)), indexing="ij"), axis=-1).reshape(-1, 2 * d)
-    phi = unit_gaussian(d)
-    psi = _sampled(act(stft, section(stft.group, z), phi.quad, phi.lin, phi.log_amp), mesh)
-    psi *= root_cell
+    v_cols *= math.sqrt(grid.cell_volume)
 
     coeff = v_cols.conj().T @ psi
     frame_gram = coeff.conj().T @ coeff
-    test_gram = psi.conj().T @ psi
-    evals, evecs = np.linalg.eigh(test_gram)
-    keep = evals > gram_cut * float(evals.max())
-    basis = evecs[:, keep] / np.sqrt(evals[keep])
     reduced = basis.conj().T @ frame_gram @ basis
     mu = np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
     lower, upper = float(mu.min()), float(mu.max())
@@ -330,10 +344,10 @@ def frame_bounds_estimate(
     exact = l2_norm(g)
     diagnostics = {
         "column_norm_error": float(np.abs(col_norms - exact).max() / exact),
-        "test_rank": int(keep.sum()),
+        "test_rank": int(basis.shape[1]),
         "eps": eps,
     }
-    return FrameBounds(lower, upper, lower / max(upper, 1e-300), len(gamma), len(z), diagnostics)
+    return FrameBounds(lower, upper, lower / max(upper, 1e-300), len(gamma), psi.shape[1], diagnostics)
 
 
 def density_theorem_check(rep: RepSpec, eps: float, m_values=None, **density_kwargs) -> dict:

@@ -30,6 +30,7 @@ __all__ = [
     "fourier",
     "gauss_integral",
     "log_gauss_integral",
+    "log_gauss_integrals",
     "inner_product",
     "log_inner",
     "l2_norm",
@@ -67,14 +68,17 @@ def quad_forms(A):
 
 
 def _as_real_sym(C, dim=None):
+    """A real symmetric matrix, or a stack (..., d, d) of them, symmetrized."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    if C.shape[0] != C.shape[1]:
+    if C.shape[-2] != C.shape[-1]:
         raise ValueError(f"chirp matrix must be square, got shape {C.shape}")
-    if dim is not None and C.shape[0] != dim:
-        raise ValueError(f"chirp matrix dimension {C.shape[0]} does not match {dim}")
-    if np.abs(C - C.T).max() > 1e-10 * max(1.0, float(np.abs(C).max())):
+    if dim is not None and C.shape[-1] != dim:
+        raise ValueError(f"chirp matrix dimension {C.shape[-1]} does not match {dim}")
+    Ct = np.swapaxes(C, -1, -2)
+    scale = np.maximum(1.0, np.abs(C).max(axis=(-2, -1), initial=0.0))
+    if np.any(np.abs(C - Ct).max(axis=(-2, -1), initial=0.0) > 1e-10 * scale):
         raise ValueError("chirp matrix must be symmetric")
-    return 0.5 * (C + C.T)
+    return 0.5 * (C + Ct)
 
 
 class Gaussian:
@@ -234,20 +238,30 @@ def _log_det_sqrt(A):
 
     The spectrum of a complex symmetric A with Re A > 0 lies in the open right
     half-plane, so the principal log of each eigenvalue is unambiguous and the
-    sum is the analytic branch.
+    sum is the analytic branch.  A may be a stack (..., d, d).
     """
     w = np.linalg.eigvals(A)
     if np.any(w.real <= 0):
         raise ValueError("quadratic form has spectrum outside the right half-plane")
-    return 0.5 * np.sum(np.log(w))
+    return 0.5 * np.sum(np.log(w), axis=-1)
+
+
+def log_gauss_integrals(quad, lin, log_amp):
+    """log of the integral over R^d of exp(log_amp - pi t.(quad)t + lin.t), stacked.
+
+    quad (..., d, d), lin (..., d) and log_amp (...) hold one Gaussian per
+    row; they are taken as they are, unvalidated.  One batched solve and one
+    batched eigenvalue branch serve every row.
+    """
+    y = np.linalg.solve(quad, lin[..., None])
+    return log_amp - _log_det_sqrt(quad) + (lin[..., None, :] @ y)[..., 0, 0] / (4.0 * np.pi)
 
 
 def log_gauss_integral(g: Gaussian) -> complex:
-    """log of integral of g over R^d."""
+    """log of integral of g over R^d: one row of log_gauss_integrals."""
     if isinstance(g, GaussianSum):
         raise TypeError("use gauss_integral for sums")
-    y = np.linalg.solve(g.quad, g.lin)
-    return g.log_amp - _log_det_sqrt(g.quad) + (g.lin @ y) / (4.0 * np.pi)
+    return complex(log_gauss_integrals(g.quad[None], g.lin[None], g.log_amp)[0])
 
 
 def gauss_integral(g) -> complex:
@@ -322,31 +336,33 @@ def delta_matrix(C):
 
 
 def _delta(Cm):
-    d = Cm.shape[0]
+    d = Cm.shape[-1]
     D = np.linalg.inv(4.0 * np.eye(d) + Cm @ Cm)
     DC = D @ Cm
-    out = np.empty((2 * d, 2 * d))
-    out[:d, :d] = 2.0 * D
-    out[:d, d:] = DC
-    out[d:, :d] = DC
-    out[d:, d:] = np.eye(d) - 2.0 * D
+    out = np.empty(Cm.shape[:-2] + (2 * d, 2 * d))
+    out[..., :d, :d] = 2.0 * D
+    out[..., :d, d:] = DC
+    out[..., d:, :d] = DC
+    out[..., d:, d:] = np.eye(d) - 2.0 * D
     return out
 
 
 def chirp_stft_modulus(C, z, xi=None):
     """|<N_C phi, M_xi T_x phi>| in closed form.
 
-    x and xi are (..., d) arrays of phase-space points that broadcast against
-    each other; one point gives a float, a batch an array of its leading shape.
+    x and xi are (..., d) arrays of phase-space points, and C is one real
+    symmetric (d, d) matrix or a stack (..., d, d); their leading shapes
+    broadcast against each other.  One point and one C give a float, a batch
+    an array of the broadcast leading shape.
     """
     x, w = _split_phase_point(z, xi)
     Cm = _as_real_sym(C)
-    d = Cm.shape[0]
+    d = Cm.shape[-1]
     if x.shape[-1] != d or w.shape[-1] != d:
         raise ValueError(f"phase-space points must have trailing dimension {d}")
     zvec = np.concatenate(np.broadcast_arrays(w, x), axis=-1)
     det4 = np.linalg.det(4.0 * np.eye(d) + Cm @ Cm)
-    form = np.einsum("...i,ij,...j->...", zvec, _delta(Cm), zvec)
+    form = np.einsum("...i,...ij,...j->...", zvec, _delta(Cm), zvec)
     out = det4**-0.25 * np.exp(-np.pi * form)
     return float(out) if out.ndim == 0 else out
 

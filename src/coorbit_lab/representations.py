@@ -11,6 +11,7 @@ kept for homomorphism tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -57,6 +58,8 @@ class RepSpec:
 
     def __post_init__(self):
         name = self.group.name
+        if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
+            raise ValueError(f"lam and mu must be finite, got lam={self.lam}, mu={self.mu}")
         if self.mu != 0.0 and self.group.center_dim != 2:
             raise ValueError(f"{name} has a one-dimensional centre and takes no mu parameter")
         if known_formal_dimension(self) == 0.0:

@@ -1,12 +1,20 @@
 """Config parsing, canonical serialization, and the experiment runners."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coorbit_lab.cli import ConfigError, main, parse_config, serialize_config
+from coorbit_lab import cli
+from coorbit_lab.cli import SCHEMAS, ConfigError, main, parse_config, serialize_config
+from coorbit_lab.gaussian import chirp, stft_closed, unit_gaussian
 from coorbit_lab.numerics import TailMassWarning
 
 MINIMAL_SCAN = """\
@@ -177,8 +185,21 @@ def test_late_config_error_exits_3(tmp_path, capsys):
         ("frame-sweep", "[sweep]\nlam = 0\n"),
         ("density", "[lattice]\ngroup = heisenberg\nheisenberg_d = 0\n"),
         ("rep-selftest", "[suite]\nn_pairs = -3\n"),
+        ("density", "[lattice]\neps = nan\n"),
+        ("frame-sweep", "[sweep]\neps_values = 0.5,inf\n"),
+        ("coorbit-norm", "[group]\nname = heisenberg\nlam = nan\n"),
     ],
-    ids=["g5_3-lam-0", "g6_19-mu-0", "negative-box", "sweep-lam-0", "heisenberg-d-0", "negative-pairs"],
+    ids=[
+        "g5_3-lam-0",
+        "g6_19-mu-0",
+        "negative-box",
+        "sweep-lam-0",
+        "heisenberg-d-0",
+        "negative-pairs",
+        "density-eps-nan",
+        "sweep-eps-inf",
+        "lam-nan",
+    ],
 )
 def test_value_the_library_rejects_exits_3(tmp_path, capsys, kind, text):
     # a RepSpec, NormSpec, QuasiLattice or group record that rejects a config
@@ -188,6 +209,126 @@ def test_value_the_library_rejects_exits_3(tmp_path, capsys, kind, text):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[samples]\ndims = 4\n",
+        "[samples]\nclosed = -1\n",
+        "[samples]\ngrid = -2\n",
+        "[samples]\ndeterminant = -1\n",
+    ],
+    ids=["dims-4", "negative-closed", "negative-grid", "negative-determinant"],
+)
+def test_verify_gaussian_rejects_counts_and_dims_at_parse_time(text):
+    with pytest.raises(ConfigError, match="line 2.*samples"):
+        parse_config(text, kind="verify-gaussian")
+
+
+@pytest.mark.parametrize(
+    "exc", [RuntimeError("solve diverged"), ValueError("matrix is singular"), OverflowError("result out of range")]
+)
+def test_numerical_error_writes_the_json_and_exits_2(tmp_path, capsys, monkeypatch, exc):
+    def failing_runner(config):
+        raise exc
+
+    monkeypatch.setitem(cli._RUNNERS, "density", failing_runner)
+    code, out = run_cli(tmp_path, "num.cfg", "[lattice]\ngroup = heisenberg\n", "density")
+    assert code == 2
+    summary = json.loads((out / "density.json").read_text())
+    assert summary["pass"] is False
+    assert summary["error"] == f"{type(exc).__name__}: {exc}"
+    assert not (out / "density.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and "Traceback" not in err
+
+
+def test_nan_error_fails_the_run(tmp_path):
+    # elements of size 1e300 overflow the Heisenberg phases to NaN; the builtin
+    # max drops a NaN that follows a number, which let this run exit 0
+    assert math.isnan(cli._worst([0.0, math.nan])) and cli._worst([]) == 0.0
+    text = "[suite]\ngroup = heisenberg\nn_pairs = 5\nbox = 1e300\n"
+    code, out = run_cli(tmp_path, "huge.cfg", text, "rep-selftest")
+    assert code == 2
+    metrics = json.loads((out / "rep-selftest.json").read_text())["metrics"]
+    assert math.isnan(metrics["max_homomorphism_error"])
+
+
+# cheap settings per kind; the property below overrides one value at a time
+_CHEAP = {
+    "density": {("lattice", "group"): "heisenberg", ("lattice", "n_points"): "50"},
+    "frame-sweep": {
+        ("sweep", "eps_values"): "1.25",
+        ("estimate", "lattice_radius"): "2.0",
+        ("estimate", "dict_halfrange"): "1.0",
+    },
+    "verify-gaussian": {("samples", "closed"): "5", ("samples", "grid"): "1", ("samples", "determinant"): "2"},
+    "rep-selftest": {("suite", "group"): "heisenberg", ("suite", "n_pairs"): "5"},
+}
+_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e300, 1e-300])
+
+
+def _value_for(tag):
+    if tag.endswith("int"):
+        return st.integers(-3, 2).map(str)
+    if tag.endswith("ints"):
+        return st.lists(st.integers(-1, 4), min_size=1, max_size=2).map(lambda v: ",".join(map(str, v)))
+    if tag.endswith("floats"):
+        return st.lists(_SPECIAL_FLOATS | st.just(1.25), min_size=1, max_size=2).map(
+            lambda v: ",".join(map(repr, v))
+        )
+    return _SPECIAL_FLOATS.map(repr)
+
+
+@st.composite
+def _configs(draw):
+    kind = draw(st.sampled_from(sorted(_CHEAP)))
+    keys = sorted(k for k, (tag, _) in SCHEMAS[kind].items() if tag != "str")
+    key = draw(st.sampled_from(keys))
+    values = {**_CHEAP[kind], key: draw(_value_for(SCHEMAS[kind][key][0]))}
+    sections = {}
+    for (sec, name), value in values.items():
+        sections.setdefault(sec, []).append(f"{name} = {value}")
+    return kind, "".join(f"[{sec}]\n" + "\n".join(lines) + "\n" for sec, lines in sections.items())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_configs())
+def test_every_config_value_exits_0_2_or_3_without_traceback(case):
+    # NaN, infinity, zero and negative values in every numeric key of the cheap kinds
+    kind, text = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        path = f"{tmp}/case.cfg"
+        with open(path, "w") as fh:
+            fh.write(text)
+        code = main([kind, "--config", path, "--out", tmp])
+    assert code in (0, 2, 3), (text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 3:
+        assert err.getvalue().startswith("config error:")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_verify_gaussian_draws_are_the_scalar_loop_draws(d):
+    C, x, xi = cli._closed_samples(np.random.default_rng(11), d, 40)
+    rng = np.random.default_rng(11)
+    for i in range(40):
+        Ci = rng.uniform(-3.0, 3.0, (d, d))
+        np.testing.assert_array_equal(C[i], (Ci + Ci.T) / 2.0)
+        np.testing.assert_array_equal(x[i], rng.uniform(-2.0, 2.0, d))
+        np.testing.assert_array_equal(xi[i], rng.uniform(-2.0, 2.0, d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batched_reference_matches_the_scalar_algebra(d):
+    C, x, xi = cli._closed_samples(np.random.default_rng(30 + d), d, 200)
+    got = cli._closed_reference(C, x, xi)
+    window = unit_gaussian(d)
+    for i in range(200):
+        want = abs(stft_closed(chirp(window, C[i]), window, x[i], xi[i]))
+        assert abs(got[i] - want) <= 1e-12
 
 
 def test_rep_selftest_end_to_end(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from coorbit_lab.frames import (
     QuasiLattice,
     _distinct_rows,
+    _test_space,
     ascending_point,
     beurling_density,
     density_theorem_check,
@@ -17,6 +18,7 @@ from coorbit_lab.frames import (
     tiling_check,
 )
 from coorbit_lab.groups import GROUPS, group_spec, quotient_inverse, quotient_multiply
+from coorbit_lab.numerics import GridSpec
 from coorbit_lab.representations import RepSpec
 
 ALL_SPECS = [group_spec(n, 1) for n in GROUPS]
@@ -127,6 +129,29 @@ def test_frame_bounds_past_the_critical_density():
     fb = frame_bounds_estimate(rep, eps=1.25)
     assert fb.ratio < 0.01
     assert fb.upper > 0.1  # Bessel side survives
+
+
+def test_frame_sweep_reuses_the_test_space_bit_for_bit():
+    rep = RepSpec(group_spec("heisenberg", 1), 1.0)
+    first = frame_bounds_estimate(rep, eps=0.5)
+    frame_bounds_estimate(rep, eps=1.25)
+    again = frame_bounds_estimate(rep, eps=0.5)
+    _test_space.cache_clear()
+    fresh = frame_bounds_estimate(rep, eps=0.5)
+    assert first == again == fresh
+
+
+def test_test_space_is_built_once_and_read_only():
+    rep = RepSpec(group_spec("heisenberg", 1), 1.0)
+    frame_bounds_estimate(rep, eps=0.5)
+    info = _test_space.cache_info()
+    assert info.currsize >= 1
+    frame_bounds_estimate(rep, eps=0.9)
+    assert _test_space.cache_info().hits == info.hits + 1
+    mesh, psi, basis = _test_space(1, GridSpec.default_for(1), 4.0, 0.5, 1e-8)
+    for arr in (mesh, psi, basis):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_density_theorem_check_flags():

@@ -18,6 +18,8 @@ from coorbit_lab.gaussian import (
     gauss_integral,
     inner_product,
     l2_norm,
+    log_gauss_integral,
+    log_gauss_integrals,
     log_inner,
     log_stft_modulus,
     modulate,
@@ -189,6 +191,36 @@ def test_chirp_stft_modulus_batches_like_the_scalar_call(dim):
     np.testing.assert_array_equal(chirp_stft_modulus(C, (x, xi)), got)
     with pytest.raises(ValueError):
         chirp_stft_modulus(C, x, rng.uniform(-2, 2, (5, dim + 1)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_chirp_stft_modulus_takes_a_stack_of_chirps(dim):
+    rng = np.random.default_rng(40 + dim)
+    C = rng.uniform(-3, 3, (6, dim, dim))
+    C = (C + np.swapaxes(C, -1, -2)) / 2
+    x = rng.uniform(-2, 2, (6, dim))
+    xi = rng.uniform(-2, 2, (6, dim))
+    got = chirp_stft_modulus(C, x, xi)
+    assert got.shape == (6,)
+    for i in range(6):
+        assert abs(got[i] - chirp_stft_modulus(C[i], x[i], xi[i])) <= 1e-15
+    C[3, 0, -1] += 1.0
+    if dim > 1:
+        with pytest.raises(ValueError, match="symmetric"):
+            chirp_stft_modulus(C, x, xi)
+
+
+def test_log_gauss_integral_is_one_row_of_the_stacked_form():
+    rng = np.random.default_rng(44)
+    gs = []
+    for _ in range(5):
+        quad = rng.uniform(0.5, 2) * np.eye(2) + 1j * np.diag(rng.uniform(-1, 1, 2))
+        lin = rng.normal(size=2) + 1j * rng.normal(size=2)
+        gs.append(Gaussian(quad, lin, rng.normal() + 1j * rng.normal()))
+    stacked = log_gauss_integrals(
+        np.stack([g.quad for g in gs]), np.stack([g.lin for g in gs]), np.array([g.log_amp for g in gs])
+    )
+    assert [complex(v) for v in stacked] == [log_gauss_integral(g) for g in gs]
 
 
 def test_delta_matrix_determinant_identity():
