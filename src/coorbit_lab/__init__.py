@@ -8,13 +8,10 @@ diagnostics, each backed by an independent grid oracle.
 
 from .gaussian import (
     Gaussian,
-    GaussianSum,
     chirp,
     chirp_mp_norm,
     chirp_stft_modulus,
     delta_matrix,
-    fourier,
-    gauss_integral,
     inner_product,
     l2_norm,
     modulate,
@@ -43,13 +40,11 @@ from .coorbit import (
     orbit_scan,
     power_weight,
     weight_pullback_g616,
-    window_equivalence,
 )
 from .numerics import GridSpec, dft_stft, sample
 from .frames import (
     QuasiLattice,
     beurling_density,
-    density_theorem_check,
     dual_window_estimate,
     frame_bounds_estimate,
     quasilattice_points,

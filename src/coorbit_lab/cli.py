@@ -680,7 +680,8 @@ def run(config: ExperimentConfig, out_dir: str = ".") -> int:
 
     A numerical failure inside the run (a RuntimeError, ValueError or
     ArithmeticError that is not a config error) writes the JSON alone, with
-    pass false and the error, and returns 2.
+    pass false and the error, and returns 2.  The JSON is strict: a
+    non-finite number is written as null.
     """
     error = None
     try:
@@ -706,7 +707,7 @@ def run(config: ExperimentConfig, out_dir: str = ".") -> int:
         summary["error"] = error
     json_path = os.path.join(out_dir, f"{config.kind}.json")
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(_finite_or_null(summary), fh, indent=2, sort_keys=True, allow_nan=False, default=_jsonable)
         fh.write("\n")
     return 0 if passed else 2
 
@@ -719,6 +720,17 @@ def _params_tree(config: ExperimentConfig) -> dict:
     return tree
 
 
+def _finite_or_null(value):
+    """value with every non-finite float replaced by None, which strict JSON writes as null."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _jsonable(value):
     if isinstance(value, (np.integer,)):
         return int(value)
@@ -726,8 +738,6 @@ def _jsonable(value):
         return float(value)
     if isinstance(value, (np.bool_,)):
         return bool(value)
-    if isinstance(value, tuple):
-        return list(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

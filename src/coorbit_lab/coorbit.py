@@ -24,7 +24,7 @@ import numpy as np
 from .gaussian import Gaussian, chirp, tensor, unit_gaussian
 from .groups import GroupSpec, group_spec, quotient_multiply, section
 from .numerics import TailMassWarning, logsumexp
-from .representations import RepSpec, _stft_rep, apply_rep, coefficient_log_modulus
+from .representations import RepSpec, _moving_coordinates, _stft_rep, apply_rep, coefficient_log_modulus
 
 __all__ = [
     "WeightSpec",
@@ -38,7 +38,6 @@ __all__ = [
     "modulation_norm_log",
     "moderate_check",
     "weight_pullback_g616",
-    "window_equivalence",
     "NormTask",
     "ScanResult",
     "orbit_scan",
@@ -228,7 +227,7 @@ def _fit_and_validate(values, center, checks) -> LogQuadratic:
     center + _stencil(k), then at checks (absolute points, or none to skip
     validation).  Leading axes are batch axes, one fit per entry.  Unit-step
     differences are exact for quadratics; a model that misses a check value
-    raises, which is how a wrong list of coupled coordinates would show up.
+    raises, which is how a wrong set of coupled coordinates would show up.
     """
     k = center.shape[-1]
     n_stencil = values.shape[-1] - len(checks)
@@ -253,8 +252,8 @@ def _fit_and_validate(values, center, checks) -> LogQuadratic:
         if bad.any():
             raise RuntimeError(
                 "log-modulus is not quadratic in the marginalized coordinates "
-                f"(residual {resid[bad].max():.3e}); the group record's coupled "
-                "coordinates do not match its representation"
+                f"(residual {resid[bad].max():.3e}); the coupled coordinates "
+                "do not match the representation's factors"
             )
     return quad
 
@@ -270,7 +269,7 @@ def fit_log_quadratic(
 
     The differences are exact for quadratics at any step size; validation
     evaluates func at a few off-grid points and raises if the model does not
-    reproduce them, which is how a wrong list of coupled coordinates would
+    reproduce them, which is how a wrong set of coupled coordinates would
     show up.
     """
     center = np.zeros(ndim) if center is None else np.asarray(center, dtype=float)
@@ -365,11 +364,6 @@ def _probe_center(slice_mass: Callable[[np.ndarray], np.ndarray]) -> float:
     return best_c
 
 
-def _require_plain(f, role: str):
-    if not isinstance(f, Gaussian):
-        raise TypeError(f"{role} must be a single Gaussian; sums need explicit numerical treatment")
-
-
 # ---------------------------------------------------------------------------
 # coorbit norms over quotient groups
 
@@ -386,11 +380,9 @@ def coorbit_norm_log(
     spec = NormSpec() if spec is None else spec
     if spec.q is not None and spec.q != spec.p:
         raise NotImplementedError("mixed (p, q) exponents are only defined for modulation norms")
-    _require_plain(f, "f")
-    _require_plain(g, "g")
     group, p = rep.group, spec.p
     n = group.quotient_dim
-    coupled = sorted(group.coupled)
+    coupled = list(_moving_coordinates(rep)[0])
     weight = spec.weight
     if weight is not None and any(i < 0 or i >= n for i in weight.coords):
         raise ValueError(f"weight coordinates {weight.coords} out of range for quotient dim {n}")
@@ -466,9 +458,7 @@ def modulation_norm_log(
 ) -> float:
     """log of the M^{p,q}_m norm: coordinates ordered (x_1..x_d, xi_1..xi_d)."""
     spec = NormSpec() if spec is None else spec
-    _require_plain(f, "f")
     g = unit_gaussian(f.dim) if g is None else g
-    _require_plain(g, "window")
     d = f.dim
     if g.dim != d:
         raise ValueError(f"window dimension {g.dim} does not match signal dimension {d}")
@@ -587,13 +577,6 @@ def weight_pullback_g616(weight: WeightSpec | None, lam: float, mu: float = 0.0)
         return weight.log_eval(q)
 
     return WeightSpec(tuple(coords), log_fn, label=f"pullback[{weight.label}]")
-
-
-def window_equivalence(rep: RepSpec, f: Gaussian, g1: Gaussian, g2: Gaussian, spec: NormSpec | None = None) -> dict:
-    """Ratio of coorbit norms of the same f taken against two windows."""
-    n1 = coorbit_norm_log(rep, f, g1, spec)
-    n2 = coorbit_norm_log(rep, f, g2, spec)
-    return {"norm1": float(np.exp(n1)), "norm2": float(np.exp(n2)), "ratio": float(np.exp(n1 - n2))}
 
 
 # ---------------------------------------------------------------------------

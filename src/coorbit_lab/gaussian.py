@@ -3,9 +3,9 @@
 Everything in this package ultimately reduces to one function class: complex
 multiples of exp(-pi t.At + b.t) on R^d, with A complex symmetric and Re A
 positive definite.  Translation, modulation, quadratic chirps, invertible
-affine substitutions, tensor products, Fourier transforms and L2 inner
-products all stay inside the class, so each operation is bookkeeping on the
-triple (A, b, log c).
+affine substitutions and tensor products stay inside the class, and L2
+inner products and integrals have closed forms on it, so each operation is
+bookkeeping on the triple (A, b, log c).
 
 Amplitudes are stored as complex logarithms.  Orbit experiments move windows
 hundreds of widths off center, where the plain amplitude underflows double
@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "Gaussian",
-    "GaussianSum",
     "unit_gaussian",
     "translate",
     "modulate",
@@ -27,8 +26,6 @@ __all__ = [
     "pullback_affine",
     "quad_forms",
     "conjugate",
-    "fourier",
-    "gauss_integral",
     "log_gauss_integral",
     "log_gauss_integrals",
     "inner_product",
@@ -128,80 +125,32 @@ class Gaussian:
         return f"Gaussian(dim={self.dim}, quad={self.quad!r}, lin={self.lin!r}, log_amp={self.log_amp!r})"
 
 
-class GaussianSum:
-    """Finite sum of generalized Gaussians; closed under all operations here."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        terms = tuple(terms)
-        if not terms:
-            raise ValueError("empty Gaussian sum")
-        dims = {g.dim for g in terms}
-        if len(dims) != 1:
-            raise ValueError("all terms must share one dimension")
-        self.terms = terms
-
-    @property
-    def dim(self) -> int:
-        return self.terms[0].dim
-
-    def __call__(self, t):
-        return sum(g(t) for g in self.terms)
-
-    def __repr__(self):
-        return f"GaussianSum({len(self.terms)} terms, dim={self.dim})"
-
-
 def unit_gaussian(dim: int = 1) -> Gaussian:
     """The standard window exp(-pi |t|^2)."""
     return Gaussian(np.eye(dim))
 
 
-def _map_terms(op, f):
-    if isinstance(f, GaussianSum):
-        return GaussianSum(op(g) for g in f.terms)
-    return op(f)
+def translate(g: Gaussian, x) -> Gaussian:
+    """g(t - x)."""
+    v = np.asarray(x, dtype=float).reshape(g.dim)
+    lin = g.lin + _TWO_PI * g.quad @ v
+    log_amp = g.log_amp - np.pi * v @ g.quad @ v - g.lin @ v
+    return Gaussian(g.quad, lin, log_amp)
 
 
-def translate(f, x):
-    """f(t - x)."""
-
-    def op(g: Gaussian) -> Gaussian:
-        v = np.asarray(x, dtype=float).reshape(g.dim)
-        lin = g.lin + _TWO_PI * g.quad @ v
-        log_amp = g.log_amp - np.pi * v @ g.quad @ v - g.lin @ v
-        return Gaussian(g.quad, lin, log_amp)
-
-    return _map_terms(op, f)
+def modulate(g: Gaussian, xi) -> Gaussian:
+    """exp(2 pi i xi.t) g(t)."""
+    w = np.asarray(xi, dtype=float).reshape(g.dim)
+    return Gaussian(g.quad, g.lin + _TWO_PI * 1j * w, g.log_amp)
 
 
-def modulate(f, xi):
-    """exp(2 pi i xi.t) f(t)."""
-
-    def op(g: Gaussian) -> Gaussian:
-        w = np.asarray(xi, dtype=float).reshape(g.dim)
-        return Gaussian(g.quad, g.lin + _TWO_PI * 1j * w, g.log_amp)
-
-    return _map_terms(op, f)
+def chirp(g: Gaussian, C) -> Gaussian:
+    """N_C g = exp(-i pi t.Ct) g(t) for real symmetric C."""
+    return Gaussian(g.quad + 1j * _as_real_sym(C, g.dim), g.lin, g.log_amp)
 
 
-def chirp(f, C):
-    """N_C f = exp(-i pi t.Ct) f(t) for real symmetric C."""
-
-    def op(g: Gaussian) -> Gaussian:
-        Cm = _as_real_sym(C, g.dim)
-        return Gaussian(g.quad + 1j * Cm, g.lin, g.log_amp)
-
-    return _map_terms(op, f)
-
-
-def tensor(f, g):
+def tensor(f: Gaussian, g: Gaussian) -> Gaussian:
     """(f tensor g)(s, t) = f(s) g(t)."""
-    if isinstance(f, GaussianSum) or isinstance(g, GaussianSum):
-        fts = f.terms if isinstance(f, GaussianSum) else (f,)
-        gts = g.terms if isinstance(g, GaussianSum) else (g,)
-        return GaussianSum(tensor(a, b) for a in fts for b in gts)
     df, dg = f.dim, g.dim
     quad = np.zeros((df + dg, df + dg), dtype=complex)
     quad[:df, :df] = f.quad
@@ -210,27 +159,20 @@ def tensor(f, g):
     return Gaussian(quad, lin, f.log_amp + g.log_amp)
 
 
-def pullback_affine(f, S, v):
-    """f(S t + v) for real invertible S."""
-
-    def op(g: Gaussian) -> Gaussian:
-        Sm = np.asarray(S, dtype=float).reshape(g.dim, g.dim)
-        if abs(np.linalg.det(Sm)) < 1e-300:
-            raise ValueError("affine substitution must be invertible")
-        w = np.asarray(v, dtype=float).reshape(g.dim)
-        quad = Sm.T @ g.quad @ Sm
-        lin = Sm.T @ (g.lin - _TWO_PI * g.quad @ w)
-        log_amp = g.log_amp - np.pi * w @ g.quad @ w + g.lin @ w
-        return Gaussian(quad, lin, log_amp)
-
-    return _map_terms(op, f)
+def pullback_affine(g: Gaussian, S, v) -> Gaussian:
+    """g(S t + v) for real invertible S."""
+    Sm = np.asarray(S, dtype=float).reshape(g.dim, g.dim)
+    if abs(np.linalg.det(Sm)) < 1e-300:
+        raise ValueError("affine substitution must be invertible")
+    w = np.asarray(v, dtype=float).reshape(g.dim)
+    quad = Sm.T @ g.quad @ Sm
+    lin = Sm.T @ (g.lin - _TWO_PI * g.quad @ w)
+    log_amp = g.log_amp - np.pi * w @ g.quad @ w + g.lin @ w
+    return Gaussian(quad, lin, log_amp)
 
 
-def conjugate(f):
-    def op(g: Gaussian) -> Gaussian:
-        return Gaussian(np.conj(g.quad), np.conj(g.lin), np.conj(g.log_amp))
-
-    return _map_terms(op, f)
+def conjugate(g: Gaussian) -> Gaussian:
+    return Gaussian(np.conj(g.quad), np.conj(g.lin), np.conj(g.log_amp))
 
 
 def _log_det_sqrt(A):
@@ -259,16 +201,7 @@ def log_gauss_integrals(quad, lin, log_amp):
 
 def log_gauss_integral(g: Gaussian) -> complex:
     """log of integral of g over R^d: one row of log_gauss_integrals."""
-    if isinstance(g, GaussianSum):
-        raise TypeError("use gauss_integral for sums")
     return complex(log_gauss_integrals(g.quad[None], g.lin[None], g.log_amp)[0])
-
-
-def gauss_integral(g) -> complex:
-    """Integral over R^d: c det(A)^{-1/2} exp(b.A^{-1}b / 4pi)."""
-    if isinstance(g, GaussianSum):
-        return complex(sum(np.exp(log_gauss_integral(t)) for t in g.terms))
-    return complex(np.exp(log_gauss_integral(g)))
 
 
 def _product(f: Gaussian, g: Gaussian) -> Gaussian:
@@ -280,29 +213,13 @@ def log_inner(f: Gaussian, g: Gaussian) -> complex:
     return log_gauss_integral(_product(f, conjugate(g)))
 
 
-def inner_product(f, g) -> complex:
+def inner_product(f: Gaussian, g: Gaussian) -> complex:
     """<f, g> = integral of f conj(g)."""
-    fts = f.terms if isinstance(f, GaussianSum) else (f,)
-    gts = g.terms if isinstance(g, GaussianSum) else (g,)
-    return complex(sum(np.exp(log_inner(a, b)) for a in fts for b in gts))
+    return complex(np.exp(log_inner(f, g)))
 
 
-def l2_norm(f) -> float:
-    if isinstance(f, GaussianSum):
-        return float(np.sqrt(max(inner_product(f, f).real, 0.0)))
+def l2_norm(f: Gaussian) -> float:
     return float(np.exp(0.5 * log_inner(f, f).real))
-
-
-def fourier(f):
-    """Integral transform with kernel exp(-2 pi i xi.t)."""
-
-    def op(g: Gaussian) -> Gaussian:
-        Ainv = np.linalg.inv(g.quad)
-        lin = -1j * Ainv @ g.lin
-        log_amp = g.log_amp - _log_det_sqrt(g.quad) + (g.lin @ Ainv @ g.lin) / (4.0 * np.pi)
-        return Gaussian(Ainv, lin, log_amp)
-
-    return _map_terms(op, f)
 
 
 def _split_phase_point(z, xi):

@@ -2,10 +2,12 @@
 
 Each group is R^n with a polynomial product.  A group's record (GroupSpec)
 declares only what cannot be worked out: the product law, the bracket table,
-the factors of its Schroedinger-type representation, the quotient coordinates
-that couple into those factors, and whether they need a geometric mesh.  The
+the factors of its Schroedinger-type representation, and whether the
+coordinates coupled into those factors need a geometric mesh.  The
 dimension, the centre and the quotient follow from the brackets, and so do
-the acting dimension and the formal dimension of the representation.
+the acting dimension and the formal dimension of the representation.  Its
+factors give the coupled coordinates, and together with the brackets the
+homogeneity grading (see representations).
 
 All five laws are written out as polynomials.  The 7-dimensional one is in
 coordinates of the second kind (ordered exponentials e^{c1 E1} ... e^{c7 E7}),
@@ -53,16 +55,15 @@ class GroupSpec:
     rep_factors(rep, a, C, S) returns the factors (theta, m, v) of pi(a) for
     each row of a and writes the chirp and affine factors into C and S, which
     come in as zeros and identities (see representations._factors).
-    coupled lists the quotient coordinates that enter C or S; sinh_mesh says
-    whether their coefficient mass decays so slowly that they need a
-    geometric mesh.
+    sinh_mesh says whether the coefficient mass decays so slowly along the
+    coupled coordinates, the quotient coordinates that move C or S, that
+    they need a geometric mesh.
     """
 
     name: str
     brackets: tuple[tuple[int, int, int, float], ...]
     law: Callable
     rep_factors: Callable
-    coupled: tuple[int, ...] = ()
     sinh_mesh: bool = False
     heisenberg_d: int = 0
 
@@ -215,13 +216,9 @@ def _heisenberg(d: int) -> GroupSpec:
 _TABLE = {
     "heisenberg": _heisenberg,
     "g6_16": GroupSpec("g6_16", ((4, 2, 0, 1.0), (5, 3, 0, 1.0), (5, 4, 1, 1.0)), _mul_g6_16, _rep_g6_16),
-    "g5_3": GroupSpec(
-        "g5_3", ((3, 2, 0, 1.0), (4, 1, 0, 1.0), (4, 3, 1, 1.0)), _mul_g5_3, _rep_g5_3, coupled=(2,)
-    ),
-    "g6_19": GroupSpec(
-        "g6_19", ((5, 2, 0, 1.0), (4, 3, 1, 1.0), (5, 4, 3, 1.0)), _mul_g6_19, _rep_g6_19, coupled=(3,)
-    ),
-    "dynin_folland": GroupSpec("dynin_folland", _DF_BRACKETS, _mul_df, _rep_df, coupled=(2, 4), sinh_mesh=True),
+    "g5_3": GroupSpec("g5_3", ((3, 2, 0, 1.0), (4, 1, 0, 1.0), (4, 3, 1, 1.0)), _mul_g5_3, _rep_g5_3),
+    "g6_19": GroupSpec("g6_19", ((5, 2, 0, 1.0), (4, 3, 1, 1.0), (5, 4, 3, 1.0)), _mul_g6_19, _rep_g6_19),
+    "dynin_folland": GroupSpec("dynin_folland", _DF_BRACKETS, _mul_df, _rep_df, sinh_mesh=True),
 }
 
 GROUPS = tuple(_TABLE)

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -244,15 +245,74 @@ def test_numerical_error_writes_the_json_and_exits_2(tmp_path, capsys, monkeypat
     assert err.startswith("numerical error:") and "Traceback" not in err
 
 
+def _strict_json(text):
+    """json.loads that rejects the NaN and Infinity tokens, as strict parsers do."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_nan_error_fails_the_run(tmp_path):
     # elements of size 1e300 overflow the Heisenberg phases to NaN; the builtin
-    # max drops a NaN that follows a number, which let this run exit 0
+    # max drops a NaN that follows a number, which let this run exit 0.  The
+    # JSON stays strict: the NaN metric is written as null
     assert math.isnan(cli._worst([0.0, math.nan])) and cli._worst([]) == 0.0
     text = "[suite]\ngroup = heisenberg\nn_pairs = 5\nbox = 1e300\n"
     code, out = run_cli(tmp_path, "huge.cfg", text, "rep-selftest")
     assert code == 2
-    metrics = json.loads((out / "rep-selftest.json").read_text())["metrics"]
-    assert math.isnan(metrics["max_homomorphism_error"])
+    summary = _strict_json((out / "rep-selftest.json").read_text())
+    assert summary["pass"] is False
+    assert summary["metrics"]["max_homomorphism_error"] is None
+
+
+def test_non_finite_values_are_written_as_null():
+    value = {"a": (1.5, math.inf), "b": [np.float64(-math.inf), {"c": math.nan}], "d": np.int64(3)}
+    assert cli._finite_or_null(value) == {"a": [1.5, None], "b": [None, {"c": None}], "d": 3}
+
+
+def test_lattice_labels_beyond_int64_exit_2_with_the_cause(tmp_path, capsys):
+    text = "[lattice]\ngroup = heisenberg\neps = 1e-300\nn_points = 50\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(tmp_path, "tiny.cfg", text, "density")
+    assert code == 2
+    summary = _strict_json((out / "density.json").read_text())
+    assert summary["pass"] is False
+    assert summary["error"].startswith("ValueError: lattice labels at spacing eps = 1e-300")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+from coorbit_lab.cli import main
+from coorbit_lab.frames import dual_window_estimate
+
+assert dual_window_estimate(eps=0.5)["frame_like"]
+configs = {
+    "verify-gaussian": "[samples]\\nclosed = 5\\ngrid = 1\\ndeterminant = 2\\n",
+    "orbit-scan": "[scan]\\ntask = chirp-1d\\n",
+    "coorbit-norm": "[group]\\nname = heisenberg\\n",
+    "frame-sweep": "[sweep]\\neps_values = 0.5\\n[estimate]\\nlattice_radius = 2.0\\ndict_halfrange = 1.0\\n",
+    "density": "[lattice]\\ngroup = heisenberg\\nn_points = 50\\n",
+    "rep-selftest": "[suite]\\ngroup = heisenberg\\nn_pairs = 5\\n",
+}
+codes = []
+for kind, text in configs.items():
+    path = f"{sys.argv[1]}/{kind}.cfg"
+    with open(path, "w") as fh:
+        fh.write(text)
+    codes.append(main([kind, "--config", path, "--out", sys.argv[1]]))
+print(codes)
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0]"
 
 
 # cheap settings per kind; the property below overrides one value at a time

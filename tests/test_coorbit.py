@@ -1,7 +1,6 @@
 """Norm engine: analytic identities, scaling laws, independent quadrature
 routes, and the orbit scans."""
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -29,7 +28,6 @@ from coorbit_lab.coorbit import (
     orbit_scan,
     power_weight,
     weight_pullback_g616,
-    window_equivalence,
 )
 from coorbit_lab.gaussian import (
     Gaussian,
@@ -249,9 +247,10 @@ def test_p2_orthogonality_on_dynin_folland(lam):
     assert got == pytest.approx(want, rel=1e-5)
 
 
-def test_engine_validates_every_node():
+def test_engine_validates_every_node(monkeypatch):
     # with the coupled coordinate treated as quadratic, the off-grid checks must fire
-    rep = RepSpec(dataclasses.replace(group_spec("g5_3"), coupled=()), 1.0)
+    monkeypatch.setattr(coorbit, "_moving_coordinates", lambda rep: ((), ()))
+    rep = RepSpec(group_spec("g5_3"), 1.0)
     f = Gaussian(np.diag([1.2, 0.9]), [0.1, -0.2])
     with pytest.raises(RuntimeError, match="not quadratic"):
         coorbit_norm_log(rep, f, unit_gaussian(2), NormSpec(p=2.0))
@@ -324,16 +323,6 @@ def test_isometry_of_the_action():
         n0 = coorbit_norm_log(rep, f, g, NormSpec(p=1.0))
         n1 = coorbit_norm_log(rep, moved, g, NormSpec(p=1.0))
         assert abs(np.expm1(n1 - n0)) < 1e-2
-
-
-def test_window_equivalence():
-    rep = RepSpec(H1, 1.0)
-    f = Gaussian(1.4, 0.3)
-    g = unit_gaussian(1)
-    same = window_equivalence(rep, f, g, g)
-    assert same["ratio"] == pytest.approx(1.0, rel=1e-12)
-    other = window_equivalence(rep, f, g, Gaussian(2.0, -0.4))
-    assert 0.2 < other["ratio"] < 5.0
 
 
 def test_modulation_norm_mixed_exponents_closed_form():

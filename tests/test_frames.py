@@ -1,5 +1,8 @@
 """Quasi-lattices, densities, and finite-section frame diagnostics."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,6 @@ from coorbit_lab.frames import (
     _test_space,
     ascending_point,
     beurling_density,
-    density_theorem_check,
     dual_window_estimate,
     frame_bounds_estimate,
     lattice_points_in_box,
@@ -116,6 +118,18 @@ def test_distinct_rows_uses_one_key_per_row():
         _distinct_rows(np.array([[0, 0], [2**32, 2**32]]))
 
 
+@pytest.mark.parametrize("eps,point", [(1e-300, 1.0), (1e-20, 1.0), (1e-300, 1e10)], ids=["huge", "past-int64", "inf"])
+def test_labels_beyond_int64_raise_without_a_cast_warning(eps, point):
+    # 1e10 / 1e-300 overflows to inf; the others are finite but do not fit int64
+    lat = QuasiLattice(group_spec("heisenberg", 1), eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"spacing eps = {eps:g} in a box of half-width {point:g} ")):
+            locate(lat, np.full((3, 2), point))
+        with pytest.raises(ValueError, match=re.escape(f"spacing eps = {eps:g} in a box of half-width 1 ")):
+            lattice_points_in_box(lat, np.full(2, point), 1.0)
+
+
 def test_frame_bounds_on_a_comfortable_frame():
     rep = RepSpec(group_spec("heisenberg", 1), 1.0)
     fb = frame_bounds_estimate(rep, eps=0.5)
@@ -152,15 +166,6 @@ def test_test_space_is_built_once_and_read_only():
     for arr in (mesh, psi, basis):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
-
-
-def test_density_theorem_check_flags():
-    rep = RepSpec(group_spec("heisenberg", 1), 1.0)
-    dense = density_theorem_check(rep, 0.5)
-    assert dense["predicts_frame"]
-    sparse = density_theorem_check(rep, 1.5)
-    assert not sparse["predicts_frame"]
-    assert sparse["density"] == pytest.approx(1.5**-2, rel=1e-12)
 
 
 def test_dual_window_on_a_frame():

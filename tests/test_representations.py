@@ -6,12 +6,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from coorbit_lab import representations
 from coorbit_lab.gaussian import Gaussian, chirp, inner_product, l2_norm, modulate, pullback_affine, unit_gaussian
 from coorbit_lab.groups import GROUPS, group_spec, multiply, section
 from coorbit_lab.numerics import quad_rep_coefficient
 from coorbit_lab.representations import (
     RepSpec,
     _factors,
+    _grading,
+    _moving_coordinates,
     act,
     apply_rep,
     coefficient_log_modulus,
@@ -21,7 +24,6 @@ from coorbit_lab.representations import (
     homomorphism_check,
     known_formal_dimension,
     pointwise_action,
-    quotient_coefficient_log_modulus,
     rep_coefficient,
     rep_coefficient_log_modulus,
     unitarity_check,
@@ -76,7 +78,7 @@ def test_coefficient_modulus_ignores_the_central_lift(rep):
     f = chirp(default_window(rep), 0.3 * np.eye(rep.acting_dim))
     g = default_window(rep)
     q = rng.uniform(-1.5, 1.5, grp.quotient_dim)
-    base = quotient_coefficient_log_modulus(rep, q, f, g)
+    base = rep_coefficient_log_modulus(rep, section(grp, q), f, g)
     lift = section(grp, q)
     lift[list(grp.center_indices)] = rng.uniform(-3, 3, len(grp.center_indices))
     shifted = np.log(abs(rep_coefficient(rep.with_full_phase(), lift, f, g)))
@@ -231,9 +233,15 @@ def test_batched_kernel_matches_scalar_route(rep):
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
-@pytest.mark.parametrize("rep", KERNEL_REPS, ids=KERNEL_IDS)
-def test_declared_coupled_coordinates_are_the_ones_that_move_the_form(rep):
-    # a quotient coordinate is coupled exactly when moving it changes the chirp C or the substitution S
+# the quotient coordinates that enter the chirp or the substitution, per record of KERNEL_REPS
+COUPLED = [(), (), (), (2,), (3,), (2, 4)]
+
+
+@pytest.mark.parametrize("rep,coupled", zip(KERNEL_REPS, COUPLED), ids=KERNEL_IDS)
+def test_declared_coupled_coordinates_are_the_ones_that_move_the_form(rep, coupled):
+    # a quotient coordinate is coupled exactly when moving it changes the chirp C or
+    # the substitution S: random probes, and the engine's one-probe derivation
+    assert _moving_coordinates(rep)[0] == coupled
     grp = rep.group
     rng = np.random.default_rng(5)
     moving = set()
@@ -243,14 +251,55 @@ def test_declared_coupled_coordinates_are_the_ones_that_move_the_form(rep):
         _, C, _, S, _ = _factors(rep, section(grp, np.vstack([q, moved])))
         changed = (np.abs(C[1:] - C[0]) + np.abs(S[1:] - S[0])).max(axis=(1, 2)) > 0
         moving |= set(np.flatnonzero(changed).tolist())
-    assert moving == set(grp.coupled)
+    assert moving == set(coupled)
 
 
 def test_g5_3_homogeneity():
-    res = homogeneity_check(RepSpec(group_spec("g5_3"), 2.0), n_points=30)
+    # the grading from the brackets reproduces the known dilation of g5_3, which
+    # scales the quotient coordinates as (lam q0, q1, lam q2, q3)
+    rep = RepSpec(group_spec("g5_3"), 2.0)
+    assert _grading(rep).tolist() == [1, 1, 0, 1, 0]
+    res = homogeneity_check(rep, n_points=30)
     assert res["ok"], res
-    with pytest.raises(ValueError):
-        homogeneity_check(standard_rep("heisenberg"))
+
+
+@pytest.mark.parametrize("lam", [2.0, -0.7])
+@pytest.mark.parametrize("rep", KERNEL_REPS, ids=KERNEL_IDS)
+def test_homogeneity_on_every_record(rep, lam):
+    res = homogeneity_check(RepSpec(rep.group, lam, rep.mu), n_points=200, seed=1)
+    assert res["ok"], res
+    assert res["max_rel_error"] < 1e-10
+
+
+@pytest.mark.parametrize("factor", ["chirp", "modulation"])
+def test_homogeneity_check_catches_factors_off_the_grading(factor):
+    # one more power of lam on a factor keeps the coupled coordinates and the
+    # grading, but the factor no longer scales with the dilation.  (Doubling C
+    # would not do: 2C is as linear in lam as C, and the relation still holds.)
+    grp = group_spec("g5_3")
+
+    def skewed(rep, a, C, S):
+        theta, m, v = grp.rep_factors(rep, a, C, S)
+        if factor == "chirp":
+            C *= rep.lam
+            return theta, m, v
+        return theta, rep.lam * m, v
+
+    res = homogeneity_check(RepSpec(dataclasses.replace(grp, rep_factors=skewed), 2.0))
+    assert not res["ok"]
+    assert res["max_rel_error"] > 1e-3
+
+
+def test_grading_rejects_brackets_that_fix_no_grading(monkeypatch):
+    # [E_3, E_1] = E_0 asks w_0 = w_3 + w_1 = 2 against the fixed w_0 = 1
+    grp = group_spec("g5_3")
+    skew = dataclasses.replace(grp, brackets=grp.brackets + ((3, 1, 0, 1.0),))
+    with pytest.raises(ValueError, match="no grading"):
+        _grading(RepSpec(skew, 1.0))
+    # without the weight-0 coordinates of the shift, the brackets leave weights open
+    monkeypatch.setattr(representations, "_moving_coordinates", lambda rep: ((), ()))
+    with pytest.raises(ValueError, match="undetermined"):
+        _grading(RepSpec(grp, 1.0))
 
 
 def test_rep_spec_validation():
