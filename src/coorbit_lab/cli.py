@@ -678,15 +678,15 @@ _RUNNERS = {
 def run(config: ExperimentConfig, out_dir: str = ".") -> int:
     """Run one experiment; write <kind>.csv and <kind>.json under out_dir.
 
-    A numerical failure inside the run (a RuntimeError, ValueError or
-    ArithmeticError that is not a config error) writes the JSON alone, with
-    pass false and the error, and returns 2.  The JSON is strict: a
-    non-finite number is written as null.
+    A numerical failure inside the run (a RuntimeError, ValueError,
+    ArithmeticError or MemoryError that is not a config error) writes the
+    JSON alone, with pass false and the error, and returns 2.  The JSON is
+    strict: a non-finite number is written as null.
     """
     error = None
     try:
         header, rows, metrics, passed = _RUNNERS[config.kind](config)
-    except (RuntimeError, ValueError, ArithmeticError) as exc:
+    except (RuntimeError, ValueError, ArithmeticError, MemoryError) as exc:
         error = f"{type(exc).__name__}: {exc}"
         print(f"numerical error: {error}", file=sys.stderr)
         metrics, passed = {}, False

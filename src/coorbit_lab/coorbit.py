@@ -4,12 +4,14 @@ The engine rests on one structural fact: for a fixed value of the few
 "coupled" quotient coordinates (the ones entering a chirp or an affine
 substitution), the log modulus of a coefficient of a single Gaussian against
 a single Gaussian window is exactly a quadratic polynomial in the remaining
-coordinates.  Those directions are therefore integrated in closed form
-(Schur complements of the fitted quadratic), and numerical quadrature is
-spent only on the coupled and weighted directions.
+coordinates.  That quadratic is read in closed form from the Gaussian
+parameters at each coupled node (_node_quadratics), those directions are
+integrated in closed form (Schur complements of the quadratic), and
+numerical quadrature is spent only on the coupled and weighted directions.
 
-Every quadratic fit is validated against direct evaluations before it is
-trusted; a failure raises instead of silently degrading the norm.
+Every node's quadratic is validated against direct kernel evaluations at
+three off-grid points before it is trusted; a failure raises instead of
+silently degrading the norm.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +27,16 @@ import numpy as np
 from .gaussian import Gaussian, chirp, tensor, unit_gaussian
 from .groups import GroupSpec, group_spec, quotient_multiply, section
 from .numerics import TailMassWarning, logsumexp
-from .representations import RepSpec, _moving_coordinates, _stft_rep, apply_rep, coefficient_log_modulus
+from .representations import (
+    RepSpec,
+    _act_factors,
+    _factors,
+    _moving_coordinates,
+    _product_form,
+    _stft_rep,
+    apply_rep,
+    coefficient_log_modulus,
+)
 
 __all__ = [
     "WeightSpec",
@@ -48,8 +60,8 @@ __all__ = [
     "df_modulation_task",
 ]
 
-# coefficients per kernel call: bounds the engine's working memory whatever
-# the mesh size
+# group elements per batched call (factor table or kernel): bounds the
+# engine's working memory whatever the mesh size
 _BLOCK = 1024
 
 @dataclass(frozen=True)
@@ -191,11 +203,6 @@ class LogQuadratic:
         """log of the integral of exp(Q) over every dimension; one value per batch entry."""
         return self.marginalized(range(self.ndim)).const
 
-    def mode(self) -> np.ndarray:
-        if self.ndim == 0:
-            return np.zeros(0)
-        return np.linalg.solve(-self.hess, self.grad[..., None])[..., 0]
-
 
 def _block(mat, rows, cols):
     """The (rows, cols) block of the trailing two axes of mat."""
@@ -215,47 +222,36 @@ def _stencil(ndim: int) -> np.ndarray:
     return np.concatenate([np.zeros((1, ndim)), eye, -eye, np.reshape(pairs, (-1, ndim))])
 
 
+@lru_cache(maxsize=None)
 def _check_offsets(ndim: int, seed: int) -> np.ndarray:
-    """The three off-grid validation offsets, one per row."""
-    return np.random.default_rng(seed).uniform(-1.7, 1.7, (3, ndim))
+    """The three off-grid validation offsets, one per row (read-only)."""
+    checks = np.random.default_rng(seed).uniform(-1.7, 1.7, (3, ndim))
+    checks.flags.writeable = False
+    return checks
 
 
-def _fit_and_validate(values, center, checks) -> LogQuadratic:
-    """The quadratic through stencil values around center, checked off the grid.
+def _validate(quad: LogQuadratic, checks, fx, f0) -> None:
+    """Raise unless quad reproduces the values fx at the check points.
 
-    values has trailing axis len(_stencil(k)) + len(checks): the function at
-    center + _stencil(k), then at checks (absolute points, or none to skip
-    validation).  Leading axes are batch axes, one fit per entry.  Unit-step
-    differences are exact for quadratics; a model that misses a check value
-    raises, which is how a wrong set of coupled coordinates would show up.
+    checks holds one point per row and fx one value per check along its
+    trailing axis; f0 is the function's value at the reference point of the
+    model.  Leading axes are batch axes.  The tolerance is 1e-7 of the
+    larger of 100, |fx| and |f0|.  A miss is how a wrong set of coupled
+    coordinates shows up.
     """
-    k = center.shape[-1]
-    n_stencil = values.shape[-1] - len(checks)
-    f0 = values[..., 0]
-    f_plus = values[..., 1 : 1 + k]
-    f_minus = values[..., 1 + k : 1 + 2 * k]
-    f_pair = values[..., 1 + 2 * k : n_stencil]
-    fx = values[..., n_stencil:]
-    grad = 0.5 * (f_plus - f_minus)
-    hess = np.zeros(values.shape[:-1] + (k, k))
-    diag = np.arange(k)
-    hess[..., diag, diag] = f_plus + f_minus - 2.0 * f0[..., None]
-    iu, ju = np.triu_indices(k, 1)
-    hess[..., iu, ju] = hess[..., ju, iu] = f_pair - f_plus[..., iu] - f_plus[..., ju] + f0[..., None]
-    hc = (hess @ center[..., None])[..., 0]
-    const = f0 - np.einsum("...i,...i->...", grad, center) + 0.5 * np.einsum("...i,...i->...", center, hc)
-    quad = LogQuadratic(const, grad - hc, hess)
-    if len(checks):
-        model = np.stack([quad.value(x) for x in checks], axis=-1)
-        resid = np.abs(fx - model)
-        bad = resid > 1e-7 * np.maximum(np.maximum(100.0, np.abs(fx)), np.abs(f0)[..., None])
-        if bad.any():
-            raise RuntimeError(
-                "log-modulus is not quadratic in the marginalized coordinates "
-                f"(residual {resid[bad].max():.3e}); the coupled coordinates "
-                "do not match the representation's factors"
-            )
-    return quad
+    model = (
+        np.asarray(quad.const)[..., None]
+        + quad.grad @ checks.T
+        + 0.5 * np.einsum("ci,...ij,cj->...c", checks, quad.hess, checks)
+    )
+    resid = np.abs(fx - model)
+    bad = resid > 1e-7 * np.maximum(np.maximum(100.0, np.abs(fx)), np.abs(f0)[..., None])
+    if bad.any():
+        raise RuntimeError(
+            "log-modulus is not quadratic in the marginalized coordinates "
+            f"(residual {resid[bad].max():.3e}); the coupled coordinates "
+            "do not match the representation's factors"
+        )
 
 
 def fit_log_quadratic(
@@ -269,15 +265,88 @@ def fit_log_quadratic(
 
     The differences are exact for quadratics at any step size; validation
     evaluates func at a few off-grid points and raises if the model does not
-    reproduce them, which is how a wrong set of coupled coordinates would
-    show up.
+    reproduce them.  The engine reads its quadratics in closed form
+    (_node_quadratics); this is the reference they are tested against.
     """
     center = np.zeros(ndim) if center is None else np.asarray(center, dtype=float)
     if ndim == 0:
         return LogQuadratic(float(func(center)), np.zeros(0), np.zeros((0, 0)))
-    checks = center + _check_offsets(ndim, seed) if validate else np.zeros((0, ndim))
-    points = np.concatenate([center + _stencil(ndim), checks])
-    return _fit_and_validate(np.array([float(func(x)) for x in points]), center, checks)
+    k = ndim
+    values = np.array([float(func(x)) for x in center + _stencil(k)])
+    f0, f_plus, f_minus, f_pair = values[0], values[1 : 1 + k], values[1 + k : 1 + 2 * k], values[1 + 2 * k :]
+    hess = np.diag(f_plus + f_minus - 2.0 * f0)
+    iu, ju = np.triu_indices(k, 1)
+    hess[iu, ju] = hess[ju, iu] = f_pair - f_plus[iu] - f_plus[ju] + f0
+    grad = 0.5 * (f_plus - f_minus)
+    hc = hess @ center
+    quad = LogQuadratic(f0 - grad @ center + 0.5 * center @ hc, grad - hc, hess)
+    if validate:
+        checks = center + _check_offsets(ndim, seed)
+        _validate(quad, checks, np.array([float(func(x)) for x in checks]), f0)
+    return quad
+
+
+def _coordinate_split(rep: RepSpec) -> tuple[list[int], list[int]]:
+    """The coupled quotient coordinates of rep (those that move C or S), and the rest."""
+    coupled = list(_moving_coordinates(rep)[0])
+    return coupled, [i for i in range(rep.group.quotient_dim) if i not in coupled]
+
+
+def _node_quadratics(rep: RepSpec, f: Gaussian, g: Gaussian, cpts) -> LogQuadratic:
+    """The quadratic r -> log |<f, pi(section(q)) g>| at each coupled node.
+
+    cpts holds one node per row: a value for each coupled coordinate of
+    rep; r runs over the other quotient coordinates, in order.  At a node Q
+    is fixed, L = L0 + J r is affine and so is the shift v = v0 + V r, so
+    the kernel's Re la - log|det Q| / 2 + Re(L.Q^-1 L) / 4 pi is quadratic
+    in r with
+
+        hess = Re(J^T Q^-1 J) / 2 pi + H_la,   H_la = -2 pi V^T Re(g.quad) V,
+        grad = Re la(e_i) - Re la(0) - H_la[i, i] / 2 + Re(J^T Q^-1 L0) / 2 pi,
+
+    and const its value at r = 0 (the Gaussian integral, Folland, Harmonic
+    Analysis in Phase Space, 1989, App. A).  J, V and la are read from the
+    factor table at r = 0, e_1, ..., e_k: per node one eigvalsh, one slogdet
+    and one (k + 1)-column solve.  Every model is then checked at three
+    off-grid points, each evaluated by the kernel with its own Q; a miss
+    raises, which is how a wrong set of coupled coordinates shows up.
+    """
+    group = rep.group
+    n = group.quotient_dim
+    coupled, fitdims = _coordinate_split(rep)
+    k = len(fitdims)
+    checks = _check_offsets(k, 0)
+    offsets = np.concatenate([np.eye(k + 1, k, -1), checks])  # r = 0, e_1, ..., e_k, then the checks
+    parts = []
+    step = max(1, _BLOCK // max(k + 1, len(checks)))
+    for start in range(0, len(cpts), step):
+        nodes = cpts[start : start + step]
+        m = len(nodes)
+        qv = np.zeros((m, len(offsets), n))
+        qv[..., coupled] = nodes[:, None, :]
+        qv[..., fitdims] = offsets
+        a = section(group, qv)
+        factors = _factors(rep, a[:, : k + 1].reshape(-1, group.total_dim))
+        quad, lin, amp = _act_factors(rep, factors, g.quad, g.lin, g.log_amp)
+        # Q from the row r = 0 of each node: it is the same at every r
+        Q, L, la = _product_form(f, quad[:: k + 1], lin.reshape(m, k + 1, -1), amp.reshape(m, k + 1))
+        la = la.real
+        L[:, 1:] -= L[:, :1]  # rows L0, J_1, ..., J_k
+        J = L[:, 1:]
+        v = factors[4].reshape(m, k + 1, -1)
+        V = v[:, 1:] - v[:, :1]
+        _, log_abs_det = np.linalg.slogdet(Q)
+        y = np.linalg.solve(Q, np.swapaxes(L, -1, -2))  # Q^-1 L0, Q^-1 J_1, ..., Q^-1 J_k
+        h_la = -2.0 * np.pi * V @ g.quad.real @ np.swapaxes(V, -1, -2)
+        jy = (J @ y).real / (2.0 * np.pi)  # Re(J^T Q^-1 L0), then Re(J^T Q^-1 J), over 2 pi
+        hess = jy[..., 1:] + h_la
+        grad = la[:, 1:] - la[:, :1] - 0.5 * np.diagonal(h_la, axis1=-2, axis2=-1) + jy[..., 0]
+        const = la[:, 0] - 0.5 * log_abs_det + np.einsum("ni,ni->n", L[:, 0], y[..., 0]).real / (4.0 * np.pi)
+        part = (const, grad, 0.5 * (hess + np.swapaxes(hess, -1, -2)))
+        fx = coefficient_log_modulus(rep, a[:, k + 1 :].reshape(-1, group.total_dim), f, g).reshape(m, len(checks))
+        _validate(LogQuadratic(*part), checks, fx, const)
+        parts.append(part)
+    return LogQuadratic(*(np.concatenate(field) for field in zip(*parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -382,30 +451,15 @@ def coorbit_norm_log(
         raise NotImplementedError("mixed (p, q) exponents are only defined for modulation norms")
     group, p = rep.group, spec.p
     n = group.quotient_dim
-    coupled = list(_moving_coordinates(rep)[0])
+    coupled, fitdims = _coordinate_split(rep)
     weight = spec.weight
     if weight is not None and any(i < 0 or i >= n for i in weight.coords):
         raise ValueError(f"weight coordinates {weight.coords} out of range for quotient dim {n}")
     wdims = sorted(set(weight.coords) - set(coupled)) if weight is not None else []
-    fitdims = [i for i in range(n) if i not in coupled]
     wpos = [fitdims.index(i) for i in wdims]
-    k = len(fitdims)
-    checks = _check_offsets(k, 0)
-    offsets = np.concatenate([_stencil(k), checks])
-
-    def fit_nodes(cpts):
-        """One validated quadratic in the fit coordinates per coupled node (row of cpts)."""
-        qv = np.zeros((len(cpts), len(offsets), n))
-        qv[..., coupled] = cpts[:, None, :]
-        qv[..., fitdims] = offsets
-        a = section(group, qv.reshape(-1, n))
-        values = np.concatenate(
-            [coefficient_log_modulus(rep, a[i : i + _BLOCK], f, g) for i in range(0, len(a), _BLOCK)]
-        )
-        return _fit_and_validate(values.reshape(len(cpts), len(offsets)), np.zeros(k), checks)
 
     if not coupled and not wdims:
-        return float(fit_nodes(np.zeros((1, 0))).scaled(p).total()[0]) / p
+        return float(_node_quadratics(rep, f, g, np.zeros((1, 0))).scaled(p).total()[0]) / p
 
     use_sinh = group.sinh_mesh
     centers = [0.0] * len(coupled)
@@ -415,7 +469,7 @@ def coorbit_norm_log(
             def smass(c, j=j):
                 cv = np.tile(centers, (len(c), 1))
                 cv[:, j] = c
-                return fit_nodes(cv).scaled(p).total()
+                return _node_quadratics(rep, f, g, cv).scaled(p).total()
 
             centers[j] = _probe_center(smass)
 
@@ -425,7 +479,7 @@ def coorbit_norm_log(
     wpts, wlogw, wbound = _product_mesh(weight_axes)
 
     # one row per coupled node, one column per weight node
-    quad = fit_nodes(cpts).scaled(p)
+    quad = _node_quadratics(rep, f, g, cpts).scaled(p)
     if wpos:
         quad = LogQuadratic(quad.const[:, None], quad.grad[:, None], quad.hess[:, None]).conditioned(wpos, wpts)
     vals = np.reshape(quad.total(), (len(cpts), len(wpts)))
@@ -470,18 +524,8 @@ def modulation_norm_log(
 
     # V_g f(x, xi) = <f, M_xi T_x g> is the coefficient of the Heisenberg
     # group H_d at lambda = -1, whose quotient coordinates are (x, xi)
-    rep = _stft_rep(d)
-    stencil, checks = _stencil(n), _check_offsets(n, 0)
-
-    def fit_at(center):
-        z = center + np.concatenate([stencil, checks])
-        values = coefficient_log_modulus(rep, section(rep.group, z), f, g)
-        return _fit_and_validate(values, center, z[len(stencil) :])
-
-    # a fit far from the mode differences large log moduli and loses digits
-    # (up to 2e-5 in the log norm of a large chirp); the second fit sits at
-    # the first one's mode, where the values are of order one
-    quad = fit_at(fit_at(np.zeros(n)).mode())
+    node = _node_quadratics(_stft_rep(d), f, g, np.zeros((1, 0)))
+    quad = LogQuadratic(node.const[0], node.grad[0], node.hess[0])
     xdims = list(range(d))
     xidims = list(range(d, n))
 

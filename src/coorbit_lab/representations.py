@@ -114,7 +114,12 @@ def act(rep: RepSpec, a, quad, lin, log_amp):
     and log_amp (N,); the phase theta is left out when rep.omit_phase.  Plain
     arithmetic: nothing is validated.
     """
-    theta, C, m, S, v = _factors(rep, a)
+    return _act_factors(rep, _factors(rep, a), quad, lin, log_amp)
+
+
+def _act_factors(rep: RepSpec, factors, quad, lin, log_amp):
+    """act on factors already taken from _factors, for callers that read them too."""
+    theta, C, m, S, v = factors
     St = np.swapaxes(S, -1, -2)
     # one Gaussian: a single matrix product over all rows, which einsum would round differently
     Av = v @ quad.T if quad.ndim == 2 else np.einsum("nij,nj->ni", quad, v)
@@ -156,13 +161,19 @@ def coefficient_log_modulus(rep: RepSpec, a, f: Gaussian, g: Gaussian) -> np.nda
     Re la - log|det Q| / 2 + Re(L.Q^{-1}L) / 4 pi.
     """
     a = np.asarray(a, dtype=float).reshape(-1, rep.group.total_dim)
-    quad, lin, log_amp = act(rep, a, g.quad, g.lin, g.log_amp)
+    return _log_integral_modulus(*_product_form(f, *act(rep, a, g.quad, g.lin, g.log_amp)))
+
+
+def _product_form(f: Gaussian, quad, lin, log_amp):
+    """(Q, L, la) of f conj(h) for stacked h = exp(log_amp - pi t.(quad)t + lin.t).
+
+    Raises unless every real part of Q is positive definite, which the
+    integral of the product needs.  The stacks broadcast against each other.
+    """
     Q = f.quad + np.conj(quad)
-    L = f.lin + np.conj(lin)
-    la = f.log_amp + np.conj(log_amp)
     if np.linalg.eigvalsh(Q.real).min() <= 0.0:
         raise ValueError("real part of the quadratic form must be positive definite")
-    return _log_integral_modulus(Q, L, la)
+    return Q, f.lin + np.conj(lin), f.log_amp + np.conj(log_amp)
 
 
 def pointwise_action(rep: RepSpec, a):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -228,7 +229,13 @@ def test_verify_gaussian_rejects_counts_and_dims_at_parse_time(text):
 
 
 @pytest.mark.parametrize(
-    "exc", [RuntimeError("solve diverged"), ValueError("matrix is singular"), OverflowError("result out of range")]
+    "exc",
+    [
+        RuntimeError("solve diverged"),
+        ValueError("matrix is singular"),
+        OverflowError("result out of range"),
+        MemoryError("Unable to allocate 10.5 TiB"),
+    ],
 )
 def test_numerical_error_writes_the_json_and_exits_2(tmp_path, capsys, monkeypatch, exc):
     def failing_runner(config):
@@ -260,7 +267,8 @@ def test_nan_error_fails_the_run(tmp_path):
     # JSON stays strict: the NaN metric is written as null
     assert math.isnan(cli._worst([0.0, math.nan])) and cli._worst([]) == 0.0
     text = "[suite]\ngroup = heisenberg\nn_pairs = 5\nbox = 1e300\n"
-    code, out = run_cli(tmp_path, "huge.cfg", text, "rep-selftest")
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        code, out = run_cli(tmp_path, "huge.cfg", text, "rep-selftest")
     assert code == 2
     summary = _strict_json((out / "rep-selftest.json").read_text())
     assert summary["pass"] is False
@@ -270,6 +278,32 @@ def test_nan_error_fails_the_run(tmp_path):
 def test_non_finite_values_are_written_as_null():
     value = {"a": (1.5, math.inf), "b": [np.float64(-math.inf), {"c": math.nan}], "d": np.int64(3)}
     assert cli._finite_or_null(value) == {"a": [1.5, None], "b": [None, {"c": None}], "d": 3}
+
+
+_CAPPED_FRAME_SWEEP = """
+import resource, sys
+limit = 4 * 2**30  # 4 GiB of address space, in this process only
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from coorbit_lab.cli import main
+sys.exit(main(["frame-sweep", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+def test_frame_sweep_out_of_memory_exits_2(tmp_path):
+    # at eps = 1e-5 the frame-bound estimate asks for a 10.5 TiB label grid;
+    # the MemoryError is a numerical failure like any other
+    path = tmp_path / "fine.cfg"
+    path.write_text("[sweep]\neps_values = 0.5,1e-5\n")
+    out = tmp_path / "out"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    cmd = [sys.executable, "-c", _CAPPED_FRAME_SWEEP, str(path), str(out)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("numerical error: MemoryError") and "Traceback" not in proc.stderr
+    summary = _strict_json((out / "frame-sweep.json").read_text())
+    assert summary["pass"] is False
+    assert summary["error"].startswith("MemoryError: ")
+    assert not (out / "frame-sweep.csv").exists()
 
 
 def test_lattice_labels_beyond_int64_exit_2_with_the_cause(tmp_path, capsys):

@@ -256,6 +256,90 @@ def test_engine_validates_every_node(monkeypatch):
         coorbit_norm_log(rep, f, unit_gaussian(2), NormSpec(p=2.0))
 
 
+def _nodes(rep, count=20):
+    """About count coupled nodes: the sinh mesh's outermost corners and a spread
+    of inner nodes, or a line through a linear axis, or the single empty node."""
+    coupled, _ = coorbit._coordinate_split(rep)
+    if not coupled:
+        return np.zeros((1, 0))
+    if len(coupled) == 1:
+        return np.linspace(-8.0, 8.0, count)[:, None]
+    axis = coorbit._sinh_axis(NormSpec())[0]
+    corners = np.array([[axis[i], axis[j]] for i in (0, -1) for j in (0, -1)])
+    inner = np.random.default_rng(3).choice(axis, (count - len(corners), len(coupled)))
+    return np.concatenate([corners, inner])
+
+
+@pytest.mark.parametrize("lam", [2.0, -0.7])
+@pytest.mark.parametrize(
+    "name,d,mu",
+    [("heisenberg", 1, 0.0), ("heisenberg", 2, 0.0), ("g6_16", 1, 0.6), ("g5_3", 1, 0.0), ("g6_19", 1, 0.6), ("dynin_folland", 1, 0.0)],
+)
+def test_closed_form_quadratic_matches_the_stencil_fit(name, d, mu, lam):
+    # the engine reads each node's quadratic from one solve; the unit-step
+    # stencil over direct kernel values is the independent reference
+    rep = RepSpec(group_spec(name, d), lam, mu)
+    k = rep.acting_dim
+    rng = np.random.default_rng(11)
+    C = rng.uniform(-0.6, 0.6, (k, k))
+    f = chirp(Gaussian(np.diag(rng.uniform(0.8, 1.3, k)), rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)), C + C.T)
+    g = Gaussian(1.3 * np.eye(k) + 0.2 * np.ones((k, k)) + 0.15j * np.eye(k), np.full(k, 0.1 - 0.3j), 0.4)
+    coupled, fitdims = coorbit._coordinate_split(rep)
+    nodes = _nodes(rep)
+    quads = coorbit._node_quadratics(rep, f, g, nodes)
+    for j, node in enumerate(nodes):
+
+        def kernel(r, node=node):
+            q = np.zeros(rep.group.quotient_dim)
+            q[coupled], q[fitdims] = node, r
+            return coefficient_log_modulus(rep, section(rep.group, q), f, g)[0]
+
+        ref = fit_log_quadratic(kernel, len(fitdims))
+        got = LogQuadratic(quads.const[j], quads.grad[j], quads.hess[j])
+        for r in rng.uniform(-3.0, 3.0, (10, len(fitdims))):
+            want = ref.value(r)
+            assert abs(got.value(r) - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_closed_form_quadratic_is_exact_near_a_far_mode():
+    # the g6_19 sibling of the g5_3 curve at u = 640: the stencil differenced
+    # log moduli of order 1e5 and missed the kernel by 9e-5 near the modes
+    _, _, sibling = g53_curve_tasks(1.0)
+    f, g = sibling.prepare(640.0)
+    rep = sibling.rep
+    coupled, fitdims = coorbit._coordinate_split(rep)
+    nodes = np.linspace(-8.0, 8.0, 9)[:, None]
+    quads = coorbit._node_quadratics(rep, f, g, nodes)
+    rng = np.random.default_rng(5)
+    for j, node in enumerate(nodes):
+        quad = LogQuadratic(quads.const[j], quads.grad[j], quads.hess[j])
+        r = np.linalg.solve(-quad.hess, quad.grad) + rng.normal(0.0, 0.3, (20, len(fitdims)))
+        q = np.zeros((len(r), rep.group.quotient_dim))
+        q[:, coupled], q[:, fitdims] = node, r
+        direct = coefficient_log_modulus(rep, section(rep.group, q), f, g)
+        assert np.abs(quad.value(r) - direct).max() < 1e-8
+
+
+def test_engine_sends_only_the_check_rows_through_the_kernel(monkeypatch):
+    # the quadratic comes from the factor table; the kernel sees 3 check rows
+    # per node, not the 18-point stencil (43,218 rows on dynin_folland)
+    rows = []
+    kernel = coorbit.coefficient_log_modulus
+
+    def counting(rep, a, f, g):
+        rows.append(np.size(a) // rep.group.total_dim)
+        return kernel(rep, a, f, g)
+
+    monkeypatch.setattr(coorbit, "coefficient_log_modulus", counting)
+    rep = RepSpec(group_spec("dynin_folland"), 1.0)
+    coorbit_norm_log(rep, Gaussian(np.eye(3) * 1.2, np.full(3, 0.1)), unit_gaussian(3), NormSpec(p=2.0))
+    n_nodes = len(coorbit._sinh_axis(NormSpec())[0]) ** 2
+    assert n_nodes == 2401 and sum(rows) == 3 * n_nodes
+    rows.clear()
+    modulation_norm_log(chirp(unit_gaussian(2), np.array([[1.0, 0.5], [0.5, -2.0]])))
+    assert rows == [3]
+
+
 def test_engine_against_full_grid_on_g5_3():
     # honest four-dimensional Riemann sum; coarse but entirely independent.
     # Each coefficient is integrated in t = (s, tau) from the displayed formula
