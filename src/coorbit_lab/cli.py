@@ -300,8 +300,8 @@ def _semantic_check(kind: str, params: dict, positions: dict) -> None:
         if task not in _SCAN_TASKS:
             fail("scan", "task", f"unknown task {task!r}; expected one of {', '.join(sorted(_SCAN_TASKS))}")
         check_norm_spec("scan", p=params[("scan", "p")])
-        if len(params[("scan", "u_values")]) < 3:
-            fail("scan", "u_values", "need at least three scan points for a fit")
+        if len(set(params[("scan", "u_values")])) < 3:
+            fail("scan", "u_values", "need at least three distinct scan points for a fit")
     elif kind == "coorbit-norm":
         check_group("group", "name")
         if params[("group", "name")] == "all":
@@ -462,6 +462,21 @@ def _run_verify_gaussian(config: ExperimentConfig):
     return ("check", "dim", "index", "error"), rows, metrics, passed
 
 
+@contextmanager
+def _shown_warnings():
+    """Record every warning the block raises, for the JSON, and print it to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield caught
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+
+
+def _tail_mass(caught) -> bool:
+    """Mass left outside a quadrature box: the norm is not what it claims."""
+    return any(issubclass(w.category, TailMassWarning) for w in caught)
+
+
 # task name -> (factory(p), expectation mode, expected slope as a function of p)
 _SCAN_TASKS = {
     "chirp-1d": (lambda p: chirp_scan_task(p), "slope", lambda p: 1.0 / p - 0.5),
@@ -481,11 +496,12 @@ def _run_orbit_scan(config: ExperimentConfig):
     expected = config.get("tolerance", "expected")
     if expected is None:
         expected = expected_fn(p)
-    result = orbit_scan(
-        task,
-        u_values=config.get("scan", "u_values"),
-        u_min_fit=config.get("scan", "u_min_fit"),
-    )
+    with _shown_warnings() as caught:
+        result = orbit_scan(
+            task,
+            u_values=config.get("scan", "u_values"),
+            u_min_fit=config.get("scan", "u_min_fit"),
+        )
     norms = np.exp(result.log_norms)
     rows = [(u, n, task.label) for u, n in zip(result.u_values, norms)]
     metrics = {
@@ -496,6 +512,8 @@ def _run_orbit_scan(config: ExperimentConfig):
         "slope": result.slope,
         "intercept": result.intercept,
         "expected_slope": expected,
+        "centers": result.centers,
+        "warnings": [str(w.message) for w in caught],
     }
     if mode == "invariant":
         deviation = float(np.max(np.abs(norms / norms[0] - 1.0)))
@@ -507,6 +525,7 @@ def _run_orbit_scan(config: ExperimentConfig):
         tol = config.get("tolerance", "slope")
         metrics["slope_tolerance"] = tol
         passed = abs(result.slope - expected) <= tol
+    passed = passed and not _tail_mass(caught)
     return ("u", "norm", "space"), rows, metrics, passed
 
 
@@ -541,14 +560,10 @@ def _run_coorbit_norm(config: ExperimentConfig):
             box_half=config.get("norm", "box_half"),
             resolution=config.get("norm", "resolution"),
         )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _shown_warnings() as caught:
         value = float(np.exp(coorbit_norm_log(rep, f, g, spec)))
-    for w in caught:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     metrics = {"group": name, "p": spec.p, "norm": value, "warnings": [str(w.message) for w in caught]}
-    # mass left outside the quadrature box means the norm is not what it claims
-    passed = not any(issubclass(w.category, TailMassWarning) for w in caught)
+    passed = not _tail_mass(caught)
     if spec.p == 2.0 and weight is None:
         d_pi = known_formal_dimension(rep)
         predicted = l2_norm(f) * l2_norm(g) / np.sqrt(d_pi)

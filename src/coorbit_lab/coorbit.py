@@ -29,6 +29,7 @@ from .groups import GroupSpec, group_spec, quotient_multiply, section
 from .numerics import TailMassWarning, logsumexp
 from .representations import (
     RepSpec,
+    _States,
     _act_factors,
     _factors,
     _moving_coordinates,
@@ -63,6 +64,9 @@ __all__ = [
 # group elements per batched call (factor table or kernel): bounds the
 # engine's working memory whatever the mesh size
 _BLOCK = 1024
+# quadratic models per batched conditioning in the weighted branches: bounds
+# their working memory whatever the weight mesh size
+_MODELS = 1 << 16
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -292,14 +296,14 @@ def _coordinate_split(rep: RepSpec) -> tuple[list[int], list[int]]:
     return coupled, [i for i in range(rep.group.quotient_dim) if i not in coupled]
 
 
-def _node_quadratics(rep: RepSpec, f: Gaussian, g: Gaussian, cpts) -> LogQuadratic:
-    """The quadratic r -> log |<f, pi(section(q)) g>| at each coupled node.
+def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQuadratic:
+    """The quadratic r -> log |<f_j, pi(section(q)) g>| at each coupled node j.
 
     cpts holds one node per row: a value for each coupled coordinate of
-    rep; r runs over the other quotient coordinates, in order.  At a node Q
-    is fixed, L = L0 + J r is affine and so is the shift v = v0 + V r, so
-    the kernel's Re la - log|det Q| / 2 + Re(L.Q^-1 L) / 4 pi is quadratic
-    in r with
+    rep; r runs over the other quotient coordinates, in order.  states holds
+    one state f_j per node.  At a node Q is fixed, L = L0 + J r is affine and
+    so is the shift v = v0 + V r, so the kernel's
+    Re la - log|det Q| / 2 + Re(L.Q^-1 L) / 4 pi is quadratic in r with
 
         hess = Re(J^T Q^-1 J) / 2 pi + H_la,   H_la = -2 pi V^T Re(g.quad) V,
         grad = Re la(e_i) - Re la(0) - H_la[i, i] / 2 + Re(J^T Q^-1 L0) / 2 pi,
@@ -308,8 +312,9 @@ def _node_quadratics(rep: RepSpec, f: Gaussian, g: Gaussian, cpts) -> LogQuadrat
     Analysis in Phase Space, 1989, App. A).  J, V and la are read from the
     factor table at r = 0, e_1, ..., e_k: per node one eigvalsh, one slogdet
     and one (k + 1)-column solve.  Every model is then checked at three
-    off-grid points, each evaluated by the kernel with its own Q; a miss
-    raises, which is how a wrong set of coupled coordinates shows up.
+    off-grid points, each evaluated by the kernel with its node's state and
+    its own Q; a miss raises, which is how a wrong set of coupled coordinates
+    shows up.
     """
     group = rep.group
     n = group.quotient_dim
@@ -321,6 +326,7 @@ def _node_quadratics(rep: RepSpec, f: Gaussian, g: Gaussian, cpts) -> LogQuadrat
     step = max(1, _BLOCK // max(k + 1, len(checks)))
     for start in range(0, len(cpts), step):
         nodes = cpts[start : start + step]
+        f = states.rows(slice(start, start + step))
         m = len(nodes)
         qv = np.zeros((m, len(offsets), n))
         qv[..., coupled] = nodes[:, None, :]
@@ -329,7 +335,8 @@ def _node_quadratics(rep: RepSpec, f: Gaussian, g: Gaussian, cpts) -> LogQuadrat
         factors = _factors(rep, a[:, : k + 1].reshape(-1, group.total_dim))
         quad, lin, amp = _act_factors(rep, factors, g.quad, g.lin, g.log_amp)
         # Q from the row r = 0 of each node: it is the same at every r
-        Q, L, la = _product_form(f, quad[:: k + 1], lin.reshape(m, k + 1, -1), amp.reshape(m, k + 1))
+        node_f = _States(f.quad, f.lin[:, None], f.log_amp[:, None])
+        Q, L, la = _product_form(node_f, quad[:: k + 1], lin.reshape(m, k + 1, -1), amp.reshape(m, k + 1))
         la = la.real
         L[:, 1:] -= L[:, :1]  # rows L0, J_1, ..., J_k
         J = L[:, 1:]
@@ -343,10 +350,23 @@ def _node_quadratics(rep: RepSpec, f: Gaussian, g: Gaussian, cpts) -> LogQuadrat
         grad = la[:, 1:] - la[:, :1] - 0.5 * np.diagonal(h_la, axis1=-2, axis2=-1) + jy[..., 0]
         const = la[:, 0] - 0.5 * log_abs_det + np.einsum("ni,ni->n", L[:, 0], y[..., 0]).real / (4.0 * np.pi)
         part = (const, grad, 0.5 * (hess + np.swapaxes(hess, -1, -2)))
-        fx = coefficient_log_modulus(rep, a[:, k + 1 :].reshape(-1, group.total_dim), f, g).reshape(m, len(checks))
-        _validate(LogQuadratic(*part), checks, fx, const)
+        check_a = a[:, k + 1 :].reshape(-1, group.total_dim)
+        fx = coefficient_log_modulus(rep, check_a, f.rows(np.repeat(np.arange(m), len(checks))), g)
+        _validate(LogQuadratic(*part), checks, fx.reshape(m, len(checks)), const)
         parts.append(part)
     return LogQuadratic(*(np.concatenate(field) for field in zip(*parts)))
+
+
+def _rows(quad: LogQuadratic, idx) -> LogQuadratic:
+    """The models of the listed batch rows, with one more batch axis after them."""
+    return LogQuadratic(quad.const[idx, None], quad.grad[idx, None], quad.hess[idx, None])
+
+
+def _blocks(n_rows: int, models_per_row: int):
+    """Slices over n_rows batch rows, each holding at most _MODELS models
+    (and at least one row)."""
+    step = max(1, _MODELS // max(1, models_per_row))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -407,29 +427,35 @@ def _row_logsumexp(values):
 _PROBE_MAGNITUDES = tuple(float(2**k) for k in range(1, 11))  # 2 .. 1024
 
 
-def _probe_center(slice_mass: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Locate the mode of a slice-mass function whose center may sit far from 0.
+def _probe_center(slice_mass: Callable[[np.ndarray, np.ndarray], np.ndarray], n_rows: int) -> np.ndarray:
+    """Locate the modes of n_rows slice-mass functions whose centers may sit far from 0.
 
-    slice_mass maps an array of centers to their masses.  A geometric ladder
-    (one call) finds the right order of magnitude, then hill climbing with
-    halving steps (one two-point call per step) walks to the mode; the final
-    center is within a fraction of the integration box of the true peak.
-    Ties go to the earlier candidate: 0, then +mag before -mag, and the
-    current center before +step before -step.
+    slice_mass(rows, centers) maps centers (len(rows), K), one row of
+    candidates per function listed in rows, to their masses, same shape.
+    The hill climbs run in lockstep: a geometric ladder (one call with every
+    row) finds each mode's order of magnitude, then each climb walks to its
+    mode with halving steps, one two-point row per climb and step, so each
+    later call holds only the climbs not yet done.  A final center is within
+    a fraction of the integration box of the true peak.  Per row, ties go to
+    the earlier candidate: 0, then +mag before -mag, and the current center
+    before +step before -step.
     """
     ladder = np.array([0.0] + [c for mag in _PROBE_MAGNITUDES for c in (mag, -mag)])
-    masses = slice_mass(ladder)
-    best = int(np.argmax(masses))
-    best_c, best_v = float(ladder[best]), masses[best]
-    step = max(1.0, abs(best_c) / 2.0)
-    while step >= 0.25:
-        pair = np.array([best_c + step, best_c - step])
-        masses = slice_mass(pair)
-        k = int(np.argmax(masses))
-        if masses[k] > best_v:
-            best_c, best_v = float(pair[k]), masses[k]
-        else:
-            step /= 2.0
+    rows = np.arange(n_rows)
+    masses = slice_mass(rows, np.tile(ladder, (n_rows, 1)))
+    best = np.argmax(masses, axis=1)
+    best_c, best_v = ladder[best], masses[rows, best]
+    step = np.maximum(1.0, np.abs(best_c) / 2.0)
+    active = list(rows)
+    while active:
+        pairs = np.array([(best_c[r] + step[r], best_c[r] - step[r]) for r in active])
+        for r, pair, mass in zip(active, pairs, slice_mass(np.array(active), pairs)):
+            k = int(np.argmax(mass))
+            if mass[k] > best_v[r]:
+                best_c[r], best_v[r] = pair[k], mass[k]
+            else:
+                step[r] /= 2.0
+        active = [r for r in active if step[r] >= 0.25]
     return best_c
 
 
@@ -447,10 +473,25 @@ def coorbit_norm_log(
 ) -> float:
     """log of the L^p_m norm of q -> <f, pi(section(q)) g> over the quotient."""
     spec = NormSpec() if spec is None else spec
+    norms, _ = _coorbit_log_norms(rep, _States.stack([f]), g, spec, tail, tail_tol, recenter)
+    return float(norms[0])
+
+
+def _coorbit_log_norms(rep, states, g, spec, tail="warn", tail_tol=0.01, recenter=True, where=None):
+    """coorbit_norm_log for every state f_i of states at once.
+
+    Returns the log norms (U,) and the centers (U, c) the recentring probe
+    found, c = 0 when no coupled coordinate is probed (none, or a sinh
+    mesh, or recenter off).  Every mesh read stacks all U states; the tail
+    check is made per state, with where[i] (if given) appended to its
+    message.
+    """
     if spec.q is not None and spec.q != spec.p:
         raise NotImplementedError("mixed (p, q) exponents are only defined for modulation norms")
     group, p = rep.group, spec.p
     n = group.quotient_dim
+    n_states = len(states.log_amp)
+    where = where or [""] * n_states
     coupled, fitdims = _coordinate_split(rep)
     weight = spec.weight
     if weight is not None and any(i < 0 or i >= n for i in weight.coords):
@@ -459,41 +500,56 @@ def coorbit_norm_log(
     wpos = [fitdims.index(i) for i in wdims]
 
     if not coupled and not wdims:
-        return float(_node_quadratics(rep, f, g, np.zeros((1, 0))).scaled(p).total()[0]) / p
+        quad = _node_quadratics(rep, states, g, np.zeros((n_states, 0))).scaled(p)
+        return quad.total() / p, np.zeros((n_states, 0))
 
-    use_sinh = group.sinh_mesh
-    centers = [0.0] * len(coupled)
-    if coupled and not use_sinh and recenter:
+    probe = bool(coupled) and not group.sinh_mesh and recenter
+    centers = np.zeros((n_states, len(coupled)))
+    if probe:
         for j in range(len(coupled)):
 
-            def smass(c, j=j):
-                cv = np.tile(centers, (len(c), 1))
-                cv[:, j] = c
-                return _node_quadratics(rep, f, g, cv).scaled(p).total()
+            def smass(rows, c, j=j):
+                cv = np.repeat(centers[rows], c.shape[1], axis=0)
+                cv[:, j] = c.ravel()
+                node_states = states.rows(np.repeat(rows, c.shape[1]))
+                return _node_quadratics(rep, node_states, g, cv).scaled(p).total().reshape(c.shape)
 
-            centers[j] = _probe_center(smass)
+            centers[:, j] = _probe_center(smass, n_states)
 
-    coupled_axes = [_sinh_axis(spec) if use_sinh else _linear_axis(centers[j], spec) for j in range(len(coupled))]
-    weight_axes = [_linear_axis(0.0, spec) for _ in wdims]
-    cpts, clogw, cbound = _product_mesh(coupled_axes)
-    wpts, wlogw, wbound = _product_mesh(weight_axes)
+    meshes = [
+        _product_mesh([_sinh_axis(spec) if group.sinh_mesh else _linear_axis(c, spec) for c in row])
+        for row in centers
+    ]
+    wpts, wlogw, wbound = _product_mesh([_linear_axis(0.0, spec) for _ in wdims])
+    counts = [len(mesh[0]) for mesh in meshes]
+    cpts = np.concatenate([mesh[0] for mesh in meshes])
+    node_states = states.rows(np.repeat(np.arange(n_states), counts))
 
-    # one row per coupled node, one column per weight node
-    quad = _node_quadratics(rep, f, g, cpts).scaled(p)
-    if wpos:
-        quad = LogQuadratic(quad.const[:, None], quad.grad[:, None], quad.hess[:, None]).conditioned(wpos, wpts)
-    vals = np.reshape(quad.total(), (len(cpts), len(wpts)))
-    if weight is not None:
-        qfull = np.zeros((len(cpts), len(wpts), n))
-        qfull[..., coupled] = cpts[:, None, :]
-        qfull[..., wdims] = wpts[None, :, :]
-        vals = vals + p * weight.log_eval(qfull)
-    contribs = (vals + clogw[:, None] + wlogw[None, :]).ravel()
-    boundary = (cbound[:, None] | wbound[None, :]).ravel()
+    # one row per coupled node of every state, one column per weight node
+    quad = _node_quadratics(rep, node_states, g, cpts).scaled(p)
+    vals = np.empty((len(cpts), len(wpts)))
+    for block in _blocks(len(cpts), len(wpts)):
+        bquad = _rows(quad, block)
+        if wpos:
+            bquad = bquad.conditioned(wpos, wpts)
+        bvals = np.reshape(bquad.total(), (-1, len(wpts)))
+        if weight is not None:
+            qfull = np.zeros(bvals.shape + (n,))
+            qfull[..., coupled] = cpts[block, None, :]
+            qfull[..., wdims] = wpts[None, :, :]
+            bvals = bvals + p * weight.log_eval(qfull)
+        vals[block] = bvals
 
-    total_log = logsumexp(contribs)
-    _check_tail(contribs, boundary, total_log, tail, tail_tol, f"coorbit norm on {group.name}")
-    return total_log / p
+    norms = []
+    for (_, clogw, cbound), contribs, label in zip(meshes, np.split(vals, np.cumsum(counts)[:-1]), where):
+        contribs += clogw[:, None]
+        contribs += wlogw[None, :]
+        contribs = contribs.ravel()
+        boundary = (cbound[:, None] | wbound[None, :]).ravel()
+        total_log = logsumexp(contribs)
+        _check_tail(contribs, boundary, total_log, tail, tail_tol, f"coorbit norm on {group.name}{label}")
+        norms.append(total_log / p)
+    return np.array(norms), centers if probe else centers[:, :0]
 
 
 def coorbit_norm(rep, f, g, spec=None, **kwargs) -> float:
@@ -513,65 +569,84 @@ def modulation_norm_log(
     """log of the M^{p,q}_m norm: coordinates ordered (x_1..x_d, xi_1..xi_d)."""
     spec = NormSpec() if spec is None else spec
     g = unit_gaussian(f.dim) if g is None else g
-    d = f.dim
+    return float(_modulation_log_norms(_States.stack([f]), g, spec, tail, tail_tol)[0])
+
+
+def _modulation_log_norms(states, g, spec, tail="warn", tail_tol=0.01, where=None) -> np.ndarray:
+    """modulation_norm_log for every state f_i of states at once, shape (U,).
+
+    Every branch carries the state axis; the tail checks are made per
+    state, with where[i] (if given) appended to the message.
+    """
+    d = states.quad.shape[-1]
     if g.dim != d:
         raise ValueError(f"window dimension {g.dim} does not match signal dimension {d}")
     n = 2 * d
+    n_states = len(states.log_amp)
+    where = where or [""] * n_states
     p, q = spec.p, spec.q_eff
     weight = spec.weight
     if weight is not None and any(i < 0 or i >= n for i in weight.coords):
         raise ValueError(f"weight coordinates {weight.coords} out of range for phase-space dim {n}")
 
     # V_g f(x, xi) = <f, M_xi T_x g> is the coefficient of the Heisenberg
-    # group H_d at lambda = -1, whose quotient coordinates are (x, xi)
-    node = _node_quadratics(_stft_rep(d), f, g, np.zeros((1, 0)))
-    quad = LogQuadratic(node.const[0], node.grad[0], node.hess[0])
+    # group H_d at lambda = -1, whose quotient coordinates are (x, xi): one
+    # node per state
+    quad = _node_quadratics(_stft_rep(d), states, g, np.zeros((n_states, 0))).scaled(p)
     xdims = list(range(d))
     xidims = list(range(d, n))
 
-    if q == p:
-        if weight is None:
-            return quad.scaled(p).total() / p
-        wdims = sorted(weight.coords)
-        wpos = wdims  # fit spans all n dims
-        axes = [_linear_axis(0.0, spec) for _ in wdims]
-        pts, logw, bound = _product_mesh(axes)
-        zfull = np.zeros((len(pts), n))
-        zfull[:, wdims] = pts
-        contribs = quad.scaled(p).conditioned(wpos, pts).total() + p * weight.log_eval(zfull) + logw
-        total_log = logsumexp(contribs)
-        _check_tail(contribs, bound, total_log, tail, tail_tol, "modulation norm")
-        return total_log / p
-
     if weight is None:
-        inner = quad.scaled(p).marginalized(xdims)  # closed-form x-integral, leaves xi
+        if q == p:
+            return quad.total() / p
+        inner = quad.marginalized(xdims)  # closed-form x-integral, leaves xi
         return inner.scaled(q / p).total() / q
 
+    norms = np.empty(n_states)
+    if q == p:
+        wdims = sorted(weight.coords)  # the fit spans all n dims
+        pts, logw, bound = _product_mesh([_linear_axis(0.0, spec) for _ in wdims])
+        zfull = np.zeros((len(pts), n))
+        zfull[:, wdims] = pts
+        wlog = p * weight.log_eval(zfull)
+        for block in _blocks(n_states, len(pts)):
+            contribs = _rows(quad, block).conditioned(wdims, pts).total() + wlog + logw
+            for i, row in zip(range(n_states)[block], contribs):
+                total_log = logsumexp(row)
+                _check_tail(row, bound, total_log, tail, tail_tol, f"modulation norm{where[i]}")
+                norms[i] = total_log / p
+        return norms
+
     # mixed exponents with a weight: mesh every frequency direction, then the
-    # weighted position directions inside each frequency slice; one row per
-    # frequency node, one column per position node
+    # weighted position directions inside each frequency slice; per state one
+    # row per frequency node, one column per position node
     xw = sorted(i for i in weight.coords if i < d)
     xi_pts, xi_logw, xi_bound = _product_mesh([_linear_axis(0.0, spec) for _ in xidims])
     xw_pts, xw_logw, xw_bound = _product_mesh([_linear_axis(0.0, spec) for _ in xw])
-    sliced = quad.scaled(p).conditioned(xidims, xi_pts)  # quadratics over the x dims, in order
-    sliced = LogQuadratic(sliced.const[:, None], sliced.grad[:, None], sliced.hess)
-    if xw:
-        sliced = sliced.conditioned(xw, xw_pts)
     zfull = np.zeros((len(xi_pts), len(xw_pts), n))
     zfull[..., xidims] = xi_pts[:, None, :]
     zfull[..., xw] = xw_pts[None, :, :]
-    inner = np.broadcast_to(sliced.total(), zfull.shape[:2]) + p * weight.log_eval(zfull) + xw_logw
-    slice_log = _row_logsumexp(inner)
-    outer = (q / p) * slice_log + xi_logw
-    total_log = logsumexp(outer)
-    _check_tail(outer, xi_bound, total_log, tail, tail_tol, "modulation norm (mixed)")
-    if xw_bound.any():
-        # the position mesh is cut inside every frequency slice: check the slice
-        # whose position shell carries the largest share of its mass
-        worst = int(np.argmax(_row_logsumexp(inner[:, xw_bound]) - slice_log))
-        what = "modulation norm (mixed), position mesh"
-        _check_tail(inner[worst], xw_bound, slice_log[worst], tail, tail_tol, what)
-    return total_log / q
+    wlog = p * weight.log_eval(zfull)
+    for block in _blocks(n_states, zfull.shape[0] * zfull.shape[1]):
+        sliced = _rows(quad, block).conditioned(xidims, xi_pts)  # quadratics over the x dims, in order
+        sliced = LogQuadratic(sliced.const[..., None], sliced.grad[..., None, :], sliced.hess[..., None, :, :])
+        if xw:
+            sliced = sliced.conditioned(xw, xw_pts)
+        totals = sliced.total()
+        for i, total in zip(range(n_states)[block], totals):
+            inner = np.broadcast_to(total, zfull.shape[:2]) + wlog + xw_logw
+            slice_log = _row_logsumexp(inner)
+            outer = (q / p) * slice_log + xi_logw
+            total_log = logsumexp(outer)
+            _check_tail(outer, xi_bound, total_log, tail, tail_tol, f"modulation norm (mixed){where[i]}")
+            if xw_bound.any():
+                # the position mesh is cut inside every frequency slice: check
+                # the slice whose position shell carries the largest share of its mass
+                worst = int(np.argmax(_row_logsumexp(inner[:, xw_bound]) - slice_log))
+                what = f"modulation norm (mixed), position mesh{where[i]}"
+                _check_tail(inner[worst], xw_bound, slice_log[worst], tail, tail_tol, what)
+            norms[i] = total_log / q
+    return norms
 
 
 def modulation_norm(f, g=None, spec=None, **kwargs) -> float:
@@ -628,7 +703,8 @@ def weight_pullback_g616(weight: WeightSpec | None, lam: float, mu: float = 0.0)
 
 @dataclass(frozen=True)
 class NormTask:
-    """One scan row: a family u -> (f, g) and the norm to take of it."""
+    """One scan row: a family u -> (f, g), with g the same at every u, and the
+    norm to take of it."""
 
     label: str
     kind: str  # "modulation" or "coorbit"
@@ -655,14 +731,15 @@ class ScanResult:
     slope: float
     intercept: float
     fit_from: float
+    centers: tuple[tuple[float, ...], ...] = ()  # the recentred coupled coordinates per u; () without a probe
 
 
 def fit_slope(u_values, log_norms, growth: str = "u", u_min: float = 32.0) -> tuple[float, float]:
     u = np.asarray(u_values, dtype=float)
     y = np.asarray(log_norms, dtype=float)
     mask = u >= u_min
-    if mask.sum() < 2:
-        raise ValueError("need at least two points past u_min for a slope fit")
+    if mask.sum() < 2 or u[mask].min() == u[mask].max():
+        raise ValueError(f"need at least two distinct u values past u_min = {u_min:g} for a slope fit")
     x = np.log(u[mask]) if growth == "u" else np.log1p(u[mask] ** 2)
     slope, intercept = np.polyfit(x, y[mask], 1)
     return float(slope), float(intercept)
@@ -672,15 +749,32 @@ DEFAULT_SCAN = (10.0, 20.0, 40.0, 80.0, 160.0, 320.0)
 
 
 def orbit_scan(task: NormTask, u_values: Sequence[float] = DEFAULT_SCAN, u_min_fit: float = 32.0) -> ScanResult:
-    logs = []
-    for u in u_values:
-        f, g = task.prepare(float(u))
-        if task.kind == "modulation":
-            logs.append(modulation_norm_log(f, g, task.norm))
-        else:
-            logs.append(coorbit_norm_log(task.rep, f, g, task.norm))
+    """The norms of the states task.prepare(u) along u_values, and the slope fit.
+
+    Every state is taken in one stacked norm evaluation; task.prepare must
+    return the same window at every u.  A tail-mass warning names its u.
+    """
+    u_values = tuple(float(u) for u in u_values)
+    pairs = [task.prepare(u) for u in u_values]
+    g = pairs[0][1]
+    if any(not _same_gaussian(h, g) for _, h in pairs):
+        raise ValueError(f"scan {task.label}: the window must not depend on u")
+    states = _States.stack([f for f, _ in pairs])
+    where = [f" at u = {u:g}" for u in u_values]
+    if task.kind == "modulation":
+        logs, centers = _modulation_log_norms(states, g, task.norm, where=where), ()
+    else:
+        logs, found = _coorbit_log_norms(task.rep, states, g, task.norm, where=where)
+        centers = tuple(tuple(float(c) for c in row) for row in found) if found.size else ()
+    logs = tuple(float(v) for v in logs)
     slope, intercept = fit_slope(u_values, logs, task.growth, u_min_fit)
-    return ScanResult(task.label, task.growth, tuple(float(u) for u in u_values), tuple(logs), slope, intercept, u_min_fit)
+    return ScanResult(task.label, task.growth, u_values, logs, slope, intercept, u_min_fit, centers)
+
+
+def _same_gaussian(h: Gaussian, g: Gaussian) -> bool:
+    return h is g or (
+        np.array_equal(h.quad, g.quad) and np.array_equal(h.lin, g.lin) and h.log_amp == g.log_amp
+    )
 
 
 def chirp_scan_task(p: float, cross: bool = False) -> NormTask:

@@ -205,4 +205,5 @@ def logsumexp(values) -> float:
     peak = values.max()
     if not np.isfinite(peak):
         return float(peak)
-    return float(peak + np.log(np.exp(values - peak).sum()))
+    shifted = values - peak
+    return float(peak + np.log(np.exp(shifted, out=shifted).sum()))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,6 +133,27 @@ def _act_factors(rep: RepSpec, factors, quad, lin, log_amp):
     return out_quad, out_lin, out_amp
 
 
+class _States(NamedTuple):
+    """Stacked Gaussian parameters, one state per row, as act returns them:
+    quad (N, d, d), lin (N, d) and log_amp (N,).  They stand wherever a single
+    Gaussian's fields broadcast against a stack (_product_form, the kernel)."""
+
+    quad: np.ndarray
+    lin: np.ndarray
+    log_amp: np.ndarray
+
+    @classmethod
+    def stack(cls, gaussians) -> "_States":
+        return cls(
+            np.array([h.quad for h in gaussians]),
+            np.array([h.lin for h in gaussians]),
+            np.array([h.log_amp for h in gaussians]),
+        )
+
+    def rows(self, idx) -> "_States":
+        return _States(self.quad[idx], self.lin[idx], self.log_amp[idx])
+
+
 def apply_rep(rep: RepSpec, a, f: Gaussian) -> Gaussian:
     """pi(a) f for one element a in full group coordinates."""
     a = np.asarray(a, dtype=float).reshape(1, rep.group.total_dim)
@@ -152,10 +174,11 @@ def _log_integral_modulus(Q, L, la):
     return la.real - 0.5 * log_abs_det + np.einsum("ni,ni->n", L, y).real / (4.0 * np.pi)
 
 
-def coefficient_log_modulus(rep: RepSpec, a, f: Gaussian, g: Gaussian) -> np.ndarray:
+def coefficient_log_modulus(rep: RepSpec, a, f: Gaussian | _States, g: Gaussian) -> np.ndarray:
     """log |<f, pi(a_k) g>| for every row a_k of a, shape (N, n) -> (N,).
 
-    The batched form of rep_coefficient_log_modulus: the product
+    f is one Gaussian, or _States with one state f_k per row of a.  The
+    batched form of rep_coefficient_log_modulus: the product
     f conj(pi(a) g) = exp(-pi t.Qt + L.t + la) is formed for all rows at once,
     and the log modulus of its integral is
     Re la - log|det Q| / 2 + Re(L.Q^{-1}L) / 4 pi.
@@ -164,11 +187,13 @@ def coefficient_log_modulus(rep: RepSpec, a, f: Gaussian, g: Gaussian) -> np.nda
     return _log_integral_modulus(*_product_form(f, *act(rep, a, g.quad, g.lin, g.log_amp)))
 
 
-def _product_form(f: Gaussian, quad, lin, log_amp):
+def _product_form(f: Gaussian | _States, quad, lin, log_amp):
     """(Q, L, la) of f conj(h) for stacked h = exp(log_amp - pi t.(quad)t + lin.t).
 
-    Raises unless every real part of Q is positive definite, which the
-    integral of the product needs.  The stacks broadcast against each other.
+    f is one Gaussian or stacked states: its fields broadcast against the
+    stacks of h, so one state or one per row both work.  Raises unless every
+    real part of Q is positive definite, which the integral of the product
+    needs.
     """
     Q = f.quad + np.conj(quad)
     if np.linalg.eigvalsh(Q.real).min() <= 0.0:

@@ -162,6 +162,58 @@ def test_orbit_scan_tolerance_violation_exits_2(tmp_path):
     assert summary["pass"] is False
 
 
+def test_orbit_scan_records_centers_and_warnings(tmp_path):
+    code, out = run_cli(tmp_path, "own.cfg", "[scan]\ntask = g53-curve-own\n", "orbit-scan")
+    assert code == 0
+    metrics = json.loads((out / "orbit-scan.json").read_text())["metrics"]
+    assert metrics["warnings"] == []
+    assert len(metrics["centers"]) == 6 and all(len(c) == 1 for c in metrics["centers"])
+    _, out = run_cli(tmp_path, "chirp.cfg", MINIMAL_SCAN, "orbit-scan")
+    metrics = json.loads((out / "orbit-scan.json").read_text())["metrics"]
+    assert metrics["centers"] == [] and metrics["warnings"] == []
+
+
+def test_orbit_scan_tail_mass_fails_the_run(tmp_path, monkeypatch):
+    # a weighted scan whose spectrogram spreads along xi as u grows: a box of
+    # half-width 1 holds the small u and cuts u = 8 alone
+    from coorbit_lab.coorbit import NormSpec, NormTask, chirp_scan_task, power_weight
+
+    def spilling(p):
+        spec = NormSpec(p=p, weight=power_weight(0.0, (1,)), box_half=1.0)
+        return NormTask("spill", "modulation", spec, chirp_scan_task(p).prepare)
+
+    monkeypatch.setitem(cli._SCAN_TASKS, "chirp-1d", (spilling, "slope", lambda p: 0.0))
+    text = (
+        "[scan]\ntask = chirp-1d\np = 4.0\nu_values = 0.1,0.4,0.8,8.0\nu_min_fit = 0.0\n"
+        "\n[tolerance]\nslope = 10.0\n"
+    )
+    with pytest.warns(TailMassWarning, match="u = 8:"):
+        code, out = run_cli(tmp_path, "spill.cfg", text, "orbit-scan")
+    assert code == 2
+    summary = json.loads((out / "orbit-scan.json").read_text())
+    assert summary["pass"] is False
+    (message,) = summary["metrics"]["warnings"]
+    assert message.startswith("modulation norm at u = 8:")
+
+
+def test_orbit_scan_needs_three_distinct_u_values(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "same.cfg", MINIMAL_SCAN + "u_values = 40,40,40\n", "orbit-scan")
+    assert code == 3
+    assert "distinct" in capsys.readouterr().err
+
+
+def test_orbit_scan_with_one_abscissa_past_u_min_exits_2(tmp_path):
+    # three distinct u, but only u = 40 lies past u_min_fit = 32: no slope
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, "one.cfg", MINIMAL_SCAN + "u_values = 10,20,40,40\n", "orbit-scan")
+    assert code == 2
+    summary = json.loads((out / "orbit-scan.json").read_text())
+    assert summary["pass"] is False
+    assert summary["error"].startswith("ValueError: need at least two distinct u values past u_min")
+    assert not (out / "orbit-scan.csv").exists()
+
+
 def test_config_error_exits_3(tmp_path):
     path = tmp_path / "broken.cfg"
     path.write_text("[scan]\ntask = warble\n")
@@ -359,6 +411,7 @@ _CHEAP = {
     },
     "verify-gaussian": {("samples", "closed"): "5", ("samples", "grid"): "1", ("samples", "determinant"): "2"},
     "rep-selftest": {("suite", "group"): "heisenberg", ("suite", "n_pairs"): "5"},
+    "orbit-scan": {("scan", "task"): "chirp-1d", ("scan", "u_values"): "10.0,40.0,80.0"},
 }
 _SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e300, 1e-300])
 

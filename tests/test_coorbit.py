@@ -1,6 +1,9 @@
 """Norm engine: analytic identities, scaling laws, independent quadrature
 routes, and the orbit scans."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -44,6 +47,7 @@ from coorbit_lab.groups import group_spec, section
 from coorbit_lab.numerics import TailMassWarning
 from coorbit_lab.representations import (
     RepSpec,
+    _States,
     formal_dimension,
     coefficient_log_modulus,
     known_formal_dimension,
@@ -286,10 +290,12 @@ def test_closed_form_quadratic_matches_the_stencil_fit(name, d, mu, lam):
     g = Gaussian(1.3 * np.eye(k) + 0.2 * np.ones((k, k)) + 0.15j * np.eye(k), np.full(k, 0.1 - 0.3j), 0.4)
     coupled, fitdims = coorbit._coordinate_split(rep)
     nodes = _nodes(rep)
-    quads = coorbit._node_quadratics(rep, f, g, nodes)
+    # one state per node, each shifted in its linear part
+    states = [Gaussian(f.quad, f.lin + 0.05 * j * (1.0 - 0.5j), f.log_amp) for j in range(len(nodes))]
+    quads = coorbit._node_quadratics(rep, _States.stack(states), g, nodes)
     for j, node in enumerate(nodes):
 
-        def kernel(r, node=node):
+        def kernel(r, node=node, f=states[j]):
             q = np.zeros(rep.group.quotient_dim)
             q[coupled], q[fitdims] = node, r
             return coefficient_log_modulus(rep, section(rep.group, q), f, g)[0]
@@ -309,7 +315,7 @@ def test_closed_form_quadratic_is_exact_near_a_far_mode():
     rep = sibling.rep
     coupled, fitdims = coorbit._coordinate_split(rep)
     nodes = np.linspace(-8.0, 8.0, 9)[:, None]
-    quads = coorbit._node_quadratics(rep, f, g, nodes)
+    quads = coorbit._node_quadratics(rep, _States.stack([f] * len(nodes)), g, nodes)
     rng = np.random.default_rng(5)
     for j, node in enumerate(nodes):
         quad = LogQuadratic(quads.const[j], quads.grad[j], quads.hess[j])
@@ -491,37 +497,42 @@ def test_batched_probe_matches_sequential(name):
     mass = _SLICE_MASSES[name]
     calls = []
 
-    def batched(c):
-        calls.append(len(c))
+    def batched(rows, c):
+        assert list(rows) == [0]
+        calls.append(c.size)
         return mass(np.asarray(c, dtype=float))
 
-    got = coorbit._probe_center(batched)
+    (got,) = coorbit._probe_center(batched, 1)
     assert got == _sequential_probe(lambda c: float(mass(np.array([c]))[0]))
     assert calls[0] == 21 and set(calls[1:]) <= {2}
 
 
-def test_g53_coorbit_scans_unchanged_by_batched_probe(monkeypatch):
-    # the g5_3 and g6_19 coorbit scans recentre through the probe; feeding it
-    # one center at a time must give the same centers and the same norms
-    own, _, sibling = g53_curve_tasks(1.0)
-    u_values = tuple(5.0 * 2**k for k in range(8))  # 5 .. 640
-    batched_probe = coorbit._probe_center
+def test_lockstep_probe_matches_sequential_per_row():
+    # every slice-mass shape is one row of a single lockstep probe: each row
+    # must land where the sequential probe lands, and a row must leave the
+    # calls once its climb is done, after as many steps as the sequential one
+    names = list(_SLICE_MASSES)
+    masses = [_SLICE_MASSES[name] for name in names]
+    calls = []
 
-    def run(probe):
-        centers = []
+    def lockstep(rows, c):
+        calls.append((list(rows), c.shape))
+        return np.stack([masses[r](c[i]) for i, r in enumerate(rows)])
 
-        def recording(slice_mass):
-            centers.append(probe(slice_mass))
-            return centers[-1]
+    got = coorbit._probe_center(lockstep, len(names))
+    assert calls[0] == (list(range(len(names))), (len(names), 21))
+    for before, (rows, shape) in zip(calls, calls[1:]):
+        assert shape == (len(rows), 2)
+        assert set(rows) <= set(before[0])
+    for r, mass in enumerate(masses):
+        seen = []
 
-        monkeypatch.setattr(coorbit, "_probe_center", recording)
-        logs = [orbit_scan(task, u_values=u_values).log_norms for task in (own, sibling)]
-        return centers, logs
+        def scalar(c, mass=mass):
+            seen.append(c)
+            return float(mass(np.array([c]))[0])
 
-    batched = run(batched_probe)
-    sequential = run(lambda sm: _sequential_probe(lambda c: float(sm(np.array([c]))[0])))
-    assert len(batched[0]) == 2 * len(u_values)
-    assert batched == sequential
+        assert got[r] == _sequential_probe(scalar), names[r]
+        assert sum(r in rows for rows, _ in calls[1:]) == (len(seen) - 21) // 2, names[r]
 
 
 @pytest.mark.parametrize("u", [320.0, 640.0])
@@ -646,3 +657,137 @@ def test_norm_task_validation():
         NormTask("x", "bogus", NormSpec(), lambda u: None)
     with pytest.raises(ValueError):
         NormTask("x", "coorbit", NormSpec(), lambda u: None, rep=None)
+
+
+_LADDERS = {"default": DEFAULT_SCAN, "5-640": tuple(5.0 * 2**k for k in range(8))}
+
+
+def _scan_tasks():
+    from coorbit_lab.cli import _SCAN_TASKS
+
+    tasks = [
+        pytest.param(factory(p), ladder, id=f"{name}-p{p:g}-{ladder}")
+        for name, (factory, _, _) in _SCAN_TASKS.items()
+        for p in (1.0, 1.5, 2.0)
+        for ladder in _LADDERS
+    ]
+    weighted = NormSpec(p=1.5, weight=power_weight(1.0, (0, 1)), resolution=0.25)
+    mixed = NormSpec(p=2.0, q=1.0, weight=power_weight(1.0, (0,)), box_half=12.0, resolution=0.25)
+
+    def prepare(u):
+        return chirp(unit_gaussian(1), np.array([[0.02 * u]])), unit_gaussian(1)
+
+    for label, spec in (("weighted", weighted), ("mixed", mixed)):
+        tasks.append(pytest.param(NormTask(label, "modulation", spec, prepare), "default", id=f"{label}-modulation"))
+    return tasks
+
+
+@pytest.mark.parametrize("task,ladder", _scan_tasks())
+def test_orbit_scan_is_the_per_u_scalar_norms(task, ladder):
+    # one stacked evaluation over the u-ladder gives, bit for bit, the log
+    # norms of one public scalar call per u
+    u_values = _LADDERS[ladder]
+    res = orbit_scan(task, u_values)
+    want = []
+    for u in u_values:
+        f, g = task.prepare(u)
+        if task.kind == "modulation":
+            want.append(modulation_norm_log(f, g, task.norm))
+        else:
+            want.append(coorbit_norm_log(task.rep, f, g, task.norm))
+    assert [v.hex() for v in res.log_norms] == [v.hex() for v in want]
+    assert len(res.centers) == (len(u_values) if task.kind == "coorbit" else 0)
+
+
+def _count_node_reads(monkeypatch):
+    """Wrap coorbit._node_quadratics; the list it returns gets the node count of each call."""
+    calls = []
+    inner = coorbit._node_quadratics
+
+    def counting(rep, states, g, cpts):
+        calls.append(len(cpts))
+        return inner(rep, states, g, cpts)
+
+    monkeypatch.setattr(coorbit, "_node_quadratics", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "task",
+    [chirp_scan_task(1.0), chirp_scan_task(2.0, cross=True), g53_curve_tasks(1.0)[1], df_modulation_task(1.0)],
+    ids=lambda t: t.label,
+)
+def test_modulation_scan_reads_one_node_batch(monkeypatch, task):
+    calls = _count_node_reads(monkeypatch)
+    orbit_scan(task, DEFAULT_SCAN)
+    assert calls == [len(DEFAULT_SCAN)]
+
+
+def test_coorbit_scan_probes_in_lockstep(monkeypatch):
+    # one ladder read of 21 nodes per state, then one read per lockstep step,
+    # then one mesh read of every state's nodes
+    own = g53_curve_tasks(1.0)[0]
+    calls = _count_node_reads(monkeypatch)
+    res = orbit_scan(own, DEFAULT_SCAN)
+    u = len(DEFAULT_SCAN)
+    assert calls[0] == 21 * u
+    assert all(0 < n <= 2 * u and n % 2 == 0 for n in calls[1:-1])
+    assert calls[-1] == u * len(coorbit._linear_axis(0.0, own.norm)[0])
+    assert len(res.centers) == u and all(len(c) == 1 for c in res.centers)
+
+
+def test_stacked_tail_check_names_only_the_state_that_spills():
+    # a state narrow along the first acting variable spreads along g5_3's
+    # coupled coordinate past a box of half-width 1.5; the unit states do not
+    rep = RepSpec(group_spec("g5_3"), 1.0)
+
+    def prepare(u):
+        return Gaussian(np.diag([20.0 if u == 40.0 else 1.0, 1.0])), unit_gaussian(2)
+
+    task = NormTask("spill", "coorbit", NormSpec(p=2.0, box_half=1.5), prepare, rep=rep)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        orbit_scan(task, (10.0, 20.0, 40.0, 80.0))
+    messages = [str(w.message) for w in caught if issubclass(w.category, TailMassWarning)]
+    assert len(messages) == 1 and messages[0].startswith("coorbit norm on g5_3 at u = 40:")
+
+
+def test_orbit_scan_needs_one_window():
+    base = chirp_scan_task(1.0)
+    task = NormTask("two-windows", "modulation", base.norm, lambda u: (base.prepare(u)[0], Gaussian(1.0 + u)))
+    with pytest.raises(ValueError, match="window"):
+        orbit_scan(task, (1.0, 2.0, 40.0, 80.0))
+
+
+def test_fit_slope_needs_two_distinct_abscissae_past_u_min():
+    with pytest.raises(ValueError, match="distinct"):
+        fit_slope([10.0, 40.0, 40.0, 40.0], [0.0, 1.0, 1.0, 1.0], u_min=32.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope, _ = fit_slope([10.0, 40.0, 40.0, 80.0], [0.0, 1.0, 1.0, 1.0 + np.log(2.0)], u_min=32.0)
+    assert slope == pytest.approx(1.0, abs=1e-12)
+
+
+def test_weighted_coorbit_norm_memory_is_bounded_by_blocks():
+    # the weight mesh on quotient coordinates (0, 1) of g5_3 has 129 x 129
+    # nodes per coupled node (129 of them); conditioning them all at once
+    # peaked at 235 MB.  The child reports its peak resident size as VmHWM:
+    # ru_maxrss would carry over the peak of this process, which a fork and
+    # exec keep on Linux
+    code = (
+        "import numpy as np\n"
+        "from coorbit_lab.coorbit import NormSpec, coorbit_norm_log, power_weight\n"
+        "from coorbit_lab.gaussian import Gaussian, unit_gaussian\n"
+        "from coorbit_lab.groups import group_spec\n"
+        "from coorbit_lab.representations import RepSpec\n"
+        "rep = RepSpec(group_spec('g5_3'), 1.0)\n"
+        "spec = NormSpec(p=2.0, weight=power_weight(1.0, (0, 1)))\n"
+        "v = coorbit_norm_log(rep, Gaussian(1.2 * np.eye(2), np.full(2, 0.1)), unit_gaussian(2), spec)\n"
+        "hwm = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+        "print(repr(v), *hwm)\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = proc.stdout.split()
+    assert float(out[0]) == pytest.approx(-0.35512641994312855, rel=1e-15)
+    assert int(out[1]) / 1024.0 < 100.0  # VmHWM is in kB
