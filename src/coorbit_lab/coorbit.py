@@ -477,21 +477,21 @@ def coorbit_norm_log(
     return float(norms[0])
 
 
-def _coorbit_log_norms(rep, states, g, spec, tail="warn", tail_tol=0.01, recenter=True, where=None):
+def _coorbit_log_norms(rep, states, g, spec, tail="warn", tail_tol=0.01, recenter=True, labels=None):
     """coorbit_norm_log for every state f_i of states at once.
 
     Returns the log norms (U,) and the centers (U, c) the recentring probe
     found, c = 0 when no coupled coordinate is probed (none, or a sinh
     mesh, or recenter off).  Every mesh read stacks all U states; the tail
-    check is made per state, with where[i] (if given) appended to its
-    message.
+    check is made per state, and labels[i] names state i in its message
+    ("coorbit norm on <group>" if not given).
     """
     if spec.q is not None and spec.q != spec.p:
         raise NotImplementedError("mixed (p, q) exponents are only defined for modulation norms")
     group, p = rep.group, spec.p
     n = group.quotient_dim
     n_states = len(states.log_amp)
-    where = where or [""] * n_states
+    labels = labels or [f"coorbit norm on {group.name}"] * n_states
     coupled, fitdims = _coordinate_split(rep)
     weight = spec.weight
     if weight is not None and any(i < 0 or i >= n for i in weight.coords):
@@ -541,13 +541,13 @@ def _coorbit_log_norms(rep, states, g, spec, tail="warn", tail_tol=0.01, recente
         vals[block] = bvals
 
     norms = []
-    for (_, clogw, cbound), contribs, label in zip(meshes, np.split(vals, np.cumsum(counts)[:-1]), where):
+    for (_, clogw, cbound), contribs, label in zip(meshes, np.split(vals, np.cumsum(counts)[:-1]), labels):
         contribs += clogw[:, None]
         contribs += wlogw[None, :]
         contribs = contribs.ravel()
         boundary = (cbound[:, None] | wbound[None, :]).ravel()
         total_log = logsumexp(contribs)
-        _check_tail(contribs, boundary, total_log, tail, tail_tol, f"coorbit norm on {group.name}{label}")
+        _check_tail(contribs, boundary, total_log, tail, tail_tol, label)
         norms.append(total_log / p)
     return np.array(norms), centers if probe else centers[:, :0]
 
@@ -590,32 +590,16 @@ def _modulation_log_norms(states, g, spec, tail="warn", tail_tol=0.01, where=Non
         raise ValueError(f"weight coordinates {weight.coords} out of range for phase-space dim {n}")
 
     # V_g f(x, xi) = <f, M_xi T_x g> is the coefficient of the Heisenberg
-    # group H_d at lambda = -1, whose quotient coordinates are (x, xi): one
-    # node per state
-    quad = _node_quadratics(_stft_rep(d), states, g, np.zeros((n_states, 0))).scaled(p)
-    xdims = list(range(d))
-    xidims = list(range(d, n))
-
-    if weight is None:
-        if q == p:
-            return quad.total() / p
-        inner = quad.marginalized(xdims)  # closed-form x-integral, leaves xi
-        return inner.scaled(q / p).total() / q
-
-    norms = np.empty(n_states)
+    # group H_d at lambda = -1, whose quotient coordinates are (x, xi): with
+    # q = p the modulation norm is that representation's coorbit norm
     if q == p:
-        wdims = sorted(weight.coords)  # the fit spans all n dims
-        pts, logw, bound = _product_mesh([_linear_axis(0.0, spec) for _ in wdims])
-        zfull = np.zeros((len(pts), n))
-        zfull[:, wdims] = pts
-        wlog = p * weight.log_eval(zfull)
-        for block in _blocks(n_states, len(pts)):
-            contribs = _rows(quad, block).conditioned(wdims, pts).total() + wlog + logw
-            for i, row in zip(range(n_states)[block], contribs):
-                total_log = logsumexp(row)
-                _check_tail(row, bound, total_log, tail, tail_tol, f"modulation norm{where[i]}")
-                norms[i] = total_log / p
-        return norms
+        labels = [f"modulation norm{w}" for w in where]
+        return _coorbit_log_norms(_stft_rep(d), states, g, spec, tail, tail_tol, labels=labels)[0]
+    quad = _node_quadratics(_stft_rep(d), states, g, np.zeros((n_states, 0))).scaled(p)
+    xidims = list(range(d, n))
+    if weight is None:
+        inner = quad.marginalized(list(range(d)))  # closed-form x-integral, leaves xi
+        return inner.scaled(q / p).total() / q
 
     # mixed exponents with a weight: mesh every frequency direction, then the
     # weighted position directions inside each frequency slice; per state one
@@ -627,6 +611,7 @@ def _modulation_log_norms(states, g, spec, tail="warn", tail_tol=0.01, where=Non
     zfull[..., xidims] = xi_pts[:, None, :]
     zfull[..., xw] = xw_pts[None, :, :]
     wlog = p * weight.log_eval(zfull)
+    norms = np.empty(n_states)
     for block in _blocks(n_states, zfull.shape[0] * zfull.shape[1]):
         sliced = _rows(quad, block).conditioned(xidims, xi_pts)  # quadratics over the x dims, in order
         sliced = LogQuadratic(sliced.const[..., None], sliced.grad[..., None, :], sliced.hess[..., None, :, :])
@@ -764,7 +749,8 @@ def orbit_scan(task: NormTask, u_values: Sequence[float] = DEFAULT_SCAN, u_min_f
     if task.kind == "modulation":
         logs, centers = _modulation_log_norms(states, g, task.norm, where=where), ()
     else:
-        logs, found = _coorbit_log_norms(task.rep, states, g, task.norm, where=where)
+        labels = [f"coorbit norm on {task.rep.group.name}{w}" for w in where]
+        logs, found = _coorbit_log_norms(task.rep, states, g, task.norm, labels=labels)
         centers = tuple(tuple(float(c) for c in row) for row in found) if found.size else ()
     logs = tuple(float(v) for v in logs)
     slope, intercept = fit_slope(u_values, logs, task.growth, u_min_fit)

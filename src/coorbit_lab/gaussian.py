@@ -193,10 +193,18 @@ def log_gauss_integrals(quad, lin, log_amp):
 
     quad (..., d, d), lin (..., d) and log_amp (...) hold one Gaussian per
     row; they are taken as they are, unvalidated.  One batched solve and one
-    batched eigenvalue branch serve every row.
+    batched eigenvalue branch serve every row.  lin may instead carry one
+    axis more than quad, (..., J, d) with log_amp (..., J): J Gaussians share
+    each form, and its solve takes the J right-hand sides at once.
     """
-    y = np.linalg.solve(quad, lin[..., None])
-    return log_amp - _log_det_sqrt(quad) + (lin[..., None, :] @ y)[..., 0, 0] / (4.0 * np.pi)
+    shared = lin.ndim == quad.ndim
+    lins = lin if shared else lin[..., None, :]
+    y = np.swapaxes(np.linalg.solve(quad, np.swapaxes(lins, -1, -2)), -1, -2)
+    quadratic = (lins[..., None, :] @ y[..., None])[..., 0, 0]
+    log_det = _log_det_sqrt(quad)[..., None]
+    if not shared:
+        quadratic, log_det = quadratic[..., 0], log_det[..., 0]
+    return log_amp - log_det + quadratic / (4.0 * np.pi)
 
 
 def log_gauss_integral(g: Gaussian) -> complex:

@@ -54,8 +54,10 @@ class RepSpec:
             raise ValueError(f"lam and mu must be finite, got lam={self.lam}, mu={self.mu}")
         if self.mu != 0.0 and self.group.center_dim != 2:
             raise ValueError(f"{name} has a one-dimensional centre and takes no mu parameter")
-        if known_formal_dimension(self) == 0.0:
-            raise ValueError(f"{name} has no square-integrable representation at lambda={self.lam}, mu={self.mu}")
+        d_pi = known_formal_dimension(self)
+        if d_pi == 0.0 or d_pi == math.inf:
+            why = "no square-integrable representation" if d_pi == 0.0 else "a formal dimension beyond double range"
+            raise ValueError(f"{name} has {why} at lambda={self.lam}, mu={self.mu}")
 
     @property
     def acting_dim(self) -> int:
@@ -405,6 +407,9 @@ def formal_dimension(rep: RepSpec, g=None, box_half: float = 8.0, resolution: fl
 def known_formal_dimension(rep: RepSpec) -> float:
     """The formal dimension in closed form: d_pi = |Pf(B)| = sqrt|det B|.
 
+    Taken as exp(log|det B| / 2): a determinant past double range still gives
+    d_pi when d_pi itself fits, and inf when it does not.
+
     B(X, Y) = <l, [X, Y]> on the non-central coordinates, with l the central
     character: lam on the first central coordinate, mu on the second
     (Moore & Wolf, Trans. AMS 185, 1973; Corwin & Greenleaf 1990, sec. 4.5).
@@ -414,4 +419,5 @@ def known_formal_dimension(rep: RepSpec) -> float:
     ell[list(grp.center_indices)] = (rep.lam, rep.mu)[: grp.center_dim]
     outer = list(grp.noncenter_indices)
     B = (structure_constants(grp) @ ell)[np.ix_(outer, outer)]
-    return float(np.sqrt(abs(np.linalg.det(B))))
+    with np.errstate(over="ignore"):  # a singular B has log|det B| = -inf, so d_pi = 0
+        return float(np.exp(0.5 * np.linalg.slogdet(B)[1]))

@@ -242,6 +242,7 @@ def test_late_config_error_exits_3(tmp_path, capsys):
         ("density", "[lattice]\neps = nan\n"),
         ("frame-sweep", "[sweep]\neps_values = 0.5,inf\n"),
         ("coorbit-norm", "[group]\nname = heisenberg\nlam = nan\n"),
+        ("coorbit-norm", "[group]\nname = dynin_folland\nlam = 1e200\n"),
     ],
     ids=[
         "g5_3-lam-0",
@@ -253,16 +254,32 @@ def test_late_config_error_exits_3(tmp_path, capsys):
         "density-eps-nan",
         "sweep-eps-inf",
         "lam-nan",
+        "dynin-d-pi-past-double-range",
     ],
 )
 def test_value_the_library_rejects_exits_3(tmp_path, capsys, kind, text):
     # a RepSpec, NormSpec, QuasiLattice or group record that rejects a config
-    # value is a config error, not a traceback
-    code, _ = run_cli(tmp_path, "rejected.cfg", text, kind)
+    # value is a config error, not a traceback, and raises no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _ = run_cli(tmp_path, "rejected.cfg", text, kind)
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+def test_frame_sweep_at_a_huge_lambda_keeps_its_formal_dimension(tmp_path):
+    # det B = 1e600 overflows, d_pi = 1e300 does not; the Gram exponents that
+    # overflow are exact zeros, and every sweep point lies below the density
+    text = "[sweep]\nlam = -1e300\neps_values = 0.5,1.25\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, "huge.cfg", text, "frame-sweep")
+    assert code == 0
+    summary = _strict_json((out / "frame-sweep.json").read_text())
+    assert summary["metrics"]["formal_dimension"] == pytest.approx(1e300, rel=1e-12)
+    assert summary["metrics"]["worst_subcritical_ratio"] < 0.01
 
 
 @pytest.mark.parametrize(
@@ -443,10 +460,12 @@ def _configs(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_configs())
 def test_every_config_value_exits_0_2_or_3_without_traceback(case):
-    # NaN, infinity, zero and negative values in every numeric key of the cheap kinds
+    # NaN, infinity, zero and negative values in every numeric key of the cheap
+    # kinds; a RuntimeWarning (an overflow, say) counts as a failure too
     kind, text = case
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         path = f"{tmp}/case.cfg"
         with open(path, "w") as fh:
             fh.write(text)
