@@ -47,7 +47,7 @@ from .gaussian import (
     unit_gaussian,
 )
 from .groups import GROUPS, group_spec
-from .numerics import GridSpec, TailMassWarning, dft_stft
+from .numerics import GridSpec, TailMassWarning, WorkBudgetError, dft_stft
 from .representations import RepSpec, homomorphism_check, known_formal_dimension, unitarity_check
 
 KINDS = (
@@ -540,6 +540,9 @@ def _build_state(config, dim):
         raise ConfigError(f"f_quad needs {dim} entries for this group", key="state.f_quad")
     if lin is not None and len(lin) != dim:
         raise ConfigError(f"f_lin needs {dim} entries for this group", key="state.f_lin")
+    for key, values in (("f_quad", quad), ("f_lin", lin or ())):
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{key} entries must be finite", key=f"state.{key}")
     return Gaussian(np.diag(quad), None if lin is None else np.asarray(lin))
 
 
@@ -693,14 +696,17 @@ _RUNNERS = {
 def run(config: ExperimentConfig, out_dir: str = ".") -> int:
     """Run one experiment; write <kind>.csv and <kind>.json under out_dir.
 
-    A numerical failure inside the run (a RuntimeError, ValueError,
-    ArithmeticError or MemoryError that is not a config error) writes the
-    JSON alone, with pass false and the error, and returns 2.  The JSON is
-    strict: a non-finite number is written as null.
+    A setting over one of the library's work budgets is a config error,
+    raised before any work is done.  A numerical failure inside the run (a
+    RuntimeError, ValueError, ArithmeticError or MemoryError that is not a
+    config error) writes the JSON alone, with pass false and the error, and
+    returns 2.  The JSON is strict: a non-finite number is written as null.
     """
     error = None
     try:
         header, rows, metrics, passed = _RUNNERS[config.kind](config)
+    except WorkBudgetError as exc:
+        raise ConfigError(str(exc)) from None
     except (RuntimeError, ValueError, ArithmeticError, MemoryError) as exc:
         error = f"{type(exc).__name__}: {exc}"
         print(f"numerical error: {error}", file=sys.stderr)

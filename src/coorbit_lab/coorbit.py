@@ -26,7 +26,7 @@ import numpy as np
 
 from .gaussian import Gaussian, chirp, tensor, unit_gaussian
 from .groups import GroupSpec, group_spec, quotient_multiply, section
-from .numerics import TailMassWarning, logsumexp
+from .numerics import TailMassWarning, check_budget, logsumexp
 from .representations import (
     RepSpec,
     _States,
@@ -67,6 +67,10 @@ _BLOCK = 1024
 # quadratic models per batched conditioning in the weighted branches: bounds
 # their working memory whatever the weight mesh size
 _MODELS = 1 << 16
+# coupled mesh nodes times weight mesh nodes, summed over the states, that
+# one norm evaluation may take on; beyond it a NormSpec is refused before any
+# mesh is built
+_MAX_NODES = 1 << 22
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -385,6 +389,16 @@ def _sinh_axis(spec: NormSpec):
     return np.sinh(s), math.log(step) + np.log(np.cosh(s))
 
 
+def _axis_nodes(spec: NormSpec, sinh: bool):
+    """The node count of a _sinh_axis or _linear_axis, from the spec alone (inf past float range)."""
+    if sinh:
+        s_max, step = math.asinh(25.0 * spec.box_half), 2.0 * spec.resolution
+        span = (2.0 * s_max + 0.5 * step) / step
+    else:
+        span = (2.0 * spec.box_half + 0.5 * spec.resolution) / spec.resolution
+    return math.ceil(span) if math.isfinite(span) else math.inf
+
+
 def _product_mesh(axes):
     """Cartesian product of (values, log-weights) axes.
 
@@ -498,6 +512,13 @@ def _coorbit_log_norms(rep, states, g, spec, tail="warn", tail_tol=0.01, recente
         raise ValueError(f"weight coordinates {weight.coords} out of range for quotient dim {n}")
     wdims = sorted(set(weight.coords) - set(coupled)) if weight is not None else []
     wpos = [fitdims.index(i) for i in wdims]
+    nodes = n_states * _axis_nodes(spec, group.sinh_mesh) ** len(coupled) * _axis_nodes(spec, False) ** len(wdims)
+    check_budget(
+        nodes,
+        _MAX_NODES,
+        f"{labels[0]}: {n_states} state(s) x {len(coupled)} coupled and {len(wdims)} weighted mesh axes "
+        f"at resolution {spec.resolution:g} in a box of half-width {spec.box_half:g}",
+    )
 
     if not coupled and not wdims:
         quad = _node_quadratics(rep, states, g, np.zeros((n_states, 0))).scaled(p)

@@ -19,8 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .gaussian import Gaussian, log_gauss_integrals, modulate, translate, unit_gaussian
-from .groups import GroupSpec, axis_point, quotient_inverse, quotient_multiply, section
-from .numerics import GridSpec, TailMassWarning
+from .groups import GroupSpec, axis_point, inverse, multiply, project, section
+from .numerics import GridSpec, TailMassWarning, WorkBudgetError, check_budget
 from .representations import RepSpec, _stft_rep, act, default_window
 
 __all__ = [
@@ -51,37 +51,59 @@ class QuasiLattice:
         return self.group.quotient_dim
 
 
+# The routines below run in full group coordinates: they lift their stack
+# once, chain multiply with axis elements, and project once at the end.  No
+# law reads a central coordinate into a noncentral one, so the quotient
+# coordinates come out bit for bit as a quotient_multiply per step would give
+# them.
+
+def _times_axis(group: GroupSpec, w, j: int, t) -> np.ndarray:
+    """w e^{t X_j} for a full-coordinate stack w and quotient axis j."""
+    return multiply(group, w, axis_point(group.total_dim, group.noncenter_indices[j], t))
+
+
+def _descending(lat: QuasiLattice, ks) -> np.ndarray:
+    """gamma(k) in full coordinates, central part as the chain leaves it."""
+    group, eps, n = lat.group, lat.eps, lat.ndim
+    w = axis_point(group.total_dim, group.noncenter_indices[n - 1], ks[..., n - 1] * eps)
+    for j in range(n - 2, -1, -1):
+        w = _times_axis(group, w, j, ks[..., j] * eps)
+    return w
+
+
+def _ascending(group: GroupSpec, ts) -> np.ndarray:
+    """e^{t_1 X_1} ... e^{t_n X_n} in full coordinates."""
+    w = axis_point(group.total_dim, group.noncenter_indices[0], ts[..., 0])
+    for j in range(1, group.quotient_dim):
+        w = _times_axis(group, w, j, ts[..., j])
+    return w
+
+
+def _ordered(group: GroupSpec, w) -> np.ndarray:
+    """The ascending coordinates of a full-coordinate stack w, peeled from the top down."""
+    out = np.empty(w.shape[:-1] + (group.quotient_dim,))
+    for j in range(group.quotient_dim - 1, -1, -1):
+        out[..., j] = w[..., group.noncenter_indices[j]]
+        w = _times_axis(group, w, j, -out[..., j])
+    return out
+
+
 def quasilattice_points(lat: QuasiLattice, ks) -> np.ndarray:
     """gamma(k) for integer arrays k of shape (..., n): descending products."""
     ks = np.asarray(ks, dtype=float)
-    n = lat.ndim
-    if ks.shape[-1] != n:
-        raise ValueError(f"expected trailing dimension {n}")
-    w = axis_point(n, n - 1, ks[..., n - 1] * lat.eps)
-    for j in range(n - 2, -1, -1):
-        w = quotient_multiply(lat.group, w, axis_point(n, j, ks[..., j] * lat.eps))
-    return w
+    if ks.shape[-1] != lat.ndim:
+        raise ValueError(f"expected trailing dimension {lat.ndim}")
+    return project(lat.group, _descending(lat, ks))
 
 
 def ascending_point(group: GroupSpec, ts) -> np.ndarray:
     """e^{t_1 X_1} ... e^{t_n X_n} in the quotient, batched over leading axes."""
-    ts = np.asarray(ts, dtype=float)
-    n = group.quotient_dim
-    w = axis_point(n, 0, ts[..., 0])
-    for j in range(1, n):
-        w = quotient_multiply(group, w, axis_point(n, j, ts[..., j]))
-    return w
+    return project(group, _ascending(group, np.asarray(ts, dtype=float)))
 
 
 def ordered_coords(group: GroupSpec, w) -> np.ndarray:
     """Invert ascending_point: peel coordinates from the top down."""
-    w = np.array(w, dtype=float, copy=True)
-    n = group.quotient_dim
-    out = np.empty_like(w)
-    for j in range(n - 1, -1, -1):
-        out[..., j] = w[..., j]
-        w = quotient_multiply(group, w, axis_point(n, j, -out[..., j]))
-    return out
+    return _ordered(group, section(group, w))
 
 
 def _labels(x, eps: float, box: float) -> np.ndarray:
@@ -108,18 +130,20 @@ def locate(lat: QuasiLattice, points):
     plain rounding.  Returns (k, t, residual) with residual the largest
     leftover coordinate after full stripping (should be at float level).
     """
-    w = np.array(points, dtype=float, copy=True)
     group, eps, n = lat.group, lat.eps, lat.ndim
+    w = section(group, points)
     box = float(np.abs(w).max(initial=0.0))
-    ks = np.empty_like(w)
-    ts = np.empty_like(w)
+    ks = np.empty(w.shape[:-1] + (n,))
+    ts = np.empty_like(ks)
     for j in range(n - 1, -1, -1):
-        kj = np.floor(_labels(w[..., j], eps, box) + 0.5)
-        tj = w[..., j] - kj * eps
+        wj = w[..., group.noncenter_indices[j]]
+        kj = np.floor(_labels(wj, eps, box) + 0.5)
+        tj = wj - kj * eps
         ks[..., j] = kj
         ts[..., j] = tj
-        w = quotient_multiply(group, axis_point(n, j, -kj * eps), quotient_multiply(group, w, axis_point(n, j, -tj)))
-    return ks.astype(np.int64), ts, float(np.abs(w).max())
+        step = axis_point(group.total_dim, group.noncenter_indices[j], -kj * eps)
+        w = multiply(group, step, _times_axis(group, w, j, -tj))
+    return ks.astype(np.int64), ts, float(np.abs(project(group, w)).max())
 
 
 def tiling_check(
@@ -141,7 +165,7 @@ def tiling_check(
     pts = rng.uniform(-box, box, (n_points, n))
     ks, ts, residual = locate(lat, pts)
 
-    recon = quotient_multiply(group, quasilattice_points(lat, ks), ascending_point(group, ts))
+    recon = project(group, multiply(group, _descending(lat, ks), _ascending(group, ts)))
     scale = max(1.0, float(np.abs(pts).max()))
     errs = np.abs(recon - pts).max(axis=-1) / scale
     in_tile = np.all((ts >= -eps / 2 - 1e-9) & (ts < eps / 2 + 1e-9), axis=-1)
@@ -153,8 +177,7 @@ def tiling_check(
         for sign in (1, -1):
             k2 = ks[sub].copy()
             k2[:, j] += sign
-            rel = quotient_multiply(group, quotient_inverse(group, quasilattice_points(lat, k2)), pts[sub])
-            t2 = ordered_coords(group, rel)
+            t2 = _ordered(group, multiply(group, inverse(group, _descending(lat, k2)), section(group, pts[sub])))
             strictly_inside = np.all((t2 > -eps / 2 + 1e-9) & (t2 < eps / 2 - 1e-9), axis=-1)
             violations += int(np.count_nonzero(strictly_inside))
 
@@ -179,10 +202,10 @@ def lattice_points_in_box(lat: QuasiLattice, center, r: float) -> np.ndarray:
     polynomial shear of the lower coordinates is followed automatically.
     """
     group, eps, n = lat.group, lat.eps, lat.ndim
-    partial = quotient_inverse(group, np.asarray(center, dtype=float)).reshape(1, n)
+    partial = inverse(group, section(group, np.reshape(center, (1, n))))
     ks = np.zeros((1, 0), dtype=np.int64)
     for j in reversed(range(n)):
-        w = partial[:, j]
+        w = partial[:, group.noncenter_indices[j]]
         lo = np.ceil(_labels(-r - w, eps, r) - 1e-12).astype(np.int64)
         hi = np.ceil(_labels(r - w, eps, r) - 1e-12).astype(np.int64) - 1  # strict: w + k eps < r
         cnt = np.maximum(hi - lo + 1, 0)
@@ -190,9 +213,7 @@ def lattice_points_in_box(lat: QuasiLattice, center, r: float) -> np.ndarray:
         starts = np.concatenate([[0], np.cumsum(cnt)[:-1]])
         offsets = np.arange(int(cnt.sum())) - np.repeat(starts, cnt)
         k_j = lo[idx] + offsets
-        step = np.zeros((len(k_j), n))
-        step[:, j] = k_j * eps
-        partial = quotient_multiply(group, partial[idx], step)
+        partial = _times_axis(group, partial[idx], j, k_j * eps)  # the gather keeps the columns contiguous
         ks = np.column_stack([ks[idx], k_j])
     return ks[:, ::-1]
 
@@ -210,8 +231,8 @@ def _distinct_rows(ks) -> bool:
     if math.prod(int(s) for s in span) > np.iinfo(np.int64).max:
         raise OverflowError("lattice labels span more keys than int64 holds")
     radix = np.concatenate([np.cumprod(span[:0:-1])[::-1], [1]])
-    keys = (ks - lo) @ radix
-    return len(np.unique(keys)) == len(ks)
+    keys = np.sort((ks - lo) @ radix)
+    return not np.any(keys[1:] == keys[:-1])
 
 
 def beurling_density(lat: QuasiLattice, m_values=None, n_centers: int = 3, seed: int = 0) -> dict:
@@ -229,7 +250,7 @@ def beurling_density(lat: QuasiLattice, m_values=None, n_centers: int = 3, seed:
     m_values = tuple(sorted(int(m) for m in m_values))
     rng = np.random.default_rng(seed)
     centers = np.vstack([np.zeros((1, n)), rng.uniform(-2.0, 2.0, (n_centers - 1, n))])
-    inv_centers = quotient_inverse(group, centers)
+    inv_centers = inverse(group, section(group, centers))
 
     counts = np.zeros((len(centers), len(m_values)), dtype=np.int64)
     verified = True
@@ -238,11 +259,7 @@ def beurling_density(lat: QuasiLattice, m_values=None, n_centers: int = 3, seed:
             r = (m + 0.5) * eps
             ks = lattice_points_in_box(lat, centers[ci], r)
             counts[ci, mi] = len(ks)
-            rel = quotient_multiply(
-                group,
-                np.broadcast_to(inv_centers[ci], (len(ks), n)),
-                quasilattice_points(lat, ks),
-            )
+            rel = project(group, multiply(group, inv_centers[ci : ci + 1], _descending(lat, ks)))
             inside = np.all((rel >= -r) & (rel < r), axis=-1)
             if not inside.all() or not _distinct_rows(ks):
                 verified = False
@@ -298,6 +315,20 @@ def _coefficients(test_lin, test_amp, quad, lin, log_amp) -> np.ndarray:
     return out
 
 
+# entries in any one array of the frame estimate: the lattice labels, the Gram
+# entries (lattice points x test atoms) and the test-space Gram entries
+_MAX_ENTRIES = 1 << 24
+# bound on max(1, |lam|, |mu|) (1 + lattice_radius + eps)^3: the factor tables
+# are polynomials of degree at most 3 in a lattice coordinate, and act
+# multiplies their values by at most 2 pi, which must stay in double range
+_MAX_REACH = 1e306
+
+
+def _count(x: float):
+    """ceil(x) as an int, or inf when x is not finite."""
+    return math.ceil(x) if math.isfinite(x) else math.inf
+
+
 @lru_cache(maxsize=4)
 def _test_space(d: int, dict_halfrange: float, dict_step: float, gram_cut: float):
     """The test atoms and the whitened basis of their span, read-only.
@@ -307,6 +338,8 @@ def _test_space(d: int, dict_halfrange: float, dict_step: float, gram_cut: float
     None of this depends on the lattice, so a sweep over eps builds it once.
     Returns (lin, log_amp, basis), one row of lin per atom.
     """
+    atoms = _count((dict_halfrange + 0.5 * dict_step + dict_halfrange) / dict_step) ** (2 * d)
+    check_budget(atoms * atoms, _MAX_ENTRIES, f"frame bounds: test-space Gram entries at d = {d}")
     offs = np.arange(-dict_halfrange, dict_halfrange + 0.5 * dict_step, dict_step)
     stft = _stft_rep(d)
     z = np.stack(np.meshgrid(*([offs] * (2 * d)), indexing="ij"), axis=-1).reshape(-1, 2 * d)
@@ -340,6 +373,10 @@ def frame_bounds_estimate(
     lower bound.  Both Gram matrices are Gaussian integrals in closed form.
     The test space depends only on the dimension and the dictionary
     settings, and is built once per such setting.
+
+    Settings that ask for more than _MAX_ENTRIES labels or Gram entries, or
+    whose lattice points would carry the factors of pi past double range,
+    raise WorkBudgetError before anything is allocated.
     """
     g = default_window(rep) if g is None else g
     d = rep.acting_dim
@@ -347,13 +384,25 @@ def frame_bounds_estimate(
         raise ValueError("window dimension does not match the representation")
     lat = QuasiLattice(rep.group, eps)
     n = lat.ndim
+    log_reach = math.log(max(1.0, abs(rep.lam), abs(rep.mu))) + 3.0 * math.log1p(lattice_radius + eps)
+    if not log_reach <= math.log(_MAX_REACH):
+        raise WorkBudgetError(
+            f"frame bounds: lambda = {rep.lam:g} and mu = {rep.mu:g} over a lattice reach of "
+            f"{lattice_radius + eps:g} carry the factors of pi past double range"
+        )
 
-    radius = int(math.ceil(lattice_radius / eps))
+    radius = _count(lattice_radius / eps)
+    check_budget((2 * radius + 1) ** n, _MAX_ENTRIES, f"frame bounds: lattice labels on a {n}-dimensional quotient")
     ks = np.stack(np.meshgrid(*([np.arange(-radius, radius + 1)] * n), indexing="ij"), axis=-1).reshape(-1, n)
     gamma = quasilattice_points(lat, ks)
     gamma = gamma[np.all(np.abs(gamma) <= lattice_radius + eps, axis=-1)]
 
     test_lin, test_amp, basis = _test_space(d, dict_halfrange, dict_step, gram_cut)
+    check_budget(
+        len(gamma) * len(test_amp),
+        _MAX_ENTRIES,
+        f"frame bounds: Gram entries of {len(gamma):,} lattice points x {len(test_amp):,} test atoms",
+    )
     coeff = _coefficients(test_lin, test_amp, *act(rep, section(rep.group, gamma), g.quad, g.lin, g.log_amp))
     frame_gram = coeff.conj().T @ coeff
     reduced = basis.conj().T @ frame_gram @ basis

@@ -16,7 +16,13 @@ Baker-Campbell-Hausdorff series of its brackets, summed by hand, and the tests
 keep that series as its reference.
 
 All operations broadcast over leading axes, so lattice and sampling code can
-push 10^4 points through at once.
+push 10^4 points through at once.  The stacks this module allocates
+(section, axis_point) are coordinate-major: Fortran-ordered, so each
+coordinate of an (N, n) stack is one contiguous column, which is how the laws
+read and write them.  The laws return the same bits on either layout.  Every
+record puts its centre at one end of the coordinates, so the noncentral ones
+form one slice, and section and project read and write it without a fancy
+index.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ __all__ = [
     "section",
     "project",
     "quotient_multiply",
-    "quotient_inverse",
     "axis_point",
     "structure_constants",
     "bracket_check",
@@ -92,15 +97,23 @@ class GroupSpec:
         c = set(self.center_indices)
         return tuple(i for i in range(self.total_dim) if i not in c)
 
+    @cached_property
+    def noncenter_slice(self) -> slice:
+        """The noncentral coordinates, which every record keeps contiguous."""
+        idx = self.noncenter_indices
+        if idx != tuple(range(idx[0], idx[-1] + 1)):
+            raise ValueError(f"{self.name}: the noncentral coordinates {idx} are not contiguous")
+        return slice(idx[0], idx[-1] + 1)
+
 
 def identity(spec: GroupSpec, shape=()) -> np.ndarray:
     return np.zeros(tuple(np.atleast_1d(shape)) + (spec.total_dim,)) if shape else np.zeros(spec.total_dim)
 
 
 def axis_point(dim: int, j: int, t) -> np.ndarray:
-    """Coordinate-axis element(s): t e_j, with t scalar or batched."""
+    """Coordinate-axis element(s): t e_j, with t scalar or batched; coordinate-major."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape + (dim,))
+    out = np.zeros(t.shape + (dim,), order="F")
     out[..., j] = t
     return out
 
@@ -248,7 +261,7 @@ def inverse(spec: GroupSpec, a) -> np.ndarray:
     # coordinates that are final when the reversed sweep reaches i: later
     # ones, and those with P_j = 0, which -a gets right from the start.  So
     # one sweep solves a.y = 0.
-    y = -a.copy()
+    y = -a
     for i in reversed(range(spec.total_dim)):
         y[..., i] -= multiply(spec, a, y)[..., i]
     return y
@@ -260,26 +273,23 @@ def commutator(spec: GroupSpec, a, b) -> np.ndarray:
 
 
 def section(spec: GroupSpec, q) -> np.ndarray:
-    """Lift quotient coordinates to the group, central part set to zero."""
+    """Lift quotient coordinates to the group, central part set to zero; coordinate-major."""
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != spec.quotient_dim:
         raise ValueError(f"expected trailing dimension {spec.quotient_dim}")
-    out = np.zeros(q.shape[:-1] + (spec.total_dim,))
-    out[..., list(spec.noncenter_indices)] = q
+    out = np.zeros(q.shape[:-1] + (spec.total_dim,), order="F")
+    out[..., spec.noncenter_slice] = q
     return out
 
 
 def project(spec: GroupSpec, a) -> np.ndarray:
+    """The quotient coordinates of a: a view of its noncentral slice."""
     a = np.asarray(a, dtype=float)
-    return a[..., list(spec.noncenter_indices)]
+    return a[..., spec.noncenter_slice]
 
 
 def quotient_multiply(spec: GroupSpec, qa, qb) -> np.ndarray:
     return project(spec, multiply(spec, section(spec, qa), section(spec, qb)))
-
-
-def quotient_inverse(spec: GroupSpec, qa) -> np.ndarray:
-    return project(spec, inverse(spec, section(spec, qa)))
 
 
 # ---------------------------------------------------------------------------

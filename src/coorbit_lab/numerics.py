@@ -9,6 +9,7 @@ tested against.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -18,6 +19,8 @@ __all__ = [
     "GridSpec",
     "SampledFunction",
     "TailMassWarning",
+    "WorkBudgetError",
+    "check_budget",
     "sample",
     "dft_stft",
     "quad_rep_coefficient",
@@ -27,6 +30,28 @@ __all__ = [
 
 class TailMassWarning(UserWarning):
     """Integrand has non-negligible mass at the truncation boundary."""
+
+
+class WorkBudgetError(ValueError):
+    """A setting asks for more work, or a wider range, than a fixed budget allows.
+
+    Raised before anything is allocated, with the count in the message; the
+    CLI reports it as a config error.
+    """
+
+
+def check_budget(count: int, budget: int, what: str) -> None:
+    """Raise WorkBudgetError naming the count unless count <= budget.
+
+    count is an int, or inf when it is past float range; counts from 10^15
+    up are named by their order of magnitude.
+    """
+    if count > budget:
+        if count < 10**15:
+            shown = f"{count:,}"
+        else:
+            shown = "more than 10^308" if count == math.inf else f"about 10^{math.log10(count):.0f}"
+        raise WorkBudgetError(f"{what}: {shown} exceeds the work budget of {budget:,}")
 
 
 _DEFAULTS = {1: (8.0, 512), 2: (6.0, 128), 3: (5.0, 64)}

@@ -243,6 +243,12 @@ def test_late_config_error_exits_3(tmp_path, capsys):
         ("frame-sweep", "[sweep]\neps_values = 0.5,inf\n"),
         ("coorbit-norm", "[group]\nname = heisenberg\nlam = nan\n"),
         ("coorbit-norm", "[group]\nname = dynin_folland\nlam = 1e200\n"),
+        ("coorbit-norm", "[group]\nname = g5_3\n\n[norm]\nresolution = 1e-6\n"),
+        ("coorbit-norm", "[group]\nname = heisenberg\n\n[state]\nf_quad = inf\n"),
+        (
+            "frame-sweep",
+            "[sweep]\nlam = -1e300\neps_values = 1e7\n\n[estimate]\nlattice_radius = 1e8\ndict_halfrange = 1.0\n",
+        ),
     ],
     ids=[
         "g5_3-lam-0",
@@ -255,11 +261,15 @@ def test_late_config_error_exits_3(tmp_path, capsys):
         "sweep-eps-inf",
         "lam-nan",
         "dynin-d-pi-past-double-range",
+        "g5_3-mesh-over-the-node-budget",
+        "state-f-quad-inf",
+        "sweep-lam-times-reach-past-double-range",
     ],
 )
 def test_value_the_library_rejects_exits_3(tmp_path, capsys, kind, text):
     # a RepSpec, NormSpec, QuasiLattice or group record that rejects a config
-    # value is a config error, not a traceback, and raises no RuntimeWarning on the way
+    # value, or a work budget it exceeds, is a config error, not a traceback,
+    # and raises no RuntimeWarning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, _ = run_cli(tmp_path, "rejected.cfg", text, kind)
@@ -358,21 +368,26 @@ sys.exit(main(["frame-sweep", "--config", sys.argv[1], "--out", sys.argv[2]]))
 """
 
 
-def test_frame_sweep_out_of_memory_exits_2(tmp_path):
-    # at eps = 1e-5 the frame-bound estimate asks for a 10.5 TiB label grid;
-    # the MemoryError is a numerical failure like any other
+@pytest.mark.parametrize(
+    "eps_values,count",
+    [("0.5,1e-5", "lattice labels on a 2-dimensional quotient: 1,440,002,400,001"), ("0.02", "104,387,089")],
+    ids=["labels", "gram"],
+)
+def test_frame_sweep_over_the_work_budget_exits_3(tmp_path, eps_values, count):
+    # at eps = 1e-5 the frame-bound estimate would ask for a 10.5 TiB label
+    # grid, at eps = 0.02 for 361,201 x 289 Gram entries; both are refused as
+    # config errors naming the count before anything is allocated, so a
+    # 4 GiB address-space cap is never reached
     path = tmp_path / "fine.cfg"
-    path.write_text("[sweep]\neps_values = 0.5,1e-5\n")
+    path.write_text(f"[sweep]\neps_values = {eps_values}\n")
     out = tmp_path / "out"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     cmd = [sys.executable, "-c", _CAPPED_FRAME_SWEEP, str(path), str(out)]
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("numerical error: MemoryError") and "Traceback" not in proc.stderr
-    summary = _strict_json((out / "frame-sweep.json").read_text())
-    assert summary["pass"] is False
-    assert summary["error"].startswith("MemoryError: ")
-    assert not (out / "frame-sweep.csv").exists()
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("config error: frame bounds: ") and "Traceback" not in proc.stderr
+    assert f"{count} exceeds the work budget" in proc.stderr
+    assert not out.exists()
 
 
 def test_lattice_labels_beyond_int64_exit_2_with_the_cause(tmp_path, capsys):
@@ -420,6 +435,7 @@ def test_runtime_needs_no_scipy(tmp_path):
 
 # cheap settings per kind; the property below overrides one value at a time
 _CHEAP = {
+    "coorbit-norm": {("group", "name"): "heisenberg"},
     "density": {("lattice", "group"): "heisenberg", ("lattice", "n_points"): "50"},
     "frame-sweep": {
         ("sweep", "eps_values"): "1.25",

@@ -17,15 +17,21 @@ from coorbit_lab.frames import (
     frame_bounds_estimate,
     lattice_points_in_box,
     locate,
+    ordered_coords,
     quasilattice_points,
     tiling_check,
 )
 from coorbit_lab.gaussian import Gaussian
-from coorbit_lab.groups import GROUPS, group_spec, quotient_inverse, quotient_multiply, section
+from coorbit_lab.groups import GROUPS, group_spec, inverse, multiply, project, quotient_multiply, section
 from coorbit_lab.numerics import quad_rep_coefficient
 from coorbit_lab.representations import RepSpec, act, default_window
 
 ALL_SPECS = [group_spec(n, 1) for n in GROUPS]
+SIX_SPECS = ALL_SPECS + [group_spec("heisenberg", 2)]
+
+
+def _quotient_inverse(spec, q):
+    return project(spec, inverse(spec, section(spec, q)))
 
 
 def test_quasilattice_points_against_manual_product():
@@ -73,13 +79,109 @@ def test_box_enumeration_against_integer_scan():
     axis = np.arange(-12, 13)
     ks = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), -1).reshape(-1, 4)
     gamma = quasilattice_points(lat, ks)
-    rel = quotient_multiply(
-        lat.group, np.broadcast_to(quotient_inverse(lat.group, center), gamma.shape), gamma
-    )
+    rel = quotient_multiply(lat.group, np.broadcast_to(_quotient_inverse(lat.group, center), gamma.shape), gamma)
     inside = np.all((rel >= -r) & (rel < r), axis=-1)
     want = ks[inside]
     order = lambda arr: arr[np.lexsort(arr.T[::-1])]
     assert np.array_equal(order(got), order(want))
+
+
+# ---------------------------------------------------------------------------
+# The row-major quotient chains the lattice routines ran before they moved to
+# full group coordinates: a lift, a law and a projection per axis step.  They
+# are kept here as the reference the routines must match bit for bit.
+
+def _row_lift(spec, q):
+    out = np.zeros(q.shape[:-1] + (spec.total_dim,))
+    out[..., list(spec.noncenter_indices)] = q
+    return out
+
+
+def _row_mul(spec, qa, qb):
+    return multiply(spec, _row_lift(spec, qa), _row_lift(spec, qb))[..., list(spec.noncenter_indices)]
+
+
+def _row_axis(n, j, t):
+    out = np.zeros(np.shape(t) + (n,))
+    out[..., j] = t
+    return out
+
+
+def _reference_quasilattice_points(lat, ks):
+    ks = np.asarray(ks, dtype=float)
+    n = lat.ndim
+    w = _row_axis(n, n - 1, ks[..., n - 1] * lat.eps)
+    for j in range(n - 2, -1, -1):
+        w = _row_mul(lat.group, w, _row_axis(n, j, ks[..., j] * lat.eps))
+    return w
+
+
+def _reference_ascending_point(group, ts):
+    n = group.quotient_dim
+    w = _row_axis(n, 0, ts[..., 0])
+    for j in range(1, n):
+        w = _row_mul(group, w, _row_axis(n, j, ts[..., j]))
+    return w
+
+
+def _reference_ordered_coords(group, w):
+    n = group.quotient_dim
+    out = np.empty_like(w)
+    for j in range(n - 1, -1, -1):
+        out[..., j] = w[..., j]
+        w = _row_mul(group, w, _row_axis(n, j, -out[..., j]))
+    return out
+
+
+def _reference_locate(lat, w):
+    group, eps, n = lat.group, lat.eps, lat.ndim
+    ks, ts = np.empty_like(w), np.empty_like(w)
+    for j in range(n - 1, -1, -1):
+        kj = np.floor(w[..., j] / eps + 0.5)
+        tj = w[..., j] - kj * eps
+        ks[..., j], ts[..., j] = kj, tj
+        w = _row_mul(group, _row_axis(n, j, -kj * eps), _row_mul(group, w, _row_axis(n, j, -tj)))
+    return ks.astype(np.int64), ts, float(np.abs(w).max())
+
+
+def _reference_lattice_points_in_box(lat, center, r):
+    group, eps, n = lat.group, lat.eps, lat.ndim
+    partial = inverse(group, _row_lift(group, center))[list(group.noncenter_indices)].reshape(1, n)
+    ks = np.zeros((1, 0), dtype=np.int64)
+    for j in reversed(range(n)):
+        w = partial[:, j]
+        lo = np.ceil((-r - w) / eps - 1e-12).astype(np.int64)
+        hi = np.ceil((r - w) / eps - 1e-12).astype(np.int64) - 1
+        cnt = np.maximum(hi - lo + 1, 0)
+        idx = np.repeat(np.arange(len(partial)), cnt)
+        starts = np.concatenate([[0], np.cumsum(cnt)[:-1]])
+        k_j = lo[idx] + np.arange(int(cnt.sum())) - np.repeat(starts, cnt)
+        partial = _row_mul(group, partial[idx], _row_axis(n, j, k_j * eps))
+        ks = np.column_stack([ks[idx], k_j])
+    return ks[:, ::-1]
+
+
+def _same_bits(got, want) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and (
+        np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    )
+
+
+@pytest.mark.parametrize("spec", SIX_SPECS, ids=[s.name + str(s.heisenberg_d) for s in SIX_SPECS])
+def test_full_coordinate_chains_match_the_row_major_quotient_chains(spec):
+    rng = np.random.default_rng(21)
+    n = spec.quotient_dim
+    lat = QuasiLattice(spec, 0.6)
+    ks = rng.integers(-6, 7, (300, n))
+    ts = rng.uniform(-3, 3, (300, n))
+    w = rng.uniform(-4, 4, (300, n))
+    assert _same_bits(quasilattice_points(lat, ks), _reference_quasilattice_points(lat, ks))
+    assert _same_bits(ascending_point(spec, ts), _reference_ascending_point(spec, ts))
+    assert _same_bits(ordered_coords(spec, w), _reference_ordered_coords(spec, w))
+    got, want = locate(lat, w), _reference_locate(lat, w)
+    assert all(_same_bits(x, y) for x, y in zip(got[:2], want[:2])) and got[2] == want[2]
+    center, r = rng.uniform(-1, 1, n), 2.3 * lat.eps
+    assert _same_bits(lattice_points_in_box(lat, center, r), _reference_lattice_points_in_box(lat, center, r))
 
 
 def test_box_enumeration_abelian_count():

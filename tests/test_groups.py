@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from coorbit_lab.groups import (
     GROUPS,
+    axis_point,
     bracket_check,
     commutator,
     group_spec,
@@ -14,7 +15,6 @@ from coorbit_lab.groups import (
     jacobian_check,
     multiply,
     project,
-    quotient_inverse,
     quotient_multiply,
     section,
     structure_constants,
@@ -186,7 +186,7 @@ def test_quotient_operations_are_projected_group_operations(spec):
     want = project(spec, multiply(spec, section(spec, qa), section(spec, qb)))
     assert np.allclose(prod, want)
     assert np.allclose(project(spec, section(spec, qa)), qa)
-    inv = quotient_inverse(spec, qa)
+    inv = project(spec, inverse(spec, section(spec, qa)))
     assert np.abs(quotient_multiply(spec, qa, inv)).max() < 1e-12
 
 
@@ -199,6 +199,44 @@ def test_central_lifts_change_nothing_downstairs():
     lift[list(spec.center_indices)] = rng.uniform(-3, 3, len(spec.center_indices))
     shifted = project(spec, multiply(spec, lift, section(spec, qb)))
     assert np.allclose(shifted, quotient_multiply(spec, qa, qb))
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_ids())
+def test_laws_give_the_same_bits_on_either_layout(spec):
+    # section and axis_point allocate coordinate-major stacks; every law must
+    # return the same bits on them as on row-major ones, and keep the layout
+    rng = np.random.default_rng(8)
+    a, b = rng.uniform(-3, 3, (2, 50, spec.total_dim))
+    want = multiply(spec, a, b)
+    fa, fb = np.asfortranarray(a), np.asfortranarray(b)
+    got = multiply(spec, fa, fb)
+    assert got.flags.f_contiguous
+    assert _bits(got) == _bits(want)
+    assert _bits(multiply(spec, fa, b)) == _bits(want)
+    assert _bits(multiply(spec, fa[:1], fb)) == _bits(multiply(spec, a[:1], b))
+    assert _bits(inverse(spec, fa)) == _bits(inverse(spec, a))
+    q = rng.uniform(-3, 3, (50, spec.quotient_dim))
+    assert section(spec, q).flags.f_contiguous
+    assert axis_point(spec.total_dim, 0, q[:, 0]).flags.f_contiguous
+    assert _bits(project(spec, section(spec, q))) == _bits(q)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_ids())
+def test_no_law_reads_a_central_coordinate_into_a_noncentral_one(spec):
+    # so lattice chains may run in full coordinates and project once at the end
+    rng = np.random.default_rng(9)
+    a, b = rng.uniform(-3, 3, (2, 50, spec.total_dim))
+    moved_a, moved_b = a.copy(), b.copy()
+    centre = list(spec.center_indices)
+    moved_a[:, centre] = rng.uniform(-50, 50, (50, spec.center_dim))
+    moved_b[:, centre] = rng.uniform(-50, 50, (50, spec.center_dim))
+    want = project(spec, multiply(spec, a, b))
+    assert _bits(project(spec, multiply(spec, moved_a, moved_b))) == _bits(want)
+    assert _bits(project(spec, inverse(spec, moved_a))) == _bits(project(spec, inverse(spec, a)))
 
 
 def test_df_three_step_nilpotency():
