@@ -543,7 +543,12 @@ def _build_state(config, dim):
     for key, values in (("f_quad", quad), ("f_lin", lin or ())):
         if not all(math.isfinite(v) for v in values):
             raise ConfigError(f"{key} entries must be finite", key=f"state.{key}")
-    return Gaussian(np.diag(quad), None if lin is None else np.asarray(lin))
+    f = Gaussian(np.diag(quad), None if lin is None else np.asarray(lin))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = l2_norm(f)
+    if not math.isfinite(norm):
+        raise ConfigError("the state's L2 norm is past double range", key="state")
+    return f
 
 
 def _run_coorbit_norm(config: ExperimentConfig):

@@ -19,23 +19,24 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .gaussian import Gaussian, chirp, tensor, unit_gaussian
+from .gaussian import Gaussian, quad_forms, tensor, unit_gaussian
 from .groups import GroupSpec, group_spec, quotient_multiply, section
 from .numerics import TailMassWarning, check_budget, logsumexp
 from .representations import (
     RepSpec,
     _States,
-    _act_factors,
+    _acted_lin_amp,
+    _acted_quad,
     _factors,
     _moving_coordinates,
     _product_form,
     _stft_rep,
-    apply_rep,
+    act,
     coefficient_log_modulus,
 )
 
@@ -56,7 +57,6 @@ __all__ = [
     "orbit_scan",
     "fit_slope",
     "chirp_scan_task",
-    "g53_curve_state",
     "g53_curve_tasks",
     "df_modulation_task",
 ]
@@ -314,9 +314,11 @@ def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQua
 
     and const its value at r = 0 (the Gaussian integral, Folland, Harmonic
     Analysis in Phase Space, 1989, App. A).  J, V and la are read from the
-    factor table at r = 0, e_1, ..., e_k: per node one eigvalsh, one slogdet
-    and one (k + 1)-column solve.  Every model is then checked at three
-    off-grid points, each evaluated by the kernel with its node's state and
+    factor table at r = 0, e_1, ..., e_k: per node one Cholesky factorisation
+    (the positive-definiteness check of _product_form), one slogdet and one
+    (k + 1)-column solve.  C and S, and so Q, move only with the coupled
+    coordinates, so the acted quad is formed on the row r = 0 alone.  Every
+    model is then checked at three off-grid points, each evaluated by the kernel with its node's state and
     its own Q; a miss raises, which is how a wrong set of coupled coordinates
     shows up.
     """
@@ -337,10 +339,11 @@ def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQua
         qv[..., fitdims] = offsets
         a = section(group, qv)
         factors = _factors(rep, a[:, : k + 1].reshape(-1, group.total_dim))
-        quad, lin, amp = _act_factors(rep, factors, g.quad, g.lin, g.log_amp)
-        # Q from the row r = 0 of each node: it is the same at every r
+        _, C, _, S, _ = factors
+        quad = _acted_quad(C[:: k + 1], S[:: k + 1], g.quad)
+        lin, amp = _acted_lin_amp(rep, factors, g.quad, g.lin, g.log_amp)
         node_f = _States(f.quad, f.lin[:, None], f.log_amp[:, None])
-        Q, L, la = _product_form(node_f, quad[:: k + 1], lin.reshape(m, k + 1, -1), amp.reshape(m, k + 1))
+        Q, L, la = _product_form(node_f, quad, lin.reshape(m, k + 1, -1), amp.reshape(m, k + 1))
         la = la.real
         L[:, 1:] -= L[:, :1]  # rows L0, J_1, ..., J_k
         J = L[:, 1:]
@@ -709,13 +712,18 @@ def weight_pullback_g616(weight: WeightSpec | None, lam: float, mu: float = 0.0)
 
 @dataclass(frozen=True)
 class NormTask:
-    """One scan row: a family u -> (f, g), with g the same at every u, and the
-    norm to take of it."""
+    """One scan row: a family of states along a u-ladder, the window they are
+    taken against, and the norm to take of them.
+
+    states(u) maps the ladder u (U,) to _States with one row per u; the
+    window is the same at every u.
+    """
 
     label: str
     kind: str  # "modulation" or "coorbit"
     norm: NormSpec
-    prepare: Callable[[float], tuple[Gaussian, Gaussian]]
+    states: Callable[[np.ndarray], _States]
+    window: Gaussian
     rep: RepSpec | None = None
     growth: str = "u"  # abscissa of the slope fit: log u, or log(1 + u^2)
 
@@ -726,6 +734,11 @@ class NormTask:
             raise ValueError("coorbit tasks need a representation")
         if self.growth not in ("u", "1+u^2"):
             raise ValueError(f"unknown growth abscissa {self.growth!r}")
+
+    def prepare(self, u: float) -> tuple[Gaussian, Gaussian]:
+        """(f, g) at one u: the one-row case of states, and the window."""
+        f = self.states(np.array([float(u)]))
+        return Gaussian(f.quad[0], f.lin[0], f.log_amp[0]), self.window
 
 
 @dataclass(frozen=True)
@@ -755,17 +768,21 @@ DEFAULT_SCAN = (10.0, 20.0, 40.0, 80.0, 160.0, 320.0)
 
 
 def orbit_scan(task: NormTask, u_values: Sequence[float] = DEFAULT_SCAN, u_min_fit: float = 32.0) -> ScanResult:
-    """The norms of the states task.prepare(u) along u_values, and the slope fit.
+    """The norms of the states task.states(u) along u_values, and the slope fit.
 
-    Every state is taken in one stacked norm evaluation; task.prepare must
-    return the same window at every u.  A tail-mass warning names its u.
+    Every state is taken in one stacked norm evaluation against task.window.
+    A tail-mass warning names its u.
     """
     u_values = tuple(float(u) for u in u_values)
-    pairs = [task.prepare(u) for u in u_values]
-    g = pairs[0][1]
-    if any(not _same_gaussian(h, g) for _, h in pairs):
-        raise ValueError(f"scan {task.label}: the window must not depend on u")
-    states = _States.stack([f for f, _ in pairs])
+    states = task.states(np.array(u_values))
+    g = task.window
+    n, d = len(u_values), g.dim
+    shapes = tuple(np.shape(field) for field in states)
+    if shapes != ((n, d, d), (n, d), (n,)):
+        raise ValueError(
+            f"scan {task.label}: states(u) must give one state of the window's dimension {d} "
+            f"for each of the {n} values of u, got (quad, lin, log_amp) of shapes {shapes}"
+        )
     where = [f" at u = {u:g}" for u in u_values]
     if task.kind == "modulation":
         logs, centers = _modulation_log_norms(states, g, task.norm, where=where), ()
@@ -778,50 +795,46 @@ def orbit_scan(task: NormTask, u_values: Sequence[float] = DEFAULT_SCAN, u_min_f
     return ScanResult(task.label, task.growth, u_values, logs, slope, intercept, u_min_fit, centers)
 
 
-def _same_gaussian(h: Gaussian, g: Gaussian) -> bool:
-    return h is g or (
-        np.array_equal(h.quad, g.quad) and np.array_equal(h.lin, g.lin) and h.log_amp == g.log_amp
-    )
-
-
 def chirp_scan_task(p: float, cross: bool = False) -> NormTask:
     """M^p growth along pure chirps: one variable, or the planar cross chirp."""
     d = 2 if cross else 1
     window = unit_gaussian(d)
 
-    def prepare(u):
-        mat = np.array([[0.0, u / 2.0], [u / 2.0, 0.0]]) if cross else np.array([[u]])
-        return chirp(window, mat), window
+    def states(u):
+        n = len(u)
+        mats = np.zeros((n, d, d))
+        if cross:
+            mats[:, 0, 1] = mats[:, 1, 0] = u / 2.0
+        else:
+            mats[:, 0, 0] = u
+        return _States(quad_forms(window.quad + 1j * mats), np.tile(window.lin, (n, 1)), np.full(n, window.log_amp))
 
     label = f"chirp-cross-p{p:g}" if cross else f"chirp-1d-p{p:g}"
-    return NormTask(label, "modulation", NormSpec(p=p), prepare)
+    return NormTask(label, "modulation", NormSpec(p=p), states, window)
 
 
-def g53_curve_state(u: float, lam: float = 1.0) -> Gaussian:
-    """The fixed f1 (x) phi window pushed along the one-parameter curve in the
-    5-dimensional group (fourth coordinate)."""
-    rep = RepSpec(group_spec("g5_3"), lam)
-    f0 = tensor(Gaussian(1.4, 0.3), unit_gaussian(1))
-    a = np.zeros(5)
-    a[3] = u
-    return apply_rep(rep, a, f0)
+def _orbit_states(rep: RepSpec, f: Gaussian, u) -> _States:
+    """pi(u_k e_3) f for every u_k of the ladder, along the fourth group
+    coordinate: one stacked action."""
+    a = np.zeros((len(u), rep.group.total_dim))
+    a[:, 3] = u
+    quad, lin, log_amp = act(rep, a, f.quad, f.lin, f.log_amp)
+    return _States(quad_forms(quad), lin, log_amp)
 
 
 def g53_curve_tasks(p: float = 1.0) -> tuple[NormTask, NormTask, NormTask]:
-    """Three norms of the same curve of states: its own coorbit norm (an
-    invariant), the plain modulation norm, and the coorbit norm taken in the
-    6,19 group, whose growth follows (1 + u^2) rather than u."""
+    """Three norms of the same curve of states, the fixed f1 (x) phi pushed
+    along the fourth coordinate of the 5-dimensional group: its own coorbit
+    norm (an invariant), the plain modulation norm, and the coorbit norm
+    taken in the 6,19 group, whose growth follows (1 + u^2) rather than u."""
     rep53 = RepSpec(group_spec("g5_3"), 1.0)
     rep619 = RepSpec(group_spec("g6_19"), 1.0, 1.0)
     window = unit_gaussian(2)
-
-    def prepare(u):
-        return g53_curve_state(u), window
-
+    states = partial(_orbit_states, rep53, tensor(Gaussian(1.4, 0.3), unit_gaussian(1)))
     return (
-        NormTask(f"co-g53-curve-p{p:g}", "coorbit", NormSpec(p=p), prepare, rep=rep53),
-        NormTask(f"mp-g53-curve-p{p:g}", "modulation", NormSpec(p=p), prepare),
-        NormTask(f"co-g619-curve-p{p:g}", "coorbit", NormSpec(p=p), prepare, rep=rep619, growth="1+u^2"),
+        NormTask(f"co-g53-curve-p{p:g}", "coorbit", NormSpec(p=p), states, window, rep=rep53),
+        NormTask(f"mp-g53-curve-p{p:g}", "modulation", NormSpec(p=p), states, window),
+        NormTask(f"co-g619-curve-p{p:g}", "coorbit", NormSpec(p=p), states, window, rep=rep619, growth="1+u^2"),
     )
 
 
@@ -829,10 +842,4 @@ def df_modulation_task(p: float = 1.0) -> NormTask:
     """M^p(R^3) growth along the chirp-generating direction of the 7-dimensional group."""
     rep = RepSpec(group_spec("dynin_folland"), 1.0)
     window = unit_gaussian(3)
-
-    def prepare(u):
-        a = np.zeros(7)
-        a[3] = u
-        return apply_rep(rep, a, window), window
-
-    return NormTask(f"df-y3-mp-p{p:g}", "modulation", NormSpec(p=p), prepare)
+    return NormTask(f"df-y3-mp-p{p:g}", "modulation", NormSpec(p=p), partial(_orbit_states, rep, window), window)

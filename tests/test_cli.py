@@ -180,7 +180,8 @@ def test_orbit_scan_tail_mass_fails_the_run(tmp_path, monkeypatch):
 
     def spilling(p):
         spec = NormSpec(p=p, weight=power_weight(0.0, (1,)), box_half=1.0)
-        return NormTask("spill", "modulation", spec, chirp_scan_task(p).prepare)
+        base = chirp_scan_task(p)
+        return NormTask("spill", "modulation", spec, base.states, base.window)
 
     monkeypatch.setitem(cli._SCAN_TASKS, "chirp-1d", (spilling, "slope", lambda p: 0.0))
     text = (
@@ -245,6 +246,7 @@ def test_late_config_error_exits_3(tmp_path, capsys):
         ("coorbit-norm", "[group]\nname = dynin_folland\nlam = 1e200\n"),
         ("coorbit-norm", "[group]\nname = g5_3\n\n[norm]\nresolution = 1e-6\n"),
         ("coorbit-norm", "[group]\nname = heisenberg\n\n[state]\nf_quad = inf\n"),
+        ("coorbit-norm", "[group]\nname = heisenberg\n\n[state]\nf_lin = -1e300\n"),
         (
             "frame-sweep",
             "[sweep]\nlam = -1e300\neps_values = 1e7\n\n[estimate]\nlattice_radius = 1e8\ndict_halfrange = 1.0\n",
@@ -263,6 +265,7 @@ def test_late_config_error_exits_3(tmp_path, capsys):
         "dynin-d-pi-past-double-range",
         "g5_3-mesh-over-the-node-budget",
         "state-f-quad-inf",
+        "state-l2-norm-past-double-range",
         "sweep-lam-times-reach-past-double-range",
     ],
 )

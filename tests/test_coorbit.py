@@ -23,7 +23,6 @@ from coorbit_lab.coorbit import (
     df_modulation_task,
     fit_log_quadratic,
     fit_slope,
-    g53_curve_state,
     g53_curve_tasks,
     moderate_check,
     modulation_norm,
@@ -48,6 +47,7 @@ from coorbit_lab.numerics import TailMassWarning
 from coorbit_lab.representations import (
     RepSpec,
     _States,
+    apply_rep,
     formal_dimension,
     coefficient_log_modulus,
     known_formal_dimension,
@@ -394,7 +394,7 @@ def test_g5_3_norm_regression_pin():
     # frozen from the resolution-refinement study: stable to 7 digits under
     # halving the mesh and doubling the box
     rep = RepSpec(group_spec("g5_3"), 1.0)
-    state = g53_curve_state(10.0)
+    state, _ = g53_curve_tasks(1.0)[0].prepare(10.0)
     got = coorbit_norm(rep, state, unit_gaussian(2), NormSpec(p=1.0))
     assert got == pytest.approx(1.90173789, rel=1e-6)
 
@@ -405,8 +405,6 @@ def test_isometry_of_the_action():
         rep = RepSpec(grp, 1.0)
         f = Gaussian(np.eye(rep.acting_dim) * 1.1, np.full(rep.acting_dim, 0.2))
         g = unit_gaussian(rep.acting_dim)
-        from coorbit_lab.representations import apply_rep
-
         a = np.zeros(grp.total_dim)
         a[-1] = 1.0
         moved = apply_rep(rep, a, f)
@@ -654,9 +652,9 @@ def test_g53_curve_three_norms():
 
 def test_norm_task_validation():
     with pytest.raises(ValueError):
-        NormTask("x", "bogus", NormSpec(), lambda u: None)
+        NormTask("x", "bogus", NormSpec(), lambda u: None, unit_gaussian(1))
     with pytest.raises(ValueError):
-        NormTask("x", "coorbit", NormSpec(), lambda u: None, rep=None)
+        NormTask("x", "coorbit", NormSpec(), lambda u: None, unit_gaussian(1), rep=None)
 
 
 _LADDERS = {"default": DEFAULT_SCAN, "5-640": tuple(5.0 * 2**k for k in range(8))}
@@ -674,11 +672,12 @@ def _scan_tasks():
     weighted = NormSpec(p=1.5, weight=power_weight(1.0, (0, 1)), resolution=0.25)
     mixed = NormSpec(p=2.0, q=1.0, weight=power_weight(1.0, (0,)), box_half=12.0, resolution=0.25)
 
-    def prepare(u):
-        return chirp(unit_gaussian(1), np.array([[0.02 * u]])), unit_gaussian(1)
+    def states(u):
+        return _States.stack([chirp(unit_gaussian(1), np.array([[0.02 * x]])) for x in u])
 
     for label, spec in (("weighted", weighted), ("mixed", mixed)):
-        tasks.append(pytest.param(NormTask(label, "modulation", spec, prepare), "default", id=f"{label}-modulation"))
+        task = NormTask(label, "modulation", spec, states, unit_gaussian(1))
+        tasks.append(pytest.param(task, "default", id=f"{label}-modulation"))
     return tasks
 
 
@@ -741,10 +740,10 @@ def test_stacked_tail_check_names_only_the_state_that_spills():
     # coupled coordinate past a box of half-width 1.5; the unit states do not
     rep = RepSpec(group_spec("g5_3"), 1.0)
 
-    def prepare(u):
-        return Gaussian(np.diag([20.0 if u == 40.0 else 1.0, 1.0])), unit_gaussian(2)
+    def states(u):
+        return _States.stack([Gaussian(np.diag([20.0 if x == 40.0 else 1.0, 1.0])) for x in u])
 
-    task = NormTask("spill", "coorbit", NormSpec(p=2.0, box_half=1.5), prepare, rep=rep)
+    task = NormTask("spill", "coorbit", NormSpec(p=2.0, box_half=1.5), states, unit_gaussian(2), rep=rep)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         orbit_scan(task, (10.0, 20.0, 40.0, 80.0))
@@ -752,11 +751,75 @@ def test_stacked_tail_check_names_only_the_state_that_spills():
     assert len(messages) == 1 and messages[0].startswith("coorbit norm on g5_3 at u = 40:")
 
 
-def test_orbit_scan_needs_one_window():
-    base = chirp_scan_task(1.0)
-    task = NormTask("two-windows", "modulation", base.norm, lambda u: (base.prepare(u)[0], Gaussian(1.0 + u)))
-    with pytest.raises(ValueError, match="window"):
-        orbit_scan(task, (1.0, 2.0, 40.0, 80.0))
+@pytest.mark.parametrize("kind", ["modulation", "coorbit"])
+def test_orbit_scan_needs_one_state_of_the_window_dimension_per_u(kind):
+    # a row short of the ladder would zip the per-u labels short; a state of
+    # another dimension than the window has no norm against it
+    base = chirp_scan_task(1.0, cross=True)
+    rep = RepSpec(group_spec("g5_3"), 1.0)
+    short = NormTask("short", kind, base.norm, lambda u: base.states(u[:-1]), base.window, rep=rep)
+    wide = NormTask("wide", kind, base.norm, base.states, unit_gaussian(3), rep=rep)
+    for task in (short, wide):
+        with pytest.raises(ValueError, match="one state of the window's dimension"):
+            orbit_scan(task, (1.0, 2.0, 40.0, 80.0))
+
+
+def test_node_kernel_rejects_states_whose_real_part_is_not_positive_definite():
+    # Re(f.quad + conj(g.quad)) = [[2, 3], [3, 2]] has a positive diagonal and
+    # the eigenvalue -1: the integral of the product does not exist
+    rep = RepSpec(group_spec("g5_3"), 1.0)
+    good = np.eye(2, dtype=complex)
+    bad = np.array([[1.0, 3.0], [3.0, 1.0]], dtype=complex)
+    states = _States(np.array([good, bad]), np.zeros((2, 2), complex), np.zeros(2, complex))
+    g = unit_gaussian(2)
+    assert np.isfinite(coorbit._node_quadratics(rep, states.rows([0]), g, np.zeros((1, 1))).const).all()
+    with pytest.raises(ValueError, match="positive definite"):
+        coorbit._node_quadratics(rep, states, g, np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="positive definite"):
+        coefficient_log_modulus(rep, np.zeros((2, rep.group.total_dim)), states, g)
+
+
+_REP53 = RepSpec(group_spec("g5_3"), 1.0)
+_REP_DF = RepSpec(group_spec("dynin_folland"), 1.0)
+
+
+def _along(rep, u):
+    """The group element u e_3: the direction of the g5_3 curve and of the df chirp."""
+    a = np.zeros(rep.group.total_dim)
+    a[3] = u
+    return a
+
+
+def _g53_curve_state(u):
+    return apply_rep(_REP53, _along(_REP53, u), tensor(Gaussian(1.4, 0.3), unit_gaussian(1)))
+
+
+# the per-u constructions the stacked ladders replace, kept as their reference
+_PER_U_STATES = {
+    "chirp-1d": lambda u: chirp(unit_gaussian(1), np.array([[u]])),
+    "chirp-2d-cross": lambda u: chirp(unit_gaussian(2), np.array([[0.0, u / 2.0], [u / 2.0, 0.0]])),
+    "g53-curve-own": _g53_curve_state,
+    "g53-curve-modulation": _g53_curve_state,
+    "g53-curve-sibling": _g53_curve_state,
+    "df-chirp-direction": lambda u: apply_rep(_REP_DF, _along(_REP_DF, u), unit_gaussian(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PER_U_STATES))
+def test_stacked_ladder_is_the_per_u_construction(name):
+    # one stacked chirp or action over the ladder gives, bit for bit, the
+    # states of one validated Gaussian per u; prepare(u) is its one-row case
+    from coorbit_lab.cli import _SCAN_TASKS
+
+    task = _SCAN_TASKS[name][0](1.0)
+    u = np.array(DEFAULT_SCAN + _LADDERS["5-640"] + (0.0, 1e-3, 2.5e4))
+    want = _States.stack([_PER_U_STATES[name](x) for x in u])
+    for got, ref in zip(task.states(u), want):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    f, g = task.prepare(u[2])
+    ref = _PER_U_STATES[name](u[2])
+    assert (f.quad.tobytes(), f.lin.tobytes(), f.log_amp) == (ref.quad.tobytes(), ref.lin.tobytes(), ref.log_amp)
+    assert g is task.window and g.dim == f.dim
 
 
 def test_fit_slope_needs_two_distinct_abscissae_past_u_min():

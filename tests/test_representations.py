@@ -233,6 +233,26 @@ def test_batched_kernel_matches_scalar_route(rep):
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
+@pytest.mark.parametrize("rep", KERNEL_REPS, ids=KERNEL_IDS)
+def test_acted_quad_is_the_complex_product_bit_for_bit(rep):
+    # the action forms S^T quad S + iC from real products; a chirped window
+    # has a complex quad, so both the real and the imaginary branch are read,
+    # for one window and for a stack with one state per row
+    rng = np.random.default_rng(6)
+    d = rep.acting_dim
+    window = chirp(
+        Gaussian(np.eye(d) * 1.2 + 0.1 * np.ones((d, d)), np.full(d, 0.2 - 0.1j)),
+        0.6 * np.eye(d) + 0.2 * np.ones((d, d)),
+    )
+    a = rng.uniform(-5.0, 5.0, (40, rep.group.total_dim))
+    _, C, _, S, _ = _factors(rep, a)
+    St = np.swapaxes(S, -1, -2)
+    stacked = window.quad * rng.uniform(0.5, 2.0, (40, 1, 1)) + 0.3j * rng.uniform(-1.0, 1.0, (40, 1, 1))
+    for quad in (window.quad, stacked):
+        got = act(rep, a, quad, window.lin, window.log_amp)[0]
+        assert got.tobytes() == (St @ quad @ S + 1j * C).tobytes()
+
+
 # the quotient coordinates that enter the chirp or the substitution, per record of KERNEL_REPS
 COUPLED = [(), (), (), (2,), (3,), (2, 4)]
 
