@@ -10,7 +10,6 @@ can reject.  Given the same config and seed the CSV output is byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -50,17 +49,9 @@ from .groups import GROUPS, group_spec
 from .numerics import GridSpec, TailMassWarning, WorkBudgetError, dft_stft
 from .representations import RepSpec, homomorphism_check, known_formal_dimension, unitarity_check
 
-KINDS = (
-    "verify-gaussian",
-    "orbit-scan",
-    "coorbit-norm",
-    "frame-sweep",
-    "density",
-    "rep-selftest",
-)
-
 _REQUIRED = object()
 _TWO_PI = 2.0 * np.pi
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class ConfigError(Exception):
@@ -80,9 +71,15 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str
-    seed: int
     params: dict
+
+    @property
+    def kind(self) -> str:
+        return self.params[("experiment", "kind")]
+
+    @property
+    def seed(self) -> int:
+        return self.params[("experiment", "seed")]
 
     def get(self, section: str, key: str):
         return self.params[(section, key)]
@@ -249,8 +246,7 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     params[("experiment", "kind")] = kind
 
     _semantic_check(kind, params, positions)
-    seed = params[("experiment", "seed")]
-    return ExperimentConfig(kind=kind, seed=seed, params=params)
+    return ExperimentConfig(params)
 
 
 @contextmanager
@@ -350,7 +346,7 @@ def serialize_config(config: ExperimentConfig) -> str:
         for (s, key), (tag, _default) in schema.items():
             if s != sec:
                 continue
-            value = config.kind if (s, key) == ("experiment", "kind") else config.params[(s, key)]
+            value = config.params[(s, key)]
             if value is None:
                 continue
             body.append(f"{key} = {_format_value(value)}")
@@ -569,7 +565,10 @@ def _run_coorbit_norm(config: ExperimentConfig):
             resolution=config.get("norm", "resolution"),
         )
     with _shown_warnings() as caught:
-        value = float(np.exp(coorbit_norm_log(rep, f, g, spec)))
+        log_norm = coorbit_norm_log(rep, f, g, spec)
+    if not log_norm <= _LOG_MAX:
+        raise OverflowError(f"the norm exp({log_norm!r}) is not a finite double")
+    value = float(np.exp(log_norm))
     metrics = {"group": name, "p": spec.p, "norm": value, "warnings": [str(w.message) for w in caught]}
     passed = not _tail_mass(caught)
     if spec.p == 2.0 and weight is None:
@@ -742,7 +741,6 @@ def _params_tree(config: ExperimentConfig) -> dict:
     tree: dict[str, dict] = {}
     for (sec, key), value in sorted(config.params.items()):
         tree.setdefault(sec, {})[key] = value
-    tree.setdefault("experiment", {})["seed"] = config.seed
     return tree
 
 
@@ -772,7 +770,7 @@ def main(argv=None) -> int:
         prog="coorbit-lab",
         description="Run one verification experiment from a config file.",
     )
-    parser.add_argument("kind", choices=KINDS)
+    parser.add_argument("kind", choices=tuple(SCHEMAS))
     parser.add_argument("--config", required=True, help="path to the experiment config")
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -791,7 +789,7 @@ def main(argv=None) -> int:
                 raise ConfigError("seed must be non-negative", key="--seed")
             params = dict(config.params)
             params[("experiment", "seed")] = args.seed
-            config = dataclasses.replace(config, seed=args.seed, params=params)
+            config = ExperimentConfig(params)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

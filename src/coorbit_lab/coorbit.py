@@ -71,6 +71,9 @@ _MODELS = 1 << 16
 # one norm evaluation may take on; beyond it a NormSpec is refused before any
 # mesh is built
 _MAX_NODES = 1 << 22
+# largest share of a norm's mass the outer shell of its quadrature mesh may
+# carry before the box counts as too small
+_TAIL_TOL = 0.01
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -231,9 +234,9 @@ def _stencil(ndim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _check_offsets(ndim: int, seed: int) -> np.ndarray:
+def _check_offsets(ndim: int) -> np.ndarray:
     """The three off-grid validation offsets, one per row (read-only)."""
-    checks = np.random.default_rng(seed).uniform(-1.7, 1.7, (3, ndim))
+    checks = np.random.default_rng(0).uniform(-1.7, 1.7, (3, ndim))
     checks.flags.writeable = False
     return checks
 
@@ -262,35 +265,25 @@ def _validate(quad: LogQuadratic, checks, fx, f0) -> None:
         )
 
 
-def fit_log_quadratic(
-    func: Callable[[np.ndarray], float],
-    ndim: int,
-    center=None,
-    validate: bool = True,
-    seed: int = 0,
-) -> LogQuadratic:
-    """Recover an exactly quadratic function from unit-step finite differences.
+def fit_log_quadratic(func: Callable[[np.ndarray], float], ndim: int) -> LogQuadratic:
+    """Recover an exactly quadratic function from unit-step finite differences about 0.
 
     The differences are exact for quadratics at any step size; validation
     evaluates func at a few off-grid points and raises if the model does not
     reproduce them.  The engine reads its quadratics in closed form
     (_node_quadratics); this is the reference they are tested against.
     """
-    center = np.zeros(ndim) if center is None else np.asarray(center, dtype=float)
     if ndim == 0:
-        return LogQuadratic(float(func(center)), np.zeros(0), np.zeros((0, 0)))
+        return LogQuadratic(float(func(np.zeros(0))), np.zeros(0), np.zeros((0, 0)))
     k = ndim
-    values = np.array([float(func(x)) for x in center + _stencil(k)])
+    values = np.array([float(func(x)) for x in _stencil(k)])
     f0, f_plus, f_minus, f_pair = values[0], values[1 : 1 + k], values[1 + k : 1 + 2 * k], values[1 + 2 * k :]
     hess = np.diag(f_plus + f_minus - 2.0 * f0)
     iu, ju = np.triu_indices(k, 1)
     hess[iu, ju] = hess[ju, iu] = f_pair - f_plus[iu] - f_plus[ju] + f0
-    grad = 0.5 * (f_plus - f_minus)
-    hc = hess @ center
-    quad = LogQuadratic(f0 - grad @ center + 0.5 * center @ hc, grad - hc, hess)
-    if validate:
-        checks = center + _check_offsets(ndim, seed)
-        _validate(quad, checks, np.array([float(func(x)) for x in checks]), f0)
+    quad = LogQuadratic(f0, 0.5 * (f_plus - f_minus), hess)
+    checks = _check_offsets(ndim)
+    _validate(quad, checks, np.array([float(func(x)) for x in checks]), f0)
     return quad
 
 
@@ -326,7 +319,7 @@ def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQua
     n = group.quotient_dim
     coupled, fitdims = _coordinate_split(rep)
     k = len(fitdims)
-    checks = _check_offsets(k, 0)
+    checks = _check_offsets(k)
     offsets = np.concatenate([np.eye(k + 1, k, -1), checks])  # r = 0, e_1, ..., e_k, then the checks
     parts = []
     step = max(1, _BLOCK // max(k + 1, len(checks)))
@@ -410,25 +403,24 @@ def _product_mesh(axes):
     """
     if not axes:
         return np.zeros((1, 0)), np.zeros(1), np.zeros(1, dtype=bool)
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
+    grid = [idx.ravel() for idx in np.meshgrid(*[np.arange(len(vals)) for vals, _ in axes], indexing="ij")]
+    points = np.stack([vals[idx] for (vals, _), idx in zip(axes, grid)], axis=-1)
     logw = np.zeros(points.shape[0])
     boundary = np.zeros(points.shape[0], dtype=bool)
-    for axis_idx, (vals, lw) in enumerate(axes):
-        idx = np.meshgrid(*[np.arange(len(a[0])) for a in axes], indexing="ij")[axis_idx].ravel()
+    for (vals, lw), idx in zip(axes, grid):
         logw += np.broadcast_to(lw, (len(vals),))[idx]
         boundary |= (idx == 0) | (idx == len(vals) - 1)
     return points, logw, boundary
 
 
-def _check_tail(contribs, boundary, total_log, tail, tail_tol, what):
+def _check_tail(contribs, boundary, total_log, tail, what):
     if not boundary.any():
         return
     frac = float(np.exp(logsumexp(contribs[boundary]) - total_log))
-    if frac > tail_tol:
+    if frac > _TAIL_TOL:
         msg = (
             f"{what}: the outer quadrature shell carries {frac:.2%} of the mass "
-            f"(tolerance {tail_tol:.2%}); enlarge box_half"
+            f"(tolerance {_TAIL_TOL:.2%}); enlarge box_half"
         )
         if tail == "raise":
             raise ValueError(msg)
@@ -485,23 +477,21 @@ def coorbit_norm_log(
     g: Gaussian,
     spec: NormSpec | None = None,
     tail: str = "warn",
-    tail_tol: float = 0.01,
-    recenter: bool = True,
 ) -> float:
     """log of the L^p_m norm of q -> <f, pi(section(q)) g> over the quotient."""
     spec = NormSpec() if spec is None else spec
-    norms, _ = _coorbit_log_norms(rep, _States.stack([f]), g, spec, tail, tail_tol, recenter)
+    norms, _ = _coorbit_log_norms(rep, _States.stack([f]), g, spec, tail)
     return float(norms[0])
 
 
-def _coorbit_log_norms(rep, states, g, spec, tail="warn", tail_tol=0.01, recenter=True, labels=None):
+def _coorbit_log_norms(rep, states, g, spec, tail="warn", labels=None):
     """coorbit_norm_log for every state f_i of states at once.
 
     Returns the log norms (U,) and the centers (U, c) the recentring probe
     found, c = 0 when no coupled coordinate is probed (none, or a sinh
-    mesh, or recenter off).  Every mesh read stacks all U states; the tail
-    check is made per state, and labels[i] names state i in its message
-    ("coorbit norm on <group>" if not given).
+    mesh).  Every mesh read stacks all U states; the tail check is made per
+    state, and labels[i] names state i in its message ("coorbit norm on
+    <group>" if not given).
     """
     if spec.q is not None and spec.q != spec.p:
         raise NotImplementedError("mixed (p, q) exponents are only defined for modulation norms")
@@ -527,7 +517,7 @@ def _coorbit_log_norms(rep, states, g, spec, tail="warn", tail_tol=0.01, recente
         quad = _node_quadratics(rep, states, g, np.zeros((n_states, 0))).scaled(p)
         return quad.total() / p, np.zeros((n_states, 0))
 
-    probe = bool(coupled) and not group.sinh_mesh and recenter
+    probe = bool(coupled) and not group.sinh_mesh
     centers = np.zeros((n_states, len(coupled)))
     if probe:
         for j in range(len(coupled)):
@@ -571,7 +561,7 @@ def _coorbit_log_norms(rep, states, g, spec, tail="warn", tail_tol=0.01, recente
         contribs = contribs.ravel()
         boundary = (cbound[:, None] | wbound[None, :]).ravel()
         total_log = logsumexp(contribs)
-        _check_tail(contribs, boundary, total_log, tail, tail_tol, label)
+        _check_tail(contribs, boundary, total_log, tail, label)
         norms.append(total_log / p)
     return np.array(norms), centers if probe else centers[:, :0]
 
@@ -588,15 +578,14 @@ def modulation_norm_log(
     g: Gaussian | None = None,
     spec: NormSpec | None = None,
     tail: str = "warn",
-    tail_tol: float = 0.01,
 ) -> float:
     """log of the M^{p,q}_m norm: coordinates ordered (x_1..x_d, xi_1..xi_d)."""
     spec = NormSpec() if spec is None else spec
     g = unit_gaussian(f.dim) if g is None else g
-    return float(_modulation_log_norms(_States.stack([f]), g, spec, tail, tail_tol)[0])
+    return float(_modulation_log_norms(_States.stack([f]), g, spec, tail)[0])
 
 
-def _modulation_log_norms(states, g, spec, tail="warn", tail_tol=0.01, where=None) -> np.ndarray:
+def _modulation_log_norms(states, g, spec, tail="warn", where=None) -> np.ndarray:
     """modulation_norm_log for every state f_i of states at once, shape (U,).
 
     Every branch carries the state axis; the tail checks are made per
@@ -618,7 +607,7 @@ def _modulation_log_norms(states, g, spec, tail="warn", tail_tol=0.01, where=Non
     # q = p the modulation norm is that representation's coorbit norm
     if q == p:
         labels = [f"modulation norm{w}" for w in where]
-        return _coorbit_log_norms(_stft_rep(d), states, g, spec, tail, tail_tol, labels=labels)[0]
+        return _coorbit_log_norms(_stft_rep(d), states, g, spec, tail, labels)[0]
     quad = _node_quadratics(_stft_rep(d), states, g, np.zeros((n_states, 0))).scaled(p)
     xidims = list(range(d, n))
     if weight is None:
@@ -647,13 +636,13 @@ def _modulation_log_norms(states, g, spec, tail="warn", tail_tol=0.01, where=Non
             slice_log = _row_logsumexp(inner)
             outer = (q / p) * slice_log + xi_logw
             total_log = logsumexp(outer)
-            _check_tail(outer, xi_bound, total_log, tail, tail_tol, f"modulation norm (mixed){where[i]}")
+            _check_tail(outer, xi_bound, total_log, tail, f"modulation norm (mixed){where[i]}")
             if xw_bound.any():
                 # the position mesh is cut inside every frequency slice: check
                 # the slice whose position shell carries the largest share of its mass
                 worst = int(np.argmax(_row_logsumexp(inner[:, xw_bound]) - slice_log))
                 what = f"modulation norm (mixed), position mesh{where[i]}"
-                _check_tail(inner[worst], xw_bound, slice_log[worst], tail, tail_tol, what)
+                _check_tail(inner[worst], xw_bound, slice_log[worst], tail, what)
             norms[i] = total_log / q
     return norms
 
@@ -665,19 +654,13 @@ def modulation_norm(f, g=None, spec=None, **kwargs) -> float:
 # ---------------------------------------------------------------------------
 # weights: moderateness and the G6,16 pullback
 
-def moderate_check(
-    group: GroupSpec,
-    weight: WeightSpec,
-    control: WeightSpec,
-    n_pairs: int = 10000,
-    seed: int = 0,
-    box: float = 5.0,
-) -> dict:
-    """Sampled check of m(xy) <= v(x) m(y) under the quotient group law."""
-    rng = np.random.default_rng(seed)
+def moderate_check(group: GroupSpec, weight: WeightSpec, control: WeightSpec, n_pairs: int = 10000) -> dict:
+    """Sampled check of m(xy) <= v(x) m(y) under the quotient group law, on
+    pairs drawn uniformly from [-5, 5]^n."""
+    rng = np.random.default_rng(0)
     n = group.quotient_dim
-    x = rng.uniform(-box, box, (n_pairs, n))
-    y = rng.uniform(-box, box, (n_pairs, n))
+    x = rng.uniform(-5.0, 5.0, (n_pairs, n))
+    y = rng.uniform(-5.0, 5.0, (n_pairs, n))
     xy = quotient_multiply(group, x, y)
     excess = weight.log_eval(xy) - control.log_eval(x) - weight.log_eval(y)
     worst = float(excess.max())
@@ -716,11 +699,11 @@ class NormTask:
     taken against, and the norm to take of them.
 
     states(u) maps the ladder u (U,) to _States with one row per u; the
-    window is the same at every u.
+    window is the same at every u.  The norm is the coorbit norm of rep, or
+    the modulation norm when rep is None.
     """
 
     label: str
-    kind: str  # "modulation" or "coorbit"
     norm: NormSpec
     states: Callable[[np.ndarray], _States]
     window: Gaussian
@@ -728,10 +711,6 @@ class NormTask:
     growth: str = "u"  # abscissa of the slope fit: log u, or log(1 + u^2)
 
     def __post_init__(self):
-        if self.kind not in ("modulation", "coorbit"):
-            raise ValueError(f"unknown task kind {self.kind!r}")
-        if self.kind == "coorbit" and self.rep is None:
-            raise ValueError("coorbit tasks need a representation")
         if self.growth not in ("u", "1+u^2"):
             raise ValueError(f"unknown growth abscissa {self.growth!r}")
 
@@ -784,7 +763,7 @@ def orbit_scan(task: NormTask, u_values: Sequence[float] = DEFAULT_SCAN, u_min_f
             f"for each of the {n} values of u, got (quad, lin, log_amp) of shapes {shapes}"
         )
     where = [f" at u = {u:g}" for u in u_values]
-    if task.kind == "modulation":
+    if task.rep is None:
         logs, centers = _modulation_log_norms(states, g, task.norm, where=where), ()
     else:
         labels = [f"coorbit norm on {task.rep.group.name}{w}" for w in where]
@@ -810,7 +789,7 @@ def chirp_scan_task(p: float, cross: bool = False) -> NormTask:
         return _States(quad_forms(window.quad + 1j * mats), np.tile(window.lin, (n, 1)), np.full(n, window.log_amp))
 
     label = f"chirp-cross-p{p:g}" if cross else f"chirp-1d-p{p:g}"
-    return NormTask(label, "modulation", NormSpec(p=p), states, window)
+    return NormTask(label, NormSpec(p=p), states, window)
 
 
 def _orbit_states(rep: RepSpec, f: Gaussian, u) -> _States:
@@ -832,9 +811,9 @@ def g53_curve_tasks(p: float = 1.0) -> tuple[NormTask, NormTask, NormTask]:
     window = unit_gaussian(2)
     states = partial(_orbit_states, rep53, tensor(Gaussian(1.4, 0.3), unit_gaussian(1)))
     return (
-        NormTask(f"co-g53-curve-p{p:g}", "coorbit", NormSpec(p=p), states, window, rep=rep53),
-        NormTask(f"mp-g53-curve-p{p:g}", "modulation", NormSpec(p=p), states, window),
-        NormTask(f"co-g619-curve-p{p:g}", "coorbit", NormSpec(p=p), states, window, rep=rep619, growth="1+u^2"),
+        NormTask(f"co-g53-curve-p{p:g}", NormSpec(p=p), states, window, rep=rep53),
+        NormTask(f"mp-g53-curve-p{p:g}", NormSpec(p=p), states, window),
+        NormTask(f"co-g619-curve-p{p:g}", NormSpec(p=p), states, window, rep=rep619, growth="1+u^2"),
     )
 
 
@@ -842,4 +821,4 @@ def df_modulation_task(p: float = 1.0) -> NormTask:
     """M^p(R^3) growth along the chirp-generating direction of the 7-dimensional group."""
     rep = RepSpec(group_spec("dynin_folland"), 1.0)
     window = unit_gaussian(3)
-    return NormTask(f"df-y3-mp-p{p:g}", "modulation", NormSpec(p=p), partial(_orbit_states, rep, window), window)
+    return NormTask(f"df-y3-mp-p{p:g}", NormSpec(p=p), partial(_orbit_states, rep, window), window)

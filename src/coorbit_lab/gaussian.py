@@ -83,26 +83,17 @@ class Gaussian:
 
     __slots__ = ("quad", "lin", "log_amp")
 
-    def __init__(self, quad, lin=None, log_amp=0.0, amplitude=None):
+    def __init__(self, quad, lin=None, log_amp=0.0):
         self.quad = _as_quad(quad)
         d = self.quad.shape[0]
         if lin is None:
             lin = np.zeros(d)
         self.lin = np.asarray(lin, dtype=complex).reshape(d)
-        if amplitude is not None:
-            amp = complex(amplitude)
-            if amp == 0:
-                raise ValueError("amplitude must be nonzero")
-            log_amp = np.log(amp)
         self.log_amp = complex(log_amp)
 
     @property
     def dim(self) -> int:
         return self.quad.shape[0]
-
-    @property
-    def amplitude(self) -> complex:
-        return complex(np.exp(self.log_amp))
 
     def _points(self, t):
         t = np.asarray(t, dtype=float)
@@ -230,24 +221,18 @@ def l2_norm(f: Gaussian) -> float:
     return float(np.exp(0.5 * log_inner(f, f).real))
 
 
-def _split_phase_point(z, xi):
-    if xi is None:
-        x, w = z
-        return np.atleast_1d(np.asarray(x, float)), np.atleast_1d(np.asarray(w, float))
-    return np.atleast_1d(np.asarray(z, float)), np.atleast_1d(np.asarray(xi, float))
+def _phase_point(x, xi):
+    return np.atleast_1d(np.asarray(x, float)), np.atleast_1d(np.asarray(xi, float))
 
 
-def stft_closed(f, g, z, xi=None) -> complex:
-    """<f, M_xi T_x g>: the short-time transform of f with window g at (x, xi).
-
-    z may be an (x, xi) pair, or the x part with xi passed separately.
-    """
-    x, w = _split_phase_point(z, xi)
+def stft_closed(f, g, x, xi) -> complex:
+    """<f, M_xi T_x g>: the short-time transform of f with window g at (x, xi)."""
+    x, w = _phase_point(x, xi)
     return inner_product(f, modulate(translate(g, x), w))
 
 
-def log_stft_modulus(f: Gaussian, g: Gaussian, z, xi=None) -> float:
-    x, w = _split_phase_point(z, xi)
+def log_stft_modulus(f: Gaussian, g: Gaussian, x, xi) -> float:
+    x, w = _phase_point(x, xi)
     return float(log_inner(f, modulate(translate(g, x), w)).real)
 
 
@@ -272,7 +257,7 @@ def _delta(Cm):
     return out
 
 
-def chirp_stft_modulus(C, z, xi=None):
+def chirp_stft_modulus(C, x, xi):
     """|<N_C phi, M_xi T_x phi>| in closed form.
 
     x and xi are (..., d) arrays of phase-space points, and C is one real
@@ -280,7 +265,7 @@ def chirp_stft_modulus(C, z, xi=None):
     broadcast against each other.  One point and one C give a float, a batch
     an array of the broadcast leading shape.
     """
-    x, w = _split_phase_point(z, xi)
+    x, w = _phase_point(x, xi)
     Cm = _as_real_sym(C)
     d = Cm.shape[-1]
     if x.shape[-1] != d or w.shape[-1] != d:

@@ -414,7 +414,7 @@ def formal_dimension(rep: RepSpec, g=None, box_half: float = 8.0, resolution: fl
     if g is None:
         g = default_window(rep)
     spec = NormSpec(p=2.0, box_half=box_half, resolution=resolution)
-    log_sq = 2.0 * coorbit_norm_log(rep, g, g, spec, tail="raise", tail_tol=0.01)
+    log_sq = 2.0 * coorbit_norm_log(rep, g, g, spec, tail="raise")
     return float(np.exp(4.0 * np.log(l2_norm(g)) - log_sq))
 
 

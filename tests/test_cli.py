@@ -181,7 +181,7 @@ def test_orbit_scan_tail_mass_fails_the_run(tmp_path, monkeypatch):
     def spilling(p):
         spec = NormSpec(p=p, weight=power_weight(0.0, (1,)), box_half=1.0)
         base = chirp_scan_task(p)
-        return NormTask("spill", "modulation", spec, base.states, base.window)
+        return NormTask("spill", spec, base.states, base.window)
 
     monkeypatch.setitem(cli._SCAN_TASKS, "chirp-1d", (spilling, "slope", lambda p: 0.0))
     text = (
@@ -559,6 +559,22 @@ def test_coorbit_norm_tail_mass_fails_the_run(tmp_path):
     assert summary["pass"] is False
     assert len(summary["metrics"]["warnings"]) == 1
     assert "outer quadrature shell" in summary["metrics"]["warnings"][0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", ["1.0", "1.5"])
+def test_coorbit_norm_past_double_range_exits_2(tmp_path, capsys, p):
+    # f_lin = 94.454... is the largest linear term whose L2 norm is finite;
+    # at p < 2 the norm exceeds the L2 norm and is past double range.  Its
+    # exp overflowed to inf, which was written as "norm": null with pass true
+    text = f"[group]\nname = heisenberg\n\n[norm]\np = {p}\n\n[state]\nf_lin = 94.45406403100851\n"
+    code, out = run_cli(tmp_path, "huge.cfg", text, "coorbit-norm")
+    assert code == 2
+    summary = _strict_json((out / "coorbit-norm.json").read_text())
+    assert summary["pass"] is False
+    assert summary["error"].startswith("OverflowError: ")
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
 
 
 def test_coorbit_norm_on_dynin_folland_uses_the_closed_form(tmp_path):

@@ -651,10 +651,8 @@ def test_g53_curve_three_norms():
 
 
 def test_norm_task_validation():
-    with pytest.raises(ValueError):
-        NormTask("x", "bogus", NormSpec(), lambda u: None, unit_gaussian(1))
-    with pytest.raises(ValueError):
-        NormTask("x", "coorbit", NormSpec(), lambda u: None, unit_gaussian(1), rep=None)
+    with pytest.raises(ValueError, match="unknown growth abscissa"):
+        NormTask("x", NormSpec(), lambda u: None, unit_gaussian(1), growth="log u")
 
 
 _LADDERS = {"default": DEFAULT_SCAN, "5-640": tuple(5.0 * 2**k for k in range(8))}
@@ -676,7 +674,7 @@ def _scan_tasks():
         return _States.stack([chirp(unit_gaussian(1), np.array([[0.02 * x]])) for x in u])
 
     for label, spec in (("weighted", weighted), ("mixed", mixed)):
-        task = NormTask(label, "modulation", spec, states, unit_gaussian(1))
+        task = NormTask(label, spec, states, unit_gaussian(1))
         tasks.append(pytest.param(task, "default", id=f"{label}-modulation"))
     return tasks
 
@@ -690,12 +688,12 @@ def test_orbit_scan_is_the_per_u_scalar_norms(task, ladder):
     want = []
     for u in u_values:
         f, g = task.prepare(u)
-        if task.kind == "modulation":
+        if task.rep is None:
             want.append(modulation_norm_log(f, g, task.norm))
         else:
             want.append(coorbit_norm_log(task.rep, f, g, task.norm))
     assert [v.hex() for v in res.log_norms] == [v.hex() for v in want]
-    assert len(res.centers) == (len(u_values) if task.kind == "coorbit" else 0)
+    assert len(res.centers) == (0 if task.rep is None else len(u_values))
 
 
 def _count_node_reads(monkeypatch):
@@ -743,7 +741,7 @@ def test_stacked_tail_check_names_only_the_state_that_spills():
     def states(u):
         return _States.stack([Gaussian(np.diag([20.0 if x == 40.0 else 1.0, 1.0])) for x in u])
 
-    task = NormTask("spill", "coorbit", NormSpec(p=2.0, box_half=1.5), states, unit_gaussian(2), rep=rep)
+    task = NormTask("spill", NormSpec(p=2.0, box_half=1.5), states, unit_gaussian(2), rep=rep)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         orbit_scan(task, (10.0, 20.0, 40.0, 80.0))
@@ -756,9 +754,9 @@ def test_orbit_scan_needs_one_state_of_the_window_dimension_per_u(kind):
     # a row short of the ladder would zip the per-u labels short; a state of
     # another dimension than the window has no norm against it
     base = chirp_scan_task(1.0, cross=True)
-    rep = RepSpec(group_spec("g5_3"), 1.0)
-    short = NormTask("short", kind, base.norm, lambda u: base.states(u[:-1]), base.window, rep=rep)
-    wide = NormTask("wide", kind, base.norm, base.states, unit_gaussian(3), rep=rep)
+    rep = RepSpec(group_spec("g5_3"), 1.0) if kind == "coorbit" else None
+    short = NormTask("short", base.norm, lambda u: base.states(u[:-1]), base.window, rep=rep)
+    wide = NormTask("wide", base.norm, base.states, unit_gaussian(3), rep=rep)
     for task in (short, wide):
         with pytest.raises(ValueError, match="one state of the window's dimension"):
             orbit_scan(task, (1.0, 2.0, 40.0, 80.0))

@@ -288,7 +288,7 @@ def test_closed_form_gram_entries_match_the_grid_oracle(name):
     rep = RepSpec(grp, 1.0, 1.0 if grp.center_dim == 2 else 0.0)
     g = default_window(rep)
     rng = np.random.default_rng(17)
-    test_lin, test_amp, _ = _test_space(rep.acting_dim, 1.0, 0.5, 1e-8)
+    test_lin, test_amp, _ = _test_space(rep.acting_dim, 1.0, 0.5)
     ks = rng.integers(-2, 3, (12, grp.quotient_dim))
     cols = rng.choice(len(test_amp), 12, replace=False)
     a = section(grp, quasilattice_points(QuasiLattice(grp, 0.5), ks))
@@ -315,7 +315,7 @@ def test_test_space_is_built_once_and_read_only():
     assert info.currsize >= 1
     frame_bounds_estimate(rep, eps=0.9)
     assert _test_space.cache_info().hits == info.hits + 1
-    lin, log_amp, basis = _test_space(1, 4.0, 0.5, 1e-8)
+    lin, log_amp, basis = _test_space(1, 4.0, 0.5)
     for arr in (lin, log_amp, basis):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
