@@ -307,6 +307,8 @@ def _semantic_check(kind: str, params: dict, positions: dict) -> None:
         if (ws is None) != (wc is None):
             fail("norm", "weight_s", "weight_s and weight_coords must be given together")
         if ws is not None:
+            if not math.isfinite(ws):
+                fail("norm", "weight_s", "weight_s must be finite")
             spec_kwargs["weight"] = power_weight(ws, wc)
         check_norm_spec("norm", **spec_kwargs)
     elif kind == "verify-gaussian":
@@ -539,6 +541,8 @@ def _build_state(config, dim):
     for key, values in (("f_quad", quad), ("f_lin", lin or ())):
         if not all(math.isfinite(v) for v in values):
             raise ConfigError(f"{key} entries must be finite", key=f"state.{key}")
+    if min(quad) <= 0:
+        raise ConfigError("f_quad entries must be positive", key="state.f_quad")
     f = Gaussian(np.diag(quad), None if lin is None else np.asarray(lin))
     with np.errstate(over="ignore", invalid="ignore"):
         norm = l2_norm(f)
@@ -556,7 +560,11 @@ def _run_coorbit_norm(config: ExperimentConfig):
     g = unit_gaussian(rep.acting_dim)
     weight = None
     if config.get("norm", "weight_s") is not None:
-        weight = power_weight(config.get("norm", "weight_s"), config.get("norm", "weight_coords"))
+        coords = config.get("norm", "weight_coords")
+        n = rep.group.quotient_dim
+        if not all(0 <= i < n for i in coords):
+            raise ConfigError(f"weight_coords must lie in 0..{n - 1} for this group", key="norm.weight_coords")
+        weight = power_weight(config.get("norm", "weight_s"), coords)
     with _rejected_values("norm"):
         spec = NormSpec(
             p=config.get("norm", "p"),

@@ -64,7 +64,7 @@ __all__ = [
 # group elements per batched call (factor table or kernel): bounds the
 # engine's working memory whatever the mesh size
 _BLOCK = 1024
-# quadratic models per batched conditioning in the weighted branches: bounds
+# quadratic models per batched conditioning on the weight mesh: bounds
 # their working memory whatever the weight mesh size
 _MODELS = 1 << 16
 # coupled mesh nodes times weight mesh nodes, summed over the states, that
@@ -111,7 +111,12 @@ def power_weight(s: float, coords: Sequence[int], label: str | None = None) -> W
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Exponents, weight and quadrature controls for a norm computation."""
+    """Exponents, weight and quadrature controls for a norm computation.
+
+    p is the exponent over the quotient.  q is for modulation norms only:
+    the exponent over the frequency half xi of the coordinates, with p then
+    the exponent over the positions x; None means q = p.
+    """
 
     p: float = 2.0
     q: float | None = None
@@ -413,10 +418,10 @@ def _product_mesh(axes):
     return points, logw, boundary
 
 
-def _check_tail(contribs, boundary, total_log, tail, what):
-    if not boundary.any():
-        return
-    frac = float(np.exp(logsumexp(contribs[boundary]) - total_log))
+def _check_tail(shell_log, total_log, tail, what):
+    """Warn (or raise, with tail = "raise") when the log mass shell_log of a
+    mesh's outer shell is more than _TAIL_TOL of the log mass total_log."""
+    frac = float(np.exp(shell_log - total_log))
     if frac > _TAIL_TOL:
         msg = (
             f"{what}: the outer quadrature shell carries {frac:.2%} of the mass "
@@ -428,9 +433,13 @@ def _check_tail(contribs, boundary, total_log, tail, what):
 
 
 def _row_logsumexp(values):
-    """logsumexp along each row of a 2-d array."""
+    """logsumexp along each row of a 2-d array; numerics.logsumexp row by row
+    when a row's maximum is not finite."""
     peak = values.max(axis=1)
-    return peak + np.log(np.exp(values - peak[:, None]).sum(axis=1))
+    if not np.isfinite(peak).all():
+        return np.array([logsumexp(row) for row in values])
+    shifted = values - peak[:, None]
+    return peak + np.log(np.exp(shifted, out=shifted).sum(axis=1))
 
 
 _PROBE_MAGNITUDES = tuple(float(2**k) for k in range(1, 11))  # 2 .. 1024
@@ -484,38 +493,51 @@ def coorbit_norm_log(
     return float(norms[0])
 
 
-def _coorbit_log_norms(rep, states, g, spec, tail="warn", labels=None):
+def _coorbit_log_norms(rep, states, g, spec, tail="warn", where=None):
     """coorbit_norm_log for every state f_i of states at once.
 
     Returns the log norms (U,) and the centers (U, c) the recentring probe
     found, c = 0 when no coupled coordinate is probed (none, or a sinh
-    mesh).  Every mesh read stacks all U states; the tail check is made per
-    state, and labels[i] names state i in its message ("coorbit norm on
-    <group>" if not given).
+    mesh).  Every mesh read stacks all U states; the tail checks are made per
+    state, with where[i] (if given) appended to the message.
+
+    V_g f(x, xi) = <f, M_xi T_x g> is the coefficient of the Heisenberg
+    group H_d at lambda = -1 (_stft_rep), whose quotient coordinates are
+    (x, xi): its coorbit norm is the modulation norm.  On that
+    representation alone q != p is defined, the mixed M^{p,q}_m norm: the
+    L^p norm over x in each frequency slice, then the L^q norm of the slices
+    over xi (Groechenig, Foundations of Time-Frequency Analysis, 2001, ch. 11).
     """
-    if spec.q is not None and spec.q != spec.p:
-        raise NotImplementedError("mixed (p, q) exponents are only defined for modulation norms")
-    group, p = rep.group, spec.p
+    group, p, q = rep.group, spec.p, spec.q_eff
     n = group.quotient_dim
     n_states = len(states.log_amp)
-    labels = labels or [f"coorbit norm on {group.name}"] * n_states
+    stft = rep == _stft_rep(n // 2)
+    name = "modulation norm" if stft else f"coorbit norm on {group.name}"
+    outer = list(range(n // 2, n)) if q != p else []  # the coordinates of the L^q integral
+    if outer:
+        if not stft:
+            raise NotImplementedError("mixed (p, q) exponents are only defined for modulation norms")
+        name += " (mixed)"
+    where = where or [""] * n_states
     coupled, fitdims = _coordinate_split(rep)
     weight = spec.weight
     if weight is not None and any(i < 0 or i >= n for i in weight.coords):
         raise ValueError(f"weight coordinates {weight.coords} out of range for quotient dim {n}")
-    wdims = sorted(set(weight.coords) - set(coupled)) if weight is not None else []
-    wpos = [fitdims.index(i) for i in wdims]
+    # a weight meshes its coordinates, and every outer one beside them
+    wdims = sorted(set(weight.coords).union(outer) - set(coupled)) if weight is not None else []
     nodes = n_states * _axis_nodes(spec, group.sinh_mesh) ** len(coupled) * _axis_nodes(spec, False) ** len(wdims)
     check_budget(
         nodes,
         _MAX_NODES,
-        f"{labels[0]}: {n_states} state(s) x {len(coupled)} coupled and {len(wdims)} weighted mesh axes "
+        f"{name}: {n_states} state(s) x {len(coupled)} coupled and {len(wdims)} weighted mesh axes "
         f"at resolution {spec.resolution:g} in a box of half-width {spec.box_half:g}",
     )
 
     if not coupled and not wdims:
+        # every direction in closed form: the inner L^p integral, then the outer L^q one
         quad = _node_quadratics(rep, states, g, np.zeros((n_states, 0))).scaled(p)
-        return quad.total() / p, np.zeros((n_states, 0))
+        quad = quad.marginalized([i for i in range(n) if i not in outer])
+        return quad.scaled(q / p).total() / q, np.zeros((n_states, 0))
 
     probe = bool(coupled) and not group.sinh_mesh
     centers = np.zeros((n_states, len(coupled)))
@@ -534,7 +556,15 @@ def _coorbit_log_norms(rep, states, g, spec, tail="warn", labels=None):
         _product_mesh([_sinh_axis(spec) if group.sinh_mesh else _linear_axis(c, spec) for c in row])
         for row in centers
     ]
-    wpts, wlogw, wbound = _product_mesh([_linear_axis(0.0, spec) for _ in wdims])
+    # the weight nodes run outer-major, one slice of the inner nodes per outer
+    # node; with q = p there are no outer nodes and one slice
+    inner = [i for i in wdims if i not in outer]
+    wpts, ilogw, ibound = _product_mesh([_linear_axis(0.0, spec) for _ in inner])
+    opts, ologw, obound = _product_mesh([_linear_axis(0.0, spec) for _ in outer])
+    if outer:
+        wpts = np.concatenate([np.tile(wpts, (len(opts), 1)), np.repeat(opts, len(wpts), axis=0)], axis=1)
+    wdims = inner + outer  # the columns of wpts
+    wpos = [fitdims.index(i) for i in wdims]
     counts = [len(mesh[0]) for mesh in meshes]
     cpts = np.concatenate([mesh[0] for mesh in meshes])
     node_states = states.rows(np.repeat(np.arange(n_states), counts))
@@ -554,15 +584,28 @@ def _coorbit_log_norms(rep, states, g, spec, tail="warn", labels=None):
             bvals = bvals + p * weight.log_eval(qfull)
         vals[block] = bvals
 
+    # per state: the log mass of each outer slice over its coupled and inner
+    # nodes, then the L^q sum of the slices; the outer shell is checked, and
+    # the inner shell of the slice whose shell carries the largest share of it
     norms = []
-    for (_, clogw, cbound), contribs, label in zip(meshes, np.split(vals, np.cumsum(counts)[:-1]), labels):
+    for (_, clogw, cbound), contribs, at in zip(meshes, np.split(vals, np.cumsum(counts)[:-1]), where):
         contribs += clogw[:, None]
-        contribs += wlogw[None, :]
-        contribs = contribs.ravel()
-        boundary = (cbound[:, None] | wbound[None, :]).ravel()
-        total_log = logsumexp(contribs)
-        _check_tail(contribs, boundary, total_log, tail, label)
-        norms.append(total_log / p)
+        slices = np.swapaxes(contribs.reshape(len(clogw), len(ologw), len(ilogw)), 0, 1)
+        slices += ilogw
+        slices = slices.reshape(len(ologw), -1)  # one row per outer node
+        slice_log = _row_logsumexp(slices)
+        outer_log = (q / p) * slice_log + ologw
+        total_log = logsumexp(outer_log)
+        if obound.any():
+            _check_tail(logsumexp(outer_log[obound]), total_log, tail, name + at)
+        boundary = (cbound[:, None] | ibound[None, :]).ravel()
+        if boundary.any():
+            # compress, not slices[:, boundary]: several times faster on one long row
+            shell_log = _row_logsumexp(slices.compress(boundary, axis=1))
+            worst = int(np.argmax(shell_log - slice_log))
+            what = f"{name}, position mesh{at}" if outer else name + at
+            _check_tail(shell_log[worst], slice_log[worst], tail, what)
+        norms.append(total_log / q)
     return np.array(norms), centers if probe else centers[:, :0]
 
 
@@ -579,72 +622,15 @@ def modulation_norm_log(
     spec: NormSpec | None = None,
     tail: str = "warn",
 ) -> float:
-    """log of the M^{p,q}_m norm: coordinates ordered (x_1..x_d, xi_1..xi_d)."""
+    """log of the M^{p,q}_m norm: coordinates ordered (x_1..x_d, xi_1..xi_d).
+
+    The coorbit norm of the STFT representation _stft_rep(d).
+    """
     spec = NormSpec() if spec is None else spec
     g = unit_gaussian(f.dim) if g is None else g
-    return float(_modulation_log_norms(_States.stack([f]), g, spec, tail)[0])
-
-
-def _modulation_log_norms(states, g, spec, tail="warn", where=None) -> np.ndarray:
-    """modulation_norm_log for every state f_i of states at once, shape (U,).
-
-    Every branch carries the state axis; the tail checks are made per
-    state, with where[i] (if given) appended to the message.
-    """
-    d = states.quad.shape[-1]
-    if g.dim != d:
-        raise ValueError(f"window dimension {g.dim} does not match signal dimension {d}")
-    n = 2 * d
-    n_states = len(states.log_amp)
-    where = where or [""] * n_states
-    p, q = spec.p, spec.q_eff
-    weight = spec.weight
-    if weight is not None and any(i < 0 or i >= n for i in weight.coords):
-        raise ValueError(f"weight coordinates {weight.coords} out of range for phase-space dim {n}")
-
-    # V_g f(x, xi) = <f, M_xi T_x g> is the coefficient of the Heisenberg
-    # group H_d at lambda = -1, whose quotient coordinates are (x, xi): with
-    # q = p the modulation norm is that representation's coorbit norm
-    if q == p:
-        labels = [f"modulation norm{w}" for w in where]
-        return _coorbit_log_norms(_stft_rep(d), states, g, spec, tail, labels)[0]
-    quad = _node_quadratics(_stft_rep(d), states, g, np.zeros((n_states, 0))).scaled(p)
-    xidims = list(range(d, n))
-    if weight is None:
-        inner = quad.marginalized(list(range(d)))  # closed-form x-integral, leaves xi
-        return inner.scaled(q / p).total() / q
-
-    # mixed exponents with a weight: mesh every frequency direction, then the
-    # weighted position directions inside each frequency slice; per state one
-    # row per frequency node, one column per position node
-    xw = sorted(i for i in weight.coords if i < d)
-    xi_pts, xi_logw, xi_bound = _product_mesh([_linear_axis(0.0, spec) for _ in xidims])
-    xw_pts, xw_logw, xw_bound = _product_mesh([_linear_axis(0.0, spec) for _ in xw])
-    zfull = np.zeros((len(xi_pts), len(xw_pts), n))
-    zfull[..., xidims] = xi_pts[:, None, :]
-    zfull[..., xw] = xw_pts[None, :, :]
-    wlog = p * weight.log_eval(zfull)
-    norms = np.empty(n_states)
-    for block in _blocks(n_states, zfull.shape[0] * zfull.shape[1]):
-        sliced = _rows(quad, block).conditioned(xidims, xi_pts)  # quadratics over the x dims, in order
-        sliced = LogQuadratic(sliced.const[..., None], sliced.grad[..., None, :], sliced.hess[..., None, :, :])
-        if xw:
-            sliced = sliced.conditioned(xw, xw_pts)
-        totals = sliced.total()
-        for i, total in zip(range(n_states)[block], totals):
-            inner = np.broadcast_to(total, zfull.shape[:2]) + wlog + xw_logw
-            slice_log = _row_logsumexp(inner)
-            outer = (q / p) * slice_log + xi_logw
-            total_log = logsumexp(outer)
-            _check_tail(outer, xi_bound, total_log, tail, f"modulation norm (mixed){where[i]}")
-            if xw_bound.any():
-                # the position mesh is cut inside every frequency slice: check
-                # the slice whose position shell carries the largest share of its mass
-                worst = int(np.argmax(_row_logsumexp(inner[:, xw_bound]) - slice_log))
-                what = f"modulation norm (mixed), position mesh{where[i]}"
-                _check_tail(inner[worst], xw_bound, slice_log[worst], tail, what)
-            norms[i] = total_log / q
-    return norms
+    if g.dim != f.dim:
+        raise ValueError(f"window dimension {g.dim} does not match signal dimension {f.dim}")
+    return float(_coorbit_log_norms(_stft_rep(f.dim), _States.stack([f]), g, spec, tail)[0][0])
 
 
 def modulation_norm(f, g=None, spec=None, **kwargs) -> float:
@@ -763,12 +749,8 @@ def orbit_scan(task: NormTask, u_values: Sequence[float] = DEFAULT_SCAN, u_min_f
             f"for each of the {n} values of u, got (quad, lin, log_amp) of shapes {shapes}"
         )
     where = [f" at u = {u:g}" for u in u_values]
-    if task.rep is None:
-        logs, centers = _modulation_log_norms(states, g, task.norm, where=where), ()
-    else:
-        labels = [f"coorbit norm on {task.rep.group.name}{w}" for w in where]
-        logs, found = _coorbit_log_norms(task.rep, states, g, task.norm, labels=labels)
-        centers = tuple(tuple(float(c) for c in row) for row in found) if found.size else ()
+    logs, found = _coorbit_log_norms(task.rep or _stft_rep(d), states, g, task.norm, where=where)
+    centers = tuple(tuple(float(c) for c in row) for row in found) if found.size else ()
     logs = tuple(float(v) for v in logs)
     slope, intercept = fit_slope(u_values, logs, task.growth, u_min_fit)
     return ScanResult(task.label, task.growth, u_values, logs, slope, intercept, u_min_fit, centers)

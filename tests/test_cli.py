@@ -231,6 +231,24 @@ def test_late_config_error_exits_3(tmp_path, capsys):
     assert err.startswith("config error:") and "state.f_quad" in err
 
 
+# coorbit-norm values that a Gaussian, a weight or the norm engine rejects,
+# with the key each config error must name
+_BAD_STATE_AND_WEIGHT = [
+    (f"state-f-quad-{v}", f"[group]\nname = heisenberg\n\n[state]\nf_quad = {v}\n", "state.f_quad")
+    for v in ("-1.0", "0.0")
+] + [
+    (
+        f"{name}-weight-coord-{c}",
+        f"[group]\nname = {name}\n\n[norm]\nweight_s = 1.0\nweight_coords = {c}\n",
+        "norm.weight_coords",
+    )
+    for name, c in (("g5_3", 4), ("heisenberg", 5), ("heisenberg", -1))
+] + [
+    (f"weight-s-{s}", f"[group]\nname = heisenberg\n\n[norm]\nweight_s = {s}\nweight_coords = 0\n", "norm.weight_s")
+    for s in ("nan", "inf", "-inf")
+]
+
+
 @pytest.mark.parametrize(
     "kind,text",
     [
@@ -251,6 +269,7 @@ def test_late_config_error_exits_3(tmp_path, capsys):
             "frame-sweep",
             "[sweep]\nlam = -1e300\neps_values = 1e7\n\n[estimate]\nlattice_radius = 1e8\ndict_halfrange = 1.0\n",
         ),
+        *(("coorbit-norm", text) for _, text, _ in _BAD_STATE_AND_WEIGHT),
     ],
     ids=[
         "g5_3-lam-0",
@@ -267,6 +286,7 @@ def test_late_config_error_exits_3(tmp_path, capsys):
         "state-f-quad-inf",
         "state-l2-norm-past-double-range",
         "sweep-lam-times-reach-past-double-range",
+        *(case for case, _, _ in _BAD_STATE_AND_WEIGHT),
     ],
 )
 def test_value_the_library_rejects_exits_3(tmp_path, capsys, kind, text):
@@ -280,6 +300,15 @@ def test_value_the_library_rejects_exits_3(tmp_path, capsys, kind, text):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text,key", [case[1:] for case in _BAD_STATE_AND_WEIGHT], ids=[case[0] for case in _BAD_STATE_AND_WEIGHT]
+)
+def test_bad_state_and_weight_values_name_their_key(tmp_path, capsys, text, key):
+    code, _ = run_cli(tmp_path, "bad.cfg", text, "coorbit-norm")
+    assert code == 3
+    assert f"key '{key}'" in capsys.readouterr().err
 
 
 def test_frame_sweep_at_a_huge_lambda_keeps_its_formal_dimension(tmp_path):

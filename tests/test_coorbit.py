@@ -43,7 +43,7 @@ from coorbit_lab.gaussian import (
     unit_gaussian,
 )
 from coorbit_lab.groups import group_spec, section
-from coorbit_lab.numerics import TailMassWarning
+from coorbit_lab.numerics import TailMassWarning, WorkBudgetError
 from coorbit_lab.representations import (
     RepSpec,
     _States,
@@ -586,6 +586,16 @@ def test_mixed_weighted_path_consistency():
     a = modulation_norm_log(phi, phi, NormSpec(p=2.0, q=1.0, weight=flat, box_half=7.0, resolution=0.25))
     b = modulation_norm_log(phi, phi, NormSpec(p=2.0, q=1.0))
     assert a == pytest.approx(b, abs=1e-6)
+
+
+@pytest.mark.parametrize("q,coords", [(1.0, (0,)), (2.0, (0, 1))], ids=["mixed", "q=p"])
+def test_weighted_modulation_norm_obeys_the_node_budget(monkeypatch, q, coords):
+    # a mixed norm meshes xi beside the weighted x, as a q = p norm weighted
+    # on both does: 57^2 = 3,249 nodes, refused before any mesh is built
+    monkeypatch.setattr(coorbit, "_MAX_NODES", 1000)
+    spec = NormSpec(p=2.0, q=q, weight=power_weight(1.0, coords), box_half=7.0, resolution=0.25)
+    with pytest.raises(WorkBudgetError, match="3,249 exceeds"):
+        modulation_norm_log(unit_gaussian(1), unit_gaussian(1), spec)
 
 
 def test_coorbit_rejects_mixed_exponents():
