@@ -46,7 +46,7 @@ from .gaussian import (
     unit_gaussian,
 )
 from .groups import GROUPS, group_spec
-from .numerics import GridSpec, TailMassWarning, WorkBudgetError, dft_stft
+from .numerics import GridSpec, TailMassWarning, WeightRangeError, WorkBudgetError, dft_stft
 from .representations import RepSpec, homomorphism_check, known_formal_dimension, unitarity_check
 
 _REQUIRED = object()
@@ -309,7 +309,10 @@ def _semantic_check(kind: str, params: dict, positions: dict) -> None:
         if ws is not None:
             if not math.isfinite(ws):
                 fail("norm", "weight_s", "weight_s must be finite")
-            spec_kwargs["weight"] = power_weight(ws, wc)
+            try:
+                spec_kwargs["weight"] = power_weight(ws, wc)
+            except ValueError as exc:
+                fail("norm", "weight_coords", str(exc))
         check_norm_spec("norm", **spec_kwargs)
     elif kind == "verify-gaussian":
         for d in params[("samples", "dims")]:
@@ -573,7 +576,10 @@ def _run_coorbit_norm(config: ExperimentConfig):
             resolution=config.get("norm", "resolution"),
         )
     with _shown_warnings() as caught:
-        log_norm = coorbit_norm_log(rep, f, g, spec)
+        try:
+            log_norm = coorbit_norm_log(rep, f, g, spec)
+        except WeightRangeError as exc:
+            raise ConfigError(str(exc), key="norm.weight_s") from None
     if not log_norm <= _LOG_MAX:
         raise OverflowError(f"the norm exp({log_norm!r}) is not a finite double")
     value = float(np.exp(log_norm))

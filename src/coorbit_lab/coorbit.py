@@ -26,7 +26,7 @@ import numpy as np
 
 from .gaussian import Gaussian, quad_forms, tensor, unit_gaussian
 from .groups import GroupSpec, group_spec, quotient_multiply, section
-from .numerics import TailMassWarning, check_budget, logsumexp
+from .numerics import TailMassWarning, WeightRangeError, check_budget, logsumexp
 from .representations import (
     RepSpec,
     _States,
@@ -46,9 +46,7 @@ __all__ = [
     "LogQuadratic",
     "fit_log_quadratic",
     "power_weight",
-    "coorbit_norm",
     "coorbit_norm_log",
-    "modulation_norm",
     "modulation_norm_log",
     "moderate_check",
     "weight_pullback_g616",
@@ -64,9 +62,6 @@ __all__ = [
 # group elements per batched call (factor table or kernel): bounds the
 # engine's working memory whatever the mesh size
 _BLOCK = 1024
-# quadratic models per batched conditioning on the weight mesh: bounds
-# their working memory whatever the weight mesh size
-_MODELS = 1 << 16
 # coupled mesh nodes times weight mesh nodes, summed over the states, that
 # one norm evaluation may take on; beyond it a NormSpec is refused before any
 # mesh is built
@@ -75,38 +70,44 @@ _MAX_NODES = 1 << 22
 # carry before the box counts as too small
 _TAIL_TOL = 0.01
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSpec:
-    """Positive weight on quotient (or phase-space) coordinates.
+    """The weight m(q) = (1 + |A q|)^s on quotient (or phase-space) coordinates.
 
-    log_fn receives full coordinate vectors with trailing dimension n and
-    returns log m; coords must list every coordinate index log_fn actually
-    reads, since only those directions get a quadrature mesh.
+    Column i of A multiplies coordinate i; coordinates past its last column
+    do not enter.  coords, the columns of A with a nonzero entry, are the
+    directions the weight reads, and only they get a quadrature mesh.
     """
 
-    coords: tuple[int, ...]
-    log_fn: Callable[[np.ndarray], np.ndarray]
-    label: str = "weight"
+    s: float
+    A: np.ndarray
 
     def __post_init__(self):
-        if len(self.coords) == 0:
-            raise ValueError("a weight must declare at least one coordinate dependency")
-        object.__setattr__(self, "coords", tuple(int(i) for i in self.coords))
+        A = np.array(self.A, dtype=float, ndmin=2)
+        if A.ndim != 2 or not np.isfinite(A).all():
+            raise ValueError(f"A must be a finite matrix, got shape {A.shape}")
+        A.flags.writeable = False
+        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "A", A)
+        if not self.coords:
+            raise ValueError("a weight must depend on at least one coordinate")
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        return tuple(int(i) for i in np.flatnonzero(self.A.any(axis=0)))
 
     def log_eval(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return np.asarray(self.log_fn(pts), dtype=float)
+        cols = list(self.coords)
+        aq = np.asarray(points, dtype=float)[..., cols] @ self.A[:, cols].T
+        return self.s * np.log1p(np.linalg.norm(aq, axis=-1))
 
 
-def power_weight(s: float, coords: Sequence[int], label: str | None = None) -> WeightSpec:
+def power_weight(s: float, coords: Sequence[int]) -> WeightSpec:
     """m(q) = (1 + |q_S|)^s with the euclidean norm over the selected coordinates."""
-    coords = tuple(int(i) for i in coords)
-
-    def log_fn(pts):
-        r = np.sqrt(np.sum(pts[..., list(coords)] ** 2, axis=-1))
-        return s * np.log1p(r)
-
-    return WeightSpec(coords, log_fn, label or f"(1+|q|)^{s:g}")
+    coords = [int(i) for i in coords]
+    if any(i < 0 for i in coords):
+        raise ValueError(f"weight coordinates must be non-negative, got {tuple(coords)}")
+    return WeightSpec(s, np.eye(max(coords, default=-1) + 1)[coords])
 
 
 @dataclass(frozen=True)
@@ -362,18 +363,6 @@ def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQua
     return LogQuadratic(*(np.concatenate(field) for field in zip(*parts)))
 
 
-def _rows(quad: LogQuadratic, idx) -> LogQuadratic:
-    """The models of the listed batch rows, with one more batch axis after them."""
-    return LogQuadratic(quad.const[idx, None], quad.grad[idx, None], quad.hess[idx, None])
-
-
-def _blocks(n_rows: int, models_per_row: int):
-    """Slices over n_rows batch rows, each holding at most _MODELS models
-    (and at least one row)."""
-    step = max(1, _MODELS // max(1, models_per_row))
-    return [slice(start, start + step) for start in range(0, n_rows, step)]
-
-
 # ---------------------------------------------------------------------------
 # quadrature meshes
 
@@ -440,6 +429,17 @@ def _row_logsumexp(values):
         return np.array([logsumexp(row) for row in values])
     shifted = values - peak[:, None]
     return peak + np.log(np.exp(shifted, out=shifted).sum(axis=1))
+
+
+def _mesh_radius(a_c, a_w, cpts, wpts):
+    """|A q| with one row per coupled node and one column per weight node, from A's columns a_c
+    and a_w for them: a row of A at a time, so two mesh-sized arrays whatever A's rank."""
+    r = np.zeros((len(cpts), len(wpts)))
+    t = np.empty_like(r)
+    for row_c, row_w in zip(a_c, a_w):
+        np.add.outer(np.einsum("ci,i->c", cpts, row_c), np.einsum("wi,i->w", wpts, row_w), out=t)
+        r += np.square(t, out=t)
+    return np.sqrt(r, out=r)
 
 
 _PROBE_MAGNITUDES = tuple(float(2**k) for k in range(1, 11))  # 2 .. 1024
@@ -521,7 +521,7 @@ def _coorbit_log_norms(rep, states, g, spec, tail="warn", where=None):
     where = where or [""] * n_states
     coupled, fitdims = _coordinate_split(rep)
     weight = spec.weight
-    if weight is not None and any(i < 0 or i >= n for i in weight.coords):
+    if weight is not None and weight.coords[-1] >= n:
         raise ValueError(f"weight coordinates {weight.coords} out of range for quotient dim {n}")
     # a weight meshes its coordinates, and every outer one beside them
     wdims = sorted(set(weight.coords).union(outer) - set(coupled)) if weight is not None else []
@@ -564,25 +564,23 @@ def _coorbit_log_norms(rep, states, g, spec, tail="warn", where=None):
     if outer:
         wpts = np.concatenate([np.tile(wpts, (len(opts), 1)), np.repeat(opts, len(wpts), axis=0)], axis=1)
     wdims = inner + outer  # the columns of wpts
-    wpos = [fitdims.index(i) for i in wdims]
     counts = [len(mesh[0]) for mesh in meshes]
     cpts = np.concatenate([mesh[0] for mesh in meshes])
     node_states = states.rows(np.repeat(np.arange(n_states), counts))
 
-    # one row per coupled node of every state, one column per weight node
+    # one row per coupled node of every state, one column per weight node: the
+    # fit coordinates off the weight mesh are integrated out once per node, and
+    # the quadratic left in the weighted ones is evaluated on the weight mesh
     quad = _node_quadratics(rep, node_states, g, cpts).scaled(p)
-    vals = np.empty((len(cpts), len(wpts)))
-    for block in _blocks(len(cpts), len(wpts)):
-        bquad = _rows(quad, block)
-        if wpos:
-            bquad = bquad.conditioned(wpos, wpts)
-        bvals = np.reshape(bquad.total(), (-1, len(wpts)))
-        if weight is not None:
-            qfull = np.zeros(bvals.shape + (n,))
-            qfull[..., coupled] = cpts[block, None, :]
-            qfull[..., wdims] = wpts[None, :, :]
-            bvals = bvals + p * weight.log_eval(qfull)
-        vals[block] = bvals
+    quad = quad.marginalized([i for i, c in enumerate(fitdims) if c not in wdims])
+    vals = LogQuadratic(quad.const[:, None], quad.grad[:, None], quad.hess[..., None, :, :]).value(wpts)
+    if weight is not None:
+        a = np.hstack([weight.A, np.zeros((len(weight.A), n))])  # zero columns past A's last
+        r = _mesh_radius(a[:, coupled], a[:, wdims], cpts, wpts)
+        reach = float(r.max())
+        if not math.isfinite(p * abs(weight.s) * math.log1p(reach)):
+            raise WeightRangeError(f"{name}: p log m at s = {weight.s:g}, |A q| = {reach:g} is past double range")
+        vals += p * weight.s * np.log1p(r, out=r)
 
     # per state: the log mass of each outer slice over its coupled and inner
     # nodes, then the L^q sum of the slices; the outer shell is checked, and
@@ -609,10 +607,6 @@ def _coorbit_log_norms(rep, states, g, spec, tail="warn", where=None):
     return np.array(norms), centers if probe else centers[:, :0]
 
 
-def coorbit_norm(rep, f, g, spec=None, **kwargs) -> float:
-    return float(np.exp(coorbit_norm_log(rep, f, g, spec, **kwargs)))
-
-
 # ---------------------------------------------------------------------------
 # modulation norms on phase space
 
@@ -631,10 +625,6 @@ def modulation_norm_log(
     if g.dim != f.dim:
         raise ValueError(f"window dimension {g.dim} does not match signal dimension {f.dim}")
     return float(_coorbit_log_norms(_stft_rep(f.dim), _States.stack([f]), g, spec, tail)[0][0])
-
-
-def modulation_norm(f, g=None, spec=None, **kwargs) -> float:
-    return float(np.exp(modulation_norm_log(f, g, spec, **kwargs)))
 
 
 # ---------------------------------------------------------------------------
@@ -658,22 +648,20 @@ def weight_pullback_g616(weight: WeightSpec | None, lam: float, mu: float = 0.0)
 
     The coefficient map identifies quotient points with phase-space points
     (x1, x2, xi1, xi2) via x5 = x1, x6 = x2, x4 = -xi2/lam,
-    x3 = (mu x2 - xi1)/lam; the weight is composed with the inverse map.
+    x3 = (mu x2 - xi1)/lam; the weight is composed with that substitution,
+    q = M z, so its matrix becomes A M.
     """
     if weight is None:
         return None
     if lam == 0.0:
         raise ValueError("pullback needs lambda != 0")
-    dep_map = {0: (1, 2) if mu != 0.0 else (2,), 1: (3,), 2: (0,), 3: (1,)}
-    coords = sorted({j for i in weight.coords for j in dep_map[i]})
-
-    def log_fn(z):
-        x3 = (mu * z[..., 1] - z[..., 2]) / lam
-        x4 = -z[..., 3] / lam
-        q = np.stack([x3, x4, z[..., 0], z[..., 1]], axis=-1)
-        return weight.log_eval(q)
-
-    return WeightSpec(tuple(coords), log_fn, label=f"pullback[{weight.label}]")
+    if weight.coords[-1] > 3:
+        raise ValueError(f"weight coordinates {weight.coords} out of range for the 4 quotient coordinates")
+    M = np.zeros((4, 4))
+    M[0, 1:3] = mu / lam, -1.0 / lam
+    M[1, 3] = -1.0 / lam
+    M[2, 0] = M[3, 1] = 1.0
+    return WeightSpec(weight.s, weight.A[:, :4] @ M[: weight.A.shape[1]])
 
 
 # ---------------------------------------------------------------------------

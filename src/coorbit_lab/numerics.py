@@ -40,6 +40,10 @@ class WorkBudgetError(ValueError):
     """
 
 
+class WeightRangeError(WorkBudgetError):
+    """A weight whose log p |s| log(1 + |A q|) leaves double range on a norm's mesh."""
+
+
 def check_budget(count: int, budget: int, what: str) -> None:
     """Raise WorkBudgetError naming the count unless count <= budget.
 

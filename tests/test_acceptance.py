@@ -13,7 +13,6 @@ import pytest
 from coorbit_lab.coorbit import (
     NormSpec,
     chirp_scan_task,
-    coorbit_norm,
     coorbit_norm_log,
     g53_curve_tasks,
     modulation_norm_log,
@@ -132,7 +131,7 @@ def test_criterion_4_orthogonality_collapse():
         d = rep.acting_dim
         f = Gaussian(np.eye(d) * 1.2, np.full(d, 0.1))
         g = unit_gaussian(d)
-        got = coorbit_norm(rep, f, g, NormSpec(p=2.0))
+        got = np.exp(coorbit_norm_log(rep, f, g, NormSpec(p=2.0)))
         d_pi = known_formal_dimension(rep)  # the Pfaffian of the bracket form
         want = l2_norm(f) * l2_norm(g) / np.sqrt(d_pi)
         rel = abs(got - want) / want

@@ -245,7 +245,7 @@ _BAD_STATE_AND_WEIGHT = [
     for name, c in (("g5_3", 4), ("heisenberg", 5), ("heisenberg", -1))
 ] + [
     (f"weight-s-{s}", f"[group]\nname = heisenberg\n\n[norm]\nweight_s = {s}\nweight_coords = 0\n", "norm.weight_s")
-    for s in ("nan", "inf", "-inf")
+    for s in ("nan", "inf", "-inf", "1e308", "-1e308")
 ]
 
 

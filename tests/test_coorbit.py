@@ -18,14 +18,12 @@ from coorbit_lab.coorbit import (
     NormTask,
     WeightSpec,
     chirp_scan_task,
-    coorbit_norm,
     coorbit_norm_log,
     df_modulation_task,
     fit_log_quadratic,
     fit_slope,
     g53_curve_tasks,
     moderate_check,
-    modulation_norm,
     modulation_norm_log,
     orbit_scan,
     power_weight,
@@ -72,8 +70,11 @@ def test_power_weight_values():
     w = power_weight(2.0, (0,))
     pts = np.array([[3.0, 99.0], [0.0, 5.0]])
     # (1 + |q_S|)^2, reading only coordinate 0
-    assert np.allclose(w.log_fn(pts), 2.0 * np.log1p([3.0, 0.0]))
+    assert np.allclose(w.log_eval(pts), 2.0 * np.log1p([3.0, 0.0]))
     assert w.coords == (0,)
+    # as a row of A, index -1 would select the last coordinate
+    with pytest.raises(ValueError, match="non-negative"):
+        power_weight(1.0, (-1,))
 
 
 def test_fit_log_quadratic_recovers_plant():
@@ -127,7 +128,7 @@ def test_moyal_collapse_on_heisenberg():
     rep = RepSpec(H1, 1.0)
     f = Gaussian(1.4, 0.3)
     g = unit_gaussian(1)
-    got = coorbit_norm(rep, f, g, NormSpec(p=2.0))
+    got = np.exp(coorbit_norm_log(rep, f, g, NormSpec(p=2.0)))
     assert got == pytest.approx(l2_norm(f) * l2_norm(g), rel=1e-12)
 
 
@@ -174,11 +175,8 @@ def test_heisenberg_weighted_reduction():
     m = power_weight(1.5, (0, 1))
     co = coorbit_norm_log(rep, f, g, NormSpec(p=p, weight=m, box_half=7.0, resolution=0.25))
 
-    def tilde_log(z):
-        r = np.sqrt(z[..., 0] ** 2 + (z[..., 1] / lam) ** 2)
-        return 1.5 * np.log1p(r)
-
-    m_t = WeightSpec((0, 1), tilde_log, "pulled-back")
+    # m(x, y / lam): the weight pulled back to phase space
+    m_t = WeightSpec(1.5, np.diag([1.0, 1.0 / lam]))
     mod = modulation_norm_log(f, g, NormSpec(p=p, weight=m_t, box_half=7.0, resolution=0.25))
     assert abs(np.expm1(co - (mod - np.log(lam) / p))) < 1e-2
 
@@ -219,13 +217,16 @@ def test_g616_weighted_pullback():
     assert abs(np.expm1(co - (mod - 2.0 * np.log(lam) / p))) < 1e-2
 
 
-def test_weight_pullback_identity_map():
+@pytest.mark.parametrize("lam,mu", [(1.0, 0.0), (2.0, 1.0), (-0.5, 3.0)])
+def test_weight_pullback_identity_map(lam, mu):
     m = power_weight(1.0, (2, 3))
-    pulled = weight_pullback_g616(m, 1.0, 0.0)
-    pts = np.random.default_rng(0).uniform(-2, 2, (10, 4))
-    # at lam=1, mu=0 the substitution is a relabeling with sign flips
-    mapped = np.column_stack([pts[:, 3], pts[:, 2], -pts[:, 1], -pts[:, 0]])
-    assert np.allclose(pulled.log_fn(pts), m.log_fn(mapped), atol=1e-12)
+    pulled = weight_pullback_g616(m, lam, mu)
+    z = np.random.default_rng(0).uniform(-2, 2, (10, 4))
+    # the quotient point (x3, x4, x5, x6) of the phase-space point z
+    x = np.column_stack([(mu * z[:, 1] - z[:, 2]) / lam, -z[:, 3] / lam, z[:, 0], z[:, 1]])
+    assert np.allclose(pulled.log_eval(z), m.log_eval(x), atol=1e-12)
+    # a weight on (x3, x4) reads xi1, xi2, and x2 when mu shears x3
+    assert weight_pullback_g616(power_weight(1.0, (0, 1)), lam, mu).coords == ((1, 2, 3) if mu else (2, 3))
     assert weight_pullback_g616(None, 2.0, 1.0) is None
 
 
@@ -235,7 +236,7 @@ def test_p2_orthogonality_collapse(name, lam, mu):
     rep = RepSpec(grp, lam, mu) if mu else RepSpec(grp, lam)
     f = Gaussian(np.eye(rep.acting_dim) * 1.2, np.full(rep.acting_dim, 0.1))
     g = unit_gaussian(rep.acting_dim)
-    got = coorbit_norm(rep, f, g, NormSpec(p=2.0))
+    got = np.exp(coorbit_norm_log(rep, f, g, NormSpec(p=2.0)))
     want = l2_norm(f) * l2_norm(g) / np.sqrt(known_formal_dimension(rep))
     assert got == pytest.approx(want, rel=1e-6)
 
@@ -246,7 +247,7 @@ def test_p2_orthogonality_on_dynin_folland(lam):
     rep = RepSpec(group_spec("dynin_folland"), lam)
     f = Gaussian(np.eye(3) * 1.2, np.full(3, 0.1))
     g = unit_gaussian(3)
-    got = coorbit_norm(rep, f, g, NormSpec(p=2.0))
+    got = np.exp(coorbit_norm_log(rep, f, g, NormSpec(p=2.0)))
     want = l2_norm(f) * l2_norm(g) / np.sqrt(abs(lam) ** 3)
     assert got == pytest.approx(want, rel=1e-5)
 
@@ -395,7 +396,7 @@ def test_g5_3_norm_regression_pin():
     # halving the mesh and doubling the box
     rep = RepSpec(group_spec("g5_3"), 1.0)
     state, _ = g53_curve_tasks(1.0)[0].prepare(10.0)
-    got = coorbit_norm(rep, state, unit_gaussian(2), NormSpec(p=1.0))
+    got = np.exp(coorbit_norm_log(rep, state, unit_gaussian(2), NormSpec(p=1.0)))
     assert got == pytest.approx(1.90173789, rel=1e-6)
 
 
@@ -416,7 +417,7 @@ def test_isometry_of_the_action():
 def test_modulation_norm_mixed_exponents_closed_form():
     phi = unit_gaussian(1)
     for p, q in [(1.0, 2.0), (2.0, 1.0), (3.0, 1.5)]:
-        got = modulation_norm(phi, phi, NormSpec(p=p, q=q))
+        got = np.exp(modulation_norm_log(phi, phi, NormSpec(p=p, q=q)))
         want = 2**-0.5 * (2 / p) ** (1 / (2 * p)) * (2 / q) ** (1 / (2 * q))
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -432,7 +433,7 @@ def test_modulation_norm_tensor_multiplicativity():
 def test_modulation_norm_of_chirps_matches_closed_form():
     g = unit_gaussian(1)
     for u in (2.0, 4.0, 8.0):
-        got = modulation_norm(chirp(g, u), g, NormSpec(p=1.0))
+        got = np.exp(modulation_norm_log(chirp(g, u), g, NormSpec(p=1.0)))
         assert got == pytest.approx(chirp_mp_norm(u, 1.0), rel=1e-8)
 
 
@@ -841,8 +842,9 @@ def test_fit_slope_needs_two_distinct_abscissae_past_u_min():
 
 def test_weighted_coorbit_norm_memory_is_bounded_by_blocks():
     # the weight mesh on quotient coordinates (0, 1) of g5_3 has 129 x 129
-    # nodes per coupled node (129 of them); conditioning them all at once
-    # peaked at 235 MB.  The child reports its peak resident size as VmHWM:
+    # nodes per coupled node (129 of them); conditioning a model per pair all
+    # at once peaked at 235 MB, where the engine now holds one value per pair.
+    # The child reports its peak resident size as VmHWM:
     # ru_maxrss would carry over the peak of this process, which a fork and
     # exec keep on Linux
     code = (
