@@ -3,8 +3,13 @@
 Each invocation runs one experiment kind from a small line-oriented config
 file, writes a CSV table plus a JSON summary into the output directory, and
 exits 0 on success, 2 when a declared tolerance is violated, and 3 on a bad
-config, including a value that only a group, representation, norm or lattice
-can reject.  Given the same config and seed the CSV output is byte-identical.
+config.  parse_config checks every value once: the schema tag holds each
+value's type and domain, and the kind's builder makes the group records,
+representations, norm specs, lattices, scan task and grids its runner uses,
+so a value that one of them rejects is reported with its line and key.  The
+run itself checks only what needs more than the config: the state against
+the group, the weight against the norm's mesh, and the work budgets.  Given
+the same config and seed the CSV output is byte-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,6 +77,8 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class ExperimentConfig:
     params: dict
+    # the library objects the kind's builder made from params, for its runner
+    built: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def kind(self) -> str:
@@ -87,20 +94,28 @@ class ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # schemas: (section, key) -> (type tag, default); _REQUIRED means no default.
-# Type tags: int, float, str, floats (comma list), ints (comma list);
-# an "opt-" prefix admits the absence of the key with a None value.
+# A tag is [opt-][domain-]base.  Bases: int, float, str, floats (comma list),
+# ints (comma list).  An "opt-" prefix admits the absence of the key with a
+# None value; a domain holds for every entry of the value.
+
+_DOMAINS = {
+    "pos": ("finite and positive", lambda v: 0 < v < math.inf),
+    "nonneg": ("finite and non-negative", lambda v: 0 <= v < math.inf),
+    "fin": ("finite", lambda v: -math.inf < v < math.inf),
+    "ge1": ("finite and >= 1", lambda v: 1 <= v < math.inf),
+}
 
 _COMMON = {
     ("experiment", "kind"): ("str", None),
-    ("experiment", "seed"): ("int", 0),
+    ("experiment", "seed"): ("nonneg-int", 0),
 }
 
 SCHEMAS: dict[str, dict] = {
     "verify-gaussian": {
         **_COMMON,
-        ("samples", "closed"): ("int", 1000),
-        ("samples", "determinant"): ("int", 100),
-        ("samples", "grid"): ("int", 20),
+        ("samples", "closed"): ("nonneg-int", 1000),
+        ("samples", "determinant"): ("nonneg-int", 100),
+        ("samples", "grid"): ("nonneg-int", 20),
         ("samples", "dims"): ("ints", (1, 2)),
         ("tolerance", "closed"): ("float", 1e-10),
         ("tolerance", "determinant"): ("float", 1e-10),
@@ -109,7 +124,7 @@ SCHEMAS: dict[str, dict] = {
     "orbit-scan": {
         **_COMMON,
         ("scan", "task"): ("str", _REQUIRED),
-        ("scan", "p"): ("float", 1.0),
+        ("scan", "p"): ("ge1-float", 1.0),
         ("scan", "u_values"): ("floats", DEFAULT_SCAN),
         ("scan", "u_min_fit"): ("float", 32.0),
         ("tolerance", "slope"): ("float", 0.02),
@@ -122,22 +137,22 @@ SCHEMAS: dict[str, dict] = {
         ("group", "heisenberg_d"): ("int", 1),
         ("group", "lam"): ("float", 1.0),
         ("group", "mu"): ("float", 0.0),
-        ("norm", "p"): ("float", 2.0),
-        ("norm", "box_half"): ("float", 8.0),
-        ("norm", "resolution"): ("float", 0.125),
-        ("norm", "weight_s"): ("opt-float", None),
+        ("norm", "p"): ("ge1-float", 2.0),
+        ("norm", "box_half"): ("pos-float", 8.0),
+        ("norm", "resolution"): ("pos-float", 0.125),
+        ("norm", "weight_s"): ("opt-fin-float", None),
         ("norm", "weight_coords"): ("opt-ints", None),
-        ("state", "f_quad"): ("opt-floats", None),
-        ("state", "f_lin"): ("opt-floats", None),
+        ("state", "f_quad"): ("opt-pos-floats", None),
+        ("state", "f_lin"): ("opt-fin-floats", None),
         ("tolerance", "orthogonality"): ("float", 1e-3),
     },
     "frame-sweep": {
         **_COMMON,
         ("sweep", "lam"): ("float", 1.0),
-        ("sweep", "eps_values"): ("floats", (0.5, 0.7, 0.9, 1.1, 1.25, 1.5)),
-        ("estimate", "lattice_radius"): ("float", 6.0),
-        ("estimate", "dict_halfrange"): ("float", 4.0),
-        ("estimate", "dict_step"): ("float", 0.5),
+        ("sweep", "eps_values"): ("pos-floats", (0.5, 0.7, 0.9, 1.1, 1.25, 1.5)),
+        ("estimate", "lattice_radius"): ("pos-float", 6.0),
+        ("estimate", "dict_halfrange"): ("nonneg-float", 4.0),
+        ("estimate", "dict_step"): ("pos-float", 0.5),
         ("tolerance", "ratio"): ("float", 0.01),
         ("tolerance", "density_factor"): ("float", 0.95),
     },
@@ -145,44 +160,38 @@ SCHEMAS: dict[str, dict] = {
         **_COMMON,
         ("lattice", "group"): ("str", "all"),
         ("lattice", "heisenberg_d"): ("int", 1),
-        ("lattice", "eps"): ("float", 0.75),
-        ("lattice", "n_points"): ("int", 10000),
+        ("lattice", "eps"): ("pos-float", 0.75),
+        ("lattice", "n_points"): ("pos-int", 10000),
     },
     "rep-selftest": {
         **_COMMON,
         ("suite", "group"): ("str", "all"),
         ("suite", "heisenberg_d"): ("int", 1),
-        ("suite", "n_pairs"): ("int", 500),
-        ("suite", "box"): ("float", 2.0),
+        ("suite", "n_pairs"): ("nonneg-int", 500),
+        ("suite", "box"): ("pos-float", 2.0),
         ("tolerance", "homomorphism"): ("float", 1e-10),
         ("tolerance", "unitarity"): ("float", 1e-10),
     },
 }
 
-_SECTION_ORDER = {
-    kind: tuple(dict.fromkeys(section for section, _ in schema))
-    for kind, schema in SCHEMAS.items()
-}
 
-
-def _coerce(tag: str, raw: str, line: int, key: str):
-    base = tag[4:] if tag.startswith("opt-") else tag
-    try:
-        if base == "int":
-            return int(raw)
-        if base == "float":
-            return float(raw)
-        if base == "floats":
-            return tuple(float(tok) for tok in raw.split(","))
-        if base == "ints":
-            return tuple(int(tok) for tok in raw.split(","))
+def _coerce(tag: str, raw: str, line: int | None, key: str):
+    *prefixes, base = tag.split("-")
+    if base == "str":
         return raw
+    parse = int if base.startswith("int") else float
+    try:
+        values = tuple(parse(tok) for tok in (raw.split(",") if base.endswith("s") else [raw]))
     except ValueError:
         raise ConfigError(f"expected {base}, got {raw!r}", line, key) from None
+    for prefix in prefixes:
+        if prefix in _DOMAINS and not all(_DOMAINS[prefix][1](v) for v in values):
+            raise ConfigError(f"must be {_DOMAINS[prefix][0]}, got {raw!r}", line, key)
+    return values if base.endswith("s") else values[0]
 
 
 def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
-    """Parse the line-oriented config format.
+    """Parse the line-oriented config format and build the kind's library objects.
 
     Sections are ``[name]`` lines, entries are ``key = value``; blank lines
     and ``#`` comments are skipped.  Every diagnostic names the offending
@@ -227,16 +236,15 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         raise ConfigError(f"unknown experiment kind {kind!r}", line, "experiment.kind")
 
     schema = SCHEMAS[kind]
-    positions: dict[tuple[str, str], int] = {}
+    lines: dict[str, int] = {}
     params: dict[tuple[str, str], object] = {}
     for (sec, key), (raw, line_no) in entries.items():
         if (sec, key) == ("experiment", "kind"):
             continue
         if (sec, key) not in schema:
             raise ConfigError("unknown key", line_no, f"{sec}.{key}")
-        tag = schema[(sec, key)][0]
-        params[(sec, key)] = _coerce(tag, raw, line_no, f"{sec}.{key}")
-        positions[(sec, key)] = line_no
+        params[(sec, key)] = _coerce(schema[(sec, key)][0], raw, line_no, f"{sec}.{key}")
+        lines[f"{sec}.{key}"] = line_no
     for (sec, key), (tag, default) in schema.items():
         if (sec, key) == ("experiment", "kind") or (sec, key) in params:
             continue
@@ -244,130 +252,115 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
             raise ConfigError("missing required key", key=f"{sec}.{key}")
         params[(sec, key)] = default
     params[("experiment", "kind")] = kind
-
-    _semantic_check(kind, params, positions)
-    return ExperimentConfig(params)
+    return ExperimentConfig(params, _BUILDERS[kind](_Parsed(params, lines)))
 
 
-@contextmanager
-def _rejected_values(section: str):
-    """Report a value the library rejects (a ValueError from building a group,
-    RepSpec, NormSpec or QuasiLattice) as a ConfigError on the config section."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc), key=section) from None
+class _Parsed:
+    """The parsed values of one config, and the line of each key the file sets."""
 
+    def __init__(self, params: dict, lines: dict):
+        self.params, self.lines = params, lines
 
-def _pos(positions, sec, key):
-    return positions.get((sec, key))
+    def __getitem__(self, key: str):
+        return self.params[tuple(key.split("."))]
 
+    def error(self, message: str, *keys: str) -> ConfigError:
+        """A ConfigError on the first of keys that the file sets (else the first), at its line."""
+        key = next((k for k in keys if k in self.lines), keys[0])
+        return ConfigError(message, self.lines.get(key), key)
 
-def _positive(value) -> bool:
-    """A finite positive number; NaN and infinity fail both tests."""
-    return value > 0 and math.isfinite(value)
-
-
-def _semantic_check(kind: str, params: dict, positions: dict) -> None:
-    """Cross-field validation; errors cite the line that set the bad value."""
-    def fail(sec, key, message):
-        raise ConfigError(message, _pos(positions, sec, key), f"{sec}.{key}")
-
-    def check_norm_spec(sec, **kwargs):
+    def build(self, keys: tuple[str, ...], factory, *args, **kwargs):
+        """factory(*args, **kwargs); a ValueError it raises is a ConfigError on keys."""
         try:
-            NormSpec(**kwargs)
+            return factory(*args, **kwargs)
         except ValueError as exc:
-            fail(sec, "p", str(exc))
-
-    def check_group(sec, key):
-        name = params[(sec, key)]
-        if name != "all" and name not in GROUPS:
-            fail(sec, key, f"unknown group {name!r}; expected one of {', '.join(GROUPS)} or all")
-
-    def check_positive(sec, key):
-        values = params[(sec, key)]
-        if not all(_positive(v) for v in (values if isinstance(values, tuple) else (values,))):
-            fail(sec, key, f"{key} must be finite and positive")
-
-    if params[("experiment", "seed")] < 0:
-        fail("experiment", "seed", "seed must be non-negative")
-    if kind == "orbit-scan":
-        task = params[("scan", "task")]
-        if task not in _SCAN_TASKS:
-            fail("scan", "task", f"unknown task {task!r}; expected one of {', '.join(sorted(_SCAN_TASKS))}")
-        check_norm_spec("scan", p=params[("scan", "p")])
-        if len(set(params[("scan", "u_values")])) < 3:
-            fail("scan", "u_values", "need at least three distinct scan points for a fit")
-    elif kind == "coorbit-norm":
-        check_group("group", "name")
-        if params[("group", "name")] == "all":
-            fail("group", "name", "coorbit-norm runs one group at a time")
-        spec_kwargs = {"p": params[("norm", "p")]}
-        ws, wc = params[("norm", "weight_s")], params[("norm", "weight_coords")]
-        if (ws is None) != (wc is None):
-            fail("norm", "weight_s", "weight_s and weight_coords must be given together")
-        if ws is not None:
-            if not math.isfinite(ws):
-                fail("norm", "weight_s", "weight_s must be finite")
-            try:
-                spec_kwargs["weight"] = power_weight(ws, wc)
-            except ValueError as exc:
-                fail("norm", "weight_coords", str(exc))
-        check_norm_spec("norm", **spec_kwargs)
-    elif kind == "verify-gaussian":
-        for d in params[("samples", "dims")]:
-            try:
-                GridSpec.default_for(d)
-            except ValueError as exc:
-                fail("samples", "dims", str(exc))
-        for key in ("closed", "grid", "determinant"):
-            if params[("samples", key)] < 0:
-                fail("samples", key, f"{key} must be non-negative")
-    elif kind == "density":
-        check_group("lattice", "group")
-        check_positive("lattice", "eps")
-        if params[("lattice", "n_points")] < 1:
-            fail("lattice", "n_points", "n_points must be positive")
-    elif kind == "rep-selftest":
-        check_group("suite", "group")
-        if params[("suite", "n_pairs")] < 0:
-            fail("suite", "n_pairs", "n_pairs must be non-negative")
-        check_positive("suite", "box")
-    elif kind == "frame-sweep":
-        check_positive("sweep", "eps_values")
-        for key in ("lattice_radius", "dict_step"):
-            check_positive("estimate", key)
-        halfrange = params[("estimate", "dict_halfrange")]
-        if not (halfrange >= 0 and math.isfinite(halfrange)):
-            fail("estimate", "dict_halfrange", "dict_halfrange must be finite and non-negative")
+            raise self.error(str(exc), *keys) from None
 
 
-def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical text form: schema order, one key per line, repr-stable values."""
-    schema = SCHEMAS[config.kind]
-    lines = []
-    for sec in _SECTION_ORDER[config.kind]:
-        body = []
-        for (s, key), (tag, _default) in schema.items():
-            if s != sec:
-                continue
-            value = config.params[(s, key)]
-            if value is None:
-                continue
-            body.append(f"{key} = {_format_value(value)}")
-        if body:
-            lines.append(f"[{sec}]")
-            lines.extend(body)
-            lines.append("")
-    return "\n".join(lines)
+# ---------------------------------------------------------------------------
+# builders: each makes, from the parsed values of its kind, the library
+# objects its runner reads from ExperimentConfig.built
+
+# task name -> (factory(p), expectation mode, expected slope as a function of p)
+_SCAN_TASKS = {
+    "chirp-1d": (lambda p: chirp_scan_task(p), "slope", lambda p: 1.0 / p - 0.5),
+    "chirp-2d-cross": (lambda p: chirp_scan_task(p, cross=True), "slope", lambda p: 2.0 / p - 1.0),
+    "g53-curve-own": (lambda p: g53_curve_tasks(p)[0], "invariant", lambda p: 0.0),
+    "g53-curve-modulation": (lambda p: g53_curve_tasks(p)[1], "slope", lambda p: 1.0 / p - 0.5),
+    "g53-curve-sibling": (lambda p: g53_curve_tasks(p)[2], "slope", lambda p: 0.5 / p - 0.25),
+    "df-chirp-direction": (lambda p: df_modulation_task(p), "slope", lambda p: 2.0 / p - 1.0),
+}
 
 
-def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _groups(v: _Parsed, key: str, every: bool) -> list:
+    """The records of the group key names; with every, "all" names each group."""
+    name, sec = v[key], key.split(".")[0]
+    choices = (*GROUPS, "all") if every else GROUPS
+    if name not in choices:
+        raise v.error(f"unknown group {name!r}; expected one of {', '.join(choices)}", key)
+    hd = v[f"{sec}.heisenberg_d"]
+    return [v.build((f"{sec}.heisenberg_d",), group_spec, n, hd) for n in (GROUPS if name == "all" else (name,))]
+
+
+def _build_verify_gaussian(v: _Parsed) -> dict:
+    return {"grids": [v.build(("samples.dims",), GridSpec.default_for, d) for d in v["samples.dims"]]}
+
+
+def _build_orbit_scan(v: _Parsed) -> dict:
+    name = v["scan.task"]
+    if name not in _SCAN_TASKS:
+        raise v.error(f"unknown task {name!r}; expected one of {', '.join(sorted(_SCAN_TASKS))}", "scan.task")
+    if len(set(v["scan.u_values"])) < 3:
+        raise v.error("need at least three distinct scan points for a fit", "scan.u_values")
+    return {"task": _SCAN_TASKS[name][0](v["scan.p"])}
+
+
+def _build_coorbit_norm(v: _Parsed) -> dict:
+    (grp,) = _groups(v, "group.name", every=False)
+    rep = v.build(("group.lam", "group.mu"), RepSpec, grp, v["group.lam"], v["group.mu"])
+    s, coords = v["norm.weight_s"], v["norm.weight_coords"]
+    if (s is None) != (coords is None):
+        raise v.error("weight_s and weight_coords must be given together", "norm.weight_s", "norm.weight_coords")
+    weight = None
+    if s is not None:
+        n = grp.quotient_dim
+        if not all(0 <= i < n for i in coords):
+            raise v.error(f"weight_coords must lie in 0..{n - 1} for this group", "norm.weight_coords")
+        weight = power_weight(s, coords)
+    spec = v.build(
+        ("norm.resolution", "norm.box_half"),
+        NormSpec,
+        p=v["norm.p"],
+        weight=weight,
+        box_half=v["norm.box_half"],
+        resolution=v["norm.resolution"],
+    )
+    return {"rep": rep, "spec": spec}
+
+
+def _build_frame_sweep(v: _Parsed) -> dict:
+    rep = v.build(("sweep.lam",), RepSpec, group_spec("heisenberg", 1), v["sweep.lam"])
+    return {"rep": rep, "lattices": [QuasiLattice(rep.group, eps) for eps in v["sweep.eps_values"]]}
+
+
+def _build_density(v: _Parsed) -> dict:
+    return {"lattices": [QuasiLattice(grp, v["lattice.eps"]) for grp in _groups(v, "lattice.group", every=True)]}
+
+
+def _build_rep_selftest(v: _Parsed) -> dict:
+    # a two-dimensional centre takes a second parameter, which 6,19 needs nonzero
+    grps = _groups(v, "suite.group", every=True)
+    return {"reps": [RepSpec(grp, 1.0, 1.0 if grp.center_dim == 2 else 0.0) for grp in grps]}
+
+
+_BUILDERS = {
+    "verify-gaussian": _build_verify_gaussian,
+    "orbit-scan": _build_orbit_scan,
+    "coorbit-norm": _build_coorbit_norm,
+    "frame-sweep": _build_frame_sweep,
+    "density": _build_density,
+    "rep-selftest": _build_rep_selftest,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +418,12 @@ def _run_verify_gaussian(config: ExperimentConfig):
     tol_grid = config.get("tolerance", "grid")
     tol_det = config.get("tolerance", "determinant")
     rows = []
-    for d in config.get("samples", "dims"):
+    for grid in config.built["grids"]:
+        d = grid.dim
         window = unit_gaussian(d)
         C, x, xi = _closed_samples(rng, d, config.get("samples", "closed"))
         errs = np.abs(_closed_reference(C, x, xi) - chirp_stft_modulus(C, x, xi))
         rows.extend(("closed", d, i, err) for i, err in enumerate(errs))
-        grid = GridSpec.default_for(d)
         freq_keep = 2.0
         for i in range(config.get("samples", "grid")):
             C = rng.uniform(-1.5, 1.5, (d, d))
@@ -465,12 +458,13 @@ def _run_verify_gaussian(config: ExperimentConfig):
 
 @contextmanager
 def _shown_warnings():
-    """Record every warning the block raises, for the JSON, and print it to stderr."""
+    """Record every warning the block raises, for the JSON, then issue each
+    again under the caller's filters (which may show it, or raise it)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         yield caught
     for w in caught:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
 
 def _tail_mass(caught) -> bool:
@@ -478,22 +472,11 @@ def _tail_mass(caught) -> bool:
     return any(issubclass(w.category, TailMassWarning) for w in caught)
 
 
-# task name -> (factory(p), expectation mode, expected slope as a function of p)
-_SCAN_TASKS = {
-    "chirp-1d": (lambda p: chirp_scan_task(p), "slope", lambda p: 1.0 / p - 0.5),
-    "chirp-2d-cross": (lambda p: chirp_scan_task(p, cross=True), "slope", lambda p: 2.0 / p - 1.0),
-    "g53-curve-own": (lambda p: g53_curve_tasks(p)[0], "invariant", lambda p: 0.0),
-    "g53-curve-modulation": (lambda p: g53_curve_tasks(p)[1], "slope", lambda p: 1.0 / p - 0.5),
-    "g53-curve-sibling": (lambda p: g53_curve_tasks(p)[2], "slope", lambda p: 0.5 / p - 0.25),
-    "df-chirp-direction": (lambda p: df_modulation_task(p), "slope", lambda p: 2.0 / p - 1.0),
-}
-
-
 def _run_orbit_scan(config: ExperimentConfig):
     name = config.get("scan", "task")
     p = config.get("scan", "p")
-    factory, mode, expected_fn = _SCAN_TASKS[name]
-    task = factory(p)
+    _, mode, expected_fn = _SCAN_TASKS[name]
+    task = config.built["task"]
     expected = config.get("tolerance", "expected")
     if expected is None:
         expected = expected_fn(p)
@@ -531,6 +514,8 @@ def _run_orbit_scan(config: ExperimentConfig):
 
 
 def _build_state(config, dim):
+    """The state f of a coorbit-norm run; its entries are checked against the
+    acting dimension dim, which only the group fixes."""
     quad = config.get("state", "f_quad")
     lin = config.get("state", "f_lin")
     if quad is None and lin is None:
@@ -541,11 +526,6 @@ def _build_state(config, dim):
         raise ConfigError(f"f_quad needs {dim} entries for this group", key="state.f_quad")
     if lin is not None and len(lin) != dim:
         raise ConfigError(f"f_lin needs {dim} entries for this group", key="state.f_lin")
-    for key, values in (("f_quad", quad), ("f_lin", lin or ())):
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"{key} entries must be finite", key=f"state.{key}")
-    if min(quad) <= 0:
-        raise ConfigError("f_quad entries must be positive", key="state.f_quad")
     f = Gaussian(np.diag(quad), None if lin is None else np.asarray(lin))
     with np.errstate(over="ignore", invalid="ignore"):
         norm = l2_norm(f)
@@ -556,25 +536,9 @@ def _build_state(config, dim):
 
 def _run_coorbit_norm(config: ExperimentConfig):
     name = config.get("group", "name")
-    with _rejected_values("group"):
-        grp = group_spec(name, config.get("group", "heisenberg_d"))
-        rep = RepSpec(grp, config.get("group", "lam"), config.get("group", "mu"))
+    rep, spec = config.built["rep"], config.built["spec"]
     f = _build_state(config, rep.acting_dim)
     g = unit_gaussian(rep.acting_dim)
-    weight = None
-    if config.get("norm", "weight_s") is not None:
-        coords = config.get("norm", "weight_coords")
-        n = rep.group.quotient_dim
-        if not all(0 <= i < n for i in coords):
-            raise ConfigError(f"weight_coords must lie in 0..{n - 1} for this group", key="norm.weight_coords")
-        weight = power_weight(config.get("norm", "weight_s"), coords)
-    with _rejected_values("norm"):
-        spec = NormSpec(
-            p=config.get("norm", "p"),
-            weight=weight,
-            box_half=config.get("norm", "box_half"),
-            resolution=config.get("norm", "resolution"),
-        )
     with _shown_warnings() as caught:
         try:
             log_norm = coorbit_norm_log(rep, f, g, spec)
@@ -585,7 +549,7 @@ def _run_coorbit_norm(config: ExperimentConfig):
     value = float(np.exp(log_norm))
     metrics = {"group": name, "p": spec.p, "norm": value, "warnings": [str(w.message) for w in caught]}
     passed = not _tail_mass(caught)
-    if spec.p == 2.0 and weight is None:
+    if spec.p == 2.0 and spec.weight is None:
         d_pi = known_formal_dimension(rep)
         predicted = l2_norm(f) * l2_norm(g) / np.sqrt(d_pi)
         rel = abs(value - predicted) / predicted
@@ -604,25 +568,22 @@ def _run_coorbit_norm(config: ExperimentConfig):
 
 def _run_frame_sweep(config: ExperimentConfig):
     lam = config.get("sweep", "lam")
-    with _rejected_values("sweep"):
-        rep = RepSpec(group_spec("heisenberg", 1), lam)
+    rep = config.built["rep"]
     d_pi = known_formal_dimension(rep)
     factor = config.get("tolerance", "density_factor")
     ratio_tol = config.get("tolerance", "ratio")
     rows = []
     subcritical = []  # frame-bound ratios below the critical density
-    for eps in config.get("sweep", "eps_values"):
-        with _rejected_values("sweep"):
-            lat = QuasiLattice(rep.group, eps)
+    for lat in config.built["lattices"]:
         dens = beurling_density(lat)
         fb = frame_bounds_estimate(
             rep,
-            eps=eps,
+            eps=lat.eps,
             lattice_radius=config.get("estimate", "lattice_radius"),
             dict_halfrange=config.get("estimate", "dict_halfrange"),
             dict_step=config.get("estimate", "dict_step"),
         )
-        rows.append((eps, dens["estimate"], fb.lower, fb.upper))
+        rows.append((lat.eps, dens["estimate"], fb.lower, fb.upper))
         if dens["estimate"] < factor * d_pi:
             subcritical.append(fb.ratio)
     metrics = {
@@ -635,27 +596,18 @@ def _run_frame_sweep(config: ExperimentConfig):
     return ("eps", "density", "A_est", "B_est"), rows, metrics, passed
 
 
-def _density_groups(config, section):
-    name = config.get(section, "group")
-    hd = config.get(section, "heisenberg_d")
-    with _rejected_values(section):
-        return [group_spec(n, hd) for n in (GROUPS if name == "all" else (name,))]
-
-
 def _run_density(config: ExperimentConfig):
     eps = config.get("lattice", "eps")
     n_points = config.get("lattice", "n_points")
     rows = []
     passed = True
     worst = 0
-    for grp in _density_groups(config, "lattice"):
-        with _rejected_values("lattice"):
-            lat = QuasiLattice(grp, eps)
+    for lat in config.built["lattices"]:
         tiles = tiling_check(lat, n_points=n_points, seed=config.seed)
         dens = beurling_density(lat, seed=config.seed)
         rows.append(
             (
-                grp.name,
+                lat.group.name,
                 eps,
                 n_points,
                 tiles["failures"],
@@ -675,17 +627,11 @@ def _run_density(config: ExperimentConfig):
     )
 
 
-def _selftest_rep(grp) -> RepSpec:
-    # a two-dimensional centre takes a second parameter, which 6,19 needs nonzero
-    return RepSpec(grp, 1.0, 1.0 if grp.center_dim == 2 else 0.0)
-
-
 def _run_rep_selftest(config: ExperimentConfig):
     tol_hom = config.get("tolerance", "homomorphism")
     tol_unit = config.get("tolerance", "unitarity")
     rows = []
-    for grp in _density_groups(config, "suite"):
-        rep = _selftest_rep(grp)
+    for rep in config.built["reps"]:
         hom = homomorphism_check(
             rep,
             n_pairs=config.get("suite", "n_pairs"),
@@ -693,7 +639,7 @@ def _run_rep_selftest(config: ExperimentConfig):
             box=config.get("suite", "box"),
         )
         unit = unitarity_check(rep, seed=config.seed)
-        rows.append((grp.name, hom["max_error"], unit["max_error"]))
+        rows.append((rep.group.name, hom["max_error"], unit["max_error"]))
     max_hom = _worst(row[1] for row in rows)
     max_unit = _worst(row[2] for row in rows)
     metrics = {"max_homomorphism_error": max_hom, "max_unitarity_error": max_unit}
@@ -746,7 +692,7 @@ def run(config: ExperimentConfig, out_dir: str = ".") -> int:
         summary["error"] = error
     json_path = os.path.join(out_dir, f"{config.kind}.json")
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(_finite_or_null(summary), fh, indent=2, sort_keys=True, allow_nan=False, default=_jsonable)
+        json.dump(_finite_or_null(summary), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return 0 if passed else 2
 
@@ -759,24 +705,17 @@ def _params_tree(config: ExperimentConfig) -> dict:
 
 
 def _finite_or_null(value):
-    """value with every non-finite float replaced by None, which strict JSON writes as null."""
+    """value with numpy scalars made Python ones and every non-finite float
+    replaced by None, which strict JSON writes as null."""
     if isinstance(value, dict):
         return {key: _finite_or_null(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_finite_or_null(v) for v in value]
-    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
-
-
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def main(argv=None) -> int:
@@ -787,29 +726,17 @@ def main(argv=None) -> int:
     parser.add_argument("kind", choices=tuple(SCHEMAS))
     parser.add_argument("--config", required=True, help="path to the experiment config")
     parser.add_argument("--out", default=".", help="output directory (default: current)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--seed", default=None, help="override the config seed")
     args = parser.parse_args(argv)
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        config = parse_config(text, kind=args.kind)
+            config = parse_config(fh.read(), kind=args.kind)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be non-negative", key="--seed")
-            params = dict(config.params)
-            params[("experiment", "seed")] = args.seed
-            config = ExperimentConfig(params)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    try:
+            seed = _coerce(SCHEMAS[args.kind][("experiment", "seed")][0], args.seed, None, "--seed")
+            config = replace(config, params={**config.params, ("experiment", "seed"): seed})
         return run(config, args.out)
-    except ConfigError as exc:  # a value only the runner can check against the group
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 

@@ -254,7 +254,9 @@ def _validate(quad: LogQuadratic, checks, fx, f0) -> None:
     trailing axis; f0 is the function's value at the reference point of the
     model.  Leading axes are batch axes.  The tolerance is 1e-7 of the
     larger of 100, |fx| and |f0|.  A miss is how a wrong set of coupled
-    coordinates shows up.
+    coordinates shows up.  A field of the model past double range shows in
+    the model at every check; a model or value that is not finite (so a
+    residual that is not) raises OverflowError.
     """
     model = (
         np.asarray(quad.const)[..., None]
@@ -262,6 +264,8 @@ def _validate(quad: LogQuadratic, checks, fx, f0) -> None:
         + 0.5 * np.einsum("ci,...ij,cj->...c", checks, quad.hess, checks)
     )
     resid = np.abs(fx - model)
+    if not np.isfinite(resid).all():
+        raise OverflowError("the log-modulus quadratics leave double range")
     bad = resid > 1e-7 * np.maximum(np.maximum(100.0, np.abs(fx)), np.abs(f0)[..., None])
     if bad.any():
         raise RuntimeError(
@@ -299,6 +303,7 @@ def _coordinate_split(rep: RepSpec) -> tuple[list[int], list[int]]:
     return coupled, [i for i in range(rep.group.quotient_dim) if i not in coupled]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _validate reports a model past double range
 def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQuadratic:
     """The quadratic r -> log |<f_j, pi(section(q)) g>| at each coupled node j.
 

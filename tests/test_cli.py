@@ -1,4 +1,4 @@
-"""Config parsing, canonical serialization, and the experiment runners."""
+"""Config parsing and the checks it makes, and the experiment runners."""
 
 import contextlib
 import io
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coorbit_lab import cli
-from coorbit_lab.cli import SCHEMAS, ConfigError, main, parse_config, serialize_config
+from coorbit_lab.cli import SCHEMAS, ConfigError, main, parse_config
 from coorbit_lab.gaussian import chirp, stft_closed, unit_gaussian
 from coorbit_lab.numerics import TailMassWarning
 
@@ -99,33 +99,6 @@ def test_unknown_task_rejected():
 def test_unknown_group_rejected():
     with pytest.raises(ConfigError, match="unknown group"):
         parse_config("[lattice]\ngroup = so3\n", kind="density")
-
-
-def test_canonical_round_trip_is_idempotent():
-    cfg = parse_config(MINIMAL_SCAN, kind="orbit-scan")
-    canon = serialize_config(cfg)
-    cfg2 = parse_config(canon)
-    assert cfg2 == cfg
-    assert serialize_config(cfg2) == canon
-
-
-def test_canonical_form_golden():
-    canon = serialize_config(parse_config(MINIMAL_SCAN, kind="orbit-scan"))
-    assert canon == (
-        "[experiment]\n"
-        "kind = orbit-scan\n"
-        "seed = 0\n"
-        "\n"
-        "[scan]\n"
-        "task = chirp-1d\n"
-        "p = 1.0\n"
-        "u_values = 10.0,20.0,40.0,80.0,160.0,320.0\n"
-        "u_min_fit = 32.0\n"
-        "\n"
-        "[tolerance]\n"
-        "slope = 0.02\n"
-        "invariance = 0.01\n"
-    )
 
 
 def test_comments_and_blank_lines_ignored():
@@ -220,11 +193,53 @@ def test_config_error_exits_3(tmp_path):
     path.write_text("[scan]\ntask = warble\n")
     assert main(["orbit-scan", "--config", str(path), "--out", str(tmp_path)]) == 3
     assert main(["orbit-scan", "--config", str(tmp_path / "absent.cfg")]) == 3
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe[scan]\n")
+    assert main(["orbit-scan", "--config", str(binary), "--out", str(tmp_path)]) == 3
+    # an output directory that cannot be made
+    good = tmp_path / "good.cfg"
+    good.write_text("[suite]\ngroup = heisenberg\nn_pairs = 5\n")
+    assert main(["rep-selftest", "--config", str(good), "--out", str(binary)]) == 3
+
+
+@pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+def test_bad_seed_flag_exits_3(tmp_path, capsys, seed):
+    # --seed is checked as the config's own seed is: a non-negative int
+    code, out = run_cli(tmp_path, "s.cfg", "[suite]\nn_pairs = 5\n", "rep-selftest", extra=("--seed", seed))
+    assert code == 3
+    assert capsys.readouterr().err.startswith("config error: key '--seed': ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind,text,where",
+    [
+        ("coorbit-norm", "[group]\nname = g5_3\nlam = 0\n", "line 3, key 'group.lam'"),
+        ("coorbit-norm", "[group]\nname = heisenberg\nmu = 1\n", "line 3, key 'group.mu'"),
+        ("coorbit-norm", "[group]\nname = heisenberg\nheisenberg_d = 0\n", "line 3, key 'group.heisenberg_d'"),
+        ("coorbit-norm", "[group]\nname = g5_3\n\n[norm]\nbox_half = -1\n", "line 5, key 'norm.box_half'"),
+        (
+            "coorbit-norm",
+            "[group]\nname = heisenberg\n\n[norm]\nweight_s = 1\nweight_coords = 5\n",
+            "line 6, key 'norm.weight_coords'",
+        ),
+        ("frame-sweep", "[sweep]\nlam = 0\n", "line 2, key 'sweep.lam'"),
+        ("density", "[lattice]\ngroup = heisenberg\nheisenberg_d = 0\n", "line 3, key 'lattice.heisenberg_d'"),
+    ],
+    ids=["g5_3-lam-0", "heisenberg-mu-1", "heisenberg-d-0", "box-half", "weight-coords", "sweep-lam-0", "lattice-d-0"],
+)
+def test_value_a_library_object_rejects_names_its_line(kind, text, where):
+    # the group record, RepSpec, weight and NormSpec are built at parse time
+    with pytest.raises(ConfigError) as info:
+        parse_config(text, kind=kind)
+    assert str(info.value).startswith(where + ": ")
 
 
 def test_late_config_error_exits_3(tmp_path, capsys):
-    # f_quad can only be checked against the group's acting dimension inside the runner
+    # f_quad can only be checked against the group's acting dimension inside
+    # the runner: the config parses (the benchmark's CLI set-up parses it too)
     text = "[group]\nname = g5_3\n\n[state]\nf_quad = 1.0,1.0,1.0\n"
+    assert parse_config(text, kind="coorbit-norm").get("state", "f_quad") == (1.0, 1.0, 1.0)
     code, _ = run_cli(tmp_path, "late.cfg", text, "coorbit-norm")
     assert code == 3
     err = capsys.readouterr().err
@@ -588,6 +603,34 @@ def test_coorbit_norm_tail_mass_fails_the_run(tmp_path):
     assert summary["pass"] is False
     assert len(summary["metrics"]["warnings"]) == 1
     assert "outer quadrature shell" in summary["metrics"]["warnings"][0]
+
+
+@pytest.mark.parametrize(
+    "group,key,value",
+    [("heisenberg", "lam", "1e300"), ("heisenberg", "lam", "-1e160"), ("g6_16", "mu", "1e200"), ("g6_19", "mu", "1e300")],
+)
+def test_node_quadratics_past_double_range_exit_2(tmp_path, capsys, group, key, value):
+    # the Hessians of the node quadratics leave double range, at the one node
+    # of heisenberg and g6_16 or first in the recentring probe of g6_19; the
+    # run names that, and no RuntimeWarning is raised on the way
+    text = f"[group]\nname = {group}\n{key} = {value}\n\n[norm]\np = 1.0\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(tmp_path, "huge.cfg", text, "coorbit-norm")
+    assert code == 2
+    summary = _strict_json((out / "coorbit-norm.json").read_text())
+    assert summary["error"] == "OverflowError: the log-modulus quadratics leave double range"
+    assert capsys.readouterr().err.startswith("numerical error: OverflowError")
+
+
+def test_run_warnings_meet_the_callers_filters(tmp_path):
+    # a run records its warnings for the JSON, then issues them again: a
+    # filter that turns them into errors acts on them
+    text = "[group]\nname = g5_3\n\n[norm]\np = 1.0\nbox_half = 0.5\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TailMassWarning)
+        with pytest.raises(TailMassWarning, match="outer quadrature shell"):
+            run_cli(tmp_path, "tail.cfg", text, "coorbit-norm")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
