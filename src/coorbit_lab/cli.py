@@ -125,8 +125,8 @@ SCHEMAS: dict[str, dict] = {
         **_COMMON,
         ("scan", "task"): ("str", _REQUIRED),
         ("scan", "p"): ("ge1-float", 1.0),
-        ("scan", "u_values"): ("floats", DEFAULT_SCAN),
-        ("scan", "u_min_fit"): ("float", 32.0),
+        ("scan", "u_values"): ("fin-floats", DEFAULT_SCAN),
+        ("scan", "u_min_fit"): ("fin-float", 32.0),
         ("tolerance", "slope"): ("float", 0.02),
         ("tolerance", "invariance"): ("float", 0.01),
         ("tolerance", "expected"): ("opt-float", None),
@@ -312,6 +312,11 @@ def _build_orbit_scan(v: _Parsed) -> dict:
         raise v.error(f"unknown task {name!r}; expected one of {', '.join(sorted(_SCAN_TASKS))}", "scan.task")
     if len(set(v["scan.u_values"])) < 3:
         raise v.error("need at least three distinct scan points for a fit", "scan.u_values")
+    lowest = min((u for u in v["scan.u_values"] if u >= v["scan.u_min_fit"]), default=1.0)
+    if lowest <= 0:
+        raise v.error(
+            f"every u from u_min_fit on enters the slope fit and must be positive, got {lowest:g}", "scan.u_min_fit"
+        )
     return {"task": _SCAN_TASKS[name][0](v["scan.p"])}
 
 

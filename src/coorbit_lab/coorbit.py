@@ -26,7 +26,7 @@ import numpy as np
 
 from .gaussian import Gaussian, quad_forms, tensor, unit_gaussian
 from .groups import GroupSpec, group_spec, quotient_multiply, section
-from .numerics import TailMassWarning, WeightRangeError, check_budget, logsumexp
+from .numerics import TailMassWarning, WeightRangeError, ceil_count, check_budget, logsumexp
 from .representations import (
     RepSpec,
     _States,
@@ -345,7 +345,7 @@ def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQua
         factors = _factors(rep, a[:, : k + 1].reshape(-1, group.total_dim))
         _, C, _, S, _ = factors
         quad = _acted_quad(C[:: k + 1], S[:: k + 1], g.quad)
-        lin, amp = _acted_lin_amp(rep, factors, g.quad, g.lin, g.log_amp)
+        lin, amp = _acted_lin_amp(factors, g.quad, g.lin, g.log_amp)
         node_f = _States(f.quad, f.lin[:, None], f.log_amp[:, None])
         Q, L, la = _product_form(node_f, quad, lin.reshape(m, k + 1, -1), amp.reshape(m, k + 1))
         la = la.real
@@ -391,7 +391,7 @@ def _axis_nodes(spec: NormSpec, sinh: bool):
         span = (2.0 * s_max + 0.5 * step) / step
     else:
         span = (2.0 * spec.box_half + 0.5 * spec.resolution) / spec.resolution
-    return math.ceil(span) if math.isfinite(span) else math.inf
+    return ceil_count(span)
 
 
 def _product_mesh(axes):
@@ -412,28 +412,17 @@ def _product_mesh(axes):
     return points, logw, boundary
 
 
-def _check_tail(shell_log, total_log, tail, what):
-    """Warn (or raise, with tail = "raise") when the log mass shell_log of a
-    mesh's outer shell is more than _TAIL_TOL of the log mass total_log."""
+def _check_tail(shell_log, total_log, what):
+    """Warn when the log mass shell_log of a mesh's outer shell is more than
+    _TAIL_TOL of the log mass total_log."""
     frac = float(np.exp(shell_log - total_log))
     if frac > _TAIL_TOL:
-        msg = (
+        warnings.warn(
             f"{what}: the outer quadrature shell carries {frac:.2%} of the mass "
-            f"(tolerance {_TAIL_TOL:.2%}); enlarge box_half"
+            f"(tolerance {_TAIL_TOL:.2%}); enlarge box_half",
+            TailMassWarning,
+            stacklevel=3,
         )
-        if tail == "raise":
-            raise ValueError(msg)
-        warnings.warn(msg, TailMassWarning, stacklevel=3)
-
-
-def _row_logsumexp(values):
-    """logsumexp along each row of a 2-d array; numerics.logsumexp row by row
-    when a row's maximum is not finite."""
-    peak = values.max(axis=1)
-    if not np.isfinite(peak).all():
-        return np.array([logsumexp(row) for row in values])
-    shifted = values - peak[:, None]
-    return peak + np.log(np.exp(shifted, out=shifted).sum(axis=1))
 
 
 def _mesh_radius(a_c, a_w, cpts, wpts):
@@ -485,20 +474,14 @@ def _probe_center(slice_mass: Callable[[np.ndarray, np.ndarray], np.ndarray], n_
 # ---------------------------------------------------------------------------
 # coorbit norms over quotient groups
 
-def coorbit_norm_log(
-    rep: RepSpec,
-    f: Gaussian,
-    g: Gaussian,
-    spec: NormSpec | None = None,
-    tail: str = "warn",
-) -> float:
+def coorbit_norm_log(rep: RepSpec, f: Gaussian, g: Gaussian, spec: NormSpec | None = None) -> float:
     """log of the L^p_m norm of q -> <f, pi(section(q)) g> over the quotient."""
     spec = NormSpec() if spec is None else spec
-    norms, _ = _coorbit_log_norms(rep, _States.stack([f]), g, spec, tail)
+    norms, _ = _coorbit_log_norms(rep, _States.stack([f]), g, spec)
     return float(norms[0])
 
 
-def _coorbit_log_norms(rep, states, g, spec, tail="warn", where=None):
+def _coorbit_log_norms(rep, states, g, spec, where=None):
     """coorbit_norm_log for every state f_i of states at once.
 
     Returns the log norms (U,) and the centers (U, c) the recentring probe
@@ -596,18 +579,18 @@ def _coorbit_log_norms(rep, states, g, spec, tail="warn", where=None):
         slices = np.swapaxes(contribs.reshape(len(clogw), len(ologw), len(ilogw)), 0, 1)
         slices += ilogw
         slices = slices.reshape(len(ologw), -1)  # one row per outer node
-        slice_log = _row_logsumexp(slices)
+        slice_log = logsumexp(slices, axis=1)
         outer_log = (q / p) * slice_log + ologw
         total_log = logsumexp(outer_log)
         if obound.any():
-            _check_tail(logsumexp(outer_log[obound]), total_log, tail, name + at)
+            _check_tail(logsumexp(outer_log[obound]), total_log, name + at)
         boundary = (cbound[:, None] | ibound[None, :]).ravel()
         if boundary.any():
             # compress, not slices[:, boundary]: several times faster on one long row
-            shell_log = _row_logsumexp(slices.compress(boundary, axis=1))
+            shell_log = logsumexp(slices.compress(boundary, axis=1), axis=1)
             worst = int(np.argmax(shell_log - slice_log))
             what = f"{name}, position mesh{at}" if outer else name + at
-            _check_tail(shell_log[worst], slice_log[worst], tail, what)
+            _check_tail(shell_log[worst], slice_log[worst], what)
         norms.append(total_log / q)
     return np.array(norms), centers if probe else centers[:, :0]
 
@@ -615,12 +598,7 @@ def _coorbit_log_norms(rep, states, g, spec, tail="warn", where=None):
 # ---------------------------------------------------------------------------
 # modulation norms on phase space
 
-def modulation_norm_log(
-    f: Gaussian,
-    g: Gaussian | None = None,
-    spec: NormSpec | None = None,
-    tail: str = "warn",
-) -> float:
+def modulation_norm_log(f: Gaussian, g: Gaussian | None = None, spec: NormSpec | None = None) -> float:
     """log of the M^{p,q}_m norm: coordinates ordered (x_1..x_d, xi_1..xi_d).
 
     The coorbit norm of the STFT representation _stft_rep(d).
@@ -629,7 +607,7 @@ def modulation_norm_log(
     g = unit_gaussian(f.dim) if g is None else g
     if g.dim != f.dim:
         raise ValueError(f"window dimension {g.dim} does not match signal dimension {f.dim}")
-    return float(_coorbit_log_norms(_stft_rep(f.dim), _States.stack([f]), g, spec, tail)[0][0])
+    return float(_coorbit_log_norms(_stft_rep(f.dim), _States.stack([f]), g, spec)[0][0])
 
 
 # ---------------------------------------------------------------------------

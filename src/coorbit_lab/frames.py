@@ -20,7 +20,7 @@ import numpy as np
 
 from .gaussian import Gaussian, log_gauss_integrals, modulate, translate, unit_gaussian
 from .groups import GroupSpec, axis_point, inverse, multiply, project, section
-from .numerics import GridSpec, TailMassWarning, WorkBudgetError, check_budget
+from .numerics import GridSpec, TailMassWarning, WorkBudgetError, ceil_count, check_budget
 from .representations import RepSpec, _stft_rep, act, default_window
 
 __all__ = [
@@ -321,11 +321,6 @@ _MAX_ENTRIES = 1 << 24
 _MAX_REACH = 1e306
 
 
-def _count(x: float):
-    """ceil(x) as an int, or inf when x is not finite."""
-    return math.ceil(x) if math.isfinite(x) else math.inf
-
-
 @lru_cache(maxsize=4)
 def _test_space(d: int, dict_halfrange: float, dict_step: float):
     """The test atoms and the whitened basis of their span, read-only.
@@ -335,7 +330,7 @@ def _test_space(d: int, dict_halfrange: float, dict_step: float):
     None of this depends on the lattice, so a sweep over eps builds it once.
     Returns (lin, log_amp, basis), one row of lin per atom.
     """
-    atoms = _count((dict_halfrange + 0.5 * dict_step + dict_halfrange) / dict_step) ** (2 * d)
+    atoms = ceil_count((dict_halfrange + 0.5 * dict_step + dict_halfrange) / dict_step) ** (2 * d)
     check_budget(atoms * atoms, _MAX_ENTRIES, f"frame bounds: test-space Gram entries at d = {d}")
     offs = np.arange(-dict_halfrange, dict_halfrange + 0.5 * dict_step, dict_step)
     stft = _stft_rep(d)
@@ -384,7 +379,7 @@ def frame_bounds_estimate(
             f"{lattice_radius + eps:g} carry the factors of pi past double range"
         )
 
-    radius = _count(lattice_radius / eps)
+    radius = ceil_count(lattice_radius / eps)
     check_budget((2 * radius + 1) ** n, _MAX_ENTRIES, f"frame bounds: lattice labels on a {n}-dimensional quotient")
     ks = np.stack(np.meshgrid(*([np.arange(-radius, radius + 1)] * n), indexing="ij"), axis=-1).reshape(-1, n)
     gamma = quasilattice_points(lat, ks)

@@ -1,4 +1,4 @@
-"""Grid oracles: sampling, DFT-based short-time transforms, quadrature.
+"""Grid oracles: DFT-based short-time transforms and quadrature.
 
 Everything here is deliberately independent of the closed-form Gaussian
 algebra: functions are evaluated pointwise on periodic grids and integrals
@@ -17,11 +17,10 @@ import numpy as np
 
 __all__ = [
     "GridSpec",
-    "SampledFunction",
     "TailMassWarning",
     "WorkBudgetError",
+    "ceil_count",
     "check_budget",
-    "sample",
     "dft_stft",
     "quad_rep_coefficient",
     "logsumexp",
@@ -56,6 +55,11 @@ def check_budget(count: int, budget: int, what: str) -> None:
         else:
             shown = "more than 10^308" if count == math.inf else f"about 10^{math.log10(count):.0f}"
         raise WorkBudgetError(f"{what}: {shown} exceeds the work budget of {budget:,}")
+
+
+def ceil_count(x: float):
+    """ceil(x) as an int, or inf when x is not finite: a count for check_budget."""
+    return math.ceil(x) if math.isfinite(x) else math.inf
 
 
 _DEFAULTS = {1: (8.0, 512), 2: (6.0, 128), 3: (5.0, 64)}
@@ -111,37 +115,6 @@ class GridSpec:
         return np.stack(axes, axis=-1)
 
 
-@dataclass
-class SampledFunction:
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.grid.points_per_axis,) * self.grid.dim
-        self.values = np.asarray(self.values, dtype=complex).reshape(shape)
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(self.grid.cell_volume * np.sum(np.abs(self.values) ** 2)))
-
-    def inner(self, other: "SampledFunction") -> complex:
-        if other.grid != self.grid:
-            raise ValueError("grids differ")
-        return complex(self.grid.cell_volume * np.sum(self.values * np.conj(other.values)))
-
-
-def sample(f, grid: GridSpec) -> SampledFunction:
-    """Evaluate a callable (e.g. a Gaussian) on the grid."""
-    return SampledFunction(grid, np.asarray(f(grid.mesh()), dtype=complex))
-
-
-def _f_values(f, grid):
-    if isinstance(f, SampledFunction):
-        if f.grid != grid:
-            raise ValueError("sampled function lives on a different grid")
-        return f.values
-    return np.asarray(f(grid.mesh()), dtype=complex)
-
-
 def _alternating_phase(grid):
     """Factor exp(-2 pi i xi_m t_k) splits off (-1)^m per axis for t at -L/2."""
     n = grid.points_per_axis
@@ -149,29 +122,22 @@ def _alternating_phase(grid):
     return np.where(m % 2 == 0, 1.0, -1.0)
 
 
-def dft_stft(f, g, grid: GridSpec, shifts=None):
+def dft_stft(f, g, grid: GridSpec, shifts):
     """Sampled short-time transform S(x, xi_m) = h^d sum_k f(t_k) conj(g(t_k - x)) e^{-2 pi i xi_m t_k}.
 
-    f may be a callable or a SampledFunction on the grid; g must be callable
-    so shifted copies are evaluated exactly (no periodic wrap of the window).
-
-    shifts: array of translation vectors, shape (m, dim).  For dim == 1 it
-    defaults to all grid nodes; for dim >= 2 it must be given (the full
-    output would be prohibitively large).
+    f and g are callables on grid points, so shifted copies of the window
+    are evaluated exactly (no periodic wrap).  shifts holds the translation
+    vectors x, shape (m, dim).
 
     Returns (shifts, freq_axis, S) with S of shape (m,) + (N,)*dim, frequency
     bins ordered as grid.freq_axis() along every frequency axis.
     """
-    fv = _f_values(f, grid)
-    if shifts is None:
-        if grid.dim != 1:
-            raise ValueError("for dim >= 2 pass an explicit subset of shifts")
-        shifts = grid.axis()[:, None]
     shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
     if shifts.shape[1] != grid.dim:
         raise ValueError("shift vectors have the wrong dimension")
 
     mesh = grid.mesh()
+    fv = np.asarray(f(mesh), dtype=complex)
     alt = _alternating_phase(grid)
     axes = tuple(range(1, grid.dim + 1))
     out = np.empty((shifts.shape[0],) + fv.shape, dtype=complex)
@@ -210,16 +176,15 @@ def _tail_check(integrand, what):
         )
 
 
-def quad_rep_coefficient(rep, a, f, g, grid: GridSpec | None = None) -> complex:
-    """Riemann-sum <f, pi(a) g> with pi applied pointwise from its displayed formula.
+def quad_rep_coefficient(rep, a, f, g) -> complex:
+    """Riemann-sum <f, pi(a) g> on the default grid, pi applied pointwise from its displayed formula.
 
     Independent route: no Gaussian parameter composition, only pointwise
     evaluation of the phase and the affine argument map.
     """
     from .representations import pointwise_action
 
-    if grid is None:
-        grid = GridSpec.default_for(rep.acting_dim)
+    grid = GridSpec.default_for(rep.acting_dim)
     phase, S, v = pointwise_action(rep, np.asarray(a, dtype=float))
     t = grid.mesh()
     arg = t @ S.T + v
@@ -228,11 +193,17 @@ def quad_rep_coefficient(rep, a, f, g, grid: GridSpec | None = None) -> complex:
     return complex(grid.cell_volume * integrand.sum())
 
 
-def logsumexp(values) -> float:
-    """log(sum(exp(values))) over every entry, shifted by the maximum so nothing overflows."""
+def logsumexp(values, axis=None):
+    """log(sum(exp(values))) over every entry (a float), or along axis (an array).
+
+    The entries are shifted by their maximum so nothing overflows.  Where
+    that maximum is not finite (-inf when there is no mass) it is the
+    result, with no warning.
+    """
     values = np.asarray(values, dtype=float)
-    peak = values.max()
-    if not np.isfinite(peak):
-        return float(peak)
-    shifted = values - peak
-    return float(peak + np.log(np.exp(shifted, out=shifted).sum()))
+    peak = values.max(axis=axis, keepdims=True)
+    # entries under a non-finite maximum stay 0: they add log(count), which
+    # that maximum absorbs, and no inf - inf is formed
+    shifted = np.subtract(values, peak, out=np.zeros_like(values), where=np.isfinite(peak))
+    total = np.squeeze(peak + np.log(np.exp(shifted, out=shifted).sum(axis=axis, keepdims=True)), axis=axis)
+    return float(total) if axis is None else total

@@ -3,30 +3,29 @@
 Each representation acts by a unit phase times a chain of elementary
 operators (translation, modulation, chirp, unimodular affine substitution),
 so applying a group element to a generalized Gaussian stays in closed form.
-
-omit_phase=True (the default) drops the t-independent phase prefactor, which
-is how coefficient moduli and quotient integrals want it; the full phase is
-kept for homomorphism tests.
+The unit phase e^{2 pi i theta} rides in the imaginary part of log_amp;
+coefficient moduli and quotient integrals read only real parts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import Gaussian, inner_product, l2_norm, log_inner, quad_forms, unit_gaussian
+from .gaussian import Gaussian, l2_norm, log_inner, quad_forms, unit_gaussian
 from .groups import GroupSpec, group_spec, multiply, section, structure_constants
+from .numerics import TailMassWarning
 
 __all__ = [
     "RepSpec",
     "act",
     "apply_rep",
     "coefficient_log_modulus",
-    "rep_coefficient",
     "rep_coefficient_log_modulus",
     "pointwise_action",
     "default_window",
@@ -46,7 +45,6 @@ class RepSpec:
     group: GroupSpec
     lam: float = 1.0
     mu: float = 0.0
-    omit_phase: bool = True
 
     def __post_init__(self):
         name = self.group.name
@@ -62,9 +60,6 @@ class RepSpec:
     @property
     def acting_dim(self) -> int:
         return self.group.quotient_dim // 2
-
-    def with_full_phase(self) -> "RepSpec":
-        return replace(self, omit_phase=False)
 
 
 def default_window(rep: RepSpec) -> Gaussian:
@@ -114,12 +109,12 @@ def act(rep: RepSpec, a, quad, lin, log_amp):
     g = exp(log_amp - pi t.(quad)t + lin.t) is one Gaussian, or a stack of
     them with one per row of a.  Returns the stacked parameters of
     e^{2 pi i theta} M_m N_C (g o (t -> S t + v)): quad (N, d, d), lin (N, d)
-    and log_amp (N,); the phase theta is left out when rep.omit_phase.  Plain
-    arithmetic: nothing is validated.
+    and log_amp (N,), with the phase 2 pi theta in the imaginary part of
+    log_amp.  Plain arithmetic: nothing is validated.
     """
     factors = _factors(rep, a)
     _, C, _, S, _ = factors
-    return (_acted_quad(C, S, quad), *_acted_lin_amp(rep, factors, quad, lin, log_amp))
+    return (_acted_quad(C, S, quad), *_acted_lin_amp(factors, quad, lin, log_amp))
 
 
 def _acted_quad(C, S, quad):
@@ -133,8 +128,12 @@ def _acted_quad(C, S, quad):
     return St @ quad.real @ S + 1j * (St @ quad.imag @ S + C)
 
 
-def _acted_lin_amp(rep: RepSpec, factors, quad, lin, log_amp):
-    """The lin (N, d) and log_amp (N,) of pi(a_k) g, for the stacked factors of _factors."""
+def _acted_lin_amp(factors, quad, lin, log_amp):
+    """The lin (N, d) and log_amp (N,) of pi(a_k) g, for the stacked factors of _factors.
+
+    The phase is added to the imaginary part alone, so the real part, all a
+    modulus reads, keeps its bits even where 2 pi theta leaves double range.
+    """
     theta, _, m, S, v = factors
     St = np.swapaxes(S, -1, -2)
     # one Gaussian: a single matrix product over all rows, which einsum would round differently
@@ -142,8 +141,7 @@ def _acted_lin_amp(rep: RepSpec, factors, quad, lin, log_amp):
     lin = np.broadcast_to(lin, v.shape)
     out_lin = np.einsum("nij,nj->ni", St, lin - _TWO_PI * Av) + _TWO_PI_I * m
     out_amp = log_amp - np.pi * np.einsum("ni,ni->n", v, Av) + np.einsum("ni,ni->n", v, lin)
-    if not rep.omit_phase:
-        out_amp = out_amp + _TWO_PI_I * theta
+    out_amp.imag += _TWO_PI * theta
     return out_lin, out_amp
 
 
@@ -231,14 +229,14 @@ def pointwise_action(rep: RepSpec, a):
     if name == "heisenberg":
         x, y, z = a[:d], a[d : 2 * d], a[2 * d]
         v = -x
-        const = lam * z if not rep.omit_phase else 0.0
+        const = lam * z
 
         def phase(t):
             return np.exp(_TWO_PI_I * (const - lam * t @ y))
 
     elif name == "g6_16":
         v = -a[4:6]
-        const = lam * a[0] + mu * (a[1] - a[4] * a[5]) if not rep.omit_phase else 0.0
+        const = lam * a[0] + mu * (a[1] - a[4] * a[5])
 
         def phase(t):
             s, tau = t[..., 0], t[..., 1]
@@ -246,7 +244,7 @@ def pointwise_action(rep: RepSpec, a):
 
     elif name == "g5_3":
         v = -np.array([a[2], a[4]])
-        const = lam * (a[0] - a[2] * a[3]) if not rep.omit_phase else 0.0
+        const = lam * (a[0] - a[2] * a[3])
 
         def phase(t):
             s, tau = t[..., 0], t[..., 1]
@@ -254,7 +252,7 @@ def pointwise_action(rep: RepSpec, a):
 
     elif name == "g6_19":
         v = -a[4:6]
-        const = lam * a[0] + mu * (a[1] - 0.5 * a[4] ** 2 * a[5]) if not rep.omit_phase else 0.0
+        const = lam * a[0] + mu * (a[1] - 0.5 * a[4] ** 2 * a[5])
 
         def phase(t):
             s, tau = t[..., 0], t[..., 1]
@@ -267,18 +265,13 @@ def pointwise_action(rep: RepSpec, a):
         x1, x2, x3 = a[4], a[5], a[6]
         S = np.array([[1.0, 0.0, x2], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         v = np.array([x1, x2, x3])
-        const = lam * z if not rep.omit_phase else 0.0
+        const = lam * z
 
         def phase(t):
             w1, w2, w3 = t[..., 0], t[..., 1], t[..., 2]
             return np.exp(_TWO_PI_I * (const + lam * (w3 * y1 + w2 * y2 + w1 * y3 - 0.5 * w3 * w2 * y3)))
 
     return phase, S, v
-
-
-def rep_coefficient(rep: RepSpec, a, f, g) -> complex:
-    """<f, pi(a) g> in closed form."""
-    return inner_product(f, apply_rep(rep, a, g))
 
 
 def rep_coefficient_log_modulus(rep: RepSpec, a, f: Gaussian, g: Gaussian) -> float:
@@ -304,10 +297,9 @@ def _checked(rep: RepSpec, a, quad):
 def homomorphism_check(rep: RepSpec, n_pairs: int = 500, seed: int = 0, box: float = 2.0) -> dict:
     """pi(a) pi(b) g versus pi(ab) g on random pairs, all pairs at once.
 
-    With the full phase the two Gaussians must agree exactly; with the phase
-    omitted they agree up to a constant phase.  Each pair's error is the
-    largest parameter difference relative to the largest parameter of the
-    left side.
+    The two Gaussians must agree exactly, the phase (the imaginary part of
+    log_amp) modulo 2 pi included.  Each pair's error is the largest
+    parameter difference relative to the largest parameter of the left side.
     """
     rng = np.random.default_rng(seed)
     g = default_window(rep)
@@ -325,8 +317,7 @@ def homomorphism_check(rep: RepSpec, n_pairs: int = 500, seed: int = 0, box: flo
     err = np.maximum(np.abs(lq - rq).max(axis=(1, 2)), np.abs(ll - rl).max(axis=1))
     diff = la - ra
     err = np.maximum(err, np.abs(diff.real))
-    if not rep.omit_phase:
-        err = np.maximum(err, np.abs((diff.imag + np.pi) % (2.0 * np.pi) - np.pi))
+    err = np.maximum(err, np.abs((diff.imag + np.pi) % (2.0 * np.pi) - np.pi))
     worst = float(np.max(err / scale, initial=0.0))
     return {"max_error": worst, "pairs": n_pairs, "ok": worst < 1e-10}
 
@@ -406,15 +397,20 @@ def homogeneity_check(rep: RepSpec, n_points: int = 50, seed: int = 0) -> dict:
 def formal_dimension(rep: RepSpec, g=None, box_half: float = 8.0, resolution: float = 0.125) -> float:
     """d_pi estimate from the orthogonality relation: ||g||^4 / int |V_g g|^2.
 
-    Raises when the tail outside the truncation box exceeds 1% of the
-    integral.
+    Raises ValueError, in place of the TailMassWarning of the norm, when the
+    tail outside the truncation box exceeds 1% of the integral.
     """
     from .coorbit import NormSpec, coorbit_norm_log
 
     if g is None:
         g = default_window(rep)
     spec = NormSpec(p=2.0, box_half=box_half, resolution=resolution)
-    log_sq = 2.0 * coorbit_norm_log(rep, g, g, spec, tail="raise")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TailMassWarning)
+        try:
+            log_sq = 2.0 * coorbit_norm_log(rep, g, g, spec)
+        except TailMassWarning as tail:
+            raise ValueError(str(tail)) from None
     return float(np.exp(4.0 * np.log(l2_norm(g)) - log_sq))
 
 

@@ -176,7 +176,7 @@ def test_criterion_6_representation_selftest():
     for name in GROUPS:
         grp = group_spec(name, 1)
         rep = RepSpec(grp, 1.0, 1.0) if name in ("g6_16", "g6_19") else RepSpec(grp, 1.0)
-        hom = homomorphism_check(rep.with_full_phase(), n_pairs=500, seed=106)
+        hom = homomorphism_check(rep, n_pairs=500, seed=106)
         unit = unitarity_check(rep, n_samples=100, seed=106)
         max_hom = max(max_hom, hom["max_error"])
         max_unit = max(max_unit, unit["max_error"])

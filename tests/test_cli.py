@@ -1,6 +1,7 @@
 """Config parsing and the checks it makes, and the experiment runners."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from coorbit_lab import cli
 from coorbit_lab.cli import SCHEMAS, ConfigError, main, parse_config
 from coorbit_lab.gaussian import chirp, stft_closed, unit_gaussian
+from coorbit_lab.groups import group_spec
 from coorbit_lab.numerics import TailMassWarning
 
 MINIMAL_SCAN = """\
@@ -186,6 +188,22 @@ def test_orbit_scan_with_one_abscissa_past_u_min_exits_2(tmp_path):
     assert summary["pass"] is False
     assert summary["error"].startswith("ValueError: need at least two distinct u values past u_min")
     assert not (out / "orbit-scan.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["u_values = -10,20,40,80\nu_min_fit = -100\n", "u_values = 10,20,40,80,nan\n", "u_min_fit = nan\n"],
+    ids=["fitted-u-negative", "u-nan", "u-min-fit-nan"],
+)
+def test_orbit_scan_fit_window_is_checked_at_parse_time(tmp_path, capfd, text):
+    # the fit takes the log of every u from u_min_fit on; each of these
+    # reached LAPACK or the engine before it was refused
+    code, out = run_cli(tmp_path, "window.cfg", MINIMAL_SCAN + text, "orbit-scan")
+    assert code == 3
+    captured = capfd.readouterr()
+    assert captured.err.startswith("config error: line ")
+    assert "DLASCL" not in captured.out + captured.err
+    assert not out.exists()
 
 
 def test_config_error_exits_3(tmp_path):
@@ -566,6 +584,26 @@ def test_rep_selftest_end_to_end(tmp_path):
     assert code == 0
     summary = json.loads((out / "rep-selftest.json").read_text())
     assert summary["metrics"]["max_homomorphism_error"] < 1e-12
+
+
+def test_rep_selftest_sees_a_flipped_phase(tmp_path, monkeypatch):
+    # the phase theta of every group's representation with its sign flipped:
+    # pi is then no homomorphism, and only the phase shows it
+    def flipped(name, heisenberg_d=1):
+        grp = group_spec(name, heisenberg_d)
+
+        def rep_factors(rep, a, C, S):
+            theta, m, v = grp.rep_factors(rep, a, C, S)
+            return -theta, m, v
+
+        return dataclasses.replace(grp, rep_factors=rep_factors)
+
+    monkeypatch.setattr(cli, "group_spec", flipped)
+    code, out = run_cli(tmp_path, "flipped.cfg", "[suite]\nn_pairs = 40\n", "rep-selftest")
+    assert code == 2
+    assert json.loads((out / "rep-selftest.json").read_text())["pass"] is False
+    rows = (out / "rep-selftest.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5 and all(float(row.split(",")[1]) > 1e-3 for row in rows)
 
 
 def test_density_end_to_end(tmp_path):

@@ -24,7 +24,6 @@ from coorbit_lab.representations import (
     homomorphism_check,
     known_formal_dimension,
     pointwise_action,
-    rep_coefficient,
     rep_coefficient_log_modulus,
     unitarity_check,
 )
@@ -42,7 +41,7 @@ ALL_REPS = [standard_rep(n) for n in GROUPS]
 
 @pytest.mark.parametrize("rep", ALL_REPS, ids=GROUPS)
 def test_homomorphism_with_full_phase(rep):
-    res = homomorphism_check(rep.with_full_phase(), n_pairs=60, seed=0)
+    res = homomorphism_check(rep, n_pairs=60, seed=0)
     assert res["max_error"] < 1e-12, res
 
 
@@ -62,11 +61,10 @@ def test_unitarity(rep):
 def test_central_character(rep):
     # central elements act as the scalar exp(2 pi i lam z): modulus-one phase only
     grp = rep.group
-    full = rep.with_full_phase()
-    f = default_window(full)
+    f = default_window(rep)
     a = np.zeros(grp.total_dim)
     a[grp.center_indices[0]] = 0.7
-    acted = apply_rep(full, a, f)
+    acted = apply_rep(rep, a, f)
     phase = inner_product(acted, f) / inner_product(f, f)
     assert abs(phase - np.exp(2j * np.pi * rep.lam * 0.7)) < 1e-12
 
@@ -81,7 +79,7 @@ def test_coefficient_modulus_ignores_the_central_lift(rep):
     base = rep_coefficient_log_modulus(rep, section(grp, q), f, g)
     lift = section(grp, q)
     lift[list(grp.center_indices)] = rng.uniform(-3, 3, len(grp.center_indices))
-    shifted = np.log(abs(rep_coefficient(rep.with_full_phase(), lift, f, g)))
+    shifted = np.log(abs(inner_product(f, apply_rep(rep, lift, g))))
     assert shifted == pytest.approx(base, abs=1e-10)
 
 
@@ -92,8 +90,8 @@ def test_closed_coefficient_against_pointwise_quadrature(rep):
     g = default_window(rep)
     for _ in range(3):
         a = rng.uniform(-1.0, 1.0, rep.group.total_dim)
-        closed = rep_coefficient(rep.with_full_phase(), a, f, g)
-        numeric = quad_rep_coefficient(rep.with_full_phase(), a, f, g)
+        closed = inner_product(f, apply_rep(rep, a, g))
+        numeric = quad_rep_coefficient(rep, a, f, g)
         assert closed == pytest.approx(numeric, abs=2e-8)
 
 
@@ -113,19 +111,18 @@ KERNEL_IDS = ["heisenberg-d1", "heisenberg-d2", "g6_16", "g5_3", "g6_19", "dynin
 @pytest.mark.parametrize("rep", KERNEL_REPS, ids=KERNEL_IDS)
 def test_batched_action_matches_pointwise_action(rep):
     # each row of act, evaluated at a random t, against the displayed formula
-    # (pi(a) g)(t) = phase(t) g(S t + v) with the full phase
-    full = rep.with_full_phase()
+    # (pi(a) g)(t) = phase(t) g(S t + v), phase included
     rng = np.random.default_rng(6)
     d = rep.acting_dim
     g = Gaussian(np.diag(rng.uniform(0.7, 1.4, d)) + 0.3j * np.eye(d), rng.uniform(-0.5, 0.5, d) + 0.2j, log_amp=0.1)
     a = rng.uniform(-2.0, 2.0, (200, rep.group.total_dim))
     t = rng.uniform(-2.0, 2.0, (200, d))
-    quad, lin, log_amp = act(full, a, g.quad, g.lin, g.log_amp)
+    quad, lin, log_amp = act(rep, a, g.quad, g.lin, g.log_amp)
     assert quad.shape == (200, d, d) and lin.shape == (200, d) and log_amp.shape == (200,)
     got = np.exp(log_amp - np.pi * np.einsum("ni,nij,nj->n", t, quad, t) + np.einsum("ni,ni->n", t, lin))
     want = []
     for a_k, t_k in zip(a, t):
-        phase, S, v = pointwise_action(full, a_k)
+        phase, S, v = pointwise_action(rep, a_k)
         want.append(phase(t_k) * g(S @ t_k + v))
     want = np.array(want)
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
@@ -135,8 +132,7 @@ def _scalar_action(rep, a, f):
     """pi(a) f composed one operator at a time from the factor table."""
     theta, C, m, S, v = (factor[0] for factor in _factors(rep, np.reshape(a, (1, -1))))
     out = modulate(chirp(pullback_affine(f, S, v), C), m)
-    phase = 0.0 if rep.omit_phase else 2j * np.pi * theta
-    return Gaussian(out.quad, out.lin, out.log_amp + phase)
+    return Gaussian(out.quad, out.lin, out.log_amp + 2j * np.pi * theta)
 
 
 def _flipped_phase(grp):
@@ -151,7 +147,7 @@ def _flipped_phase(grp):
 
 @pytest.mark.parametrize("rep", ALL_REPS, ids=GROUPS)
 def test_homomorphism_check_catches_a_flipped_phase(rep):
-    mutated = RepSpec(_flipped_phase(rep.group), rep.lam, rep.mu, omit_phase=False)
+    mutated = RepSpec(_flipped_phase(rep.group), rep.lam, rep.mu)
     res = homomorphism_check(mutated, n_pairs=60, seed=0)
     assert not res["ok"]
     assert res["max_error"] > 1e-3
@@ -162,7 +158,7 @@ def test_homomorphism_check_draws_the_scalar_pairs(rep):
     # with the phase flipped, the error of a pair is large and depends on the
     # pair; the batched check must give the worst error of the pairs a scalar
     # loop draws (a, then b, pair by pair), composed operator by operator
-    mutated = RepSpec(_flipped_phase(rep.group), rep.lam, rep.mu, omit_phase=False)
+    mutated = RepSpec(_flipped_phase(rep.group), rep.lam, rep.mu)
     n = rep.group.total_dim
     rng = np.random.default_rng(8)
     g = default_window(rep)
@@ -397,6 +393,6 @@ def test_formal_dimension_is_window_independent():
 
 def test_heisenberg_higher_dimension():
     rep = RepSpec(group_spec("heisenberg", 2), 1.5)
-    res = homomorphism_check(rep.with_full_phase(), n_pairs=40, seed=0)
+    res = homomorphism_check(rep, n_pairs=40, seed=0)
     assert res["max_error"] < 1e-12
     assert known_formal_dimension(rep) == pytest.approx(1.5**2)
