@@ -9,9 +9,10 @@ parameters at each coupled node (_node_quadratics), those directions are
 integrated in closed form (Schur complements of the quadratic), and
 numerical quadrature is spent only on the coupled and weighted directions.
 
-Every node's quadratic is validated against direct kernel evaluations at
-three off-grid points before it is trusted; a failure raises instead of
-silently degrading the norm.
+Every node's quadratic is checked before it is trusted: the factors that fix
+the Gaussian integral's Q must not move with the quadratic coordinates, and
+the model must reproduce the kernel's value at three off-grid points.  A
+failure raises instead of silently degrading the norm.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .representations import (
     _product_form,
     _stft_rep,
     act,
-    coefficient_log_modulus,
 )
 
 __all__ = [
@@ -59,8 +59,8 @@ __all__ = [
     "df_modulation_task",
 ]
 
-# group elements per batched call (factor table or kernel): bounds the
-# engine's working memory whatever the mesh size
+# group elements per factor table call (k + 4 rows per coupled node): bounds
+# the engine's working memory whatever the mesh size
 _BLOCK = 1024
 # coupled mesh nodes times weight mesh nodes, summed over the states, that
 # one norm evaluation may take on; beyond it a NormSpec is refused before any
@@ -164,11 +164,13 @@ class LogQuadratic:
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
-        return (
-            self.const
-            + np.einsum("...i,...i->...", self.grad, r)
-            + 0.5 * np.einsum("...i,...ij,...j->...", r, self.hess, r)
-        )
+        # r.hess.r as the sum of the k^2 elementwise products hess_ij (r_i r_j):
+        # on a weight mesh a three-operand einsum costs several times more
+        rhr = np.zeros(np.broadcast_shapes(self.hess.shape[:-2], r.shape[:-1]))
+        for i in range(self.ndim):
+            for j in range(self.ndim):
+                rhr += self.hess[..., i, j] * (r[..., i] * r[..., j])
+        return self.const + np.einsum("...i,...i->...", self.grad, r) + 0.5 * rhr
 
     def scaled(self, s: float) -> "LogQuadratic":
         return LogQuadratic(s * self.const, s * self.grad, s * self.hess)
@@ -317,14 +319,16 @@ def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQua
         grad = Re la(e_i) - Re la(0) - H_la[i, i] / 2 + Re(J^T Q^-1 L0) / 2 pi,
 
     and const its value at r = 0 (the Gaussian integral, Folland, Harmonic
-    Analysis in Phase Space, 1989, App. A).  J, V and la are read from the
-    factor table at r = 0, e_1, ..., e_k: per node one Cholesky factorisation
-    (the positive-definiteness check of _product_form), one slogdet and one
-    (k + 1)-column solve.  C and S, and so Q, move only with the coupled
-    coordinates, so the acted quad is formed on the row r = 0 alone.  Every
-    model is then checked at three off-grid points, each evaluated by the kernel with its node's state and
-    its own Q; a miss raises, which is how a wrong set of coupled coordinates
-    shows up.
+    Analysis in Phase Space, 1989, App. A).  One factor table holds k + 4
+    rows per node: r = 0, e_1, ..., e_k, then the three off-grid check
+    points.  C and S, and so Q, may move only with the coupled coordinates:
+    every row's C and S must equal its node's r = 0 row bit for bit, else
+    the split is wrong and the log modulus is not quadratic, which raises.
+    Q is then formed once per node: one Cholesky factorisation (the
+    positive-definiteness check of _product_form), one slogdet and one
+    (k + 4)-column solve against L0, J_1, ..., J_k and the check rows' L.
+    The check values are the kernel's formula on those columns, and every
+    model must reproduce them (_validate).
     """
     group = rep.group
     n = group.quotient_dim
@@ -332,38 +336,50 @@ def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQua
     k = len(fitdims)
     checks = _check_offsets(k)
     offsets = np.concatenate([np.eye(k + 1, k, -1), checks])  # r = 0, e_1, ..., e_k, then the checks
+    rows = len(offsets)
+    fit, chk = slice(1, k + 1), slice(k + 1, None)  # the rows e_1, ..., e_k and the checks
     parts = []
-    step = max(1, _BLOCK // max(k + 1, len(checks)))
+    step = max(1, _BLOCK // rows)
     for start in range(0, len(cpts), step):
         nodes = cpts[start : start + step]
         f = states.rows(slice(start, start + step))
         m = len(nodes)
-        qv = np.zeros((m, len(offsets), n))
+        qv = np.zeros((m, rows, n))
         qv[..., coupled] = nodes[:, None, :]
         qv[..., fitdims] = offsets
-        a = section(group, qv)
-        factors = _factors(rep, a[:, : k + 1].reshape(-1, group.total_dim))
-        _, C, _, S, _ = factors
-        quad = _acted_quad(C[:: k + 1], S[:: k + 1], g.quad)
+        factors = _factors(rep, section(group, qv).reshape(-1, group.total_dim))
+        _, C, _, S, v = (x.reshape(m, rows, *x.shape[1:]) for x in factors)
+        if (C[:, 1:] != C[:, :1]).any() or (S[:, 1:] != S[:, :1]).any():
+            if not (np.isfinite(C).all() and np.isfinite(S).all()):
+                raise OverflowError("the log-modulus quadratics leave double range")
+            raise RuntimeError(
+                "log-modulus is not quadratic in the marginalized coordinates: the chirp or the "
+                "substitution moves with them; the coupled coordinates do not match the "
+                "representation's factors"
+            )
+        quad = _acted_quad(C[:, 0], S[:, 0], g.quad)
         lin, amp = _acted_lin_amp(factors, g.quad, g.lin, g.log_amp)
         node_f = _States(f.quad, f.lin[:, None], f.log_amp[:, None])
-        Q, L, la = _product_form(node_f, quad, lin.reshape(m, k + 1, -1), amp.reshape(m, k + 1))
+        Q, L, la = _product_form(node_f, quad, lin.reshape(m, rows, -1), amp.reshape(m, rows))
         la = la.real
-        L[:, 1:] -= L[:, :1]  # rows L0, J_1, ..., J_k
-        J = L[:, 1:]
-        v = factors[4].reshape(m, k + 1, -1)
-        V = v[:, 1:] - v[:, :1]
+        L[:, fit] -= L[:, :1]  # rows L0, J_1, ..., J_k, then the checks' L
+        J = L[:, fit]
+        V = v[:, fit] - v[:, :1]
         _, log_abs_det = np.linalg.slogdet(Q)
-        y = np.linalg.solve(Q, np.swapaxes(L, -1, -2))  # Q^-1 L0, Q^-1 J_1, ..., Q^-1 J_k
+        y = np.linalg.solve(Q, np.swapaxes(L, -1, -2))  # Q^-1 times each row of L
         h_la = -2.0 * np.pi * V @ g.quad.real @ np.swapaxes(V, -1, -2)
-        jy = (J @ y).real / (2.0 * np.pi)  # Re(J^T Q^-1 L0), then Re(J^T Q^-1 J), over 2 pi
+        jy = (J @ y[..., : k + 1]).real / (2.0 * np.pi)  # Re(J^T Q^-1 L0), then Re(J^T Q^-1 J), over 2 pi
         hess = jy[..., 1:] + h_la
-        grad = la[:, 1:] - la[:, :1] - 0.5 * np.diagonal(h_la, axis1=-2, axis2=-1) + jy[..., 0]
+        grad = la[:, fit] - la[:, :1] - 0.5 * np.diagonal(h_la, axis1=-2, axis2=-1) + jy[..., 0]
         const = la[:, 0] - 0.5 * log_abs_det + np.einsum("ni,ni->n", L[:, 0], y[..., 0]).real / (4.0 * np.pi)
         part = (const, grad, 0.5 * (hess + np.swapaxes(hess, -1, -2)))
-        check_a = a[:, k + 1 :].reshape(-1, group.total_dim)
-        fx = coefficient_log_modulus(rep, check_a, f.rows(np.repeat(np.arange(m), len(checks))), g)
-        _validate(LogQuadratic(*part), checks, fx.reshape(m, len(checks)), const)
+        # the kernel's log modulus at each check row, with its node's Q
+        fx = (
+            la[:, chk]
+            - 0.5 * log_abs_det[:, None]
+            + np.einsum("nci,nic->nc", L[:, chk], y[..., chk]).real / (4.0 * np.pi)
+        )
+        _validate(LogQuadratic(*part), checks, fx, const)
         parts.append(part)
     return LogQuadratic(*(np.concatenate(field) for field in zip(*parts)))
 

@@ -275,24 +275,33 @@ def _nodes(rep, count=20):
     return np.concatenate([corners, inner])
 
 
-@pytest.mark.parametrize("lam", [2.0, -0.7])
-@pytest.mark.parametrize(
-    "name,d,mu",
-    [("heisenberg", 1, 0.0), ("heisenberg", 2, 0.0), ("g6_16", 1, 0.6), ("g5_3", 1, 0.0), ("g6_19", 1, 0.6), ("dynin_folland", 1, 0.0)],
-)
-def test_closed_form_quadratic_matches_the_stencil_fit(name, d, mu, lam):
-    # the engine reads each node's quadratic from one solve; the unit-step
-    # stencil over direct kernel values is the independent reference
+def _node_case(name, d, mu, lam):
+    """rep, one state per node (each shifted in its linear part), a window,
+    the nodes of _nodes, and the generator that drew them."""
     rep = RepSpec(group_spec(name, d), lam, mu)
     k = rep.acting_dim
     rng = np.random.default_rng(11)
     C = rng.uniform(-0.6, 0.6, (k, k))
     f = chirp(Gaussian(np.diag(rng.uniform(0.8, 1.3, k)), rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)), C + C.T)
     g = Gaussian(1.3 * np.eye(k) + 0.2 * np.ones((k, k)) + 0.15j * np.eye(k), np.full(k, 0.1 - 0.3j), 0.4)
-    coupled, fitdims = coorbit._coordinate_split(rep)
     nodes = _nodes(rep)
-    # one state per node, each shifted in its linear part
     states = [Gaussian(f.quad, f.lin + 0.05 * j * (1.0 - 0.5j), f.log_amp) for j in range(len(nodes))]
+    return rep, states, g, nodes, rng
+
+
+_NODE_CASES = pytest.mark.parametrize(
+    "name,d,mu",
+    [("heisenberg", 1, 0.0), ("heisenberg", 2, 0.0), ("g6_16", 1, 0.6), ("g5_3", 1, 0.0), ("g6_19", 1, 0.6), ("dynin_folland", 1, 0.0)],
+)
+
+
+@pytest.mark.parametrize("lam", [2.0, -0.7])
+@_NODE_CASES
+def test_closed_form_quadratic_matches_the_stencil_fit(name, d, mu, lam):
+    # the engine reads each node's quadratic from one solve; the unit-step
+    # stencil over direct kernel values is the independent reference
+    rep, states, g, nodes, rng = _node_case(name, d, mu, lam)
+    coupled, fitdims = coorbit._coordinate_split(rep)
     quads = coorbit._node_quadratics(rep, _States.stack(states), g, nodes)
     for j, node in enumerate(nodes):
 
@@ -327,24 +336,78 @@ def test_closed_form_quadratic_is_exact_near_a_far_mode():
         assert np.abs(quad.value(r) - direct).max() < 1e-8
 
 
-def test_engine_sends_only_the_check_rows_through_the_kernel(monkeypatch):
-    # the quadratic comes from the factor table; the kernel sees 3 check rows
-    # per node, not the 18-point stencil (43,218 rows on dynin_folland)
+@pytest.mark.parametrize("lam", [2.0, -0.7])
+@_NODE_CASES
+def test_engine_check_values_are_the_kernel_at_the_check_points(monkeypatch, name, d, mu, lam):
+    # the engine evaluates its check rows with its node's Q; the kernel forms
+    # each row's own Q from its own factors
+    rep, states, g, nodes, _ = _node_case(name, d, mu, lam)
+    coupled, fitdims = coorbit._coordinate_split(rep)
+    seen = []
+    validate = coorbit._validate
+
+    def recording(quad, checks, fx, f0):
+        seen.append((checks, fx))
+        validate(quad, checks, fx, f0)
+
+    monkeypatch.setattr(coorbit, "_validate", recording)
+    coorbit._node_quadratics(rep, _States.stack(states), g, nodes)
+    [(checks, fx)] = seen
+    q = np.zeros((len(nodes), len(checks), rep.group.quotient_dim))
+    q[..., coupled] = nodes[:, None, :]
+    q[..., fitdims] = checks
+    a = section(rep.group, q).reshape(-1, rep.group.total_dim)
+    want = coefficient_log_modulus(rep, a, _States.stack([f for f in states for _ in checks]), g)
+    assert np.all(np.abs(fx.ravel() - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_engine_reads_k_plus_4_factor_rows_per_node(monkeypatch):
+    # one factor table: r = 0, e_1, ..., e_k and the three check rows of each
+    # node (k = 4 on dynin_folland and on the 2-dimensional modulation norm),
+    # not the 18-point stencil, and no call past _BLOCK group elements
     rows = []
-    kernel = coorbit.coefficient_log_modulus
+    factors = coorbit._factors
 
-    def counting(rep, a, f, g):
-        rows.append(np.size(a) // rep.group.total_dim)
-        return kernel(rep, a, f, g)
+    def counting(rep, a):
+        rows.append(len(a))
+        return factors(rep, a)
 
-    monkeypatch.setattr(coorbit, "coefficient_log_modulus", counting)
+    monkeypatch.setattr(coorbit, "_factors", counting)
     rep = RepSpec(group_spec("dynin_folland"), 1.0)
     coorbit_norm_log(rep, Gaussian(np.eye(3) * 1.2, np.full(3, 0.1)), unit_gaussian(3), NormSpec(p=2.0))
     n_nodes = len(coorbit._sinh_axis(NormSpec())[0]) ** 2
-    assert n_nodes == 2401 and sum(rows) == 3 * n_nodes
+    assert n_nodes == 2401 and sum(rows) == 8 * n_nodes == 19208
+    assert all(r % 8 == 0 for r in rows) and max(rows) <= coorbit._BLOCK
     rows.clear()
     modulation_norm_log(chirp(unit_gaussian(2), np.array([[1.0, 0.5], [0.5, -2.0]])))
-    assert rows == [3]
+    assert rows == [8]
+
+
+def test_engine_rejects_a_split_that_leaves_out_a_coupled_coordinate(monkeypatch):
+    # dynin_folland couples two quotient coordinates; with one of them fitted
+    # as if quadratic, its chirp moves along the fit rows and the exact
+    # comparison of C and S with the node's r = 0 row fires
+    moving = coorbit._moving_coordinates
+    monkeypatch.setattr(coorbit, "_moving_coordinates", lambda rep: (moving(rep)[0][:1], moving(rep)[1]))
+    rep = RepSpec(group_spec("dynin_folland"), 1.0)
+    assert len(moving(rep)[0]) == 2
+    with pytest.raises(RuntimeError, match="not quadratic .*: the chirp or the substitution moves"):
+        coorbit_norm_log(rep, Gaussian(np.eye(3) * 1.2, np.full(3, 0.1)), unit_gaussian(3), NormSpec(p=2.0))
+
+
+def test_factors_past_double_range_are_not_reported_as_a_wrong_split(monkeypatch):
+    # a chirp past double range holds inf and nan, and nan differs from
+    # itself: the exact comparison must report the overflow, not the split
+    factors = coorbit._factors
+
+    def overflowing(rep, a):
+        theta, C, m, S, v = factors(rep, a)
+        return theta, C * np.inf, m, S, v
+
+    monkeypatch.setattr(coorbit, "_factors", overflowing)
+    rep = RepSpec(group_spec("g5_3"), 1.0)
+    with pytest.raises(OverflowError, match="leave double range"):
+        coorbit_norm_log(rep, unit_gaussian(2), unit_gaussian(2), NormSpec(p=2.0))
 
 
 def test_engine_against_full_grid_on_g5_3():
