@@ -255,8 +255,10 @@ def _validate(quad: LogQuadratic, checks, fx, f0) -> None:
     checks holds one point per row and fx one value per check along its
     trailing axis; f0 is the function's value at the reference point of the
     model.  Leading axes are batch axes.  The tolerance is 1e-7 of the
-    larger of 100, |fx| and |f0|.  A miss is how a wrong set of coupled
-    coordinates shows up.  A field of the model past double range shows in
+    larger of 100, |fx| and |f0|.  A miss is how a function that is not
+    quadratic shows up; the engine catches a wrong set of coupled
+    coordinates before, when a check row's factors differ from its node's
+    (_node_quadratics).  A field of the model past double range shows in
     the model at every check; a model or value that is not finite (so a
     residual that is not) raises OverflowError.
     """
