@@ -25,22 +25,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coorbit import (
-    DEFAULT_SCAN,
-    NormSpec,
-    chirp_scan_task,
-    coorbit_norm_log,
-    df_modulation_task,
-    g53_curve_tasks,
-    orbit_scan,
-    power_weight,
-)
-from .frames import (
-    QuasiLattice,
-    beurling_density,
-    frame_bounds_estimate,
-    tiling_check,
-)
 from .gaussian import (
     Gaussian,
     chirp,
@@ -125,7 +109,7 @@ SCHEMAS: dict[str, dict] = {
         **_COMMON,
         ("scan", "task"): ("str", _REQUIRED),
         ("scan", "p"): ("ge1-float", 1.0),
-        ("scan", "u_values"): ("fin-floats", DEFAULT_SCAN),
+        ("scan", "u_values"): ("fin-floats", (10.0, 20.0, 40.0, 80.0, 160.0, 320.0)),  # coorbit.DEFAULT_SCAN
         ("scan", "u_min_fit"): ("fin-float", 32.0),
         ("tolerance", "slope"): ("float", 0.02),
         ("tolerance", "invariance"): ("float", 0.01),
@@ -281,14 +265,21 @@ class _Parsed:
 # builders: each makes, from the parsed values of its kind, the library
 # objects its runner reads from ExperimentConfig.built
 
+def _coorbit():
+    """The coorbit module, imported on first use: only the two norm kinds load it."""
+    from . import coorbit
+
+    return coorbit
+
+
 # task name -> (factory(p), expectation mode, expected slope as a function of p)
 _SCAN_TASKS = {
-    "chirp-1d": (lambda p: chirp_scan_task(p), "slope", lambda p: 1.0 / p - 0.5),
-    "chirp-2d-cross": (lambda p: chirp_scan_task(p, cross=True), "slope", lambda p: 2.0 / p - 1.0),
-    "g53-curve-own": (lambda p: g53_curve_tasks(p)[0], "invariant", lambda p: 0.0),
-    "g53-curve-modulation": (lambda p: g53_curve_tasks(p)[1], "slope", lambda p: 1.0 / p - 0.5),
-    "g53-curve-sibling": (lambda p: g53_curve_tasks(p)[2], "slope", lambda p: 0.5 / p - 0.25),
-    "df-chirp-direction": (lambda p: df_modulation_task(p), "slope", lambda p: 2.0 / p - 1.0),
+    "chirp-1d": (lambda p: _coorbit().chirp_scan_task(p), "slope", lambda p: 1.0 / p - 0.5),
+    "chirp-2d-cross": (lambda p: _coorbit().chirp_scan_task(p, cross=True), "slope", lambda p: 2.0 / p - 1.0),
+    "g53-curve-own": (lambda p: _coorbit().g53_curve_tasks(p)[0], "invariant", lambda p: 0.0),
+    "g53-curve-modulation": (lambda p: _coorbit().g53_curve_tasks(p)[1], "slope", lambda p: 1.0 / p - 0.5),
+    "g53-curve-sibling": (lambda p: _coorbit().g53_curve_tasks(p)[2], "slope", lambda p: 0.5 / p - 0.25),
+    "df-chirp-direction": (lambda p: _coorbit().df_modulation_task(p), "slope", lambda p: 2.0 / p - 1.0),
 }
 
 
@@ -321,6 +312,8 @@ def _build_orbit_scan(v: _Parsed) -> dict:
 
 
 def _build_coorbit_norm(v: _Parsed) -> dict:
+    from .coorbit import NormSpec, power_weight
+
     (grp,) = _groups(v, "group.name", every=False)
     rep = v.build(("group.lam", "group.mu"), RepSpec, grp, v["group.lam"], v["group.mu"])
     s, coords = v["norm.weight_s"], v["norm.weight_coords"]
@@ -344,11 +337,15 @@ def _build_coorbit_norm(v: _Parsed) -> dict:
 
 
 def _build_frame_sweep(v: _Parsed) -> dict:
+    from .frames import QuasiLattice
+
     rep = v.build(("sweep.lam",), RepSpec, group_spec("heisenberg", 1), v["sweep.lam"])
     return {"rep": rep, "lattices": [QuasiLattice(rep.group, eps) for eps in v["sweep.eps_values"]]}
 
 
 def _build_density(v: _Parsed) -> dict:
+    from .frames import QuasiLattice
+
     return {"lattices": [QuasiLattice(grp, v["lattice.eps"]) for grp in _groups(v, "lattice.group", every=True)]}
 
 
@@ -478,6 +475,8 @@ def _tail_mass(caught) -> bool:
 
 
 def _run_orbit_scan(config: ExperimentConfig):
+    from .coorbit import orbit_scan
+
     name = config.get("scan", "task")
     p = config.get("scan", "p")
     _, mode, expected_fn = _SCAN_TASKS[name]
@@ -540,6 +539,8 @@ def _build_state(config, dim):
 
 
 def _run_coorbit_norm(config: ExperimentConfig):
+    from .coorbit import coorbit_norm_log
+
     name = config.get("group", "name")
     rep, spec = config.built["rep"], config.built["spec"]
     f = _build_state(config, rep.acting_dim)
@@ -572,6 +573,8 @@ def _run_coorbit_norm(config: ExperimentConfig):
 
 
 def _run_frame_sweep(config: ExperimentConfig):
+    from .frames import beurling_density, frame_bounds_estimate
+
     lam = config.get("sweep", "lam")
     rep = config.built["rep"]
     d_pi = known_formal_dimension(rep)
@@ -602,6 +605,8 @@ def _run_frame_sweep(config: ExperimentConfig):
 
 
 def _run_density(config: ExperimentConfig):
+    from .frames import beurling_density, tiling_check
+
     eps = config.get("lattice", "eps")
     n_points = config.get("lattice", "n_points")
     rows = []

@@ -21,12 +21,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .gaussian import Gaussian, quad_forms, tensor, unit_gaussian
-from .groups import GroupSpec, group_spec, quotient_multiply, section
+from .groups import GroupSpec, group_spec, quotient_multiply
 from .numerics import TailMassWarning, WeightRangeError, ceil_count, check_budget, logsumexp
 from .representations import (
     RepSpec,
@@ -146,8 +146,7 @@ class NormSpec:
 # ---------------------------------------------------------------------------
 # exact quadratic models of log moduli
 
-@dataclass(frozen=True)
-class LogQuadratic:
+class LogQuadratic(NamedTuple):
     """Q(r) = const + grad . r + r . hess . r / 2 with symmetric hess.
 
     Leading axes of const, grad and hess are batch axes: one model per entry,
@@ -196,8 +195,11 @@ class LogQuadratic:
         if not dims:
             return self
         keep = [i for i in range(self.ndim) if i not in dims]
+        # every dimension in order: the block is hess itself, whose layout Cholesky
+        # does not read; g_s stays a copy, because its layout sets einsum's order of summation
+        h_ss = self.hess if dims == list(range(self.ndim)) else _block(self.hess, dims, dims)
         try:
-            low = np.linalg.cholesky(-_block(self.hess, dims, dims))
+            low = np.linalg.cholesky(-h_ss)
         except np.linalg.LinAlgError:
             raise RuntimeError(
                 "cannot integrate analytically: the log-modulus Hessian is not "
@@ -208,14 +210,14 @@ class LogQuadratic:
         const = (
             self.const
             + 0.5 * len(dims) * math.log(2.0 * math.pi)
-            - np.log(np.diagonal(low, axis1=-2, axis2=-1)).sum(axis=-1)
+            - np.log(low.diagonal(0, -2, -1)).sum(axis=-1)
             + 0.5 * np.einsum("...i,...i->...", g_s, x)
         )
         if not keep:
-            return LogQuadratic(const, np.zeros(np.shape(const) + (0,)), np.zeros((0, 0)))
+            return LogQuadratic(const, self.grad[..., :0], self.hess[..., :0, :0])
         h_ts = _block(self.hess, keep, dims)
         grad = self.grad[..., keep] + (h_ts @ x[..., None])[..., 0]
-        hess = _block(self.hess, keep, keep) + h_ts @ _cho_solve(low, np.swapaxes(h_ts, -1, -2))
+        hess = _block(self.hess, keep, keep) + h_ts @ _cho_solve(low, h_ts.swapaxes(-1, -2))
         return LogQuadratic(const, grad, hess)
 
     def total(self):
@@ -231,7 +233,7 @@ def _block(mat, rows, cols):
 def _cho_solve(low, rhs):
     """Solve (low low^T) x = rhs for a stack of lower Cholesky factors."""
     y = np.linalg.solve(low, rhs)
-    return np.linalg.solve(np.swapaxes(low, -1, -2), y)
+    return np.linalg.solve(low.swapaxes(-1, -2), y)
 
 
 def _stencil(ndim: int) -> np.ndarray:
@@ -249,24 +251,45 @@ def _check_offsets(ndim: int) -> np.ndarray:
     return checks
 
 
-def _validate(quad: LogQuadratic, checks, fx, f0) -> None:
+@lru_cache(maxsize=None)
+def _check_design(ndim: int) -> np.ndarray:
+    """The model's terms at the _check_offsets c, one column per check
+    (read-only): c, then the flattened c c^T / 2, so that a model's
+    [grad, flattened hess] times it, plus const, is the model at each check."""
+    checks = _check_offsets(ndim)
+    squares = (checks[:, :, None] * checks[:, None, :]).reshape(len(checks), -1)
+    design = np.concatenate([checks.T, 0.5 * squares.T])
+    design.flags.writeable = False
+    return design
+
+
+@lru_cache(maxsize=None)
+def _row_offsets(ndim: int) -> np.ndarray:
+    """The fit coordinates of a node's ndim + 4 factor rows, one per row
+    (read-only): the three _check_offsets, r = 0, then e_1, ..., e_ndim."""
+    offsets = np.concatenate([_check_offsets(ndim), np.eye(ndim + 1, ndim, -1)])
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _validate(quad: LogQuadratic, fx, f0) -> None:
     """Raise unless quad reproduces the values fx at the check points.
 
-    checks holds one point per row and fx one value per check along its
-    trailing axis; f0 is the function's value at the reference point of the
-    model.  Leading axes are batch axes.  The tolerance is 1e-7 of the
-    larger of 100, |fx| and |f0|.  A miss is how a function that is not
-    quadratic shows up; the engine catches a wrong set of coupled
+    The check points are the _check_offsets of quad's dimension, and fx
+    holds one value per check along its trailing axis; f0 is the function's
+    value at the reference point of the model.  Leading axes are batch
+    axes.  The tolerance is 1e-7 of the largest of 100, |fx| and |f0|,
+    entry by entry: a residual at it passes, one past it raises
+    RuntimeError.  Only this decision reads the model at the checks, so how
+    its terms are summed moves no output.  A miss is how a function that is
+    not quadratic shows up; the engine catches a wrong set of coupled
     coordinates before, when a check row's factors differ from its node's
     (_node_quadratics).  A field of the model past double range shows in
     the model at every check; a model or value that is not finite (so a
     residual that is not) raises OverflowError.
     """
-    model = (
-        np.asarray(quad.const)[..., None]
-        + quad.grad @ checks.T
-        + 0.5 * np.einsum("ci,...ij,cj->...c", checks, quad.hess, checks)
-    )
+    terms = np.concatenate([quad.grad, quad.hess.reshape(*quad.hess.shape[:-2], -1)], axis=-1)
+    model = np.asarray(quad.const)[..., None] + terms @ _check_design(quad.ndim)
     resid = np.abs(fx - model)
     if not np.isfinite(resid).all():
         raise OverflowError("the log-modulus quadratics leave double range")
@@ -296,8 +319,7 @@ def fit_log_quadratic(func: Callable[[np.ndarray], float], ndim: int) -> LogQuad
     iu, ju = np.triu_indices(k, 1)
     hess[iu, ju] = hess[ju, iu] = f_pair - f_plus[iu] - f_plus[ju] + f0
     quad = LogQuadratic(f0, 0.5 * (f_plus - f_minus), hess)
-    checks = _check_offsets(ndim)
-    _validate(quad, checks, np.array([float(func(x)) for x in checks]), f0)
+    _validate(quad, np.array([float(func(x)) for x in _check_offsets(ndim)]), f0)
     return quad
 
 
@@ -322,36 +344,48 @@ def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQua
 
     and const its value at r = 0 (the Gaussian integral, Folland, Harmonic
     Analysis in Phase Space, 1989, App. A).  One factor table holds k + 4
-    rows per node: r = 0, e_1, ..., e_k, then the three off-grid check
-    points.  C and S, and so Q, may move only with the coupled coordinates:
-    every row's C and S must equal its node's r = 0 row bit for bit, else
-    the split is wrong and the log modulus is not quadratic, which raises.
-    Q is then formed once per node: one Cholesky factorisation (the
+    rows per node (_row_offsets): the three off-grid check points, r = 0,
+    then e_1, ..., e_k.  C and S, and so Q, may move only with the coupled
+    coordinates: every row's C and S must equal its node's r = 0 row bit for
+    bit, else the split is wrong and the log modulus is not quadratic, which
+    raises.  Q is then formed once per node: one Cholesky factorisation (the
     positive-definiteness check of _product_form), one slogdet and one
-    (k + 4)-column solve against L0, J_1, ..., J_k and the check rows' L.
-    The check values are the kernel's formula on those columns, and every
-    model must reproduce them (_validate).
+    (k + 4)-column solve against the check rows' L, L0 and J_1, ..., J_k.
+    The check values and const are the kernel's formula on the first four
+    columns, read in one pass, and every model must reproduce its check
+    values (_validate).
+
+    The nodes run in blocks of at most _BLOCK factor rows, each written into
+    the returned arrays, so the block size moves no bit.  A block costs the
+    same fixed work whatever it holds, about a hundred array operations and
+    three numpy.linalg calls; a call adds only the coordinate split and the
+    cached offsets table.  The kernel reads only moduli, so it leaves out
+    the unit phase of the action (act adds it).
     """
     group = rep.group
-    n = group.quotient_dim
     coupled, fitdims = _coordinate_split(rep)
     k = len(fitdims)
-    checks = _check_offsets(k)
-    offsets = np.concatenate([np.eye(k + 1, k, -1), checks])  # r = 0, e_1, ..., e_k, then the checks
+    offsets = _row_offsets(k)
     rows = len(offsets)
-    fit, chk = slice(1, k + 1), slice(k + 1, None)  # the rows e_1, ..., e_k and the checks
-    parts = []
+    # rows 0 to 2 are the checks, row 3 is r = 0, the rest e_1, ..., e_k
+    chk, node, fit = slice(0, 3), slice(3, 4), slice(4, None)
+    n_nodes = len(cpts)
+    const, grad, hess = np.empty(n_nodes), np.empty((n_nodes, k)), np.empty((n_nodes, k, k))
     step = max(1, _BLOCK // rows)
-    for start in range(0, len(cpts), step):
-        nodes = cpts[start : start + step]
-        f = states.rows(slice(start, start + step))
+    for start in range(0, n_nodes, step):
+        block = slice(start, start + step)
+        nodes = cpts[block]
         m = len(nodes)
-        qv = np.zeros((m, rows, n))
-        qv[..., coupled] = nodes[:, None, :]
+        # the group elements section(q), written in place: zero centre, q in the noncentral slice
+        a = np.zeros((m, rows, group.total_dim))
+        qv = a[..., group.noncenter_slice]
+        if coupled:
+            qv[..., coupled] = nodes[:, None, :]
         qv[..., fitdims] = offsets
-        factors = _factors(rep, section(group, qv).reshape(-1, group.total_dim))
-        _, C, _, S, v = (x.reshape(m, rows, *x.shape[1:]) for x in factors)
-        if (C[:, 1:] != C[:, :1]).any() or (S[:, 1:] != S[:, :1]).any():
+        factors = _factors(rep, a.reshape(m * rows, -1))
+        _, C, _, S, v = factors
+        C, S, v = C.reshape(m, rows, *C.shape[1:]), S.reshape(m, rows, *S.shape[1:]), v.reshape(m, rows, -1)
+        if ((C != C[:, node]) | (S != S[:, node])).any():
             if not (np.isfinite(C).all() and np.isfinite(S).all()):
                 raise OverflowError("the log-modulus quadratics leave double range")
             raise RuntimeError(
@@ -359,31 +393,29 @@ def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQua
                 "substitution moves with them; the coupled coordinates do not match the "
                 "representation's factors"
             )
-        quad = _acted_quad(C[:, 0], S[:, 0], g.quad)
+        quad = _acted_quad(C[:, 3], S[:, 3], g.quad)
         lin, amp = _acted_lin_amp(factors, g.quad, g.lin, g.log_amp)
-        node_f = _States(f.quad, f.lin[:, None], f.log_amp[:, None])
-        Q, L, la = _product_form(node_f, quad, lin.reshape(m, rows, -1), amp.reshape(m, rows))
-        la = la.real
-        L[:, fit] -= L[:, :1]  # rows L0, J_1, ..., J_k, then the checks' L
+        Q, L = _product_form(states.quad[block], states.lin[block, None], quad, lin.reshape(m, rows, -1))
+        la = states.log_amp[block, None].real + amp.reshape(m, rows).real  # Re(f.log_amp + conj(amp))
+        L[:, fit] -= L[:, node]  # the checks' L and L0, then J_1, ..., J_k
         J = L[:, fit]
-        V = v[:, fit] - v[:, :1]
+        V = v[:, fit] - v[:, node]
         _, log_abs_det = np.linalg.slogdet(Q)
-        y = np.linalg.solve(Q, np.swapaxes(L, -1, -2))  # Q^-1 times each row of L
-        h_la = -2.0 * np.pi * V @ g.quad.real @ np.swapaxes(V, -1, -2)
-        jy = (J @ y[..., : k + 1]).real / (2.0 * np.pi)  # Re(J^T Q^-1 L0), then Re(J^T Q^-1 J), over 2 pi
-        hess = jy[..., 1:] + h_la
-        grad = la[:, fit] - la[:, :1] - 0.5 * np.diagonal(h_la, axis1=-2, axis2=-1) + jy[..., 0]
-        const = la[:, 0] - 0.5 * log_abs_det + np.einsum("ni,ni->n", L[:, 0], y[..., 0]).real / (4.0 * np.pi)
-        part = (const, grad, 0.5 * (hess + np.swapaxes(hess, -1, -2)))
-        # the kernel's log modulus at each check row, with its node's Q
-        fx = (
-            la[:, chk]
-            - 0.5 * log_abs_det[:, None]
-            + np.einsum("nci,nic->nc", L[:, chk], y[..., chk]).real / (4.0 * np.pi)
+        y = np.linalg.solve(Q, L.swapaxes(-1, -2))  # Q^-1 times each row of L
+        # the kernel's log modulus at each check row and at r = 0, with its node's Q
+        quad_l = np.einsum("nci,nic->nc", L[:, :4], y[..., :4]).real / (4.0 * np.pi)
+        vals = la[:, :4] - 0.5 * log_abs_det[:, None] + quad_l
+        h_la = -2.0 * np.pi * V @ g.quad.real @ V.swapaxes(-1, -2)
+        jy = (J @ y[..., 3:]).real / (2.0 * np.pi)  # Re(J^T Q^-1 L0), then Re(J^T Q^-1 J), over 2 pi
+        h = jy[..., 1:] + h_la
+        part = LogQuadratic(
+            vals[:, 3],
+            la[:, fit] - la[:, node] - 0.5 * h_la.diagonal(0, -2, -1) + jy[..., 0],
+            0.5 * (h + h.swapaxes(-1, -2)),
         )
-        _validate(LogQuadratic(*part), checks, fx, const)
-        parts.append(part)
-    return LogQuadratic(*(np.concatenate(field) for field in zip(*parts)))
+        _validate(part, vals[:, chk], part.const)
+        const[block], grad[block], hess[block] = part
+    return LogQuadratic(const, grad, hess)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +527,15 @@ def _probe_center(slice_mass: Callable[[np.ndarray, np.ndarray], np.ndarray], n_
 def coorbit_norm_log(rep: RepSpec, f: Gaussian, g: Gaussian, spec: NormSpec | None = None) -> float:
     """log of the L^p_m norm of q -> <f, pi(section(q)) g> over the quotient."""
     spec = NormSpec() if spec is None else spec
-    norms, _ = _coorbit_log_norms(rep, _States.stack([f]), g, spec)
+    norms, _ = _coorbit_log_norms(rep, _States(f.quad[None], f.lin[None], np.array([f.log_amp])), g, spec)
     return float(norms[0])
+
+
+def _norm_name(rep: RepSpec, mixed) -> str:
+    """How messages name a norm of rep, mixed or not."""
+    stft = rep == _stft_rep(rep.group.quotient_dim // 2)
+    name = "modulation norm" if stft else f"coorbit norm on {rep.group.name}"
+    return name + " (mixed)" if mixed else name
 
 
 def _coorbit_log_norms(rep, states, g, spec, where=None):
@@ -517,14 +556,9 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
     group, p, q = rep.group, spec.p, spec.q_eff
     n = group.quotient_dim
     n_states = len(states.log_amp)
-    stft = rep == _stft_rep(n // 2)
-    name = "modulation norm" if stft else f"coorbit norm on {group.name}"
     outer = list(range(n // 2, n)) if q != p else []  # the coordinates of the L^q integral
-    if outer:
-        if not stft:
-            raise NotImplementedError("mixed (p, q) exponents are only defined for modulation norms")
-        name += " (mixed)"
-    where = where or [""] * n_states
+    if outer and rep != _stft_rep(n // 2):
+        raise NotImplementedError("mixed (p, q) exponents are only defined for modulation norms")
     coupled, fitdims = _coordinate_split(rep)
     weight = spec.weight
     if weight is not None and weight.coords[-1] >= n:
@@ -535,16 +569,18 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
     check_budget(
         nodes,
         _MAX_NODES,
-        f"{name}: {n_states} state(s) x {len(coupled)} coupled and {len(wdims)} weighted mesh axes "
-        f"at resolution {spec.resolution:g} in a box of half-width {spec.box_half:g}",
+        lambda: f"{_norm_name(rep, outer)}: {n_states} state(s) x {len(coupled)} coupled and {len(wdims)} "
+        f"weighted mesh axes at resolution {spec.resolution:g} in a box of half-width {spec.box_half:g}",
     )
 
     if not coupled and not wdims:
         # every direction in closed form: the inner L^p integral, then the outer L^q one
         quad = _node_quadratics(rep, states, g, np.zeros((n_states, 0))).scaled(p)
         quad = quad.marginalized([i for i in range(n) if i not in outer])
-        return quad.scaled(q / p).total() / q, np.zeros((n_states, 0))
+        return (quad.scaled(q / p).total() if outer else quad.const) / q, np.zeros((n_states, 0))
 
+    name = _norm_name(rep, outer)
+    where = where or [""] * n_states
     probe = bool(coupled) and not group.sinh_mesh
     centers = np.zeros((n_states, len(coupled)))
     if probe:
@@ -625,7 +661,8 @@ def modulation_norm_log(f: Gaussian, g: Gaussian | None = None, spec: NormSpec |
     g = unit_gaussian(f.dim) if g is None else g
     if g.dim != f.dim:
         raise ValueError(f"window dimension {g.dim} does not match signal dimension {f.dim}")
-    return float(_coorbit_log_norms(_stft_rep(f.dim), _States.stack([f]), g, spec)[0][0])
+    states = _States(f.quad[None], f.lin[None], np.array([f.log_amp]))
+    return float(_coorbit_log_norms(_stft_rep(f.dim), states, g, spec)[0][0])
 
 
 # ---------------------------------------------------------------------------

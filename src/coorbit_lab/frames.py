@@ -331,7 +331,7 @@ def _test_space(d: int, dict_halfrange: float, dict_step: float):
     Returns (lin, log_amp, basis), one row of lin per atom.
     """
     atoms = ceil_count((dict_halfrange + 0.5 * dict_step + dict_halfrange) / dict_step) ** (2 * d)
-    check_budget(atoms * atoms, _MAX_ENTRIES, f"frame bounds: test-space Gram entries at d = {d}")
+    check_budget(atoms * atoms, _MAX_ENTRIES, lambda: f"frame bounds: test-space Gram entries at d = {d}")
     offs = np.arange(-dict_halfrange, dict_halfrange + 0.5 * dict_step, dict_step)
     stft = _stft_rep(d)
     z = np.stack(np.meshgrid(*([offs] * (2 * d)), indexing="ij"), axis=-1).reshape(-1, 2 * d)
@@ -380,7 +380,9 @@ def frame_bounds_estimate(
         )
 
     radius = ceil_count(lattice_radius / eps)
-    check_budget((2 * radius + 1) ** n, _MAX_ENTRIES, f"frame bounds: lattice labels on a {n}-dimensional quotient")
+    check_budget(
+        (2 * radius + 1) ** n, _MAX_ENTRIES, lambda: f"frame bounds: lattice labels on a {n}-dimensional quotient"
+    )
     ks = np.stack(np.meshgrid(*([np.arange(-radius, radius + 1)] * n), indexing="ij"), axis=-1).reshape(-1, n)
     gamma = quasilattice_points(lat, ks)
     gamma = gamma[np.all(np.abs(gamma) <= lattice_radius + eps, axis=-1)]
@@ -389,7 +391,7 @@ def frame_bounds_estimate(
     check_budget(
         len(gamma) * len(test_amp),
         _MAX_ENTRIES,
-        f"frame bounds: Gram entries of {len(gamma):,} lattice points x {len(test_amp):,} test atoms",
+        lambda: f"frame bounds: Gram entries of {len(gamma):,} lattice points x {len(test_amp):,} test atoms",
     )
     coeff = _coefficients(test_lin, test_amp, *act(rep, section(rep.group, gamma), g.quad, g.lin, g.log_amp))
     frame_gram = coeff.conj().T @ coeff

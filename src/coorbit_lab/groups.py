@@ -88,7 +88,7 @@ class GroupSpec:
     def center_dim(self) -> int:
         return len(self.center_indices)
 
-    @property
+    @cached_property
     def quotient_dim(self) -> int:
         return self.total_dim - self.center_dim
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,18 +44,19 @@ class WeightRangeError(WorkBudgetError):
     """A weight whose log p |s| log(1 + |A q|) leaves double range on a norm's mesh."""
 
 
-def check_budget(count: int, budget: int, what: str) -> None:
+def check_budget(count: int, budget: int, what: Callable[[], str]) -> None:
     """Raise WorkBudgetError naming the count unless count <= budget.
 
     count is an int, or inf when it is past float range; counts from 10^15
-    up are named by their order of magnitude.
+    up are named by their order of magnitude.  what() describes the work,
+    and is formatted only for the error.
     """
     if count > budget:
         if count < 10**15:
             shown = f"{count:,}"
         else:
             shown = "more than 10^308" if count == math.inf else f"about 10^{math.log10(count):.0f}"
-        raise WorkBudgetError(f"{what}: {shown} exceeds the work budget of {budget:,}")
+        raise WorkBudgetError(f"{what()}: {shown} exceeds the work budget of {budget:,}")
 
 
 def ceil_count(x: float):

@@ -76,9 +76,17 @@ def _factors(rep: RepSpec, a):
     """
     d = rep.acting_dim
     C = np.zeros((len(a), d, d))
-    S = C + np.eye(d)
+    S = C + _identity(d)
     theta, m, v = rep.group.rep_factors(rep, a, C, S)
     return theta, C, m, S, v
+
+
+@lru_cache(maxsize=None)
+def _identity(d: int) -> np.ndarray:
+    """The d x d identity (read-only)."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 @lru_cache(maxsize=128)
@@ -113,8 +121,12 @@ def act(rep: RepSpec, a, quad, lin, log_amp):
     log_amp.  Plain arithmetic: nothing is validated.
     """
     factors = _factors(rep, a)
-    _, C, _, S, _ = factors
-    return (_acted_quad(C, S, quad), *_acted_lin_amp(factors, quad, lin, log_amp))
+    theta, C, _, S, _ = factors
+    out_lin, out_amp = _acted_lin_amp(factors, quad, lin, log_amp)
+    # the phase goes to the imaginary part alone, so the real part, all a
+    # modulus reads, keeps its bits even where 2 pi theta leaves double range
+    out_amp.imag += _TWO_PI * theta
+    return _acted_quad(C, S, quad), out_lin, out_amp
 
 
 def _acted_quad(C, S, quad):
@@ -124,31 +136,30 @@ def _acted_quad(C, S, quad):
     parts of quad apart: S^T Re(quad) S + i (S^T Im(quad) S + C).  That is
     the complex product bit for bit, at a fraction of its cost.
     """
-    St = np.swapaxes(S, -1, -2)
+    St = S.swapaxes(-1, -2)
     return St @ quad.real @ S + 1j * (St @ quad.imag @ S + C)
 
 
 def _acted_lin_amp(factors, quad, lin, log_amp):
-    """The lin (N, d) and log_amp (N,) of pi(a_k) g, for the stacked factors of _factors.
-
-    The phase is added to the imaginary part alone, so the real part, all a
-    modulus reads, keeps its bits even where 2 pi theta leaves double range.
-    """
-    theta, _, m, S, v = factors
-    St = np.swapaxes(S, -1, -2)
+    """The lin (N, d) and log_amp (N,) of M_m N_C (g o (t -> S t + v)), for the
+    stacked factors of _factors: pi(a_k) g up to its unit phase, which act
+    adds and a modulus does not read."""
+    _, _, m, S, v = factors
+    # cast once: a product of a real and a complex operand casts the real one buffer by buffer
+    S, v = S.astype(complex), v.astype(complex)
     # one Gaussian: a single matrix product over all rows, which einsum would round differently
     Av = v @ quad.T if quad.ndim == 2 else np.einsum("nij,nj->ni", quad, v)
-    lin = np.broadcast_to(lin, v.shape)
-    out_lin = np.einsum("nij,nj->ni", St, lin - _TWO_PI * Av) + _TWO_PI_I * m
-    out_amp = log_amp - np.pi * np.einsum("ni,ni->n", v, Av) + np.einsum("ni,ni->n", v, lin)
-    out_amp.imag += _TWO_PI * theta
+    # S^T as the subscripts "nji", and lin (d,) or (N, d) broadcast by the
+    # ellipsis: einsum reads S and lin in place, with no transposed or broadcast copy
+    out_lin = np.einsum("nji,nj->ni", S, lin - _TWO_PI * Av) + _TWO_PI_I * m
+    out_amp = log_amp - np.pi * np.einsum("ni,ni->n", v, Av) + np.einsum("...i,...i->...", v, lin)
     return out_lin, out_amp
 
 
 class _States(NamedTuple):
     """Stacked Gaussian parameters, one state per row, as act returns them:
     quad (N, d, d), lin (N, d) and log_amp (N,).  They stand wherever a single
-    Gaussian's fields broadcast against a stack (_product_form, the kernel)."""
+    Gaussian's fields broadcast against a stack (coefficient_log_modulus, the kernel)."""
 
     quad: np.ndarray
     lin: np.ndarray
@@ -196,23 +207,26 @@ def coefficient_log_modulus(rep: RepSpec, a, f: Gaussian | _States, g: Gaussian)
     Re la - log|det Q| / 2 + Re(L.Q^{-1}L) / 4 pi.
     """
     a = np.asarray(a, dtype=float).reshape(-1, rep.group.total_dim)
-    return _log_integral_modulus(*_product_form(f, *act(rep, a, g.quad, g.lin, g.log_amp)))
+    quad, lin, log_amp = act(rep, a, g.quad, g.lin, g.log_amp)
+    return _log_integral_modulus(*_product_form(f.quad, f.lin, quad, lin), f.log_amp + np.conj(log_amp))
 
 
-def _product_form(f: Gaussian | _States, quad, lin, log_amp):
-    """(Q, L, la) of f conj(h) for stacked h = exp(log_amp - pi t.(quad)t + lin.t).
+def _product_form(f_quad, f_lin, quad, lin):
+    """(Q, L) of f conj(h) for stacked h = exp(log_amp - pi t.(quad)t + lin.t);
+    its la is f.log_amp + conj(log_amp).
 
-    f is one Gaussian or stacked states: its fields broadcast against the
-    stacks of h, so one state or one per row both work.  Raises unless every
-    real part of Q is positive definite, which the integral of the product
-    needs: one batched Cholesky factorisation of the real parts decides it.
+    f_quad and f_lin are one Gaussian's or stacked states': they broadcast
+    against the stacks of h, so one state or one per row both work.  Raises
+    unless every real part of Q is positive definite, which the integral of
+    the product needs: one batched Cholesky factorisation of the real parts
+    decides it.
     """
-    Q = f.quad + np.conj(quad)
+    Q = f_quad + np.conj(quad)
     try:
         np.linalg.cholesky(Q.real)
     except np.linalg.LinAlgError:
         raise ValueError("real part of the quadratic form must be positive definite") from None
-    return Q, f.lin + np.conj(lin), f.log_amp + np.conj(log_amp)
+    return Q, f_lin + np.conj(lin)
 
 
 def pointwise_action(rep: RepSpec, a):

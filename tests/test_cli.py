@@ -148,6 +148,13 @@ def test_orbit_scan_records_centers_and_warnings(tmp_path):
     assert metrics["centers"] == [] and metrics["warnings"] == []
 
 
+def test_orbit_scan_default_ladder_is_the_engines():
+    # the schema spells the ladder out, so that parsing a config loads no norm engine
+    from coorbit_lab.coorbit import DEFAULT_SCAN
+
+    assert SCHEMAS["orbit-scan"][("scan", "u_values")][1] == DEFAULT_SCAN
+
+
 def test_orbit_scan_tail_mass_fails_the_run(tmp_path, monkeypatch):
     # a weighted scan whose spectrogram spreads along xi as u grows: a box of
     # half-width 1 holds the small u and cuts u = 8 alone

@@ -346,13 +346,14 @@ def test_engine_check_values_are_the_kernel_at_the_check_points(monkeypatch, nam
     seen = []
     validate = coorbit._validate
 
-    def recording(quad, checks, fx, f0):
-        seen.append((checks, fx))
-        validate(quad, checks, fx, f0)
+    def recording(quad, fx, f0):
+        seen.append(fx)
+        validate(quad, fx, f0)
 
     monkeypatch.setattr(coorbit, "_validate", recording)
     coorbit._node_quadratics(rep, _States.stack(states), g, nodes)
-    [(checks, fx)] = seen
+    [fx] = seen
+    checks = coorbit._check_offsets(len(fitdims))
     q = np.zeros((len(nodes), len(checks), rep.group.quotient_dim))
     q[..., coupled] = nodes[:, None, :]
     q[..., fitdims] = checks
@@ -361,8 +362,70 @@ def test_engine_check_values_are_the_kernel_at_the_check_points(monkeypatch, nam
     assert np.all(np.abs(fx.ravel() - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
+def _block_case(name):
+    """rep, stacked states (one per node), a window and the nodes: several
+    states at the single node of heisenberg, a line of g5_3's coupled axis,
+    and corners and inner nodes of dynin_folland's sinh mesh."""
+    if name != "heisenberg":
+        rep, states, g, nodes, _ = _node_case(name, 1, 0.0, 2.0)
+        return rep, _States.stack(states), g, nodes
+    rep = RepSpec(group_spec(name), 2.0)
+    rng = np.random.default_rng(17)
+    states = [
+        Gaussian(np.diag(rng.uniform(0.7, 1.4, 1)) + 0.3j, rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1))
+        for _ in range(7)
+    ]
+    g = Gaussian(1.3 + 0.15j, [0.1 - 0.3j], 0.4)
+    return rep, _States.stack(states), g, np.zeros((len(states), 0))
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "g5_3", "dynin_folland"])
+def test_node_quadratics_do_not_depend_on_the_block_size(monkeypatch, name):
+    # the nodes as one block, as uneven blocks of three, and one node per
+    # block (a block smaller than a node's rows still takes one node)
+    rep, states, g, nodes = _block_case(name)
+    rows = len(coorbit._coordinate_split(rep)[1]) + 4
+    got = []
+    for block in (rows * len(nodes), rows * 3, rows, 1):
+        monkeypatch.setattr(coorbit, "_BLOCK", block)
+        got.append(coorbit._node_quadratics(rep, states, g, nodes))
+    for quad in got[1:]:
+        for field, ref in zip(quad, got[0]):
+            assert field.shape == ref.shape and field.tobytes() == ref.tobytes()
+
+
+def test_validate_decides_at_its_tolerance():
+    # a residual passes up to 1e-7 of max(100, |fx|, |f0|), entry by entry;
+    # a model that is not finite reports the overflow
+    rng = np.random.default_rng(23)
+    checks = coorbit._check_offsets(2)
+    scale = np.array([[1e-3], [3.0], [1e4]])  # below the floor of 100, and above it through fx
+    quad = LogQuadratic(
+        scale[:, :1] * rng.uniform(0.5, 1.0, (3, 4)),
+        scale[..., None] * rng.uniform(-0.2, 0.2, (3, 4, 2)),
+        scale[..., None, None] * -np.eye(2) * rng.uniform(0.5, 1.0, (3, 4, 1, 1)),
+    )
+    model = quad.const[..., None] + quad.grad @ checks.T
+    model += 0.5 * np.einsum("ci,...ij,cj->...c", checks, quad.hess, checks)
+    f0 = quad.const.copy()
+    f0[1, 1] = 5e3  # a value at the node, not at the checks, sets the scale of one entry
+    tol = 1e-7 * np.maximum(np.maximum(100.0, np.abs(model)), np.abs(f0)[..., None])
+    sign = rng.choice([-1.0, 1.0], model.shape)
+    coorbit._validate(quad, model + 0.9 * sign * tol, f0)
+    for at in [(0, 0, 0), (1, 1, 2), (2, 3, 1)]:
+        fx = model + 0.9 * sign * tol
+        fx[at] = model[at] + 1.1 * sign[at] * tol[at]
+        with pytest.raises(RuntimeError, match="not quadratic"):
+            coorbit._validate(quad, fx, f0)
+    for bad in (np.nan, np.inf):
+        const = quad.const.copy()
+        const[2, 0] = bad
+        with pytest.raises(OverflowError, match="leave double range"):
+            coorbit._validate(LogQuadratic(const, quad.grad, quad.hess), model, f0)
+
+
 def test_engine_reads_k_plus_4_factor_rows_per_node(monkeypatch):
-    # one factor table: r = 0, e_1, ..., e_k and the three check rows of each
+    # one factor table: the three check rows, r = 0 and e_1, ..., e_k of each
     # node (k = 4 on dynin_folland and on the 2-dimensional modulation norm),
     # not the 18-point stencil, and no call past _BLOCK group elements
     rows = []

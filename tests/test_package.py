@@ -21,3 +21,47 @@ def test_every_public_name_resolves(name):
     module = importlib.import_module(f"coorbit_lab.{name}")
     missing = [entry for entry in module.__all__ if not hasattr(module, entry)]
     assert missing == []
+
+
+# each kind's smallest useful config, and the modules its run must leave unloaded
+_CLI_RUNS = {
+    "verify-gaussian": ("[samples]\nclosed = 20\ndeterminant = 5\ngrid = 2\ndims = 1\n", ("coorbit", "frames")),
+    "rep-selftest": ("[suite]\ngroup = g5_3\nn_pairs = 20\n", ("coorbit", "frames")),
+    "density": ("[lattice]\ngroup = heisenberg\nn_points = 500\n", ("coorbit",)),
+    "frame-sweep": (
+        "[sweep]\neps_values = 0.9\n\n[estimate]\nlattice_radius = 2.0\ndict_halfrange = 1.0\n",
+        ("coorbit",),
+    ),
+}
+_LOADED = (
+    "import sys\n"
+    "from coorbit_lab import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(code, ' '.join(sorted(m for m in sys.modules if m.startswith('coorbit_lab.'))))\n"
+)
+
+
+@pytest.mark.parametrize("kind", sorted(_CLI_RUNS))
+def test_a_cli_run_loads_only_the_modules_its_kind_uses(tmp_path, kind):
+    # the CLI imports the norm engine only for orbit-scan and coorbit-norm, and
+    # the frame layer only for density and frame-sweep
+    text, absent = _CLI_RUNS[kind]
+    config = tmp_path / f"{kind}.cfg"
+    config.write_text(f"[experiment]\nkind = {kind}\n\n{text}")
+    argv = [sys.executable, "-c", _LOADED, kind, "--config", str(config), "--out", str(tmp_path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True)
+    code, *loaded = proc.stdout.split()
+    assert code in ("0", "2") and "coorbit_lab.cli" in loaded
+    assert [m for m in loaded if m.removeprefix("coorbit_lab.") in absent] == []
+
+
+def test_a_malformed_coorbit_norm_config_exits_3_without_a_traceback(tmp_path):
+    # a 3-entry f_quad for the 2-dimensional acting space of g5_3 shows only
+    # once the run builds the state, after the lazy import of the norm engine
+    config = tmp_path / "malformed.cfg"
+    config.write_text("[experiment]\nkind = coorbit-norm\n\n[group]\nname = g5_3\n\n[state]\nf_quad = 1.0,1.0,1.0\n")
+    argv = [sys.executable, "-m", "coorbit_lab.cli", "coorbit-norm", "--config", str(config), "--out", str(tmp_path)]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("config error:") and "f_quad needs 2 entries" in proc.stderr
+    assert "Traceback" not in proc.stderr
