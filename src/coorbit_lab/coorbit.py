@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .gaussian import Gaussian, quad_forms, tensor, unit_gaussian
-from .groups import GroupSpec, group_spec, quotient_multiply
+from .groups import GroupSpec, group_spec, quotient_multiply, section
 from .numerics import TailMassWarning, WeightRangeError, ceil_count, check_budget, logsumexp
 from .representations import (
     RepSpec,
@@ -376,13 +376,11 @@ def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQua
         block = slice(start, start + step)
         nodes = cpts[block]
         m = len(nodes)
-        # the group elements section(q), written in place: zero centre, q in the noncentral slice
-        a = np.zeros((m, rows, group.total_dim))
-        qv = a[..., group.noncenter_slice]
+        qv = np.zeros((m, rows, group.quotient_dim))
         if coupled:
             qv[..., coupled] = nodes[:, None, :]
         qv[..., fitdims] = offsets
-        factors = _factors(rep, a.reshape(m * rows, -1))
+        factors = _factors(rep, section(group, qv).reshape(m * rows, -1))
         _, C, _, S, v = factors
         C, S, v = C.reshape(m, rows, *C.shape[1:]), S.reshape(m, rows, *S.shape[1:]), v.reshape(m, rows, -1)
         if ((C != C[:, node]) | (S != S[:, node])).any():
