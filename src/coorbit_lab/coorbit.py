@@ -37,6 +37,7 @@ from .representations import (
     _moving_coordinates,
     _product_form,
     _stft_rep,
+    _unit_character,
     act,
 )
 
@@ -116,7 +117,10 @@ class NormSpec:
 
     p is the exponent over the quotient.  q is for modulation norms only:
     the exponent over the frequency half xi of the coordinates, with p then
-    the exponent over the positions x; None means q = p.
+    the exponent over the positions x; None means q = p.  box_half and
+    resolution describe the mesh at the unit character lambda = +-1: in the
+    caller's coordinates an axis of grading weight w spans box_half / |lambda|^w.
+    Every coupled axis is probed, and its mesh centred at the probe's centre.
     """
 
     p: float = 2.0
@@ -424,22 +428,19 @@ def _linear_axis(center: float, spec: NormSpec):
     return vals, np.full(vals.shape, math.log(spec.resolution))
 
 
-def _sinh_axis(spec: NormSpec):
-    """Nodes sinh(s) on a uniform s-grid: geometric far field at linear cost."""
-    s_max = math.asinh(25.0 * spec.box_half)
+def _sinh_axis(center: float, spec: NormSpec):
+    """Nodes center + sinh(s) on a uniform s-grid over the box: geometric
+    spacing, finest at the center."""
+    s_max = math.asinh(spec.box_half)
     step = 2.0 * spec.resolution
     s = np.arange(-s_max, s_max + 0.5 * step, step)
-    return np.sinh(s), math.log(step) + np.log(np.cosh(s))
+    return center + np.sinh(s), math.log(step) + np.log(np.cosh(s))
 
 
 def _axis_nodes(spec: NormSpec, sinh: bool):
     """The node count of a _sinh_axis or _linear_axis, from the spec alone (inf past float range)."""
-    if sinh:
-        s_max, step = math.asinh(25.0 * spec.box_half), 2.0 * spec.resolution
-        span = (2.0 * s_max + 0.5 * step) / step
-    else:
-        span = (2.0 * spec.box_half + 0.5 * spec.resolution) / spec.resolution
-    return ceil_count(span)
+    half, step = (math.asinh(spec.box_half), 2.0 * spec.resolution) if sinh else (spec.box_half, spec.resolution)
+    return ceil_count((2.0 * half + 0.5 * step) / step)
 
 
 def _product_mesh(axes):
@@ -540,9 +541,15 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
     """coorbit_norm_log for every state f_i of states at once.
 
     Returns the log norms (U,) and the centers (U, c) the recentring probe
-    found, c = 0 when no coupled coordinate is probed (none, or a sinh
-    mesh).  Every mesh read stacks all U states; the tail checks are made per
-    state, with where[i] (if given) appended to the message.
+    found on the c coupled coordinates, in the caller's coordinates.  Every
+    mesh read stacks all U states; the tail checks are made per state, with
+    where[i] (if given) appended to the message.
+
+    The norm is taken at the unit character (_unit_character): the engine
+    meshes q' = delta q, where the coefficient of pi is that of pi_{+-1},
+    carries a weight's matrix as A delta^-1 and takes the Jacobian,
+    sum(log delta) / p, off the log norm.  box_half, resolution and the
+    probe act in q'; the centers are divided by delta on the way out.
 
     V_g f(x, xi) = <f, M_xi T_x g> is the coefficient of the Heisenberg
     group H_d at lambda = -1 (_stft_rep), whose quotient coordinates are
@@ -557,45 +564,52 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
     outer = list(range(n // 2, n)) if q != p else []  # the coordinates of the L^q integral
     if outer and rep != _stft_rep(n // 2):
         raise NotImplementedError("mixed (p, q) exponents are only defined for modulation norms")
-    coupled, fitdims = _coordinate_split(rep)
+    name = _norm_name(rep, outer)
     weight = spec.weight
     if weight is not None and weight.coords[-1] >= n:
         raise ValueError(f"weight coordinates {weight.coords} out of range for quotient dim {n}")
+    # a mixed norm is taken at lambda = -1 alone, where delta = 1
+    unit, delta = _unit_character(rep)
+    delta = delta[group.noncenter_slice]
+    log_jacobian = float(np.log(delta).sum())
+    if weight is not None:
+        # A delta^-1, with zero columns past A's last
+        with np.errstate(over="ignore"):  # a matrix past double range is refused just below
+            a = np.hstack([weight.A, np.zeros((len(weight.A), n))])[:, :n] / delta
+        if not np.isfinite(a).all():
+            raise WeightRangeError(f"{name}: the weight's matrix A delta^-1 is past double range")
+    coupled, fitdims = _coordinate_split(unit)
     # a weight meshes its coordinates, and every outer one beside them
     wdims = sorted(set(weight.coords).union(outer) - set(coupled)) if weight is not None else []
     nodes = n_states * _axis_nodes(spec, group.sinh_mesh) ** len(coupled) * _axis_nodes(spec, False) ** len(wdims)
     check_budget(
         nodes,
         _MAX_NODES,
-        lambda: f"{_norm_name(rep, outer)}: {n_states} state(s) x {len(coupled)} coupled and {len(wdims)} "
+        lambda: f"{name}: {n_states} state(s) x {len(coupled)} coupled and {len(wdims)} "
         f"weighted mesh axes at resolution {spec.resolution:g} in a box of half-width {spec.box_half:g}",
     )
 
     if not coupled and not wdims:
         # every direction in closed form: the inner L^p integral, then the outer L^q one
-        quad = _node_quadratics(rep, states, g, np.zeros((n_states, 0))).scaled(p)
+        quad = _node_quadratics(unit, states, g, np.zeros((n_states, 0))).scaled(p)
         quad = quad.marginalized([i for i in range(n) if i not in outer])
-        return (quad.scaled(q / p).total() if outer else quad.const) / q, np.zeros((n_states, 0))
+        log_norms = (quad.scaled(q / p).total() if outer else quad.const) / q
+        return log_norms - log_jacobian / p, np.zeros((n_states, 0))
 
-    name = _norm_name(rep, outer)
     where = where or [""] * n_states
-    probe = bool(coupled) and not group.sinh_mesh
     centers = np.zeros((n_states, len(coupled)))
-    if probe:
-        for j in range(len(coupled)):
+    for j in range(len(coupled)):
 
-            def smass(rows, c, j=j):
-                cv = np.repeat(centers[rows], c.shape[1], axis=0)
-                cv[:, j] = c.ravel()
-                node_states = states.rows(np.repeat(rows, c.shape[1]))
-                return _node_quadratics(rep, node_states, g, cv).scaled(p).total().reshape(c.shape)
+        def smass(rows, c, j=j):
+            cv = np.repeat(centers[rows], c.shape[1], axis=0)
+            cv[:, j] = c.ravel()
+            node_states = states.rows(np.repeat(rows, c.shape[1]))
+            return _node_quadratics(unit, node_states, g, cv).scaled(p).total().reshape(c.shape)
 
-            centers[:, j] = _probe_center(smass, n_states)
+        centers[:, j] = _probe_center(smass, n_states)
 
-    meshes = [
-        _product_mesh([_sinh_axis(spec) if group.sinh_mesh else _linear_axis(c, spec) for c in row])
-        for row in centers
-    ]
+    axis = _sinh_axis if group.sinh_mesh else _linear_axis
+    meshes = [_product_mesh([axis(c, spec) for c in row]) for row in centers]
     # the weight nodes run outer-major, one slice of the inner nodes per outer
     # node; with q = p there are no outer nodes and one slice
     inner = [i for i in wdims if i not in outer]
@@ -611,11 +625,10 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
     # one row per coupled node of every state, one column per weight node: the
     # fit coordinates off the weight mesh are integrated out once per node, and
     # the quadratic left in the weighted ones is evaluated on the weight mesh
-    quad = _node_quadratics(rep, node_states, g, cpts).scaled(p)
+    quad = _node_quadratics(unit, node_states, g, cpts).scaled(p)
     quad = quad.marginalized([i for i, c in enumerate(fitdims) if c not in wdims])
     vals = LogQuadratic(quad.const[:, None], quad.grad[:, None], quad.hess[..., None, :, :]).value(wpts)
     if weight is not None:
-        a = np.hstack([weight.A, np.zeros((len(weight.A), n))])  # zero columns past A's last
         r = _mesh_radius(a[:, coupled], a[:, wdims], cpts, wpts)
         reach = float(r.max())
         if not math.isfinite(p * abs(weight.s) * math.log1p(reach)):
@@ -644,7 +657,7 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
             what = f"{name}, position mesh{at}" if outer else name + at
             _check_tail(shell_log[worst], slice_log[worst], what)
         norms.append(total_log / q)
-    return np.array(norms), centers if probe else centers[:, :0]
+    return np.array(norms) - log_jacobian / p, centers / delta[coupled]
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +752,7 @@ class ScanResult:
     slope: float
     intercept: float
     fit_from: float
-    centers: tuple[tuple[float, ...], ...] = ()  # the recentred coupled coordinates per u; () without a probe
+    centers: tuple[tuple[float, ...], ...] = ()  # the recentred coupled coordinates per u; () with none
 
 
 def fit_slope(u_values, log_norms, growth: str = "u", u_min: float = 32.0) -> tuple[float, float]:

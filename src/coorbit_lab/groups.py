@@ -3,7 +3,7 @@
 Each group is R^n with a polynomial product.  A group's record (GroupSpec)
 declares only what cannot be worked out: the product law, the bracket table,
 the factors of its Schroedinger-type representation, and whether the
-coordinates coupled into those factors need a geometric mesh.  The
+coordinates coupled into those factors are meshed with geometric spacing.  The
 dimension, the centre and the quotient follow from the brackets, and so do
 the acting dimension and the formal dimension of the representation.  Its
 factors give the coupled coordinates, and together with the brackets the
@@ -60,9 +60,10 @@ class GroupSpec:
     rep_factors(rep, a, C, S) returns the factors (theta, m, v) of pi(a) for
     each row of a and writes the chirp and affine factors into C and S, which
     come in as zeros and identities (see representations._factors).
-    sinh_mesh says whether the coefficient mass decays so slowly along the
-    coupled coordinates, the quotient coordinates that move C or S, that
-    they need a geometric mesh.
+    sinh_mesh says whether the coupled coordinates, the quotient
+    coordinates that move C or S, are meshed with geometric spacing inside
+    the box, finest at the probe's centre, rather than uniform spacing; it
+    adds no far field.
     """
 
     name: str

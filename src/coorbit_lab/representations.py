@@ -389,13 +389,31 @@ def _grading(rep: RepSpec) -> np.ndarray:
     return np.array(w)
 
 
-def homogeneity_check(rep: RepSpec, n_points: int = 50, seed: int = 0) -> dict:
-    """|<f, pi_lam(a) g>| against |<f, pi_1(delta_lam a) g>| on random elements.
+@lru_cache(maxsize=128)
+def _unit_character(rep: RepSpec) -> tuple[RepSpec, np.ndarray]:
+    """The unit character of rep and the dilation that carries rep to it.
 
-    The dilation delta_lam scales coordinate i by lam ** w_i with the grading
-    w of _grading (Folland & Stein, Hardy Spaces on Homogeneous Groups,
-    1982).  The weights come from the brackets and the factors are declared
-    apart from them, so the relation tests one against the other.
+    Returns RepSpec(group, +-1, mu), with the sign of lam, and delta
+    (read-only), which scales group coordinate i by |lam| ** w_i with the
+    grading w of _grading: |<f, pi(a) g>| = |<f, pi_{+-1}(delta a) g>| for
+    every f, g and a (Folland & Stein, Hardy Spaces on Homogeneous Groups,
+    1982).  mu has grading weight 0 and stays.  The norm engine meshes the
+    unit character; homogeneity_check tests the relation.
+    """
+    unit = RepSpec(rep.group, math.copysign(1.0, rep.lam), rep.mu)
+    # the grading read at the unit character, whose factors stay in double range
+    delta = abs(rep.lam) ** _grading(unit).astype(float)
+    delta.flags.writeable = False
+    return unit, delta
+
+
+def homogeneity_check(rep: RepSpec, n_points: int = 50, seed: int = 0) -> dict:
+    """|<f, pi(a) g>| against |<f, pi_{+-1}(delta a) g>| on random elements.
+
+    The unit character and the dilation delta are _unit_character's, the
+    map the norm engine applies.  The grading comes from the brackets and
+    the factors are declared apart from them, so the relation tests one
+    against the other.
     """
     rng = np.random.default_rng(seed)
     d = rep.acting_dim
@@ -403,7 +421,8 @@ def homogeneity_check(rep: RepSpec, n_points: int = 50, seed: int = 0) -> dict:
     g = default_window(rep)
     a = rng.uniform(-1.5, 1.5, (n_points, rep.group.total_dim))
     lhs = coefficient_log_modulus(rep, a, f, g)
-    rhs = coefficient_log_modulus(RepSpec(rep.group, 1.0, rep.mu), a * rep.lam ** _grading(rep), f, g)
+    unit, delta = _unit_character(rep)
+    rhs = coefficient_log_modulus(unit, a * delta, f, g)
     worst = float(np.max(np.abs(np.expm1(lhs - rhs)), initial=0.0))
     return {"max_rel_error": worst, "ok": worst < 1e-10}
 

@@ -36,15 +36,17 @@ from coorbit_lab.gaussian import (
     chirp_stft_modulus,
     l2_norm,
     log_stft_modulus,
+    quad_forms,
     tensor,
     translate,
     unit_gaussian,
 )
 from coorbit_lab.groups import group_spec, section
-from coorbit_lab.numerics import TailMassWarning, WorkBudgetError
+from coorbit_lab.numerics import TailMassWarning, WeightRangeError, WorkBudgetError
 from coorbit_lab.representations import (
     RepSpec,
     _States,
+    act,
     apply_rep,
     formal_dimension,
     coefficient_log_modulus,
@@ -252,6 +254,143 @@ def test_p2_orthogonality_on_dynin_folland(lam):
     assert got == pytest.approx(want, rel=1e-5)
 
 
+_FIVE = [("heisenberg", 0.0), ("g6_16", 1.0), ("g5_3", 0.0), ("g6_19", 1.0), ("dynin_folland", 0.0)]
+
+
+def _chirped_state(rng, d):
+    """A random state with a cross term, a chirp and a complex shift."""
+    M, C = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+    quad = M @ M.T + 0.3 * np.eye(d) + 0.5j * (C + C.T)
+    return Gaussian(quad, 0.5 * (rng.normal(size=d) + 1j * rng.normal(size=d)))
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.5, 2.0, 8.0, 16.0, -0.7])
+@pytest.mark.parametrize("name,mu", _FIVE)
+def test_p2_closed_form_at_every_character(name, mu, lam):
+    # every norm is meshed at lambda = +-1 and dilated back, so the coupled
+    # mesh keeps its accuracy as the coefficient narrows with |lambda|
+    rep = RepSpec(group_spec(name), lam, mu)
+    f, g = _chirped_state(np.random.default_rng(29), rep.acting_dim), unit_gaussian(rep.acting_dim)
+    got = np.exp(coorbit_norm_log(rep, f, g, NormSpec(p=2.0)))
+    want = l2_norm(f) * l2_norm(g) / np.sqrt(known_formal_dimension(rep))
+    assert got == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "name,lam,want",
+    # the engine meshed at lambda itself, at resolution 1/64 (1/32 agrees to 1.4e-9 and 2e-13)
+    [("g5_3", 16.0, 0.007956409383871377), ("dynin_folland", 8.0, 0.005785298360364805)],
+)
+def test_large_lambda_p1_against_fine_references(name, lam, want):
+    # at the default resolution these read 39.5% and 39.7% high when the
+    # coupled mesh kept its step in the caller's coordinates
+    rep = RepSpec(group_spec(name), lam)
+    g = unit_gaussian(rep.acting_dim)
+    assert np.exp(coorbit_norm_log(rep, g, g, NormSpec(p=1.0))) == pytest.approx(want, rel=1e-7)
+
+
+def test_weighted_norm_at_negative_lambda_against_grid_sum():
+    # the weight (1 + |y|) is read in the caller's coordinates, where the
+    # coefficient at lambda = -3 is a third as wide in y; the reference is a
+    # Riemann sum there, each coefficient integrated in t from the displayed
+    # formula of the action.  The kink at y = 0 converges as h^2: the engine's
+    # step 1/8 at the unit character is 1/24 in y, 5e-4 from the limit
+    rep = RepSpec(H1, -3.0)
+    f, g, p = Gaussian(0.8 + 0.5j, 0.2 - 0.1j), unit_gaussian(1), 1.0
+    xs, ys = np.arange(-7.0, 7.0 + 1e-9, 0.05), np.arange(-3.0, 3.0 + 1e-9, 0.02)
+    t = np.arange(-12.0, 12.0 + 1e-9, 0.01)
+    w = np.full(t.shape, 0.01)
+    w[[0, -1]] /= 2.0  # trapezoidal rule
+    phases = np.array([pointwise_action(rep, [0.0, y, 0.0])[0](t[:, None]) for y in ys])
+    shifts = np.array([pointwise_action(rep, [x, 0.0, 0.0])[2] for x in xs])
+    coeffs = (f(t) * w * np.conj(g(t[None, :, None] + shifts[:, None, :]))) @ np.conj(phases).T  # rows x, columns y
+    log_mod = np.log(np.abs(coeffs)) + np.log1p(np.abs(ys))
+    brute = (logsumexp(p * log_mod) + np.log(0.05 * 0.02)) / p
+    engine = coorbit_norm_log(rep, f, g, NormSpec(p=p, weight=power_weight(1.0, (1,))))
+    assert abs(np.expm1(engine - brute)) < 1e-3
+
+
+@pytest.mark.parametrize("lam", [4.0, -2.5])
+def test_scan_centers_are_in_the_callers_coordinates(lam):
+    # pi(u e_3) f on g5_3 puts the coupled mass at u / lambda; each reported
+    # center must sit at the peak of the slice mass that the kernel reads at
+    # lambda itself, to the probe's final step of 1/4 at the unit character
+    rep = RepSpec(group_spec("g5_3"), lam)
+    own, _, _ = g53_curve_tasks(1.0)
+    res = orbit_scan(NormTask("centers", NormSpec(p=1.0), own.states, own.window, rep=rep), (10.0, 40.0, 160.0))
+    grid = np.arange(-80.0, 80.0 + 1e-9, 0.01)
+    for u, (center,) in zip(res.u_values, res.centers):
+        states = own.states(np.array([u])).rows(np.zeros(len(grid), dtype=int))
+        mass = coorbit._node_quadratics(rep, states, own.window, grid[:, None]).scaled(1.0).total()
+        assert abs(center - grid[np.argmax(mass)]) <= 0.25 / abs(lam)
+
+
+def test_a_norm_at_negative_lambda_keeps_the_callers_representation():
+    # H_1 at lambda = -3 is meshed at lambda = -1, the modulation norm's
+    # representation; the mixed-exponent guard and the messages still read
+    # the caller's
+    rep = RepSpec(H1, -3.0)
+    f, g = Gaussian(1.4, 0.3), unit_gaussian(1)
+    with pytest.raises(NotImplementedError, match="mixed"):
+        coorbit_norm_log(rep, f, g, NormSpec(p=1.0, q=2.0))
+    spec = NormSpec(p=1.0, weight=power_weight(1.0, (1,)), box_half=0.5)
+    with pytest.warns(TailMassWarning, match="^coorbit norm on heisenberg: the outer quadrature shell"):
+        coorbit_norm_log(rep, f, g, spec)
+
+
+def test_a_weight_past_double_range_at_the_unit_character_is_refused():
+    # A delta^-1 = 1e10 / 1e-300 on y leaves double range: the norm is
+    # refused with a weight range error, and no overflow warning on the way
+    spec = NormSpec(p=1.0, weight=WeightSpec(1.0, [[0.0, 1e10]]))
+    with pytest.raises(WeightRangeError, match=r"A delta\^-1 is past double range"):
+        coorbit_norm_log(RepSpec(H1, 1e-300), unit_gaussian(1), unit_gaussian(1), spec)
+
+
+def _covariance_errors(rep, f, a, p):
+    """| ||V_g pi(a_k) f|| / ||V_g f|| - 1 | for every row a_k of a, in one stacked
+    norm with f first; the index of every state a tail warning names is left out."""
+    g = unit_gaussian(rep.acting_dim)
+    quad, lin, log_amp = act(rep, np.vstack([np.zeros(rep.group.total_dim), a]), f.quad, f.lin, f.log_amp)
+    where = [f" (state {i})" for i in range(len(a) + 1)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TailMassWarning)
+        logs, _ = coorbit._coorbit_log_norms(rep, _States(quad_forms(quad), lin, log_amp), g, NormSpec(p=p), where)
+    warned = {i for i in range(len(a) + 1) for w in caught if where[i] in str(w.message)}
+    assert 0 not in warned
+    errors = np.abs(np.expm1(logs[1:] - logs[0]))
+    return [e for k, e in enumerate(errors) if k + 1 not in warned]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("lam", [1.0, -0.7])
+@pytest.mark.parametrize("name,mu", _FIVE)
+def test_norms_are_covariant(name, mu, lam, p):
+    # ||V_g pi(a) f|| = ||V_g f|| for every a (Feichtinger & Groechenig, J. Funct.
+    # Anal. 86, 1989): pi(a) f is one action, and its coupled mass moves as
+    # far as a does, so it shares no mesh node with f's.  Six draws of a per
+    # box [-s, s]^n; each must match to 1e-6 unless a tail warning names it
+    rep = RepSpec(group_spec(name), lam, mu)
+    rng = np.random.default_rng(3)
+    f = _chirped_state(rng, rep.acting_dim)
+    a = np.vstack([rng.uniform(-s, s, (6, rep.group.total_dim)) for s in (0.5, 2.0, 4.0)])
+    assert max(_covariance_errors(rep, f, a, p)) < 1e-6
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_dynin_folland_covariance_named_draws(p):
+    # two draws that the unprobed coupled mesh, which reached 25 boxes out,
+    # missed by up to 1.1e-4 and 9.0e-3 (p = 3), with no warning
+    rep = RepSpec(group_spec("dynin_folland"), 1.0)
+    quad = [
+        [11.17 + 3.32j, -0.09 - 0.03j, -3.89 - 0.37j],
+        [-0.09 - 0.03j, 0.87 - 0.67j, 1.44 - 0.29j],
+        [-3.89 - 0.37j, 1.44 - 0.29j, 5.18 - 0.24j],
+    ]
+    f = Gaussian(np.array(quad), np.array([0.48 + 0.77j, -0.1 + 0.27j, 0.01 - 0.25j]))
+    a = np.array([[1.4, -1.32, 1.86, 0.49, 0.43, 1.88, 1.15], [-3.25, 0.37, 3.37, 0.5, 1.95, 3.58, 2.74]])
+    assert max(_covariance_errors(rep, f, a, p)) < 1e-6
+
+
 def test_engine_validates_every_node(monkeypatch):
     # with the coupled coordinate treated as quadratic, the off-grid checks must fire
     monkeypatch.setattr(coorbit, "_moving_coordinates", lambda rep: ((), ()))
@@ -262,15 +401,16 @@ def test_engine_validates_every_node(monkeypatch):
 
 
 def _nodes(rep, count=20):
-    """About count coupled nodes: the sinh mesh's outermost corners and a spread
-    of inner nodes, or a line through a linear axis, or the single empty node."""
+    """About count coupled nodes: four far corners at +-200 and a spread of
+    nodes of the sinh mesh, or a line through a linear axis, or the single
+    empty node."""
     coupled, _ = coorbit._coordinate_split(rep)
     if not coupled:
         return np.zeros((1, 0))
     if len(coupled) == 1:
         return np.linspace(-8.0, 8.0, count)[:, None]
-    axis = coorbit._sinh_axis(NormSpec())[0]
-    corners = np.array([[axis[i], axis[j]] for i in (0, -1) for j in (0, -1)])
+    axis = coorbit._sinh_axis(0.0, NormSpec())[0]
+    corners = np.array([[x, y] for x in (-200.0, 200.0) for y in (-200.0, 200.0)])
     inner = np.random.default_rng(3).choice(axis, (count - len(corners), len(coupled)))
     return np.concatenate([corners, inner])
 
@@ -427,19 +567,32 @@ def test_validate_decides_at_its_tolerance():
 def test_engine_reads_k_plus_4_factor_rows_per_node(monkeypatch):
     # one factor table: the three check rows, r = 0 and e_1, ..., e_k of each
     # node (k = 4 on dynin_folland and on the 2-dimensional modulation norm),
-    # not the 18-point stencil, and no call past _BLOCK group elements
-    rows = []
-    factors = coorbit._factors
+    # not the 18-point stencil, and no call past _BLOCK group elements; the
+    # nodes are the 23 x 23 sinh mesh and those the probe reads on both axes
+    rows, probed = [], []
+    factors, probe = coorbit._factors, coorbit._probe_center
 
     def counting(rep, a):
         rows.append(len(a))
         return factors(rep, a)
 
+    def probing(slice_mass, n_rows):
+        sizes = []
+        probed.append(sizes)
+
+        def counted(r, c):
+            sizes.append(c.size)
+            return slice_mass(r, c)
+
+        return probe(counted, n_rows)
+
     monkeypatch.setattr(coorbit, "_factors", counting)
+    monkeypatch.setattr(coorbit, "_probe_center", probing)
     rep = RepSpec(group_spec("dynin_folland"), 1.0)
     coorbit_norm_log(rep, Gaussian(np.eye(3) * 1.2, np.full(3, 0.1)), unit_gaussian(3), NormSpec(p=2.0))
-    n_nodes = len(coorbit._sinh_axis(NormSpec())[0]) ** 2
-    assert n_nodes == 2401 and sum(rows) == 8 * n_nodes == 19208
+    n_nodes = len(coorbit._sinh_axis(0.0, NormSpec())[0]) ** 2
+    assert n_nodes == 529 and len(probed) == 2 and all(sizes[0] == 21 for sizes in probed)
+    assert sum(rows) == 8 * (n_nodes + sum(map(sum, probed)))
     assert all(r % 8 == 0 for r in rows) and max(rows) <= coorbit._BLOCK
     rows.clear()
     modulation_norm_log(chirp(unit_gaussian(2), np.array([[1.0, 0.5], [0.5, -2.0]])))

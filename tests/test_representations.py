@@ -2,6 +2,8 @@
 evaluation routes, and the orthogonality constants."""
 
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from coorbit_lab.representations import (
     _factors,
     _grading,
     _moving_coordinates,
+    _unit_character,
     act,
     apply_rep,
     coefficient_log_modulus,
@@ -304,6 +307,42 @@ def test_homogeneity_check_catches_factors_off_the_grading(factor):
     res = homogeneity_check(RepSpec(dataclasses.replace(grp, rep_factors=skewed), 2.0))
     assert not res["ok"]
     assert res["max_rel_error"] > 1e-3
+
+
+def _last_accepted(accepts, inside, outside):
+    """The |lam| nearest outside that accepts takes, bisecting log|lam| between
+    inside, which it takes, and outside."""
+    if accepts(outside):
+        return outside
+    for _ in range(200):
+        mid = math.sqrt(inside) * math.sqrt(outside)
+        if mid in (inside, outside):
+            break
+        inside, outside = (mid, outside) if accepts(mid) else (inside, mid)
+    return inside
+
+
+@pytest.mark.parametrize("rep", KERNEL_REPS, ids=KERNEL_IDS)
+def test_the_dilation_is_finite_and_nonzero_at_every_accepted_lambda(rep):
+    # the norm engine divides by delta and takes its log: at the largest and
+    # the smallest |lam| whose formal dimension RepSpec accepts, of either
+    # sign, delta must be a finite positive dilation, and the unit character
+    # keeps the group, mu and the sign of lam
+    def accepts(lam):
+        try:
+            # below the smallest normal double, slogdet divides by zero on the way to d_pi = 0
+            with np.errstate(divide="ignore"):
+                RepSpec(rep.group, lam, rep.mu)
+        except ValueError:
+            return False
+        return True
+
+    extremes = [_last_accepted(accepts, 1.0, edge) for edge in (sys.float_info.max, 5e-324)]
+    assert extremes[0] > 1e100 and extremes[1] < 1e-100
+    for lam in extremes + [-x for x in extremes]:
+        unit, delta = _unit_character(RepSpec(rep.group, lam, rep.mu))
+        assert np.isfinite(delta).all() and (delta > 0).all(), lam
+        assert unit == RepSpec(rep.group, math.copysign(1.0, lam), rep.mu)
 
 
 def test_grading_rejects_brackets_that_fix_no_grading(monkeypatch):
