@@ -333,6 +333,68 @@ def _coordinate_split(rep: RepSpec) -> tuple[list[int], list[int]]:
     return coupled, [i for i in range(rep.group.quotient_dim) if i not in coupled]
 
 
+class _WindowSide(NamedTuple):
+    """What the node quadratics read of the window g, one entry per node:
+    quad (m, d, d), the acted quad at r = 0; lin (m, k + 4, d) and amp
+    (m, k + 4), the acted lin and Re of the acted amplitude on each factor
+    row; and H_la = -2 pi V^T Re(g.quad) V (m, k, k)."""
+
+    quad: np.ndarray
+    lin: np.ndarray
+    amp: np.ndarray
+    h_la: np.ndarray
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the C/S test and _validate report overflow
+def _window_side(rep: RepSpec, coupled, fitdims, g_quad, g_lin, g_log_amp, nodes) -> _WindowSide:
+    """The part of _node_quadratics that reads only rep, the window and the nodes.
+
+    coupled and fitdims are the coordinate split; g_quad, g_lin and g_log_amp
+    the window's fields.  One factor table holds the k + 4 rows of each node
+    (_row_offsets).  C and S may move only with the coupled coordinates:
+    every row's C and S must equal its node's r = 0 row bit for bit, else
+    the split is wrong and the log modulus is not quadratic, which raises.
+    """
+    group = rep.group
+    offsets = _row_offsets(len(fitdims))
+    m, rows = len(nodes), len(offsets)
+    qv = np.zeros((m, rows, group.quotient_dim))
+    if coupled:
+        qv[..., coupled] = nodes[:, None, :]
+    qv[..., fitdims] = offsets
+    factors = _factors(rep, section(group, qv).reshape(m * rows, -1))
+    _, C, _, S, v = factors
+    C, S, v = C.reshape(m, rows, *C.shape[1:]), S.reshape(m, rows, *S.shape[1:]), v.reshape(m, rows, -1)
+    # row 3 of each node is r = 0, the rows after it e_1, ..., e_k
+    if ((C != C[:, 3:4]) | (S != S[:, 3:4])).any():
+        if not (np.isfinite(C).all() and np.isfinite(S).all()):
+            raise OverflowError("the log-modulus quadratics leave double range")
+        raise RuntimeError(
+            "log-modulus is not quadratic in the marginalized coordinates: the chirp or the "
+            "substitution moves with them; the coupled coordinates do not match the "
+            "representation's factors"
+        )
+    lin, amp = _acted_lin_amp(factors, g_quad, g_lin, g_log_amp)
+    V = v[:, 4:] - v[:, 3:4]
+    h_la = -2.0 * np.pi * V @ g_quad.real @ V.swapaxes(-1, -2)
+    quad = _acted_quad(C[:, 3], S[:, 3], g_quad)
+    return _WindowSide(quad, lin.reshape(m, rows, -1), amp.reshape(m, rows).real, h_la)
+
+
+@lru_cache(maxsize=32)
+def _cached_window_side(rep: RepSpec, split, quad: bytes, lin: bytes, log_amp: bytes) -> _WindowSide:
+    """_window_side at the one node of a split with no coupled coordinate
+    (read-only), cached by value: the window arrives as the bytes of its
+    complex fields, so an equal-valued copy of it hits, and any other bit
+    misses.  A fill that raises is not cached."""
+    d = rep.acting_dim
+    window = np.frombuffer(quad, complex).reshape(d, d), np.frombuffer(lin, complex), np.frombuffer(log_amp, complex)[0]
+    side = _window_side(rep, *split, *window, np.zeros((1, 0)))
+    for field in side:
+        field.flags.writeable = False
+    return side
+
+
 @np.errstate(over="ignore", invalid="ignore")  # _validate reports a model past double range
 def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQuadratic:
     """The quadratic r -> log |<f_j, pi(section(q)) g>| at each coupled node j.
@@ -347,72 +409,62 @@ def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQua
         grad = Re la(e_i) - Re la(0) - H_la[i, i] / 2 + Re(J^T Q^-1 L0) / 2 pi,
 
     and const its value at r = 0 (the Gaussian integral, Folland, Harmonic
-    Analysis in Phase Space, 1989, App. A).  One factor table holds k + 4
-    rows per node (_row_offsets): the three off-grid check points, r = 0,
-    then e_1, ..., e_k.  C and S, and so Q, may move only with the coupled
-    coordinates: every row's C and S must equal its node's r = 0 row bit for
-    bit, else the split is wrong and the log modulus is not quadratic, which
-    raises.  Q is then formed once per node: one Cholesky factorisation (the
-    positive-definiteness check of _product_form), one slogdet and one
-    (k + 4)-column solve against the check rows' L, L0 and J_1, ..., J_k.
-    The check values and const are the kernel's formula on the first four
-    columns, read in one pass, and every model must reproduce its check
-    values (_validate).
+    Analysis in Phase Space, 1989, App. A).  Each node reads k + 4 factor
+    rows (_row_offsets): the three off-grid check points, r = 0, then
+    e_1, ..., e_k.
+
+    The window side (_window_side) reads only rep, g and the nodes: the
+    factor table, the exact C/S test, the action of pi on g, V and H_la.
+    With no coupled coordinate every node is the same empty node, so that
+    side is read once, from _cached_window_side, a cache of at most 32
+    entries keyed by rep, the coordinate split and the bytes of g's fields,
+    and broadcast over the states.  Coupled meshes and the probe read it
+    inline, per block.  The state side runs on every call: Q is formed once
+    per node, with one Cholesky factorisation (the positive-definiteness
+    check of _product_form), one slogdet and one (k + 4)-column solve
+    against the check rows' L, L0 and J_1, ..., J_k.  The check values and
+    const are the kernel's formula on the first four columns, read in one
+    pass, and every model must reproduce its check values (_validate).
 
     The nodes run in blocks of at most _BLOCK factor rows, each written into
     the returned arrays, so the block size moves no bit.  A block costs the
-    same fixed work whatever it holds, about a hundred array operations and
-    three numpy.linalg calls; a call adds only the coordinate split and the
-    cached offsets table.  The kernel reads only moduli, so it leaves out
-    the unit phase of the action (act adds it).
+    same fixed work whatever it holds: about a hundred array operations,
+    half of them on the window side, and three numpy.linalg calls, all on
+    the state side, which is all a cached window side leaves.  The kernel
+    reads only moduli, so it leaves out the unit phase of the action (act
+    adds it).
     """
-    group = rep.group
     coupled, fitdims = _coordinate_split(rep)
     k = len(fitdims)
-    offsets = _row_offsets(k)
-    rows = len(offsets)
+    rows = k + 4
     # rows 0 to 2 are the checks, row 3 is r = 0, the rest e_1, ..., e_k
     chk, node, fit = slice(0, 3), slice(3, 4), slice(4, None)
     n_nodes = len(cpts)
     const, grad, hess = np.empty(n_nodes), np.empty((n_nodes, k)), np.empty((n_nodes, k, k))
+    cached = None
+    if not coupled:
+        fields = (np.asarray(x, dtype=complex).tobytes() for x in (g.quad, g.lin, g.log_amp))
+        cached = _cached_window_side(rep, ((), tuple(fitdims)), *fields)
     step = max(1, _BLOCK // rows)
     for start in range(0, n_nodes, step):
         block = slice(start, start + step)
-        nodes = cpts[block]
-        m = len(nodes)
-        qv = np.zeros((m, rows, group.quotient_dim))
-        if coupled:
-            qv[..., coupled] = nodes[:, None, :]
-        qv[..., fitdims] = offsets
-        factors = _factors(rep, section(group, qv).reshape(m * rows, -1))
-        _, C, _, S, v = factors
-        C, S, v = C.reshape(m, rows, *C.shape[1:]), S.reshape(m, rows, *S.shape[1:]), v.reshape(m, rows, -1)
-        if ((C != C[:, node]) | (S != S[:, node])).any():
-            if not (np.isfinite(C).all() and np.isfinite(S).all()):
-                raise OverflowError("the log-modulus quadratics leave double range")
-            raise RuntimeError(
-                "log-modulus is not quadratic in the marginalized coordinates: the chirp or the "
-                "substitution moves with them; the coupled coordinates do not match the "
-                "representation's factors"
-            )
-        quad = _acted_quad(C[:, 3], S[:, 3], g.quad)
-        lin, amp = _acted_lin_amp(factors, g.quad, g.lin, g.log_amp)
-        Q, L = _product_form(states.quad[block], states.lin[block, None], quad, lin.reshape(m, rows, -1))
-        la = states.log_amp[block, None].real + amp.reshape(m, rows).real  # Re(f.log_amp + conj(amp))
+        side = cached
+        if side is None:
+            side = _window_side(rep, coupled, fitdims, g.quad, g.lin, g.log_amp, cpts[block])
+        Q, L = _product_form(states.quad[block], states.lin[block, None], side.quad, side.lin)
+        la = states.log_amp[block, None].real + side.amp  # Re(f.log_amp + conj(amp))
         L[:, fit] -= L[:, node]  # the checks' L and L0, then J_1, ..., J_k
         J = L[:, fit]
-        V = v[:, fit] - v[:, node]
         _, log_abs_det = np.linalg.slogdet(Q)
         y = np.linalg.solve(Q, L.swapaxes(-1, -2))  # Q^-1 times each row of L
         # the kernel's log modulus at each check row and at r = 0, with its node's Q
         quad_l = np.einsum("nci,nic->nc", L[:, :4], y[..., :4]).real / (4.0 * np.pi)
         vals = la[:, :4] - 0.5 * log_abs_det[:, None] + quad_l
-        h_la = -2.0 * np.pi * V @ g.quad.real @ V.swapaxes(-1, -2)
         jy = (J @ y[..., 3:]).real / (2.0 * np.pi)  # Re(J^T Q^-1 L0), then Re(J^T Q^-1 J), over 2 pi
-        h = jy[..., 1:] + h_la
+        h = jy[..., 1:] + side.h_la
         part = LogQuadratic(
             vals[:, 3],
-            la[:, fit] - la[:, node] - 0.5 * h_la.diagonal(0, -2, -1) + jy[..., 0],
+            la[:, fit] - la[:, node] - 0.5 * side.h_la.diagonal(0, -2, -1) + jy[..., 0],
             0.5 * (h + h.swapaxes(-1, -2)),
         )
         _validate(part, vals[:, chk], part.const)

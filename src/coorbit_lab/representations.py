@@ -10,6 +10,7 @@ coefficient moduli and quotient integrals read only real parts.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,6 +53,12 @@ class RepSpec:
             raise ValueError(f"lam and mu must be finite, got lam={self.lam}, mu={self.mu}")
         if self.mu != 0.0 and self.group.center_dim != 2:
             raise ValueError(f"{name} has a one-dimensional centre and takes no mu parameter")
+        if 0.0 < abs(self.lam) < sys.float_info.min:
+            # a subnormal lam would reach slogdet as a division by zero
+            raise ValueError(
+                f"lam={self.lam} is below the smallest normal double {sys.float_info.min:g}: "
+                f"{name}'s formal dimension at it is out of double range"
+            )
         d_pi = known_formal_dimension(self)
         if d_pi == 0.0 or d_pi == math.inf:
             why = "no square-integrable representation" if d_pi == 0.0 else "a formal dimension beyond double range"

@@ -739,6 +739,21 @@ def test_same_seed_gives_byte_identical_csv(tmp_path):
     assert (out_c / "verify-gaussian.csv").read_bytes() != bytes_a
 
 
+@pytest.mark.parametrize("lam", ["1e-310", "-4e-320"])
+def test_subnormal_lambda_is_one_config_error_under_warnings_as_errors(tmp_path, lam):
+    # refused before slogdet sees it: no RuntimeWarning, so no traceback
+    # under -W error, only the config error line and exit 3
+    path = tmp_path / "tiny.cfg"
+    path.write_text(f"[group]\nname = g6_16\nlam = {lam}\n")
+    out = tmp_path / "out"
+    cmd = [sys.executable, "-W", "error", "-m", "coorbit_lab.cli", "coorbit-norm", "--config", str(path), "--out", str(out)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("config error: ") and "below the smallest normal double" in line
+    assert not out.exists()
+
+
 def test_console_entry_point(tmp_path):
     path = tmp_path / "reps.cfg"
     path.write_text("[suite]\ngroup = heisenberg\nn_pairs = 20\n")

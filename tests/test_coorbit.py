@@ -41,7 +41,7 @@ from coorbit_lab.gaussian import (
     translate,
     unit_gaussian,
 )
-from coorbit_lab.groups import group_spec, section
+from coorbit_lab.groups import group_spec, quotient_multiply, section
 from coorbit_lab.numerics import TailMassWarning, WeightRangeError, WorkBudgetError
 from coorbit_lab.representations import (
     RepSpec,
@@ -376,6 +376,38 @@ def test_norms_are_covariant(name, mu, lam, p):
     assert max(_covariance_errors(rep, f, a, p)) < 1e-6
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("lam", [1.0, -0.7])
+@pytest.mark.parametrize(
+    "name,mu,coords", [("heisenberg", 0.0, (0, 1)), ("g6_16", 0.6, (0, 3)), ("g6_16", 0.6, (1, 2))]
+)
+def test_weighted_norms_obey_the_moderate_bound(name, mu, coords, lam, p):
+    # for a v-moderate weight m, ||V_g pi(a) f||_{L^p_m} <= v(x) ||V_g f||_{L^p_m}
+    # with x the quotient part of a (Feichtinger & Groechenig, J. Funct.
+    # Anal. 86, 1989), and by f = pi(a)^-1 pi(a) f, up to a phase, also
+    # >= ||V_g f||_{L^p_m} / v(x^-1).  Both quotients are abelian, so x^-1 = -x,
+    # and (1 + |q_S|)^s is its own control weight.  The bound holds for the
+    # integrals; the slack of 1e-3 in the log covers the mesh: at the default
+    # h = 1/8 the log ratio moves by up to 2.1e-4 against h = 1/16 (the
+    # weight's kink converges as h^2), while near a = 0 the margin is linear
+    # in |x|, 2.2e-4 at |x| = 2.2e-4 on heisenberg
+    rep = RepSpec(group_spec(name), lam, mu)
+    rng = np.random.default_rng(3)
+    f = _chirped_state(rng, rep.acting_dim)
+    a = np.vstack([rng.uniform(-s, s, (4, rep.group.total_dim)) for s in (1e-3, 0.5, 2.0, 4.0)])
+    x = a[:, rep.group.noncenter_slice]
+    np.testing.assert_array_equal(quotient_multiply(rep.group, x, -x), 0.0)
+    for s in (1.0, 2.0):
+        weight = control = power_weight(s, coords)
+        assert moderate_check(rep.group, weight, control)["ok"]
+        quad, lin, log_amp = act(rep, np.vstack([np.zeros(rep.group.total_dim), a]), f.quad, f.lin, f.log_amp)
+        states = _States(quad_forms(quad), lin, log_amp)
+        logs, _ = coorbit._coorbit_log_norms(rep, states, unit_gaussian(rep.acting_dim), NormSpec(p=p, weight=weight))
+        ratio, bound = logs[1:] - logs[0], control.log_eval(x)
+        assert (ratio <= bound + 1e-3).all() and (ratio >= -control.log_eval(-x) - 1e-3).all()
+        assert (bound > 0.0).all()  # a bound that reads 0 would test covariance, not moderateness
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
 def test_dynin_folland_covariance_named_draws(p):
     # two draws that the unprobed coupled mesh, which reached 25 boxes out,
@@ -594,9 +626,136 @@ def test_engine_reads_k_plus_4_factor_rows_per_node(monkeypatch):
     assert n_nodes == 529 and len(probed) == 2 and all(sizes[0] == 21 for sizes in probed)
     assert sum(rows) == 8 * (n_nodes + sum(map(sum, probed)))
     assert all(r % 8 == 0 for r in rows) and max(rows) <= coorbit._BLOCK
-    rows.clear()
-    modulation_norm_log(chirp(unit_gaussian(2), np.array([[1.0, 0.5], [0.5, -2.0]])))
-    assert rows == [8]
+    # a closed-form norm reads its one node's rows only while the window
+    # side is not cached: 8 on the cold call, none on the warm one
+    coorbit._cached_window_side.cache_clear()
+    f = chirp(unit_gaussian(2), np.array([[1.0, 0.5], [0.5, -2.0]]))
+    for want in ([8], []):
+        rows.clear()
+        modulation_norm_log(f)
+        assert rows == want
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+_CACHED_CASES = {
+    "heisenberg-d1": lambda: coorbit_norm_log(
+        RepSpec(H1, 1.3), Gaussian(1.2 + 0.4j, [0.3 - 0.2j]), Gaussian(1.1 + 0.2j, [0.1 - 0.3j], 0.4), NormSpec(p=1.5)
+    ),
+    "heisenberg-d2": lambda: coorbit_norm_log(
+        RepSpec(group_spec("heisenberg", 2), -0.8),
+        chirp(Gaussian(np.diag([1.1, 0.8]), [0.2, -0.4j]), np.array([[0.5, 0.2], [0.2, -1.0]])),
+        unit_gaussian(2),
+        NormSpec(p=2.0),
+    ),
+    "g6_16": lambda: coorbit_norm_log(
+        RepSpec(group_spec("g6_16"), 2.0, 0.6),
+        Gaussian(np.diag([1.3, 0.9]), [0.1, 0.2 + 0.5j]),
+        unit_gaussian(2),
+        NormSpec(p=1.0),
+    ),
+    "modulation-mixed": lambda: modulation_norm_log(
+        chirp(unit_gaussian(2), np.array([[1.0, 0.5], [0.5, -2.0]])), None, NormSpec(p=1.0, q=2.0)
+    ),
+    "heisenberg-weighted": lambda: coorbit_norm_log(
+        RepSpec(H1, 1.0),
+        Gaussian(0.9, [0.4 + 0.1j]),
+        unit_gaussian(1),
+        NormSpec(p=2.0, weight=power_weight(1.0, (0, 1))),
+    ),
+    "scan-six-states": lambda: [*(res := orbit_scan(chirp_scan_task(1.0, cross=True))).log_norms, res.slope],
+}
+
+
+@pytest.mark.parametrize("case", list(_CACHED_CASES))
+def test_a_cached_window_side_gives_the_bits_of_a_cold_one(case):
+    # the cold call fills the window side's cache, the warm call reads it
+    coorbit._cached_window_side.cache_clear()
+    cold = _hex(_CACHED_CASES[case]())
+    info = coorbit._cached_window_side.cache_info()
+    assert info.misses == 1 and info.hits == 0
+    warm = _hex(_CACHED_CASES[case]())
+    assert coorbit._cached_window_side.cache_info().hits == 1
+    assert warm == cold
+
+
+def test_the_window_side_cache_keys_on_the_window_values():
+    # an equal-valued copy of the window hits; one ulp in any field of it, or
+    # a field changed in place on the same object, misses
+    coorbit._cached_window_side.cache_clear()
+    rep, f = RepSpec(H1, 1.0), Gaussian(1.2, [0.3])
+    g = Gaussian(1.1 + 0.2j, [0.1 - 0.3j], 0.4)
+    ref = coorbit_norm_log(rep, f, g)
+    assert coorbit_norm_log(rep, f, Gaussian(g.quad.copy(), g.lin.copy(), g.log_amp)) == ref
+    assert coorbit._cached_window_side.cache_info()[:2] == (1, 1)  # hits, misses
+
+    def up(z):
+        return complex(np.nextafter(z.real, np.inf), z.imag)
+
+    quad = g.quad.copy()
+    quad[0, 0] = up(quad[0, 0])
+    bumped = [
+        Gaussian(quad, g.lin, g.log_amp),
+        Gaussian(g.quad, [up(g.lin[0])], g.log_amp),
+        Gaussian(g.quad, g.lin, up(g.log_amp)),
+    ]
+    for j, window in enumerate(bumped):
+        coorbit_norm_log(rep, f, window)
+        assert coorbit._cached_window_side.cache_info()[:2] == (1, 2 + j)
+    g.lin[0] += 0.5
+    moved = coorbit_norm_log(rep, f, g)
+    assert coorbit._cached_window_side.cache_info()[:2] == (1, 5) and moved != ref
+
+
+def test_window_side_cache_entries_are_read_only_and_bounded(monkeypatch):
+    seen = []
+    cached = coorbit._cached_window_side
+
+    def recording(*key):
+        seen.append(cached(*key))
+        return seen[-1]
+
+    monkeypatch.setattr(coorbit, "_cached_window_side", recording)
+    cached.cache_clear()
+    size = cached.cache_info().maxsize
+    assert size is not None and size <= 64
+    rep, f = RepSpec(H1, 1.0), Gaussian(1.2, [0.3])
+    for j in range(size + 5):
+        coorbit_norm_log(rep, f, Gaussian(1.0 + 0.01 * j))
+    assert cached.cache_info().currsize == size
+    for side in seen:
+        for field in side:
+            assert not field.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                field[...] = 0.0
+
+
+def test_a_window_side_that_raises_is_not_cached(monkeypatch):
+    # a split that claims no coupled coordinate on g5_3 fails the exact C/S
+    # test in the window side: every call raises, and nothing is cached
+    coorbit._cached_window_side.cache_clear()
+    monkeypatch.setattr(coorbit, "_moving_coordinates", lambda rep: ((), ()))
+    rep = RepSpec(group_spec("g5_3"), 1.0)
+    for calls in (1, 2, 3):
+        with pytest.raises(RuntimeError, match="the chirp or the substitution moves"):
+            coorbit_norm_log(rep, Gaussian(np.diag([1.2, 0.9]), [0.1, -0.2]), unit_gaussian(2), NormSpec(p=2.0))
+        assert coorbit._cached_window_side.cache_info()[1:] == (calls, 32, 0)  # misses, maxsize, currsize
+
+
+def test_the_state_side_runs_on_every_call_to_a_cached_window_side():
+    # Re(f.quad + conj(g.quad)) = [[2, 3], [3, 2]] is not positive definite:
+    # a warm window side does not skip the check
+    rep, g = RepSpec(group_spec("heisenberg", 2), 1.0), unit_gaussian(2)
+    good = _States(np.eye(2, dtype=complex)[None], np.zeros((1, 2), complex), np.zeros(1, complex))
+    bad = good._replace(quad=np.array([[[1.0, 3.0], [3.0, 1.0]]], dtype=complex))
+    coorbit._cached_window_side.cache_clear()
+    coorbit._node_quadratics(rep, good, g, np.zeros((1, 0)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="positive definite"):
+            coorbit._node_quadratics(rep, bad, g, np.zeros((1, 0)))
+    assert coorbit._cached_window_side.cache_info()[:2] == (2, 1)
 
 
 def test_engine_rejects_a_split_that_leaves_out_a_coupled_coordinate(monkeypatch):

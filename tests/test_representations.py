@@ -330,9 +330,7 @@ def test_the_dilation_is_finite_and_nonzero_at_every_accepted_lambda(rep):
     # keeps the group, mu and the sign of lam
     def accepts(lam):
         try:
-            # below the smallest normal double, slogdet divides by zero on the way to d_pi = 0
-            with np.errstate(divide="ignore"):
-                RepSpec(rep.group, lam, rep.mu)
+            RepSpec(rep.group, lam, rep.mu)
         except ValueError:
             return False
         return True
@@ -343,6 +341,19 @@ def test_the_dilation_is_finite_and_nonzero_at_every_accepted_lambda(rep):
         unit, delta = _unit_character(RepSpec(rep.group, lam, rep.mu))
         assert np.isfinite(delta).all() and (delta > 0).all(), lam
         assert unit == RepSpec(rep.group, math.copysign(1.0, lam), rep.mu)
+
+
+@pytest.mark.parametrize("rep", KERNEL_REPS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("lam", [1e-310, -5e-324, -(sys.float_info.min / 2.0)])
+def test_a_subnormal_lambda_is_refused_before_any_array_work(rep, lam):
+    # slogdet would divide by zero on the way to d_pi = 0, so the range is
+    # checked first; the smallest normal double itself is not refused here
+    with pytest.raises(ValueError, match="below the smallest normal double"):
+        RepSpec(rep.group, lam, rep.mu)
+    try:
+        RepSpec(rep.group, sys.float_info.min, rep.mu)
+    except ValueError as exc:
+        assert "smallest normal double" not in str(exc)
 
 
 def test_grading_rejects_brackets_that_fix_no_grading(monkeypatch):
