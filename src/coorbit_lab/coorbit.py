@@ -547,8 +547,11 @@ def _probe_center(slice_mass: Callable[[np.ndarray, np.ndarray], np.ndarray], n_
     candidates per function listed in rows, to their masses, same shape.
     The hill climbs run in lockstep: a geometric ladder (one call with every
     row) finds each mode's order of magnitude, then each climb walks to its
-    mode with halving steps, one two-point row per climb and step, so each
-    later call holds only the climbs not yet done.  A final center is within
+    mode with halving steps.  Each later call reads, for every climb not yet
+    done, all the steps it could take from its center without moving: +-step,
+    +-step/2, ... down to the last step >= 0.25, a row padded with its last
+    pair.  The sequential climb is replayed on those masses up to its first
+    move, so a call costs one move, not one step.  A final center is within
     a fraction of the integration box of the true peak.  Per row, ties go to
     the earlier candidate: 0, then +mag before -mag, and the current center
     before +step before -step.
@@ -559,16 +562,24 @@ def _probe_center(slice_mass: Callable[[np.ndarray, np.ndarray], np.ndarray], n_
     best = np.argmax(masses, axis=1)
     best_c, best_v = ladder[best], masses[rows, best]
     step = np.maximum(1.0, np.abs(best_c) / 2.0)
-    active = list(rows)
-    while active:
-        pairs = np.array([(best_c[r] + step[r], best_c[r] - step[r]) for r in active])
-        for r, pair, mass in zip(active, pairs, slice_mass(np.array(active), pairs)):
-            k = int(np.argmax(mass))
-            if mass[k] > best_v[r]:
-                best_c[r], best_v[r] = pair[k], mass[k]
-            else:
-                step[r] /= 2.0
-        active = [r for r in active if step[r] >= 0.25]
+    active = rows
+    while len(active):
+        # step = m 2^e with 0.5 <= m < 1 keeps step / 2^j >= 0.25 for j < e + 2;
+        # a climb with fewer steps than the longest repeats its last
+        n_steps = np.frexp(step[active])[1] + 2
+        steps = step[active, None] / 2.0 ** np.minimum(np.arange(n_steps.max()), n_steps[:, None] - 1)
+        pairs = best_c[active, None, None] + steps[..., None] * np.array([1.0, -1.0])
+        mass = slice_mass(active, pairs.reshape(len(active), -1)).reshape(pairs.shape)
+        k = np.argmax(mass, axis=2)
+        top = np.take_along_axis(mass, k[..., None], axis=2)[..., 0]
+        gains = top > best_v[active, None]
+        # the first step that gains is the move; a climb with none is done
+        i = np.flatnonzero(gains.any(axis=1))
+        at = np.argmax(gains[i], axis=1)
+        active = active[i]
+        best_c[active] = pairs[i, at, k[i, at]]
+        best_v[active] = top[i, at]
+        step[active] = steps[i, at]
     return best_c
 
 

@@ -312,9 +312,13 @@ def _coefficients(test_lin, test_amp, quad, lin, log_amp) -> np.ndarray:
 # test-space Gram eigenvalues kept, relative to the largest: the cut that
 # keeps near-dependent atoms from faking a collapsed lower bound
 _GRAM_CUT = 1e-8
-# entries in any one array of the frame estimate: the lattice labels, the Gram
-# entries (lattice points x test atoms) and the test-space Gram entries
+# budget of the frame estimate, in entries: the lattice labels and the
+# test-space Gram are arrays of that size; the lattice points x test atoms
+# coefficients bound the work, since they are formed _BLOCK points at a time
 _MAX_ENTRIES = 1 << 24
+# lattice points whose coefficients are formed at once: the frame Gram is
+# accumulated over blocks, so the estimate's memory does not grow with the lattice
+_BLOCK = 64
 # bound on max(1, |lam|, |mu|) (1 + lattice_radius + eps)^3: the factor tables
 # are polynomials of degree at most 3 in a lattice coordinate, and act
 # multiplies their values by at most 2 pi, which must stay in double range
@@ -364,9 +368,15 @@ def frame_bounds_estimate(
     The test space depends only on the dimension and the dictionary
     settings, and is built once per such setting.
 
-    Settings that ask for more than _MAX_ENTRIES labels or Gram entries, or
-    whose lattice points would carry the factors of pi past double range,
-    raise WorkBudgetError before anything is allocated.
+    The frame Gram sum_gamma c_gamma^H c_gamma, with c_gamma the row of
+    coefficients <psi_j, pi(gamma) g>, is accumulated over blocks of _BLOCK
+    lattice points, so memory is O(_BLOCK J + J^2) for J test atoms whatever
+    the lattice.
+
+    Settings that ask for more than _MAX_ENTRIES labels, test-space Gram
+    entries or lattice-point x test-atom coefficients, or whose lattice
+    points would carry the factors of pi past double range, raise
+    WorkBudgetError before anything is allocated.
     """
     g = default_window(rep)
     d = rep.acting_dim
@@ -393,8 +403,11 @@ def frame_bounds_estimate(
         _MAX_ENTRIES,
         lambda: f"frame bounds: Gram entries of {len(gamma):,} lattice points x {len(test_amp):,} test atoms",
     )
-    coeff = _coefficients(test_lin, test_amp, *act(rep, section(rep.group, gamma), g.quad, g.lin, g.log_amp))
-    frame_gram = coeff.conj().T @ coeff
+    frame_gram = np.zeros((len(test_amp), len(test_amp)), dtype=complex)
+    for start in range(0, len(gamma), _BLOCK):
+        block = section(rep.group, gamma[start : start + _BLOCK])
+        coeff = _coefficients(test_lin, test_amp, *act(rep, block, g.quad, g.lin, g.log_amp))
+        frame_gram += coeff.conj().T @ coeff
     reduced = basis.conj().T @ frame_gram @ basis
     mu = np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
     lower, upper = float(mu.min()), float(mu.max())

@@ -892,8 +892,11 @@ def test_stft_kernel_matches_log_stft_modulus(d):
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
-def _sequential_probe(slice_mass):
-    """The recentring probe one center at a time, as the engine ran it before batching."""
+def _sequential_probe(slice_mass, moves=None):
+    """The recentring probe one center at a time, as the engine ran it before batching.
+
+    moves, if given, gets the center of each move of the climb after the ladder.
+    """
     best_c, best_v = 0.0, slice_mass(0.0)
     for mag in (float(2**k) for k in range(1, 11)):
         for c in (mag, -mag):
@@ -907,6 +910,8 @@ def _sequential_probe(slice_mass):
             v = slice_mass(c)
             if v > best_v:
                 best_c, best_v, moved = c, v, True
+        if moved and moves is not None:
+            moves.append(best_c)
         if not moved:
             step /= 2.0
     return best_c
@@ -940,14 +945,17 @@ def test_batched_probe_matches_sequential(name):
         return mass(np.asarray(c, dtype=float))
 
     (got,) = coorbit._probe_center(batched, 1)
-    assert got == _sequential_probe(lambda c: float(mass(np.array([c]))[0]))
-    assert calls[0] == 21 and set(calls[1:]) <= {2}
+    moves = []
+    assert got == _sequential_probe(lambda c: float(mass(np.array([c]))[0]), moves)
+    # after the ladder, one call per move and one that finds no step gains
+    assert calls[0] == 21 and len(calls) - 1 <= len(moves) + 1
 
 
 def test_lockstep_probe_matches_sequential_per_row():
     # every slice-mass shape is one row of a single lockstep probe: each row
     # must land where the sequential probe lands, and a row must leave the
-    # calls once its climb is done, after as many steps as the sequential one
+    # calls once its climb is done, after one call per move of the sequential
+    # one and one more
     names = list(_SLICE_MASSES)
     masses = [_SLICE_MASSES[name] for name in names]
     calls = []
@@ -959,17 +967,12 @@ def test_lockstep_probe_matches_sequential_per_row():
     got = coorbit._probe_center(lockstep, len(names))
     assert calls[0] == (list(range(len(names))), (len(names), 21))
     for before, (rows, shape) in zip(calls, calls[1:]):
-        assert shape == (len(rows), 2)
+        assert shape[0] == len(rows) and shape[1] % 2 == 0
         assert set(rows) <= set(before[0])
     for r, mass in enumerate(masses):
-        seen = []
-
-        def scalar(c, mass=mass):
-            seen.append(c)
-            return float(mass(np.array([c]))[0])
-
-        assert got[r] == _sequential_probe(scalar), names[r]
-        assert sum(r in rows for rows, _ in calls[1:]) == (len(seen) - 21) // 2, names[r]
+        moves = []
+        assert got[r] == _sequential_probe(lambda c, mass=mass: float(mass(np.array([c]))[0]), moves), names[r]
+        assert sum(r in rows for rows, _ in calls[1:]) <= len(moves) + 1, names[r]
 
 
 @pytest.mark.parametrize("u", [320.0, 640.0])
@@ -1172,16 +1175,31 @@ def test_modulation_scan_reads_one_node_batch(monkeypatch, task):
 
 
 def test_coorbit_scan_probes_in_lockstep(monkeypatch):
-    # one ladder read of 21 nodes per state, then one read per lockstep step,
-    # then one mesh read of every state's nodes
+    # one ladder read of 21 nodes per state, then one read per lockstep move,
+    # each of +-step pairs, then one mesh read of every state's nodes
     own = g53_curve_tasks(1.0)[0]
     calls = _count_node_reads(monkeypatch)
     res = orbit_scan(own, DEFAULT_SCAN)
     u = len(DEFAULT_SCAN)
     assert calls[0] == 21 * u
-    assert all(0 < n <= 2 * u and n % 2 == 0 for n in calls[1:-1])
+    assert all(0 < n and n % 2 == 0 for n in calls[1:-1])
     assert calls[-1] == u * len(coorbit._linear_axis(0.0, own.norm)[0])
     assert len(res.centers) == u and all(len(c) == 1 for c in res.centers)
+
+
+@pytest.mark.parametrize("case", ["own-scan", "g5_3-norm"])
+def test_probe_reads_the_kernel_once_per_move(monkeypatch, case):
+    # the ladder, one read per move of the climbs and one that finds no step
+    # gains, then the mesh: a probe that read one step per call made 13 or 14
+    # reads on the own scan and 5 on the g5_3 norm
+    calls = _count_node_reads(monkeypatch)
+    if case == "own-scan":
+        orbit_scan(g53_curve_tasks(1.0)[0], DEFAULT_SCAN)
+        assert len(calls) <= 5
+    else:
+        f = Gaussian(np.diag([1.3, 0.8]), np.array([0.4, -0.2]))
+        coorbit_norm_log(RepSpec(group_spec("g5_3"), 1.0), f, unit_gaussian(2), NormSpec(p=2.0))
+        assert len(calls) <= 3
 
 
 def test_stacked_tail_check_names_only_the_state_that_spills():

@@ -1,12 +1,15 @@
 """Quasi-lattices, densities, and finite-section frame diagnostics."""
 
+import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from coorbit_lab.frames import (
+    _BLOCK,
     QuasiLattice,
     _coefficients,
     _distinct_rows,
@@ -306,6 +309,53 @@ def test_frame_sweep_reuses_the_test_space_bit_for_bit():
     _test_space.cache_clear()
     fresh = frame_bounds_estimate(rep, eps=0.5)
     assert first == again == fresh
+
+
+def _unblocked_bounds(rep, eps, lattice_radius, dict_halfrange):
+    """The frame estimate with the whole coefficient matrix in one array, as one product."""
+    lat = QuasiLattice(rep.group, eps)
+    radius = math.ceil(lattice_radius / eps)
+    ks = np.stack(np.meshgrid(*([np.arange(-radius, radius + 1)] * lat.ndim), indexing="ij"), axis=-1)
+    gamma = quasilattice_points(lat, ks.reshape(-1, lat.ndim))
+    gamma = gamma[np.all(np.abs(gamma) <= lattice_radius + eps, axis=-1)]
+    g = default_window(rep)
+    test_lin, test_amp, basis = _test_space(rep.acting_dim, dict_halfrange, 0.5)
+    coeff = _coefficients(test_lin, test_amp, *act(rep, section(rep.group, gamma), g.quad, g.lin, g.log_amp))
+    reduced = basis.conj().T @ (coeff.conj().T @ coeff) @ basis
+    mu = np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
+    return len(gamma), float(mu.min()), float(mu.max())
+
+
+@pytest.mark.parametrize(
+    ("name", "eps", "lattice_radius", "dict_halfrange", "short"),
+    [("heisenberg", 0.5, 1.0, 4.0, True), ("heisenberg", 0.5, 6.0, 4.0, False), ("g5_3", 1.0, 1.5, 1.0, False)],
+    ids=["one-block-short", "ragged-last-block", "g5_3"],
+)
+def test_blocked_frame_gram_matches_one_product(name, eps, lattice_radius, dict_halfrange, short):
+    # a lattice shorter than one block, and ones whose last block is partial,
+    # give the bounds of the whole coefficient matrix up to the sum order
+    grp = group_spec(name, 1)
+    rep = RepSpec(grp, 1.0)
+    fb = frame_bounds_estimate(rep, eps=eps, lattice_radius=lattice_radius, dict_halfrange=dict_halfrange)
+    n_atoms, lower, upper = _unblocked_bounds(rep, eps, lattice_radius, dict_halfrange)
+    assert fb.n_atoms == n_atoms
+    assert (n_atoms < _BLOCK) if short else (n_atoms > _BLOCK and n_atoms % _BLOCK != 0)
+    assert abs(fb.upper - upper) <= 1e-12 * upper
+    assert abs(fb.lower - lower) <= 1e-8 * upper
+
+
+def test_frame_bounds_memory_does_not_grow_with_the_lattice():
+    # 625 lattice atoms x 289 test atoms: the whole coefficient array and its
+    # temporaries come to about 17 MB, blocks of them and the J x J Gram to 3.4 MB
+    rep = RepSpec(group_spec("heisenberg", 1), 1.0)
+    frame_bounds_estimate(rep, eps=0.5)  # the test space is built once, outside the measurement
+    tracemalloc.start()
+    try:
+        frame_bounds_estimate(rep, eps=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_test_space_is_built_once_and_read_only():
