@@ -120,7 +120,9 @@ class NormSpec:
     the exponent over the positions x; None means q = p.  box_half and
     resolution describe the mesh at the unit character lambda = +-1: in the
     caller's coordinates an axis of grading weight w spans box_half / |lambda|^w.
-    Every coupled axis is probed, and its mesh centred at the probe's centre.
+    Every coupled axis is probed and meshed geometrically about the probe's
+    centre: nodes centre + sinh(s), s in steps of 2 resolution up to
+    asinh(box_half).  Weighted and outer axes are uniform, of step resolution.
     """
 
     p: float = 2.0
@@ -475,24 +477,27 @@ def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQua
 # ---------------------------------------------------------------------------
 # quadrature meshes
 
-def _linear_axis(center: float, spec: NormSpec):
-    vals = np.arange(center - spec.box_half, center + spec.box_half + 0.5 * spec.resolution, spec.resolution)
+def _linear_axis(spec: NormSpec):
+    """The uniform axis over the box, for the weighted and outer coordinates."""
+    vals = np.arange(-spec.box_half, spec.box_half + 0.5 * spec.resolution, spec.resolution)
     return vals, np.full(vals.shape, math.log(spec.resolution))
 
 
 def _sinh_axis(center: float, spec: NormSpec):
-    """Nodes center + sinh(s) on a uniform s-grid over the box: geometric
-    spacing, finest at the center."""
+    """The axis of every coupled coordinate: nodes center + sinh(s) on a
+    uniform s-grid over the box, so geometric spacing, finest at the center."""
     s_max = math.asinh(spec.box_half)
     step = 2.0 * spec.resolution
     s = np.arange(-s_max, s_max + 0.5 * step, step)
     return center + np.sinh(s), math.log(step) + np.log(np.cosh(s))
 
 
-def _axis_nodes(spec: NormSpec, sinh: bool):
-    """The node count of a _sinh_axis or _linear_axis, from the spec alone (inf past float range)."""
-    half, step = (math.asinh(spec.box_half), 2.0 * spec.resolution) if sinh else (spec.box_half, spec.resolution)
-    return ceil_count((2.0 * half + 0.5 * step) / step)
+def _mesh_nodes(spec: NormSpec, n_coupled: int, n_weighted: int):
+    """The node count of n_coupled _sinh_axis and n_weighted _linear_axis
+    axes, from the spec alone (inf past float range)."""
+    h, s_max = spec.resolution, math.asinh(spec.box_half)
+    sinh, linear = ceil_count((2.0 * s_max + h) / (2.0 * h)), ceil_count((2.0 * spec.box_half + 0.5 * h) / h)
+    return sinh**n_coupled * linear**n_weighted
 
 
 def _product_mesh(axes):
@@ -644,9 +649,8 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
     coupled, fitdims = _coordinate_split(unit)
     # a weight meshes its coordinates, and every outer one beside them
     wdims = sorted(set(weight.coords).union(outer) - set(coupled)) if weight is not None else []
-    nodes = n_states * _axis_nodes(spec, group.sinh_mesh) ** len(coupled) * _axis_nodes(spec, False) ** len(wdims)
     check_budget(
-        nodes,
+        n_states * _mesh_nodes(spec, len(coupled), len(wdims)),
         _MAX_NODES,
         lambda: f"{name}: {n_states} state(s) x {len(coupled)} coupled and {len(wdims)} "
         f"weighted mesh axes at resolution {spec.resolution:g} in a box of half-width {spec.box_half:g}",
@@ -671,13 +675,12 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
 
         centers[:, j] = _probe_center(smass, n_states)
 
-    axis = _sinh_axis if group.sinh_mesh else _linear_axis
-    meshes = [_product_mesh([axis(c, spec) for c in row]) for row in centers]
+    meshes = [_product_mesh([_sinh_axis(c, spec) for c in row]) for row in centers]
     # the weight nodes run outer-major, one slice of the inner nodes per outer
     # node; with q = p there are no outer nodes and one slice
     inner = [i for i in wdims if i not in outer]
-    wpts, ilogw, ibound = _product_mesh([_linear_axis(0.0, spec) for _ in inner])
-    opts, ologw, obound = _product_mesh([_linear_axis(0.0, spec) for _ in outer])
+    wpts, ilogw, ibound = _product_mesh([_linear_axis(spec) for _ in inner])
+    opts, ologw, obound = _product_mesh([_linear_axis(spec) for _ in outer])
     if outer:
         wpts = np.concatenate([np.tile(wpts, (len(opts), 1)), np.repeat(opts, len(wpts), axis=0)], axis=1)
     wdims = inner + outer  # the columns of wpts

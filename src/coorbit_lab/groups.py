@@ -60,17 +60,12 @@ class GroupSpec:
     rep_factors(rep, a, C, S) returns the factors (theta, m, v) of pi(a) for
     each row of a and writes the chirp and affine factors into C and S, which
     come in as zeros and identities (see representations._factors).
-    sinh_mesh says whether the coupled coordinates, the quotient
-    coordinates that move C or S, are meshed with geometric spacing inside
-    the box, finest at the probe's centre, rather than uniform spacing; it
-    adds no far field.
     """
 
     name: str
     brackets: tuple[tuple[int, int, int, float], ...]
     law: Callable
     rep_factors: Callable
-    sinh_mesh: bool = False
     heisenberg_d: int = 0
 
     @cached_property
@@ -232,7 +227,7 @@ _TABLE = {
     "g6_16": GroupSpec("g6_16", ((4, 2, 0, 1.0), (5, 3, 0, 1.0), (5, 4, 1, 1.0)), _mul_g6_16, _rep_g6_16),
     "g5_3": GroupSpec("g5_3", ((3, 2, 0, 1.0), (4, 1, 0, 1.0), (4, 3, 1, 1.0)), _mul_g5_3, _rep_g5_3),
     "g6_19": GroupSpec("g6_19", ((5, 2, 0, 1.0), (4, 3, 1, 1.0), (5, 4, 3, 1.0)), _mul_g6_19, _rep_g6_19),
-    "dynin_folland": GroupSpec("dynin_folland", _DF_BRACKETS, _mul_df, _rep_df, sinh_mesh=True),
+    "dynin_folland": GroupSpec("dynin_folland", _DF_BRACKETS, _mul_df, _rep_df),
 }
 
 GROUPS = tuple(_TABLE)

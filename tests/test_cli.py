@@ -302,7 +302,7 @@ _BAD_STATE_AND_WEIGHT = [
         ("frame-sweep", "[sweep]\neps_values = 0.5,inf\n"),
         ("coorbit-norm", "[group]\nname = heisenberg\nlam = nan\n"),
         ("coorbit-norm", "[group]\nname = dynin_folland\nlam = 1e200\n"),
-        ("coorbit-norm", "[group]\nname = g5_3\n\n[norm]\nresolution = 1e-6\n"),
+        ("coorbit-norm", "[group]\nname = g5_3\n\n[norm]\nresolution = 1e-7\n"),
         ("coorbit-norm", "[group]\nname = heisenberg\n\n[state]\nf_quad = inf\n"),
         ("coorbit-norm", "[group]\nname = heisenberg\n\n[state]\nf_lin = -1e300\n"),
         (

@@ -1,7 +1,9 @@
 """Norm engine: analytic identities, scaling laws, independent quadrature
 routes, and the orbit scans."""
 
+import itertools
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -289,6 +291,86 @@ def test_large_lambda_p1_against_fine_references(name, lam, want):
     assert np.exp(coorbit_norm_log(rep, g, g, NormSpec(p=1.0))) == pytest.approx(want, rel=1e-7)
 
 
+def _truncation_family():
+    """The chirped family, in the order of _FIVE at lambda = 1 (mu = 1 on the
+    two-centre groups): {name: (rep, 40 states)} from one generator, seed 11.
+
+    A state's real part is 0.05 M M^T plus 0.02, 0.1 or 0.3 times the
+    identity and its chirp (C + C^T) / 2 times 0, 4 or 16, so some are narrow
+    and steep; its linear part is standard complex normal.  The family was
+    chosen because its g5_3 states spread far along the coupled coordinate,
+    where a box of half-width 8 cut their mass off with no warning.
+    """
+    rng = np.random.default_rng(11)
+    family = {}
+    for name, mu in _FIVE:
+        rep = RepSpec(group_spec(name), 1.0, mu)
+        d = rep.acting_dim
+        states = []
+        for _ in range(40):
+            M = rng.normal(size=(d, d))
+            real = 0.05 * M @ M.T + rng.choice([0.02, 0.1, 0.3]) * np.eye(d)
+            C = rng.normal(size=(d, d))
+            imag = 0.5 * (C + C.T) * rng.choice([0.0, 4.0, 16.0])
+            states.append(Gaussian(real + 1j * imag, rng.normal(size=d) + 1j * rng.normal(size=d)))
+        family[name] = rep, states
+    return family
+
+
+def _norm_or_warning(rep, f, spec):
+    """The log norm of f against the unit window, and whether a TailMassWarning was raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TailMassWarning)
+        got = coorbit_norm_log(rep, f, unit_gaussian(rep.acting_dim), spec)
+    return got, any(issubclass(w.category, TailMassWarning) for w in caught)
+
+
+def _p2_closed_form(rep, f):
+    return np.log(l2_norm(f) * l2_norm(unit_gaussian(rep.acting_dim)) / np.sqrt(known_formal_dimension(rep)))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _FIVE])
+def test_chirped_draws_match_the_closed_form_or_warn(name):
+    # a norm whose box cuts off mass must say so: with a uniform coupled axis,
+    # 10 of the 40 g5_3 draws read more than 1e-3 low (up to 13.7%) silently
+    rep, states = _truncation_family()[name]
+    where = [f" at draw {i}" for i in range(len(states))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TailMassWarning)
+        got, _ = coorbit._coorbit_log_norms(rep, _States.stack(states), unit_gaussian(rep.acting_dim), NormSpec(), where)
+    warned = {int(re.search(r" at draw (\d+):", str(w.message))[1]) for w in caught}
+    for i, f in enumerate(states):
+        assert i in warned or abs(np.expm1(got[i] - _p2_closed_form(rep, f))) < 1e-3, i
+
+
+def _g619_orbit_state(u):
+    """f1 (x) phi pushed along coordinate 5 of g6_19 (lambda = mu = 1): its
+    g5_3 coupled marginal has a standard deviation of about 0.24 u."""
+    a = np.zeros(6)
+    a[5] = u
+    return apply_rep(RepSpec(group_spec("g6_19"), 1.0, 1.0), a, tensor(Gaussian(1.4, 0.3), unit_gaussian(1)))
+
+
+@pytest.mark.parametrize(
+    "p,draw",
+    [(2.0, 35), (2.0, 32), (2.0, 37), (2.0, None), (1.0, 16), (1.0, 21)],
+    ids=["p2-draw-35", "p2-draw-32", "p2-draw-37", "p2-g6_19-orbit-u20", "p1-draw-16", "p1-draw-21"],
+)
+def test_named_g5_3_truncations_match_or_warn(p, draw):
+    # with a uniform coupled axis these read -13.7%, -9.4%, -4.9%, -4.7%,
+    # -17.3% and -13.5% at box 8, each with no warning.  The p = 1 reference
+    # is the engine at box 64, which meets a uniform mesh at box 64 to 5e-6
+    rep = RepSpec(group_spec("g5_3"), 1.0)
+    f = _g619_orbit_state(20.0) if draw is None else _truncation_family()["g5_3"][1][draw]
+    got, warned = _norm_or_warning(rep, f, NormSpec(p=p))
+    if p == 2.0:
+        want = _p2_closed_form(rep, f)
+    else:
+        want, far_warned = _norm_or_warning(rep, f, NormSpec(p=1.0, box_half=64.0))
+        assert not far_warned
+    assert warned or abs(np.expm1(got - want)) < 1e-3
+
+
 def test_weighted_norm_at_negative_lambda_against_grid_sum():
     # the weight (1 + |y|) is read in the caller's coordinates, where the
     # coefficient at lambda = -3 is a third as wide in y; the reference is a
@@ -433,16 +515,13 @@ def test_engine_validates_every_node(monkeypatch):
 
 
 def _nodes(rep, count=20):
-    """About count coupled nodes: four far corners at +-200 and a spread of
-    nodes of the sinh mesh, or a line through a linear axis, or the single
-    empty node."""
+    """count coupled nodes: the far corners at +-200 and a spread of nodes of
+    the engine's sinh mesh, or the single empty node."""
     coupled, _ = coorbit._coordinate_split(rep)
     if not coupled:
         return np.zeros((1, 0))
-    if len(coupled) == 1:
-        return np.linspace(-8.0, 8.0, count)[:, None]
     axis = coorbit._sinh_axis(0.0, NormSpec())[0]
-    corners = np.array([[x, y] for x in (-200.0, 200.0) for y in (-200.0, 200.0)])
+    corners = np.array(list(itertools.product((-200.0, 200.0), repeat=len(coupled))))
     inner = np.random.default_rng(3).choice(axis, (count - len(corners), len(coupled)))
     return np.concatenate([corners, inner])
 
@@ -536,8 +615,8 @@ def test_engine_check_values_are_the_kernel_at_the_check_points(monkeypatch, nam
 
 def _block_case(name):
     """rep, stacked states (one per node), a window and the nodes: several
-    states at the single node of heisenberg, a line of g5_3's coupled axis,
-    and corners and inner nodes of dynin_folland's sinh mesh."""
+    states at the single node of heisenberg, and the far corners and inner
+    nodes of the sinh mesh of g5_3 and dynin_folland."""
     if name != "heisenberg":
         rep, states, g, nodes, _ = _node_case(name, 1, 0.0, 2.0)
         return rep, _States.stack(states), g, nodes
@@ -1056,9 +1135,11 @@ def test_tail_raise_on_cramped_box():
         formal_dimension(rep, f, box_half=1.0, resolution=0.25)
 
 
-def test_sinh_mesh_resolution_stability():
-    rep = RepSpec(group_spec("dynin_folland"), 1.0)
-    f = unit_gaussian(3)
+@pytest.mark.parametrize("name", ["g5_3", "g6_19", "dynin_folland"])
+def test_coupled_mesh_resolution_stability(name):
+    # every coupled axis is a sinh axis, and the norm must not move with its step
+    rep = RepSpec(group_spec(name), 1.0, 1.0 if name == "g6_19" else 0.0)
+    f = unit_gaussian(rep.acting_dim)
     coarse = coorbit_norm_log(rep, f, f, NormSpec(p=2.0, resolution=0.25))
     finer = coorbit_norm_log(rep, f, f, NormSpec(p=2.0, resolution=0.175))
     assert abs(np.expm1(finer - coarse)) < 1e-3
@@ -1183,7 +1264,7 @@ def test_coorbit_scan_probes_in_lockstep(monkeypatch):
     u = len(DEFAULT_SCAN)
     assert calls[0] == 21 * u
     assert all(0 < n and n % 2 == 0 for n in calls[1:-1])
-    assert calls[-1] == u * len(coorbit._linear_axis(0.0, own.norm)[0])
+    assert calls[-1] == u * len(coorbit._sinh_axis(0.0, own.norm)[0])
     assert len(res.centers) == u and all(len(c) == 1 for c in res.centers)
 
 
@@ -1299,9 +1380,10 @@ def test_fit_slope_needs_two_distinct_abscissae_past_u_min():
 
 
 def test_weighted_coorbit_norm_memory_is_bounded_by_blocks():
-    # the weight mesh on quotient coordinates (0, 1) of g5_3 has 129 x 129
-    # nodes per coupled node (129 of them); conditioning a model per pair all
-    # at once peaked at 235 MB, where the engine now holds one value per pair.
+    # at resolution 0.07 the weight mesh on quotient coordinates (0, 1) of
+    # g5_3 has 229 x 229 nodes per coupled node (41 of them), 2.17 M pairs;
+    # conditioning a model per pair all at once peaked at 235 MB on 2.15 M,
+    # where the engine now holds one value per pair.
     # The child reports its peak resident size as VmHWM:
     # ru_maxrss would carry over the peak of this process, which a fork and
     # exec keep on Linux
@@ -1312,7 +1394,7 @@ def test_weighted_coorbit_norm_memory_is_bounded_by_blocks():
         "from coorbit_lab.groups import group_spec\n"
         "from coorbit_lab.representations import RepSpec\n"
         "rep = RepSpec(group_spec('g5_3'), 1.0)\n"
-        "spec = NormSpec(p=2.0, weight=power_weight(1.0, (0, 1)))\n"
+        "spec = NormSpec(p=2.0, weight=power_weight(1.0, (0, 1)), resolution=0.07)\n"
         "v = coorbit_norm_log(rep, Gaussian(1.2 * np.eye(2), np.full(2, 0.1)), unit_gaussian(2), spec)\n"
         "hwm = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
         "print(repr(v), *hwm)\n"
@@ -1320,5 +1402,5 @@ def test_weighted_coorbit_norm_memory_is_bounded_by_blocks():
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     out = proc.stdout.split()
-    assert float(out[0]) == pytest.approx(-0.35512641994312855, rel=1e-15)
+    assert float(out[0]) == pytest.approx(-0.3549382092652973, rel=1e-15)
     assert int(out[1]) / 1024.0 < 100.0  # VmHWM is in kB

@@ -415,7 +415,7 @@ def test_known_formal_dimension_values(name, lam, mu, expected):
         ("g5_3", -1.5, 0.0, 1e-6),
         ("g6_19", 2.0, 1.0, 1e-6),
         ("g6_19", 1.0, -0.6, 1e-6),
-        # the sinh mesh on the coupled axes is the coarsest quadrature of the five
+        # two coupled sinh axes make dynin_folland's mesh the coarsest of the five
         ("dynin_folland", 2.0, 0.0, 1e-5),
     ],
     ids=[
