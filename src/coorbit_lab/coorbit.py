@@ -196,39 +196,29 @@ class LogQuadratic(NamedTuple):
         return LogQuadratic(cond, grad, _block(self.hess, keep, keep))
 
     def marginalized(self, dims: Sequence[int]) -> "LogQuadratic":
-        """Integrate exp(Q) over the listed dimensions in closed form."""
+        """Integrate exp(Q) over the listed dimensions s in closed form: with
+        -hess_ss = L L^T and [z, W] = L^-1 [grad_s, hess_st], one solve, the
+        kept t get grad_t + W^T z and hess_tt + W^T W, and const as in total()."""
         dims = list(dims)
         if not dims:
             return self
         keep = [i for i in range(self.ndim) if i not in dims]
-        # every dimension in order: the block is hess itself, whose layout Cholesky
-        # does not read; g_s stays a copy, because its layout sets einsum's order of summation
-        h_ss = self.hess if dims == list(range(self.ndim)) else _block(self.hess, dims, dims)
-        try:
-            low = np.linalg.cholesky(-h_ss)
-        except np.linalg.LinAlgError:
-            raise RuntimeError(
-                "cannot integrate analytically: the log-modulus Hessian is not "
-                "negative definite in the requested directions"
-            ) from None
-        g_s = self.grad[..., dims]
-        x = _cho_solve(low, g_s[..., None])[..., 0]
-        const = (
-            self.const
-            + 0.5 * len(dims) * math.log(2.0 * math.pi)
-            - np.log(low.diagonal(0, -2, -1)).sum(axis=-1)
-            + 0.5 * np.einsum("...i,...i->...", g_s, x)
-        )
-        if not keep:
-            return LogQuadratic(const, self.grad[..., :0], self.hess[..., :0, :0])
-        h_ts = _block(self.hess, keep, dims)
-        grad = self.grad[..., keep] + (h_ts @ x[..., None])[..., 0]
-        hess = _block(self.hess, keep, keep) + h_ts @ _cho_solve(low, h_ts.swapaxes(-1, -2))
-        return LogQuadratic(const, grad, hess)
+        g_s, h_st = self.grad[..., dims, None], _block(self.hess, dims, keep)
+        batch = np.broadcast_shapes(g_s.shape[:-2], h_st.shape[:-2])
+        rhs = np.concatenate([np.broadcast_to(x, batch + x.shape[-2:]) for x in (g_s, h_st)], axis=-1)
+        low, y = _factor_solve(_block(self.hess, dims, dims), rhs)
+        z, w = y[..., 0], y[..., 1:]
+        wt = w.swapaxes(-1, -2)
+        grad = self.grad[..., keep] + (wt @ z[..., None])[..., 0]
+        return LogQuadratic(_log_integral(self.const, low, z), grad, _block(self.hess, keep, keep) + wt @ w)
 
     def total(self):
-        """log of the integral of exp(Q) over every dimension; one value per batch entry."""
-        return self.marginalized(range(self.ndim)).const
+        """log of the integral of exp(Q) over every dimension; one value per batch entry:
+        const + (k/2) log 2 pi - sum log diag(L) + z.z / 2 with -hess = L L^T and
+        z = L^-1 grad, one solve, since grad^T (-hess)^-1 grad = |L^-1 grad|^2 (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2002, ch. 10)."""
+        low, z = _factor_solve(self.hess, self.grad[..., None])
+        return _log_integral(self.const, low, z[..., 0])
 
 
 def _block(mat, rows, cols):
@@ -236,10 +226,23 @@ def _block(mat, rows, cols):
     return mat[..., rows, :][..., cols]
 
 
-def _cho_solve(low, rhs):
-    """Solve (low low^T) x = rhs for a stack of lower Cholesky factors."""
-    y = np.linalg.solve(low, rhs)
-    return np.linalg.solve(low.swapaxes(-1, -2), y)
+def _factor_solve(hess, rhs):
+    """The lower Cholesky factor L of -hess and L^-1 rhs, for stacks; raises
+    RuntimeError unless every -hess is positive definite."""
+    try:
+        low = np.linalg.cholesky(-hess)
+    except np.linalg.LinAlgError:
+        raise RuntimeError(
+            "cannot integrate analytically: the log-modulus Hessian is not "
+            "negative definite in the requested directions"
+        ) from None
+    return low, np.linalg.solve(low, rhs)
+
+
+def _log_integral(const, low, z):
+    """const + (k/2) log 2 pi - sum log diag(low) + z.z / 2 (LogQuadratic.total)."""
+    log_det = 0.5 * low.shape[-1] * math.log(2.0 * math.pi) - np.log(low.diagonal(0, -2, -1)).sum(axis=-1)
+    return const + log_det + 0.5 * np.einsum("...i,...i->...", z, z)
 
 
 def _stencil(ndim: int) -> np.ndarray:
@@ -286,8 +289,9 @@ def _validate(quad: LogQuadratic, fx, f0) -> None:
     value at the reference point of the model.  Leading axes are batch
     axes.  The tolerance is 1e-7 of the largest of 100, |fx| and |f0|,
     entry by entry: a residual at it passes, one past it raises
-    RuntimeError.  Only this decision reads the model at the checks, so how
-    its terms are summed moves no output.  A miss is how a function that is
+    RuntimeError; when none exceeds the floor 1e-7 x 100 (and none is nan)
+    the rest of the test is skipped.  Only this decision reads the model at
+    the checks, so how its terms are summed moves no output.  A miss is how a function that is
     not quadratic shows up; the engine catches a wrong set of coupled
     coordinates before, when a check row's factors differ from its node's
     (_node_quadratics).  A field of the model past double range shows in
@@ -297,6 +301,9 @@ def _validate(quad: LogQuadratic, fx, f0) -> None:
     terms = np.concatenate([quad.grad, quad.hess.reshape(*quad.hess.shape[:-2], -1)], axis=-1)
     model = np.asarray(quad.const)[..., None] + terms @ _check_design(quad.ndim)
     resid = np.abs(fx - model)
+    # residuals within the tolerance's floor pass at once; a nan or inf one does not
+    if resid.max(initial=0.0) <= 1e-7 * 100.0:
+        return
     if not np.isfinite(resid).all():
         raise OverflowError("the log-modulus quadratics leave double range")
     bad = resid > 1e-7 * np.maximum(np.maximum(100.0, np.abs(fx)), np.abs(f0)[..., None])
@@ -329,6 +336,15 @@ def fit_log_quadratic(func: Callable[[np.ndarray], float], ndim: int) -> LogQuad
     return quad
 
 
+@lru_cache(maxsize=128)
+def _quotient_dilation(rep: RepSpec) -> tuple[RepSpec, np.ndarray, float]:
+    """_unit_character(rep) with delta read on the quotient coordinates
+    (read-only), and the log Jacobian sum(log delta) of that dilation."""
+    unit, delta = _unit_character(rep)
+    delta = delta[rep.group.noncenter_slice]
+    return unit, delta, float(np.log(delta).sum())
+
+
 def _coordinate_split(rep: RepSpec) -> tuple[list[int], list[int]]:
     """The coupled quotient coordinates of rep (those that move C or S), and the rest."""
     coupled = list(_moving_coordinates(rep)[0])
@@ -337,13 +353,16 @@ def _coordinate_split(rep: RepSpec) -> tuple[list[int], list[int]]:
 
 class _WindowSide(NamedTuple):
     """What the node quadratics read of the window g, one entry per node:
-    quad (m, d, d), the acted quad at r = 0; lin (m, k + 4, d) and amp
-    (m, k + 4), the acted lin and Re of the acted amplitude on each factor
-    row; and H_la = -2 pi V^T Re(g.quad) V (m, k, k)."""
+    quad (m, d, d), the acted quad at r = 0; lin (m, k + 4, d), the acted
+    lin on each factor row; amp (m, 4), Re of the acted amplitude on the
+    three check rows and r = 0; grad (m, k), the part of the gradient no
+    state moves, amp(e_i) - amp(0) - H_la[i, i] / 2; and
+    H_la = -2 pi V^T Re(g.quad) V (m, k, k)."""
 
     quad: np.ndarray
     lin: np.ndarray
     amp: np.ndarray
+    grad: np.ndarray
     h_la: np.ndarray
 
 
@@ -377,10 +396,12 @@ def _window_side(rep: RepSpec, coupled, fitdims, g_quad, g_lin, g_log_amp, nodes
             "representation's factors"
         )
     lin, amp = _acted_lin_amp(factors, g_quad, g_lin, g_log_amp)
+    lin, amp = lin.reshape(m, rows, -1), amp.reshape(m, rows).real
     V = v[:, 4:] - v[:, 3:4]
     h_la = -2.0 * np.pi * V @ g_quad.real @ V.swapaxes(-1, -2)
+    grad = amp[:, 4:] - amp[:, 3:4] - 0.5 * h_la.diagonal(0, -2, -1)
     quad = _acted_quad(C[:, 3], S[:, 3], g_quad)
-    return _WindowSide(quad, lin.reshape(m, rows, -1), amp.reshape(m, rows).real, h_la)
+    return _WindowSide(quad, lin, amp[:, :4], grad, h_la)
 
 
 @lru_cache(maxsize=32)
@@ -398,13 +419,14 @@ def _cached_window_side(rep: RepSpec, split, quad: bytes, lin: bytes, log_amp: b
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _validate reports a model past double range
-def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQuadratic:
+def _node_quadratics(rep: RepSpec, split, states: _States, g: Gaussian, cpts) -> LogQuadratic:
     """The quadratic r -> log |<f_j, pi(section(q)) g>| at each coupled node j.
 
-    cpts holds one node per row: a value for each coupled coordinate of
-    rep; r runs over the other quotient coordinates, in order.  states holds
-    one state f_j per node.  At a node Q is fixed, L = L0 + J r is affine and
-    so is the shift v = v0 + V r, so the kernel's
+    split is rep's coordinate split (_coordinate_split).  cpts holds one
+    node per row: a value for each coupled coordinate of rep; r runs over
+    the other quotient coordinates, in order.  states holds one state f_j
+    per node.  At a node Q is fixed, L = L0 + J r is affine and so is the
+    shift v = v0 + V r, so the kernel's
     Re la - log|det Q| / 2 + Re(L.Q^-1 L) / 4 pi is quadratic in r with
 
         hess = Re(J^T Q^-1 J) / 2 pi + H_la,   H_la = -2 pi V^T Re(g.quad) V,
@@ -416,62 +438,66 @@ def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQua
     e_1, ..., e_k.
 
     The window side (_window_side) reads only rep, g and the nodes: the
-    factor table, the exact C/S test, the action of pi on g, V and H_la.
-    With no coupled coordinate every node is the same empty node, so that
-    side is read once, from _cached_window_side, a cache of at most 32
-    entries keyed by rep, the coordinate split and the bytes of g's fields,
-    and broadcast over the states.  Coupled meshes and the probe read it
-    inline, per block.  The state side runs on every call: Q is formed once
-    per node, with one Cholesky factorisation (the positive-definiteness
-    check of _product_form), one slogdet and one (k + 4)-column solve
-    against the check rows' L, L0 and J_1, ..., J_k.  The check values and
-    const are the kernel's formula on the first four columns, read in one
-    pass, and every model must reproduce its check values (_validate).
+    factor table, the exact C/S test, the action of pi on g, V, H_la and
+    the part of grad that no state moves.  With no coupled coordinate
+    every node is the same empty node, so that side is read once, from
+    _cached_window_side, a cache of at most 32 entries keyed by rep, the
+    coordinate split and the bytes of g's fields, and broadcast over the
+    states.  Coupled meshes and the probe read it inline, per block.  The
+    state side runs on every call: Q is formed once per node, with one
+    Cholesky factorisation (the positive-definiteness check of
+    _product_form), one slogdet and one (k + 4)-column solve against the
+    rows L = (the checks' L, L0, J_1, ..., J_k).  One product L Q^-1 L^T
+    then holds the kernel's check values and const on its first four
+    diagonal entries, Re(J^T Q^-1 L0) and Re(J^T Q^-1 J), and every model
+    must reproduce its check values (_validate).
 
-    The nodes run in blocks of at most _BLOCK factor rows, each written into
-    the returned arrays, so the block size moves no bit.  A block costs the
-    same fixed work whatever it holds: about a hundred array operations,
-    half of them on the window side, and three numpy.linalg calls, all on
-    the state side, which is all a cached window side leaves.  The kernel
-    reads only moduli, so it leaves out the unit phase of the action (act
-    adds it).
+    A call whose nodes fit in one block of _BLOCK factor rows returns that
+    block's model; more nodes run block by block, each written into the
+    returned arrays, so the block size moves no bit.  A block costs the
+    same fixed work whatever it holds: about forty-five array operations,
+    indexing and _validate included, and three numpy.linalg calls on the
+    state side, which is all a cached window side leaves, and about sixty
+    more on an inline window side.  The
+    kernel reads only moduli, so it leaves out the unit phase of the action
+    (act adds it).
     """
-    coupled, fitdims = _coordinate_split(rep)
+    coupled, fitdims = split
     k = len(fitdims)
-    rows = k + 4
-    # rows 0 to 2 are the checks, row 3 is r = 0, the rest e_1, ..., e_k
-    chk, node, fit = slice(0, 3), slice(3, 4), slice(4, None)
     n_nodes = len(cpts)
-    const, grad, hess = np.empty(n_nodes), np.empty((n_nodes, k)), np.empty((n_nodes, k, k))
     cached = None
     if not coupled:
         fields = (np.asarray(x, dtype=complex).tobytes() for x in (g.quad, g.lin, g.log_amp))
         cached = _cached_window_side(rep, ((), tuple(fitdims)), *fields)
-    step = max(1, _BLOCK // rows)
-    for start in range(0, n_nodes, step):
-        block = slice(start, start + step)
+
+    def model(block):
         side = cached
         if side is None:
             side = _window_side(rep, coupled, fitdims, g.quad, g.lin, g.log_amp, cpts[block])
         Q, L = _product_form(states.quad[block], states.lin[block, None], side.quad, side.lin)
-        la = states.log_amp[block, None].real + side.amp  # Re(f.log_amp + conj(amp))
-        L[:, fit] -= L[:, node]  # the checks' L and L0, then J_1, ..., J_k
-        J = L[:, fit]
+        # rows 0 to 2 are the checks, row 3 is r = 0: their L, then J_1, ..., J_k as
+        # differences of the rows' L (J taken off the window side alone,
+        # conj(lin(e_i) - lin(0)), misses the large-u chirp scans' closed forms
+        # by about a tenth more in rms)
+        L[:, 4:] -= L[:, 3:4]
         _, log_abs_det = np.linalg.slogdet(Q)
-        y = np.linalg.solve(Q, L.swapaxes(-1, -2))  # Q^-1 times each row of L
+        form = (L @ np.linalg.solve(Q, L.swapaxes(-1, -2))).real / (2.0 * np.pi)  # Re(L_a Q^-1 L_b) / 2 pi
         # the kernel's log modulus at each check row and at r = 0, with its node's Q
-        quad_l = np.einsum("nci,nic->nc", L[:, :4], y[..., :4]).real / (4.0 * np.pi)
-        vals = la[:, :4] - 0.5 * log_abs_det[:, None] + quad_l
-        jy = (J @ y[..., 3:]).real / (2.0 * np.pi)  # Re(J^T Q^-1 L0), then Re(J^T Q^-1 J), over 2 pi
-        h = jy[..., 1:] + side.h_la
-        part = LogQuadratic(
-            vals[:, 3],
-            la[:, fit] - la[:, node] - 0.5 * side.h_la.diagonal(0, -2, -1) + jy[..., 0],
-            0.5 * (h + h.swapaxes(-1, -2)),
-        )
-        _validate(part, vals[:, chk], part.const)
-        const[block], grad[block], hess[block] = part
-    return LogQuadratic(const, grad, hess)
+        vals = states.log_amp[block, None].real + side.amp - 0.5 * log_abs_det[:, None]
+        vals += 0.5 * form.diagonal(0, -2, -1)[:, :4]
+        h = form[:, 4:, 4:] + side.h_la
+        quad = LogQuadratic(vals[:, 3], side.grad + form[:, 4:, 3], 0.5 * (h + h.swapaxes(-1, -2)))
+        _validate(quad, vals[:, :3], quad.const)
+        return quad
+
+    step = max(1, _BLOCK // (k + 4))
+    if n_nodes <= step:
+        return model(slice(0, n_nodes))
+    out = const, grad, hess = LogQuadratic(np.empty(n_nodes), np.empty((n_nodes, k)), np.empty((n_nodes, k, k)))
+    for start in range(0, n_nodes, step):
+        block = slice(start, start + step)
+        const[block], grad[block], hess[block] = model(block)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +544,14 @@ def _product_mesh(axes):
     return points, logw, boundary
 
 
-def _check_tail(shell_log, total_log, what):
+def _check_tail(shell_log, total_log, what: Callable[[], str]):
     """Warn when the log mass shell_log of a mesh's outer shell is more than
-    _TAIL_TOL of the log mass total_log."""
+    _TAIL_TOL of the log mass total_log; what() names the mesh, and is
+    formatted only for the warning."""
     frac = float(np.exp(shell_log - total_log))
     if frac > _TAIL_TOL:
         warnings.warn(
-            f"{what}: the outer quadrature shell carries {frac:.2%} of the mass "
+            f"{what()}: the outer quadrature shell carries {frac:.2%} of the mass "
             f"(tolerance {_TAIL_TOL:.2%}); enlarge box_half",
             TailMassWarning,
             stacklevel=3,
@@ -626,42 +653,41 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
     L^p norm over x in each frequency slice, then the L^q norm of the slices
     over xi (Groechenig, Foundations of Time-Frequency Analysis, 2001, ch. 11).
     """
-    group, p, q = rep.group, spec.p, spec.q_eff
-    n = group.quotient_dim
+    p, q = spec.p, spec.q_eff
+    n = rep.group.quotient_dim
     n_states = len(states.log_amp)
     outer = list(range(n // 2, n)) if q != p else []  # the coordinates of the L^q integral
     if outer and rep != _stft_rep(n // 2):
         raise NotImplementedError("mixed (p, q) exponents are only defined for modulation norms")
-    name = _norm_name(rep, outer)
+    name = partial(_norm_name, rep, outer)
     weight = spec.weight
     if weight is not None and weight.coords[-1] >= n:
         raise ValueError(f"weight coordinates {weight.coords} out of range for quotient dim {n}")
     # a mixed norm is taken at lambda = -1 alone, where delta = 1
-    unit, delta = _unit_character(rep)
-    delta = delta[group.noncenter_slice]
-    log_jacobian = float(np.log(delta).sum())
+    unit, delta, log_jacobian = _quotient_dilation(rep)
     if weight is not None:
         # A delta^-1, with zero columns past A's last
         with np.errstate(over="ignore"):  # a matrix past double range is refused just below
             a = np.hstack([weight.A, np.zeros((len(weight.A), n))])[:, :n] / delta
         if not np.isfinite(a).all():
-            raise WeightRangeError(f"{name}: the weight's matrix A delta^-1 is past double range")
-    coupled, fitdims = _coordinate_split(unit)
+            raise WeightRangeError(f"{name()}: the weight's matrix A delta^-1 is past double range")
+    split = coupled, fitdims = _coordinate_split(unit)
     # a weight meshes its coordinates, and every outer one beside them
     wdims = sorted(set(weight.coords).union(outer) - set(coupled)) if weight is not None else []
     check_budget(
         n_states * _mesh_nodes(spec, len(coupled), len(wdims)),
         _MAX_NODES,
-        lambda: f"{name}: {n_states} state(s) x {len(coupled)} coupled and {len(wdims)} "
+        lambda: f"{name()}: {n_states} state(s) x {len(coupled)} coupled and {len(wdims)} "
         f"weighted mesh axes at resolution {spec.resolution:g} in a box of half-width {spec.box_half:g}",
     )
 
     if not coupled and not wdims:
         # every direction in closed form: the inner L^p integral, then the outer L^q one
-        quad = _node_quadratics(unit, states, g, np.zeros((n_states, 0))).scaled(p)
-        quad = quad.marginalized([i for i in range(n) if i not in outer])
-        log_norms = (quad.scaled(q / p).total() if outer else quad.const) / q
-        return log_norms - log_jacobian / p, np.zeros((n_states, 0))
+        nodes = np.zeros((n_states, 0))  # the one empty node of each state
+        quad = _node_quadratics(unit, split, states, g, nodes).scaled(p)
+        if outer:
+            quad = quad.marginalized([i for i in range(n) if i not in outer]).scaled(q / p)
+        return quad.total() / q - log_jacobian / p, nodes
 
     where = where or [""] * n_states
     centers = np.zeros((n_states, len(coupled)))
@@ -671,7 +697,7 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
             cv = np.repeat(centers[rows], c.shape[1], axis=0)
             cv[:, j] = c.ravel()
             node_states = states.rows(np.repeat(rows, c.shape[1]))
-            return _node_quadratics(unit, node_states, g, cv).scaled(p).total().reshape(c.shape)
+            return _node_quadratics(unit, split, node_states, g, cv).scaled(p).total().reshape(c.shape)
 
         centers[:, j] = _probe_center(smass, n_states)
 
@@ -691,14 +717,17 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
     # one row per coupled node of every state, one column per weight node: the
     # fit coordinates off the weight mesh are integrated out once per node, and
     # the quadratic left in the weighted ones is evaluated on the weight mesh
-    quad = _node_quadratics(unit, node_states, g, cpts).scaled(p)
-    quad = quad.marginalized([i for i, c in enumerate(fitdims) if c not in wdims])
-    vals = LogQuadratic(quad.const[:, None], quad.grad[:, None], quad.hess[..., None, :, :]).value(wpts)
+    quad = _node_quadratics(unit, split, node_states, g, cpts).scaled(p)
+    if wdims:
+        quad = quad.marginalized([i for i, c in enumerate(fitdims) if c not in wdims])
+        vals = LogQuadratic(quad.const[:, None], quad.grad[:, None], quad.hess[..., None, :, :]).value(wpts)
+    else:
+        vals = quad.total()[:, None]
     if weight is not None:
         r = _mesh_radius(a[:, coupled], a[:, wdims], cpts, wpts)
         reach = float(r.max())
         if not math.isfinite(p * abs(weight.s) * math.log1p(reach)):
-            raise WeightRangeError(f"{name}: p log m at s = {weight.s:g}, |A q| = {reach:g} is past double range")
+            raise WeightRangeError(f"{name()}: p log m at s = {weight.s:g}, |A q| = {reach:g} is past double range")
         vals += p * weight.s * np.log1p(r, out=r)
 
     # per state: the log mass of each outer slice over its coupled and inner
@@ -714,13 +743,13 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
         outer_log = (q / p) * slice_log + ologw
         total_log = logsumexp(outer_log)
         if obound.any():
-            _check_tail(logsumexp(outer_log[obound]), total_log, name + at)
+            _check_tail(logsumexp(outer_log[obound]), total_log, lambda: name() + at)
         boundary = (cbound[:, None] | ibound[None, :]).ravel()
         if boundary.any():
             # compress, not slices[:, boundary]: several times faster on one long row
             shell_log = logsumexp(slices.compress(boundary, axis=1), axis=1)
             worst = int(np.argmax(shell_log - slice_log))
-            what = f"{name}, position mesh{at}" if outer else name + at
+            what = (lambda: f"{name()}, position mesh{at}") if outer else (lambda: name() + at)
             _check_tail(shell_log[worst], slice_log[worst], what)
         norms.append(total_log / q)
     return np.array(norms) - log_jacobian / p, centers / delta[coupled]

@@ -122,6 +122,57 @@ def test_log_quadratic_marginalized_against_grid():
         assert reduced.value(np.array(x)) == pytest.approx(num, abs=1e-9)
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_log_quadratic_total_is_the_marginal_of_every_dimension(k):
+    # total() solves once against the Cholesky factor; marginalized() stacks
+    # the kept directions beside the gradient in its one solve
+    rng = np.random.default_rng(40 + k)
+    m = rng.normal(size=(5, k, k))
+    quad = LogQuadratic(rng.normal(size=5), rng.normal(size=(5, k)) * 3.0, -(m @ m.swapaxes(-1, -2)) - 0.1 * np.eye(k))
+    total, marginal = quad.total(), quad.marginalized(range(k))
+    assert marginal.grad.shape == (5, 0) and marginal.hess.shape == (5, 0, 0)
+    assert np.allclose(total, marginal.const, rtol=1e-13, atol=0.0)
+    # the Gaussian integral written with slogdet and a solve against -hess itself
+    _, log_det = np.linalg.slogdet(-quad.hess)
+    quad_term = np.einsum("ni,ni->n", quad.grad, np.linalg.solve(-quad.hess, quad.grad[..., None])[..., 0])
+    direct = quad.const + 0.5 * k * np.log(2.0 * np.pi) - 0.5 * log_det + 0.5 * quad_term
+    assert np.allclose(total, direct, rtol=1e-12, atol=0.0)
+
+
+def test_log_quadratic_total_refuses_an_indefinite_hessian():
+    quad = LogQuadratic(np.zeros(2), np.zeros((2, 2)), np.array([-np.eye(2), [[-1.0, 2.0], [2.0, -1.0]]]))
+    # the second model is indefinite over both directions, not along either one alone
+    assert np.isfinite(quad.marginalized((1,)).const).all()
+    for integrate in (quad.total, lambda: quad.marginalized((0, 1))):
+        with pytest.raises(RuntimeError, match="not negative definite"):
+            integrate()
+
+
+@pytest.mark.parametrize("rep", [RepSpec(H1, 1.0), RepSpec(group_spec("g6_16"), 1.0, 1.0)], ids=lambda r: r.group.name)
+def test_a_closed_form_norm_makes_five_linalg_calls(monkeypatch, rep):
+    # the kernel's Cholesky test of Re Q, slogdet and solve; total()'s
+    # Cholesky factorisation and one triangular solve, whether the window
+    # side is cached or not (the first call also builds the unit character)
+    d = rep.acting_dim
+    f, g = Gaussian(np.diag([1.2, 0.9][:d]), [0.3 - 0.2j, 0.1][:d]), unit_gaussian(d)
+    coorbit_norm_log(rep, f, g, NormSpec(p=2.0))
+    calls = []
+    for name in np.linalg.__all__:
+        func = getattr(np.linalg, name)
+        if callable(func) and not isinstance(func, type):
+
+            def counting(*args, _name=name, _func=func, **kwargs):
+                calls.append(_name)
+                return _func(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+    coorbit._cached_window_side.cache_clear()
+    for _ in ("cold", "warm"):
+        calls.clear()
+        coorbit_norm_log(rep, f, g, NormSpec(p=2.0))
+        assert sorted(calls) == ["cholesky", "cholesky", "slogdet", "solve", "solve"]
+
+
 def test_log_quadratic_conditioned():
     quad = LogQuadratic(0.0, np.zeros(2), np.array([[-1.0, 0.3], [0.3, -2.0]]))
     cond = quad.conditioned((1,), np.array([0.5]))
@@ -403,7 +454,8 @@ def test_scan_centers_are_in_the_callers_coordinates(lam):
     grid = np.arange(-80.0, 80.0 + 1e-9, 0.01)
     for u, (center,) in zip(res.u_values, res.centers):
         states = own.states(np.array([u])).rows(np.zeros(len(grid), dtype=int))
-        mass = coorbit._node_quadratics(rep, states, own.window, grid[:, None]).scaled(1.0).total()
+        quads = coorbit._node_quadratics(rep, coorbit._coordinate_split(rep), states, own.window, grid[:, None])
+        mass = quads.scaled(1.0).total()
         assert abs(center - grid[np.argmax(mass)]) <= 0.25 / abs(lam)
 
 
@@ -553,7 +605,7 @@ def test_closed_form_quadratic_matches_the_stencil_fit(name, d, mu, lam):
     # stencil over direct kernel values is the independent reference
     rep, states, g, nodes, rng = _node_case(name, d, mu, lam)
     coupled, fitdims = coorbit._coordinate_split(rep)
-    quads = coorbit._node_quadratics(rep, _States.stack(states), g, nodes)
+    quads = coorbit._node_quadratics(rep, coorbit._coordinate_split(rep), _States.stack(states), g, nodes)
     for j, node in enumerate(nodes):
 
         def kernel(r, node=node, f=states[j]):
@@ -576,7 +628,7 @@ def test_closed_form_quadratic_is_exact_near_a_far_mode():
     rep = sibling.rep
     coupled, fitdims = coorbit._coordinate_split(rep)
     nodes = np.linspace(-8.0, 8.0, 9)[:, None]
-    quads = coorbit._node_quadratics(rep, _States.stack([f] * len(nodes)), g, nodes)
+    quads = coorbit._node_quadratics(rep, coorbit._coordinate_split(rep), _States.stack([f] * len(nodes)), g, nodes)
     rng = np.random.default_rng(5)
     for j, node in enumerate(nodes):
         quad = LogQuadratic(quads.const[j], quads.grad[j], quads.hess[j])
@@ -602,7 +654,7 @@ def test_engine_check_values_are_the_kernel_at_the_check_points(monkeypatch, nam
         validate(quad, fx, f0)
 
     monkeypatch.setattr(coorbit, "_validate", recording)
-    coorbit._node_quadratics(rep, _States.stack(states), g, nodes)
+    coorbit._node_quadratics(rep, coorbit._coordinate_split(rep), _States.stack(states), g, nodes)
     [fx] = seen
     checks = coorbit._check_offsets(len(fitdims))
     q = np.zeros((len(nodes), len(checks), rep.group.quotient_dim))
@@ -639,7 +691,7 @@ def test_node_quadratics_do_not_depend_on_the_block_size(monkeypatch, name):
     got = []
     for block in (rows * len(nodes), rows * 3, rows, 1):
         monkeypatch.setattr(coorbit, "_BLOCK", block)
-        got.append(coorbit._node_quadratics(rep, states, g, nodes))
+        got.append(coorbit._node_quadratics(rep, coorbit._coordinate_split(rep), states, g, nodes))
     for quad in got[1:]:
         for field, ref in zip(quad, got[0]):
             assert field.shape == ref.shape and field.tobytes() == ref.tobytes()
@@ -830,10 +882,10 @@ def test_the_state_side_runs_on_every_call_to_a_cached_window_side():
     good = _States(np.eye(2, dtype=complex)[None], np.zeros((1, 2), complex), np.zeros(1, complex))
     bad = good._replace(quad=np.array([[[1.0, 3.0], [3.0, 1.0]]], dtype=complex))
     coorbit._cached_window_side.cache_clear()
-    coorbit._node_quadratics(rep, good, g, np.zeros((1, 0)))
+    coorbit._node_quadratics(rep, coorbit._coordinate_split(rep), good, g, np.zeros((1, 0)))
     for _ in range(2):
         with pytest.raises(ValueError, match="positive definite"):
-            coorbit._node_quadratics(rep, bad, g, np.zeros((1, 0)))
+            coorbit._node_quadratics(rep, coorbit._coordinate_split(rep), bad, g, np.zeros((1, 0)))
     assert coorbit._cached_window_side.cache_info()[:2] == (2, 1)
 
 
@@ -1236,9 +1288,9 @@ def _count_node_reads(monkeypatch):
     calls = []
     inner = coorbit._node_quadratics
 
-    def counting(rep, states, g, cpts):
+    def counting(rep, split, states, g, cpts):
         calls.append(len(cpts))
-        return inner(rep, states, g, cpts)
+        return inner(rep, split, states, g, cpts)
 
     monkeypatch.setattr(coorbit, "_node_quadratics", counting)
     return calls
@@ -1320,9 +1372,10 @@ def test_node_kernel_rejects_states_whose_real_part_is_not_positive_definite():
     bad = np.array([[1.0, 3.0], [3.0, 1.0]], dtype=complex)
     states = _States(np.array([good, bad]), np.zeros((2, 2), complex), np.zeros(2, complex))
     g = unit_gaussian(2)
-    assert np.isfinite(coorbit._node_quadratics(rep, states.rows([0]), g, np.zeros((1, 1))).const).all()
+    split = coorbit._coordinate_split(rep)
+    assert np.isfinite(coorbit._node_quadratics(rep, split, states.rows([0]), g, np.zeros((1, 1))).const).all()
     with pytest.raises(ValueError, match="positive definite"):
-        coorbit._node_quadratics(rep, states, g, np.zeros((2, 1)))
+        coorbit._node_quadratics(rep, split, states, g, np.zeros((2, 1)))
     with pytest.raises(ValueError, match="positive definite"):
         coefficient_log_modulus(rep, np.zeros((2, rep.group.total_dim)), states, g)
 
