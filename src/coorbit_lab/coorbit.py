@@ -554,7 +554,7 @@ def _check_tail(shell_log, total_log, what: Callable[[], str]):
             f"{what()}: the outer quadrature shell carries {frac:.2%} of the mass "
             f"(tolerance {_TAIL_TOL:.2%}); enlarge box_half",
             TailMassWarning,
-            stacklevel=3,
+            stacklevel=4,  # through _assemble and _coorbit_log_norms to the public call
         )
 
 
@@ -625,15 +625,22 @@ def coorbit_norm_log(rep: RepSpec, f: Gaussian, g: Gaussian, spec: NormSpec | No
     return float(norms[0])
 
 
-def _norm_name(rep: RepSpec, mixed) -> str:
-    """How messages name a norm of rep, mixed or not."""
-    stft = rep == _stft_rep(rep.group.quotient_dim // 2)
-    name = "modulation norm" if stft else f"coorbit norm on {rep.group.name}"
-    return name + " (mixed)" if mixed else name
+class _Plan(NamedTuple):
+    """A norm as _normalise reads it from its representation and spec alone."""
+
+    unit: RepSpec  # the unit character, with its dilation delta and log Jacobian
+    delta: np.ndarray
+    log_jacobian: float
+    split: tuple[list[int], list[int]]  # _coordinate_split(unit)
+    a: np.ndarray | None  # the weight's A delta^-1; None without a weight
+    wdims: list[int]  # the meshed fit coordinates: the weighted inner ones, then the outer ones
+    outer: list[int]  # the coordinates of the L^q integral
+    name: Callable[[], str]  # how messages name the norm
 
 
 def _coorbit_log_norms(rep, states, g, spec, where=None):
-    """coorbit_norm_log for every state f_i of states at once.
+    """coorbit_norm_log for every state f_i of states at once: _normalise, then
+    _coupled_axes when anything is meshed, then _assemble.
 
     Returns the log norms (U,) and the centers (U, c) the recentring probe
     found on the c coupled coordinates, in the caller's coordinates.  Every
@@ -653,14 +660,28 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
     L^p norm over x in each frequency slice, then the L^q norm of the slices
     over xi (Groechenig, Foundations of Time-Frequency Analysis, 2001, ch. 11).
     """
-    p, q = spec.p, spec.q_eff
+    plan = _normalise(rep, spec, len(states.log_amp))
+    centers, meshes = np.zeros((len(states.log_amp), 0)), None
+    if plan.split[0] or plan.wdims:  # something is meshed
+        centers, meshes = _coupled_axes(plan, states, g, spec)
+        centers = centers / plan.delta[plan.split[0]]
+    return _assemble(plan, states, g, spec, meshes, where) - plan.log_jacobian / spec.p, centers
+
+
+def _normalise(rep, spec, n_states) -> _Plan:
+    """The _Plan of a norm of n_states states.  Every refusal is made here, before
+    any kernel call: a mixed norm off _stft_rep, weight coordinates out of range,
+    A delta^-1 past double range, and the node budget, in that order."""
     n = rep.group.quotient_dim
-    n_states = len(states.log_amp)
-    outer = list(range(n // 2, n)) if q != p else []  # the coordinates of the L^q integral
+    outer = list(range(n // 2, n)) if spec.q_eff != spec.p else []
     if outer and rep != _stft_rep(n // 2):
         raise NotImplementedError("mixed (p, q) exponents are only defined for modulation norms")
-    name = partial(_norm_name, rep, outer)
-    weight = spec.weight
+
+    def name():
+        label = "modulation norm" if rep == _stft_rep(n // 2) else f"coorbit norm on {rep.group.name}"
+        return label + " (mixed)" if outer else label
+
+    weight, a = spec.weight, None
     if weight is not None and weight.coords[-1] >= n:
         raise ValueError(f"weight coordinates {weight.coords} out of range for quotient dim {n}")
     # a mixed norm is taken at lambda = -1 alone, where delta = 1
@@ -671,8 +692,8 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
             a = np.hstack([weight.A, np.zeros((len(weight.A), n))])[:, :n] / delta
         if not np.isfinite(a).all():
             raise WeightRangeError(f"{name()}: the weight's matrix A delta^-1 is past double range")
-    split = coupled, fitdims = _coordinate_split(unit)
-    # a weight meshes its coordinates, and every outer one beside them
+    split = coupled, _ = _coordinate_split(unit)
+    # a weight meshes its coordinates, and every outer one beside them (the last ones, so sorted last)
     wdims = sorted(set(weight.coords).union(outer) - set(coupled)) if weight is not None else []
     check_budget(
         n_states * _mesh_nodes(spec, len(coupled), len(wdims)),
@@ -680,55 +701,65 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
         lambda: f"{name()}: {n_states} state(s) x {len(coupled)} coupled and {len(wdims)} "
         f"weighted mesh axes at resolution {spec.resolution:g} in a box of half-width {spec.box_half:g}",
     )
+    return _Plan(unit, delta, log_jacobian, split, a, wdims, outer, name)
 
-    if not coupled and not wdims:
-        # every direction in closed form: the inner L^p integral, then the outer L^q one
-        nodes = np.zeros((n_states, 0))  # the one empty node of each state
-        quad = _node_quadratics(unit, split, states, g, nodes).scaled(p)
-        if outer:
-            quad = quad.marginalized([i for i in range(n) if i not in outer]).scaled(q / p)
-        return quad.total() / q - log_jacobian / p, nodes
 
-    where = where or [""] * n_states
-    centers = np.zeros((n_states, len(coupled)))
-    for j in range(len(coupled)):
+def _coupled_axes(plan: _Plan, states: _States, g: Gaussian, spec: NormSpec):
+    """The centers (U, c) _probe_center finds on the coupled coordinates, one
+    after another, and each state's mesh of _sinh_axis about its centers."""
+    centers = np.zeros((len(states.log_amp), len(plan.split[0])))
+    for j in range(centers.shape[1]):
 
         def smass(rows, c, j=j):
             cv = np.repeat(centers[rows], c.shape[1], axis=0)
             cv[:, j] = c.ravel()
             node_states = states.rows(np.repeat(rows, c.shape[1]))
-            return _node_quadratics(unit, split, node_states, g, cv).scaled(p).total().reshape(c.shape)
+            return _node_quadratics(plan.unit, plan.split, node_states, g, cv).scaled(spec.p).total().reshape(c.shape)
 
-        centers[:, j] = _probe_center(smass, n_states)
+        centers[:, j] = _probe_center(smass, len(centers))
+    return centers, [_product_mesh([_sinh_axis(c, spec) for c in row]) for row in centers]
 
-    meshes = [_product_mesh([_sinh_axis(c, spec) for c in row]) for row in centers]
+
+def _assemble(plan: _Plan, states: _States, g: Gaussian, spec: NormSpec, meshes, where) -> np.ndarray:
+    """The log norms (U,) before the Jacobian: in closed form without meshes, else
+    summed on them with the weight's term, per state, and tail-checked."""
+    p, q = spec.p, spec.q_eff
+    (coupled, fitdims), wdims, outer, name = plan.split, plan.wdims, plan.outer, plan.name
+    if meshes is None:
+        # every direction in closed form: the inner L^p integral, then the outer L^q one
+        nodes = np.zeros((len(states.log_amp), 0))  # the one empty node of each state
+        quad = _node_quadratics(plan.unit, plan.split, states, g, nodes).scaled(p)
+        if outer:
+            quad = quad.marginalized([i for i, c in enumerate(fitdims) if c not in outer]).scaled(q / p)
+        return quad.total() / q
+
+    where = where or [""] * len(meshes)
     # the weight nodes run outer-major, one slice of the inner nodes per outer
-    # node; with q = p there are no outer nodes and one slice
-    inner = [i for i in wdims if i not in outer]
-    wpts, ilogw, ibound = _product_mesh([_linear_axis(spec) for _ in inner])
+    # node, so wdims lists wpts' columns; with q = p there are no outer nodes and one slice
+    wpts, ilogw, ibound = _product_mesh([_linear_axis(spec) for i in wdims if i not in outer])
     opts, ologw, obound = _product_mesh([_linear_axis(spec) for _ in outer])
     if outer:
         wpts = np.concatenate([np.tile(wpts, (len(opts), 1)), np.repeat(opts, len(wpts), axis=0)], axis=1)
-    wdims = inner + outer  # the columns of wpts
     counts = [len(mesh[0]) for mesh in meshes]
     cpts = np.concatenate([mesh[0] for mesh in meshes])
-    node_states = states.rows(np.repeat(np.arange(n_states), counts))
+    node_states = states.rows(np.repeat(np.arange(len(meshes)), counts))
 
     # one row per coupled node of every state, one column per weight node: the
     # fit coordinates off the weight mesh are integrated out once per node, and
     # the quadratic left in the weighted ones is evaluated on the weight mesh
-    quad = _node_quadratics(unit, split, node_states, g, cpts).scaled(p)
+    quad = _node_quadratics(plan.unit, plan.split, node_states, g, cpts).scaled(p)
     if wdims:
         quad = quad.marginalized([i for i, c in enumerate(fitdims) if c not in wdims])
         vals = LogQuadratic(quad.const[:, None], quad.grad[:, None], quad.hess[..., None, :, :]).value(wpts)
     else:
         vals = quad.total()[:, None]
-    if weight is not None:
-        r = _mesh_radius(a[:, coupled], a[:, wdims], cpts, wpts)
+    if plan.a is not None:
+        s = spec.weight.s
+        r = _mesh_radius(plan.a[:, coupled], plan.a[:, wdims], cpts, wpts)
         reach = float(r.max())
-        if not math.isfinite(p * abs(weight.s) * math.log1p(reach)):
-            raise WeightRangeError(f"{name()}: p log m at s = {weight.s:g}, |A q| = {reach:g} is past double range")
-        vals += p * weight.s * np.log1p(r, out=r)
+        if not math.isfinite(p * abs(s) * math.log1p(reach)):
+            raise WeightRangeError(f"{name()}: p log m at s = {s:g}, |A q| = {reach:g} is past double range")
+        vals += p * s * np.log1p(r, out=r)
 
     # per state: the log mass of each outer slice over its coupled and inner
     # nodes, then the L^q sum of the slices; the outer shell is checked, and
@@ -752,7 +783,7 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
             what = (lambda: f"{name()}, position mesh{at}") if outer else (lambda: name() + at)
             _check_tail(shell_log[worst], slice_log[worst], what)
         norms.append(total_log / q)
-    return np.array(norms) - log_jacobian / p, centers / delta[coupled]
+    return np.array(norms)
 
 
 # ---------------------------------------------------------------------------
@@ -763,12 +794,10 @@ def modulation_norm_log(f: Gaussian, g: Gaussian | None = None, spec: NormSpec |
 
     The coorbit norm of the STFT representation _stft_rep(d).
     """
-    spec = NormSpec() if spec is None else spec
     g = unit_gaussian(f.dim) if g is None else g
     if g.dim != f.dim:
         raise ValueError(f"window dimension {g.dim} does not match signal dimension {f.dim}")
-    states = _States(f.quad[None], f.lin[None], np.array([f.log_amp]))
-    return float(_coorbit_log_norms(_stft_rep(f.dim), states, g, spec)[0][0])
+    return coorbit_norm_log(_stft_rep(f.dim), f, g, spec)
 
 
 # ---------------------------------------------------------------------------

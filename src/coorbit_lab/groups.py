@@ -1,11 +1,10 @@
 """Five nilpotent Lie groups in global polynomial coordinates, one record each.
 
 Each group is R^n with a polynomial product.  A group's record (GroupSpec)
-declares only what cannot be worked out: the product law, the bracket table,
-the factors of its Schroedinger-type representation, and whether the
-coordinates coupled into those factors are meshed with geometric spacing.  The
-dimension, the centre and the quotient follow from the brackets, and so do
-the acting dimension and the formal dimension of the representation.  Its
+declares only what cannot be worked out: the product law, the bracket table
+and the factors of its Schroedinger-type representation.  The dimension, the
+centre and the quotient follow from the brackets, and so do the acting
+dimension and the formal dimension of the representation.  Its
 factors give the coupled coordinates, and together with the brackets the
 homogeneity grading (see representations).
 

@@ -1457,3 +1457,39 @@ def test_weighted_coorbit_norm_memory_is_bounded_by_blocks():
     out = proc.stdout.split()
     assert float(out[0]) == pytest.approx(-0.3549382092652973, rel=1e-15)
     assert int(out[1]) / 1024.0 < 100.0  # VmHWM is in kB
+
+
+def _no_kernel(*args, **kwargs):
+    raise AssertionError("a kernel call came before the refusal")
+
+
+@pytest.mark.parametrize(
+    "group,lam,spec,error,match",
+    [
+        ("g5_3", 1.0, NormSpec(p=1.0, q=2.0), NotImplementedError, "mixed"),
+        ("g5_3", 1.0, NormSpec(weight=power_weight(1.0, (7,))), ValueError, "out of range"),
+        ("heisenberg", 1e-300, NormSpec(p=1.0, weight=WeightSpec(1.0, [[0.0, 1e10]])), WeightRangeError, "A delta"),
+        ("g5_3", 1.0, NormSpec(resolution=1e-7), WorkBudgetError, "work budget"),
+    ],
+    ids=["mixed-off-stft", "weight-out-of-range", "weight-past-double-range", "node-budget"],
+)
+def test_every_refusal_comes_before_any_kernel_call(monkeypatch, group, lam, spec, error, match):
+    # each norm would probe or read the kernel next, so a refusal made after
+    # that point would show as the AssertionError instead of its own error
+    monkeypatch.setattr(coorbit, "_node_quadratics", _no_kernel)
+    monkeypatch.setattr(coorbit, "_probe_center", _no_kernel)
+    rep = RepSpec(group_spec(group), lam)
+    f = unit_gaussian(rep.acting_dim)
+    with pytest.raises(error, match=match):
+        coorbit_norm_log(rep, f, f, spec)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="mu cancels in the g6_16 engine (ROADMAP item 9)")
+@pytest.mark.parametrize("mu", [1e8, 1e9])
+def test_g6_16_norm_does_not_depend_on_a_large_mu(mu):
+    # an unweighted g6_16 norm is the same at every mu, 2 here as at mu = 0;
+    # today it reads 1.772453850905516 at mu = 1e8 and 0.09045015681978348 at
+    # 1e9, with no warning
+    g = unit_gaussian(2)
+    got = np.exp(coorbit_norm_log(RepSpec(group_spec("g6_16"), 1.0, mu), g, g, NormSpec(p=1.0)))
+    assert got == pytest.approx(2.0, rel=1e-9)

@@ -1,6 +1,8 @@
 """The package root and the public names of its modules."""
 
 import importlib
+import importlib.util
+import pathlib
 import subprocess
 import sys
 
@@ -65,3 +67,27 @@ def test_a_malformed_coorbit_norm_config_exits_3_without_a_traceback(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.startswith("config error:") and "f_quad needs 2 entries" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_every_traced_benchmark_target_resolves():
+    # the benchmark's tracer wraps these names by lookup; a renamed one would
+    # fail only a traced benchmark run
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    if not path.is_file():
+        pytest.skip("no perfbench/tracer.py in this checkout")
+    spec = importlib.util.spec_from_file_location("_traced_targets", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for name, targets in tracer.TARGETS.items():
+        module = importlib.import_module(f"coorbit_lab.{name}")
+        for target in targets:
+            if "." in target:
+                cls_name, attr = target.split(".")
+                cls = getattr(module, cls_name, None)
+                found = isinstance(cls, type) and attr in cls.__dict__
+            else:
+                found = hasattr(module, target)
+            if not found:
+                missing.append(f"{name}.{target}")
+    assert missing == []
