@@ -113,40 +113,30 @@ def power_weight(s: float, coords: Sequence[int]) -> WeightSpec:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Exponents, weight and quadrature controls for a norm computation.
+    """The exponent, weight and quadrature controls for a norm computation.
 
-    p is the exponent over the quotient.  q is for modulation norms only:
-    the exponent over the frequency half xi of the coordinates, with p then
-    the exponent over the positions x; None means q = p.  box_half and
-    resolution describe the mesh at the unit character lambda = +-1: in the
-    caller's coordinates an axis of grading weight w spans box_half / |lambda|^w.
-    Every coupled axis is probed and meshed geometrically about the probe's
-    centre: nodes centre + sinh(s), s in steps of 2 resolution up to
-    asinh(box_half).  Weighted and outer axes are uniform, of step resolution.
+    p is the exponent over the quotient.  box_half and resolution describe
+    the mesh at the unit character lambda = +-1: in the caller's coordinates
+    an axis of grading weight w spans box_half / |lambda|^w.  Every coupled
+    axis is probed and meshed geometrically about the probe's centre: nodes
+    centre + sinh(s), s in steps of 2 resolution up to asinh(box_half).
+    Weighted axes are uniform, of step resolution.
     """
 
     p: float = 2.0
-    q: float | None = None
     weight: WeightSpec | None = None
     box_half: float = 8.0
     resolution: float = 0.125
 
     def __post_init__(self):
-        for name, val in (("p", self.p), ("q", self.q)):
-            if val is None:
-                continue
-            if not math.isfinite(val):
-                raise ValueError(f"{name} = inf is not supported; use a finite exponent >= 1")
-            if val < 1.0:
-                raise ValueError(f"{name} must be >= 1, got {val}")
+        if not math.isfinite(self.p):
+            raise ValueError("p = inf is not supported; use a finite exponent >= 1")
+        if self.p < 1.0:
+            raise ValueError(f"p must be >= 1, got {self.p}")
         if not all(v > 0 and math.isfinite(v) for v in (self.box_half, self.resolution)):
             raise ValueError("box_half and resolution must be finite and positive")
         if self.resolution > self.box_half:
             raise ValueError("resolution exceeds the integration box")
-
-    @property
-    def q_eff(self) -> float:
-        return self.p if self.q is None else self.q
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +494,7 @@ def _node_quadratics(rep: RepSpec, split, states: _States, g: Gaussian, cpts) ->
 # quadrature meshes
 
 def _linear_axis(spec: NormSpec):
-    """The uniform axis over the box, for the weighted and outer coordinates."""
+    """The uniform axis over the box, for the weighted coordinates."""
     vals = np.arange(-spec.box_half, spec.box_half + 0.5 * spec.resolution, spec.resolution)
     return vals, np.full(vals.shape, math.log(spec.resolution))
 
@@ -554,7 +544,7 @@ def _check_tail(shell_log, total_log, what: Callable[[], str]):
             f"{what()}: the outer quadrature shell carries {frac:.2%} of the mass "
             f"(tolerance {_TAIL_TOL:.2%}); enlarge box_half",
             TailMassWarning,
-            stacklevel=4,  # through _assemble and _coorbit_log_norms to the public call
+            stacklevel=4,  # the line in coorbit_norm_log or orbit_scan that calls _coorbit_log_norms
         )
 
 
@@ -633,8 +623,7 @@ class _Plan(NamedTuple):
     log_jacobian: float
     split: tuple[list[int], list[int]]  # _coordinate_split(unit)
     a: np.ndarray | None  # the weight's A delta^-1; None without a weight
-    wdims: list[int]  # the meshed fit coordinates: the weighted inner ones, then the outer ones
-    outer: list[int]  # the coordinates of the L^q integral
+    wdims: list[int]  # the meshed fit coordinates: the weighted ones
     name: Callable[[], str]  # how messages name the norm
 
 
@@ -655,10 +644,7 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
 
     V_g f(x, xi) = <f, M_xi T_x g> is the coefficient of the Heisenberg
     group H_d at lambda = -1 (_stft_rep), whose quotient coordinates are
-    (x, xi): its coorbit norm is the modulation norm.  On that
-    representation alone q != p is defined, the mixed M^{p,q}_m norm: the
-    L^p norm over x in each frequency slice, then the L^q norm of the slices
-    over xi (Groechenig, Foundations of Time-Frequency Analysis, 2001, ch. 11).
+    (x, xi): its coorbit norm is the modulation norm.
     """
     plan = _normalise(rep, spec, len(states.log_amp))
     centers, meshes = np.zeros((len(states.log_amp), 0)), None
@@ -670,21 +656,16 @@ def _coorbit_log_norms(rep, states, g, spec, where=None):
 
 def _normalise(rep, spec, n_states) -> _Plan:
     """The _Plan of a norm of n_states states.  Every refusal is made here, before
-    any kernel call: a mixed norm off _stft_rep, weight coordinates out of range,
-    A delta^-1 past double range, and the node budget, in that order."""
+    any kernel call: weight coordinates out of range, A delta^-1 past double
+    range, and the node budget, in that order."""
     n = rep.group.quotient_dim
-    outer = list(range(n // 2, n)) if spec.q_eff != spec.p else []
-    if outer and rep != _stft_rep(n // 2):
-        raise NotImplementedError("mixed (p, q) exponents are only defined for modulation norms")
 
     def name():
-        label = "modulation norm" if rep == _stft_rep(n // 2) else f"coorbit norm on {rep.group.name}"
-        return label + " (mixed)" if outer else label
+        return "modulation norm" if rep == _stft_rep(n // 2) else f"coorbit norm on {rep.group.name}"
 
     weight, a = spec.weight, None
     if weight is not None and weight.coords[-1] >= n:
         raise ValueError(f"weight coordinates {weight.coords} out of range for quotient dim {n}")
-    # a mixed norm is taken at lambda = -1 alone, where delta = 1
     unit, delta, log_jacobian = _quotient_dilation(rep)
     if weight is not None:
         # A delta^-1, with zero columns past A's last
@@ -693,15 +674,15 @@ def _normalise(rep, spec, n_states) -> _Plan:
         if not np.isfinite(a).all():
             raise WeightRangeError(f"{name()}: the weight's matrix A delta^-1 is past double range")
     split = coupled, _ = _coordinate_split(unit)
-    # a weight meshes its coordinates, and every outer one beside them (the last ones, so sorted last)
-    wdims = sorted(set(weight.coords).union(outer) - set(coupled)) if weight is not None else []
+    # a weight meshes its coordinates off the coupled ones
+    wdims = sorted(set(weight.coords) - set(coupled)) if weight is not None else []
     check_budget(
         n_states * _mesh_nodes(spec, len(coupled), len(wdims)),
         _MAX_NODES,
         lambda: f"{name()}: {n_states} state(s) x {len(coupled)} coupled and {len(wdims)} "
         f"weighted mesh axes at resolution {spec.resolution:g} in a box of half-width {spec.box_half:g}",
     )
-    return _Plan(unit, delta, log_jacobian, split, a, wdims, outer, name)
+    return _Plan(unit, delta, log_jacobian, split, a, wdims, name)
 
 
 def _coupled_axes(plan: _Plan, states: _States, g: Gaussian, spec: NormSpec):
@@ -723,23 +704,15 @@ def _coupled_axes(plan: _Plan, states: _States, g: Gaussian, spec: NormSpec):
 def _assemble(plan: _Plan, states: _States, g: Gaussian, spec: NormSpec, meshes, where) -> np.ndarray:
     """The log norms (U,) before the Jacobian: in closed form without meshes, else
     summed on them with the weight's term, per state, and tail-checked."""
-    p, q = spec.p, spec.q_eff
-    (coupled, fitdims), wdims, outer, name = plan.split, plan.wdims, plan.outer, plan.name
+    p = spec.p
+    (coupled, fitdims), wdims, name = plan.split, plan.wdims, plan.name
     if meshes is None:
-        # every direction in closed form: the inner L^p integral, then the outer L^q one
+        # every direction in closed form
         nodes = np.zeros((len(states.log_amp), 0))  # the one empty node of each state
-        quad = _node_quadratics(plan.unit, plan.split, states, g, nodes).scaled(p)
-        if outer:
-            quad = quad.marginalized([i for i, c in enumerate(fitdims) if c not in outer]).scaled(q / p)
-        return quad.total() / q
+        return _node_quadratics(plan.unit, plan.split, states, g, nodes).scaled(p).total() / p
 
     where = where or [""] * len(meshes)
-    # the weight nodes run outer-major, one slice of the inner nodes per outer
-    # node, so wdims lists wpts' columns; with q = p there are no outer nodes and one slice
-    wpts, ilogw, ibound = _product_mesh([_linear_axis(spec) for i in wdims if i not in outer])
-    opts, ologw, obound = _product_mesh([_linear_axis(spec) for _ in outer])
-    if outer:
-        wpts = np.concatenate([np.tile(wpts, (len(opts), 1)), np.repeat(opts, len(wpts), axis=0)], axis=1)
+    wpts, wlogw, wbound = _product_mesh([_linear_axis(spec) for _ in wdims])
     counts = [len(mesh[0]) for mesh in meshes]
     cpts = np.concatenate([mesh[0] for mesh in meshes])
     node_states = states.rows(np.repeat(np.arange(len(meshes)), counts))
@@ -761,28 +734,19 @@ def _assemble(plan: _Plan, states: _States, g: Gaussian, spec: NormSpec, meshes,
             raise WeightRangeError(f"{name()}: p log m at s = {s:g}, |A q| = {reach:g} is past double range")
         vals += p * s * np.log1p(r, out=r)
 
-    # per state: the log mass of each outer slice over its coupled and inner
-    # nodes, then the L^q sum of the slices; the outer shell is checked, and
-    # the inner shell of the slice whose shell carries the largest share of it
+    # per state: the log mass over its coupled and weight nodes, one flat row
+    # (a 2-D reduction by axis would sum in another order), and its outer shell
     norms = []
     for (_, clogw, cbound), contribs, at in zip(meshes, np.split(vals, np.cumsum(counts)[:-1]), where):
         contribs += clogw[:, None]
-        slices = np.swapaxes(contribs.reshape(len(clogw), len(ologw), len(ilogw)), 0, 1)
-        slices += ilogw
-        slices = slices.reshape(len(ologw), -1)  # one row per outer node
-        slice_log = logsumexp(slices, axis=1)
-        outer_log = (q / p) * slice_log + ologw
-        total_log = logsumexp(outer_log)
-        if obound.any():
-            _check_tail(logsumexp(outer_log[obound]), total_log, lambda: name() + at)
-        boundary = (cbound[:, None] | ibound[None, :]).ravel()
+        contribs += wlogw
+        row = contribs.ravel()
+        total_log = logsumexp(row)
+        boundary = (cbound[:, None] | wbound[None, :]).ravel()
         if boundary.any():
-            # compress, not slices[:, boundary]: several times faster on one long row
-            shell_log = logsumexp(slices.compress(boundary, axis=1), axis=1)
-            worst = int(np.argmax(shell_log - slice_log))
-            what = (lambda: f"{name()}, position mesh{at}") if outer else (lambda: name() + at)
-            _check_tail(shell_log[worst], slice_log[worst], what)
-        norms.append(total_log / q)
+            # compress, not row[boundary]: several times faster on one long row
+            _check_tail(logsumexp(row.compress(boundary)), total_log, lambda: name() + at)
+        norms.append(total_log / p)
     return np.array(norms)
 
 
@@ -790,7 +754,7 @@ def _assemble(plan: _Plan, states: _States, g: Gaussian, spec: NormSpec, meshes,
 # modulation norms on phase space
 
 def modulation_norm_log(f: Gaussian, g: Gaussian | None = None, spec: NormSpec | None = None) -> float:
-    """log of the M^{p,q}_m norm: coordinates ordered (x_1..x_d, xi_1..xi_d).
+    """log of the M^p_m norm: coordinates ordered (x_1..x_d, xi_1..xi_d).
 
     The coorbit norm of the STFT representation _stft_rep(d).
     """

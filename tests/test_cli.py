@@ -148,6 +148,16 @@ def test_orbit_scan_records_centers_and_warnings(tmp_path):
     assert metrics["centers"] == [] and metrics["warnings"] == []
 
 
+def test_every_norm_spec_field_is_set_by_a_norm_key():
+    # a NormSpec field that no [norm] key sets is a knob that nothing reaches;
+    # the weight is set by weight_s and weight_coords together
+    from coorbit_lab.coorbit import NormSpec
+
+    keys = {key for section, key in SCHEMAS["coorbit-norm"] if section == "norm"}
+    for field in dataclasses.fields(NormSpec):
+        assert ({"weight_s", "weight_coords"} if field.name == "weight" else {field.name}) <= keys, field.name
+
+
 def test_orbit_scan_default_ladder_is_the_engines():
     # the schema spells the ladder out, so that parsing a config loads no norm engine
     from coorbit_lab.coorbit import DEFAULT_SCAN
