@@ -34,10 +34,8 @@ from .representations import (
     _acted_lin_amp,
     _acted_quad,
     _factors,
-    _moving_coordinates,
     _product_form,
     _stft_rep,
-    _unit_character,
     act,
 )
 
@@ -326,21 +324,6 @@ def fit_log_quadratic(func: Callable[[np.ndarray], float], ndim: int) -> LogQuad
     return quad
 
 
-@lru_cache(maxsize=128)
-def _quotient_dilation(rep: RepSpec) -> tuple[RepSpec, np.ndarray, float]:
-    """_unit_character(rep) with delta read on the quotient coordinates
-    (read-only), and the log Jacobian sum(log delta) of that dilation."""
-    unit, delta = _unit_character(rep)
-    delta = delta[rep.group.noncenter_slice]
-    return unit, delta, float(np.log(delta).sum())
-
-
-def _coordinate_split(rep: RepSpec) -> tuple[list[int], list[int]]:
-    """The coupled quotient coordinates of rep (those that move C or S), and the rest."""
-    coupled = list(_moving_coordinates(rep)[0])
-    return coupled, [i for i in range(rep.group.quotient_dim) if i not in coupled]
-
-
 class _WindowSide(NamedTuple):
     """What the node quadratics read of the window g, one entry per node:
     quad (m, d, d), the acted quad at r = 0; lin (m, k + 4, d), the acted
@@ -357,16 +340,17 @@ class _WindowSide(NamedTuple):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the C/S test and _validate report overflow
-def _window_side(rep: RepSpec, coupled, fitdims, g_quad, g_lin, g_log_amp, nodes) -> _WindowSide:
+def _window_side(rep: RepSpec, g_quad, g_lin, g_log_amp, nodes) -> _WindowSide:
     """The part of _node_quadratics that reads only rep, the window and the nodes.
 
-    coupled and fitdims are the coordinate split; g_quad, g_lin and g_log_amp
-    the window's fields.  One factor table holds the k + 4 rows of each node
-    (_row_offsets).  C and S may move only with the coupled coordinates:
-    every row's C and S must equal its node's r = 0 row bit for bit, else
-    the split is wrong and the log modulus is not quadratic, which raises.
+    g_quad, g_lin and g_log_amp are the window's fields.  One factor table
+    holds the k + 4 rows of each node (_row_offsets).  C and S may move only
+    with the coupled coordinates of rep.split: every row's C and S must
+    equal its node's r = 0 row bit for bit, else the split is wrong and the
+    log modulus is not quadratic, which raises.
     """
     group = rep.group
+    coupled, fitdims = rep.split
     offsets = _row_offsets(len(fitdims))
     m, rows = len(nodes), len(offsets)
     qv = np.zeros((m, rows, group.quotient_dim))
@@ -395,28 +379,27 @@ def _window_side(rep: RepSpec, coupled, fitdims, g_quad, g_lin, g_log_amp, nodes
 
 
 @lru_cache(maxsize=32)
-def _cached_window_side(rep: RepSpec, split, quad: bytes, lin: bytes, log_amp: bytes) -> _WindowSide:
-    """_window_side at the one node of a split with no coupled coordinate
+def _cached_window_side(rep: RepSpec, quad: bytes, lin: bytes, log_amp: bytes) -> _WindowSide:
+    """_window_side at the one node of a rep with no coupled coordinate
     (read-only), cached by value: the window arrives as the bytes of its
     complex fields, so an equal-valued copy of it hits, and any other bit
     misses.  A fill that raises is not cached."""
     d = rep.acting_dim
     window = np.frombuffer(quad, complex).reshape(d, d), np.frombuffer(lin, complex), np.frombuffer(log_amp, complex)[0]
-    side = _window_side(rep, *split, *window, np.zeros((1, 0)))
+    side = _window_side(rep, *window, np.zeros((1, 0)))
     for field in side:
         field.flags.writeable = False
     return side
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _validate reports a model past double range
-def _node_quadratics(rep: RepSpec, split, states: _States, g: Gaussian, cpts) -> LogQuadratic:
+def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQuadratic:
     """The quadratic r -> log |<f_j, pi(section(q)) g>| at each coupled node j.
 
-    split is rep's coordinate split (_coordinate_split).  cpts holds one
-    node per row: a value for each coupled coordinate of rep; r runs over
-    the other quotient coordinates, in order.  states holds one state f_j
-    per node.  At a node Q is fixed, L = L0 + J r is affine and so is the
-    shift v = v0 + V r, so the kernel's
+    cpts holds one node per row: a value for each coupled coordinate of rep
+    (rep.split); r runs over the other quotient coordinates, in order.
+    states holds one state f_j per node.  At a node Q is fixed, L = L0 + J r
+    is affine and so is the shift v = v0 + V r, so the kernel's
     Re la - log|det Q| / 2 + Re(L.Q^-1 L) / 4 pi is quadratic in r with
 
         hess = Re(J^T Q^-1 J) / 2 pi + H_la,   H_la = -2 pi V^T Re(g.quad) V,
@@ -431,12 +414,12 @@ def _node_quadratics(rep: RepSpec, split, states: _States, g: Gaussian, cpts) ->
     factor table, the exact C/S test, the action of pi on g, V, H_la and
     the part of grad that no state moves.  With no coupled coordinate
     every node is the same empty node, so that side is read once, from
-    _cached_window_side, a cache of at most 32 entries keyed by rep, the
-    coordinate split and the bytes of g's fields, and broadcast over the
-    states.  Coupled meshes and the probe read it inline, per block.  The
-    state side runs on every call: Q is formed once per node, with one
-    Cholesky factorisation (the positive-definiteness check of
-    _product_form), one slogdet and one (k + 4)-column solve against the
+    _cached_window_side, a cache of at most 32 entries keyed by rep and the
+    bytes of g's fields, and broadcast over the states.  Coupled meshes and
+    the probe read it inline, per block.  The state side runs on every
+    call: Q is formed once per node, with one Cholesky factorisation (the
+    positive-definiteness check of _product_form), one slogdet and one
+    (k + 4)-column solve against the
     rows L = (the checks' L, L0, J_1, ..., J_k).  One product L Q^-1 L^T
     then holds the kernel's check values and const on its first four
     diagonal entries, Re(J^T Q^-1 L0) and Re(J^T Q^-1 J), and every model
@@ -452,18 +435,18 @@ def _node_quadratics(rep: RepSpec, split, states: _States, g: Gaussian, cpts) ->
     kernel reads only moduli, so it leaves out the unit phase of the action
     (act adds it).
     """
-    coupled, fitdims = split
+    coupled, fitdims = rep.split
     k = len(fitdims)
     n_nodes = len(cpts)
     cached = None
     if not coupled:
         fields = (np.asarray(x, dtype=complex).tobytes() for x in (g.quad, g.lin, g.log_amp))
-        cached = _cached_window_side(rep, ((), tuple(fitdims)), *fields)
+        cached = _cached_window_side(rep, *fields)
 
     def model(block):
         side = cached
         if side is None:
-            side = _window_side(rep, coupled, fitdims, g.quad, g.lin, g.log_amp, cpts[block])
+            side = _window_side(rep, g.quad, g.lin, g.log_amp, cpts[block])
         Q, L = _product_form(states.quad[block], states.lin[block, None], side.quad, side.lin)
         # rows 0 to 2 are the checks, row 3 is r = 0: their L, then J_1, ..., J_k as
         # differences of the rows' L (J taken off the window side alone,
@@ -544,7 +527,7 @@ def _check_tail(shell_log, total_log, what: Callable[[], str]):
             f"{what()}: the outer quadrature shell carries {frac:.2%} of the mass "
             f"(tolerance {_TAIL_TOL:.2%}); enlarge box_half",
             TailMassWarning,
-            stacklevel=4,  # the line in coorbit_norm_log or orbit_scan that calls _coorbit_log_norms
+            stacklevel=5,  # past _assemble, _coorbit_log_norms and the entry point that calls it
         )
 
 
@@ -610,48 +593,46 @@ def _probe_center(slice_mass: Callable[[np.ndarray, np.ndarray], np.ndarray], n_
 
 def coorbit_norm_log(rep: RepSpec, f: Gaussian, g: Gaussian, spec: NormSpec | None = None) -> float:
     """log of the L^p_m norm of q -> <f, pi(section(q)) g> over the quotient."""
-    spec = NormSpec() if spec is None else spec
-    norms, _ = _coorbit_log_norms(rep, _States(f.quad[None], f.lin[None], np.array([f.log_amp])), g, spec)
+    norms, _ = _coorbit_log_norms(rep, _States.stack([f]), g, spec)
     return float(norms[0])
 
 
 class _Plan(NamedTuple):
     """A norm as _normalise reads it from its representation and spec alone."""
 
-    unit: RepSpec  # the unit character, with its dilation delta and log Jacobian
-    delta: np.ndarray
-    log_jacobian: float
-    split: tuple[list[int], list[int]]  # _coordinate_split(unit)
+    rep: RepSpec  # the caller's: the engine meshes rep.unit
     a: np.ndarray | None  # the weight's A delta^-1; None without a weight
     wdims: list[int]  # the meshed fit coordinates: the weighted ones
     name: Callable[[], str]  # how messages name the norm
 
 
-def _coorbit_log_norms(rep, states, g, spec, where=None):
+def _coorbit_log_norms(rep, states, g, spec=None, where=None):
     """coorbit_norm_log for every state f_i of states at once: _normalise, then
-    _coupled_axes when anything is meshed, then _assemble.
+    _coupled_axes when anything is meshed, then _assemble.  spec None is NormSpec().
 
     Returns the log norms (U,) and the centers (U, c) the recentring probe
     found on the c coupled coordinates, in the caller's coordinates.  Every
     mesh read stacks all U states; the tail checks are made per state, with
     where[i] (if given) appended to the message.
 
-    The norm is taken at the unit character (_unit_character): the engine
-    meshes q' = delta q, where the coefficient of pi is that of pi_{+-1},
-    carries a weight's matrix as A delta^-1 and takes the Jacobian,
-    sum(log delta) / p, off the log norm.  box_half, resolution and the
+    The norm is taken at the unit character rep.unit: the engine meshes
+    q' = delta q (rep.quotient_delta), where the coefficient of pi is that
+    of pi_{+-1}, carries a weight's matrix as A delta^-1 and takes the
+    Jacobian, rep.log_jacobian / p, off the log norm.  box_half, resolution and the
     probe act in q'; the centers are divided by delta on the way out.
 
     V_g f(x, xi) = <f, M_xi T_x g> is the coefficient of the Heisenberg
     group H_d at lambda = -1 (_stft_rep), whose quotient coordinates are
     (x, xi): its coorbit norm is the modulation norm.
     """
+    spec = NormSpec() if spec is None else spec
     plan = _normalise(rep, spec, len(states.log_amp))
+    coupled = rep.unit.split[0]
     centers, meshes = np.zeros((len(states.log_amp), 0)), None
-    if plan.split[0] or plan.wdims:  # something is meshed
+    if coupled or plan.wdims:  # something is meshed
         centers, meshes = _coupled_axes(plan, states, g, spec)
-        centers = centers / plan.delta[plan.split[0]]
-    return _assemble(plan, states, g, spec, meshes, where) - plan.log_jacobian / spec.p, centers
+        centers = centers / rep.quotient_delta[list(coupled)]
+    return _assemble(plan, states, g, spec, meshes, where) - rep.log_jacobian / spec.p, centers
 
 
 def _normalise(rep, spec, n_states) -> _Plan:
@@ -666,14 +647,13 @@ def _normalise(rep, spec, n_states) -> _Plan:
     weight, a = spec.weight, None
     if weight is not None and weight.coords[-1] >= n:
         raise ValueError(f"weight coordinates {weight.coords} out of range for quotient dim {n}")
-    unit, delta, log_jacobian = _quotient_dilation(rep)
     if weight is not None:
         # A delta^-1, with zero columns past A's last
         with np.errstate(over="ignore"):  # a matrix past double range is refused just below
-            a = np.hstack([weight.A, np.zeros((len(weight.A), n))])[:, :n] / delta
+            a = np.hstack([weight.A, np.zeros((len(weight.A), n))])[:, :n] / rep.quotient_delta
         if not np.isfinite(a).all():
             raise WeightRangeError(f"{name()}: the weight's matrix A delta^-1 is past double range")
-    split = coupled, _ = _coordinate_split(unit)
+    coupled = rep.unit.split[0]
     # a weight meshes its coordinates off the coupled ones
     wdims = sorted(set(weight.coords) - set(coupled)) if weight is not None else []
     check_budget(
@@ -682,20 +662,21 @@ def _normalise(rep, spec, n_states) -> _Plan:
         lambda: f"{name()}: {n_states} state(s) x {len(coupled)} coupled and {len(wdims)} "
         f"weighted mesh axes at resolution {spec.resolution:g} in a box of half-width {spec.box_half:g}",
     )
-    return _Plan(unit, delta, log_jacobian, split, a, wdims, name)
+    return _Plan(rep, a, wdims, name)
 
 
 def _coupled_axes(plan: _Plan, states: _States, g: Gaussian, spec: NormSpec):
     """The centers (U, c) _probe_center finds on the coupled coordinates, one
     after another, and each state's mesh of _sinh_axis about its centers."""
-    centers = np.zeros((len(states.log_amp), len(plan.split[0])))
+    unit = plan.rep.unit
+    centers = np.zeros((len(states.log_amp), len(unit.split[0])))
     for j in range(centers.shape[1]):
 
         def smass(rows, c, j=j):
             cv = np.repeat(centers[rows], c.shape[1], axis=0)
             cv[:, j] = c.ravel()
             node_states = states.rows(np.repeat(rows, c.shape[1]))
-            return _node_quadratics(plan.unit, plan.split, node_states, g, cv).scaled(spec.p).total().reshape(c.shape)
+            return _node_quadratics(unit, node_states, g, cv).scaled(spec.p).total().reshape(c.shape)
 
         centers[:, j] = _probe_center(smass, len(centers))
     return centers, [_product_mesh([_sinh_axis(c, spec) for c in row]) for row in centers]
@@ -704,12 +685,12 @@ def _coupled_axes(plan: _Plan, states: _States, g: Gaussian, spec: NormSpec):
 def _assemble(plan: _Plan, states: _States, g: Gaussian, spec: NormSpec, meshes, where) -> np.ndarray:
     """The log norms (U,) before the Jacobian: in closed form without meshes, else
     summed on them with the weight's term, per state, and tail-checked."""
-    p = spec.p
-    (coupled, fitdims), wdims, name = plan.split, plan.wdims, plan.name
+    p, unit, wdims, name = spec.p, plan.rep.unit, plan.wdims, plan.name
+    coupled, fitdims = unit.split
     if meshes is None:
         # every direction in closed form
         nodes = np.zeros((len(states.log_amp), 0))  # the one empty node of each state
-        return _node_quadratics(plan.unit, plan.split, states, g, nodes).scaled(p).total() / p
+        return _node_quadratics(unit, states, g, nodes).scaled(p).total() / p
 
     where = where or [""] * len(meshes)
     wpts, wlogw, wbound = _product_mesh([_linear_axis(spec) for _ in wdims])
@@ -720,7 +701,7 @@ def _assemble(plan: _Plan, states: _States, g: Gaussian, spec: NormSpec, meshes,
     # one row per coupled node of every state, one column per weight node: the
     # fit coordinates off the weight mesh are integrated out once per node, and
     # the quadratic left in the weighted ones is evaluated on the weight mesh
-    quad = _node_quadratics(plan.unit, plan.split, node_states, g, cpts).scaled(p)
+    quad = _node_quadratics(unit, node_states, g, cpts).scaled(p)
     if wdims:
         quad = quad.marginalized([i for i, c in enumerate(fitdims) if c not in wdims])
         vals = LogQuadratic(quad.const[:, None], quad.grad[:, None], quad.hess[..., None, :, :]).value(wpts)
@@ -761,7 +742,8 @@ def modulation_norm_log(f: Gaussian, g: Gaussian | None = None, spec: NormSpec |
     g = unit_gaussian(f.dim) if g is None else g
     if g.dim != f.dim:
         raise ValueError(f"window dimension {g.dim} does not match signal dimension {f.dim}")
-    return coorbit_norm_log(_stft_rep(f.dim), f, g, spec)
+    norms, _ = _coorbit_log_norms(_stft_rep(f.dim), _States.stack([f]), g, spec)
+    return float(norms[0])
 
 
 # ---------------------------------------------------------------------------

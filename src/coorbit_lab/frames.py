@@ -286,8 +286,6 @@ class FrameBounds:
     upper: float
     ratio: float
     n_atoms: int
-    n_test: int
-    diagnostics: dict
 
 
 def _coefficients(test_lin, test_amp, quad, lin, log_amp) -> np.ndarray:
@@ -412,8 +410,7 @@ def frame_bounds_estimate(
     mu = np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
     lower, upper = float(mu.min()), float(mu.max())
 
-    diagnostics = {"test_rank": int(basis.shape[1]), "eps": eps}
-    return FrameBounds(lower, upper, lower / max(upper, 1e-300), len(gamma), len(test_amp), diagnostics)
+    return FrameBounds(lower, upper, lower / max(upper, 1e-300), len(gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Each group is R^n with a polynomial product.  A group's record (GroupSpec)
 declares only what cannot be worked out: the product law, the bracket table
 and the factors of its Schroedinger-type representation.  The dimension, the
 centre and the quotient follow from the brackets, and so do the acting
-dimension and the formal dimension of the representation.  Its
-factors give the coupled coordinates, and together with the brackets the
-homogeneity grading (see representations).
+dimension and the formal dimension of the representation.  The
+representation's record (representations.RepSpec) derives the rest once:
+the coupled coordinates from its factors, and with the brackets the
+homogeneity grading and the dilation delta to its unit character.
 
 All five laws are written out as polynomials.  The 7-dimensional one is in
 coordinates of the second kind (ordered exponentials e^{c1 E1} ... e^{c7 E7}),
@@ -55,7 +56,7 @@ class GroupSpec:
     """The record of one group.
 
     brackets lists each nonzero [E_i, E_j] = c E_k as (i, j, k, c).
-    law(spec, a, b) returns the product of two coordinate arrays of one shape.
+    law(a, b) returns the product of two coordinate arrays of one shape.
     rep_factors(rep, a, C, S) returns the factors (theta, m, v) of pi(a) for
     each row of a and writes the chirp and affine factors into C and S, which
     come in as zeros and identities (see representations._factors).
@@ -65,7 +66,6 @@ class GroupSpec:
     brackets: tuple[tuple[int, int, int, float], ...]
     law: Callable
     rep_factors: Callable
-    heisenberg_d: int = 0
 
     @cached_property
     def total_dim(self) -> int:
@@ -117,28 +117,28 @@ def axis_point(dim: int, j: int, t) -> np.ndarray:
 # explicit product laws (0-based coordinates; centers come first except for
 # the Heisenberg group, whose center is the last coordinate)
 
-def _mul_heisenberg(spec, a, b):
-    d = spec.heisenberg_d
+def _mul_heisenberg(a, b):
+    d = a.shape[-1] // 2
     out = a + b
     out[..., 2 * d] += np.einsum("...i,...i->...", a[..., :d], b[..., d : 2 * d])
     return out
 
 
-def _mul_g6_16(spec, a, b):
+def _mul_g6_16(a, b):
     out = a + b
     out[..., 0] += a[..., 4] * b[..., 2] + a[..., 5] * b[..., 3]
     out[..., 1] += a[..., 5] * b[..., 4]
     return out
 
 
-def _mul_g5_3(spec, a, b):
+def _mul_g5_3(a, b):
     out = a + b
     out[..., 0] += a[..., 3] * b[..., 2] + a[..., 4] * b[..., 1] + 0.5 * a[..., 4] ** 2 * b[..., 3]
     out[..., 1] += a[..., 4] * b[..., 3]
     return out
 
 
-def _mul_g6_19(spec, a, b):
+def _mul_g6_19(a, b):
     out = a + b
     out[..., 0] += a[..., 5] * b[..., 2]
     out[..., 1] += a[..., 4] * b[..., 3] + a[..., 4] * a[..., 5] * b[..., 4] + 0.5 * a[..., 5] * b[..., 4] ** 2
@@ -146,7 +146,7 @@ def _mul_g6_19(spec, a, b):
     return out
 
 
-def _mul_df(spec, a, b):
+def _mul_df(a, b):
     # second-kind coordinates (z, y1, y2, y3, x1, x2, x3): a is the ordered
     # product e^{a0 E0} ... e^{a6 E6}; the BCH series, kept in the tests as the
     # reference, closes to these corrections because the algebra is 3-step
@@ -176,7 +176,7 @@ _DF_BRACKETS = (
 # e^{2 pi i theta} M_m N_C (f o (t -> S t + v)), one factor per row of a
 
 def _rep_heisenberg(rep, a, C, S):
-    d = rep.group.heisenberg_d
+    d = rep.acting_dim
     return rep.lam * a[:, 2 * d], -rep.lam * a[:, d : 2 * d], -a[:, :d]
 
 
@@ -217,7 +217,7 @@ def _heisenberg(d: int) -> GroupSpec:
     if d < 1:
         raise ValueError("heisenberg_d must be >= 1")
     brackets = tuple((i, d + i, 2 * d, 1.0) for i in range(d))  # [X_i, Y_i] = Z
-    return GroupSpec("heisenberg", brackets, _mul_heisenberg, _rep_heisenberg, heisenberg_d=d)
+    return GroupSpec("heisenberg", brackets, _mul_heisenberg, _rep_heisenberg)
 
 
 # name -> its record; the Heisenberg family has one record per d
@@ -247,7 +247,7 @@ def multiply(spec: GroupSpec, a, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if a.shape[-1] != spec.total_dim or b.shape[-1] != spec.total_dim:
         raise ValueError(f"expected trailing dimension {spec.total_dim}")
-    return spec.law(spec, *np.broadcast_arrays(a, b))
+    return spec.law(*np.broadcast_arrays(a, b))
 
 
 def inverse(spec: GroupSpec, a) -> np.ndarray:

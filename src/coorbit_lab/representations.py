@@ -13,7 +13,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +68,62 @@ class RepSpec:
     def acting_dim(self) -> int:
         return self.group.quotient_dim // 2
 
+    @cached_property
+    def moving(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The quotient coordinates that move the factors of pi: (coupled, affine).
+
+        coupled lists those that move the chirp C or the substitution S, affine
+        those that move the shift v or S.  The factors are polynomial in a, so
+        one probe decides: _factors at a fixed generic quotient point q0 and at
+        q0 + e_i for each i.
+        """
+        n = self.group.quotient_dim
+        q0 = np.sqrt(np.arange(2.0, n + 2.0))
+        _, C, _, S, v = _factors(self, section(self.group, np.vstack([q0, q0 + np.eye(n)])))
+
+        def moved(x):
+            return np.abs(x[1:] - x[0]).reshape(n, -1).max(axis=1) > 0
+
+        coupled = np.flatnonzero(moved(C) | moved(S))
+        affine = np.flatnonzero(moved(v) | moved(S))
+        return tuple(coupled.tolist()), tuple(affine.tolist())
+
+    @cached_property
+    def split(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(coupled, fit): the coupled coordinates and the rest, over which the engine fits."""
+        coupled = self.moving[0]
+        return coupled, tuple(i for i in range(self.group.quotient_dim) if i not in coupled)
+
+    @cached_property
+    def unit(self) -> RepSpec:
+        """The unit character: RepSpec(group, +-1, mu), with the sign of lam."""
+        return RepSpec(self.group, math.copysign(1.0, self.lam), self.mu)
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """The dilation that carries pi to its unit character (read-only).
+
+        It scales group coordinate i by |lam| ** w_i with the grading w of
+        _grading: |<f, pi(a) g>| = |<f, pi_{+-1}(delta a) g>| for every f, g
+        and a (Folland & Stein, Hardy Spaces on Homogeneous Groups, 1982).
+        mu has grading weight 0 and stays.  The norm engine meshes the unit
+        character; homogeneity_check tests the relation.
+        """
+        # the grading read at the unit character, whose factors stay in double range
+        delta = abs(self.lam) ** _grading(self.unit).astype(float)
+        delta.flags.writeable = False
+        return delta
+
+    @cached_property
+    def quotient_delta(self) -> np.ndarray:
+        """delta on the quotient coordinates (read-only)."""
+        return self.delta[self.group.noncenter_slice]
+
+    @cached_property
+    def log_jacobian(self) -> float:
+        """sum(log quotient_delta), the log Jacobian of the quotient dilation."""
+        return float(np.log(self.quotient_delta).sum())
+
 
 def default_window(rep: RepSpec) -> Gaussian:
     return unit_gaussian(rep.acting_dim)
@@ -94,28 +150,6 @@ def _identity(d: int) -> np.ndarray:
     eye = np.eye(d)
     eye.flags.writeable = False
     return eye
-
-
-@lru_cache(maxsize=128)
-def _moving_coordinates(rep: RepSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The quotient coordinates that move the factors of pi: (coupled, affine).
-
-    coupled lists those that move the chirp C or the substitution S, affine
-    those that move the shift v or S.  The factors are polynomial in a, so
-    one probe decides: _factors at a fixed generic quotient point q0 and at
-    q0 + e_i for each i.
-    """
-    grp = rep.group
-    n = grp.quotient_dim
-    q0 = np.sqrt(np.arange(2.0, n + 2.0))
-    _, C, _, S, v = _factors(rep, section(grp, np.vstack([q0, q0 + np.eye(n)])))
-
-    def moved(x):
-        return np.abs(x[1:] - x[0]).reshape(n, -1).max(axis=1) > 0
-
-    coupled = np.flatnonzero(moved(C) | moved(S))
-    affine = np.flatnonzero(moved(v) | moved(S))
-    return tuple(coupled.tolist()), tuple(affine.tolist())
 
 
 def act(rep: RepSpec, a, quad, lin, log_amp):
@@ -373,7 +407,7 @@ def _grading(rep: RepSpec) -> np.ndarray:
     w: list[int | None] = [None] * grp.total_dim
     for i, fixed in zip(grp.center_indices, (1, 0)):
         w[i] = fixed
-    for q in _moving_coordinates(rep)[1]:
+    for q in rep.moving[1]:
         w[grp.noncenter_indices[q]] = 0
     changed = True
     while changed:
@@ -396,30 +430,12 @@ def _grading(rep: RepSpec) -> np.ndarray:
     return np.array(w)
 
 
-@lru_cache(maxsize=128)
-def _unit_character(rep: RepSpec) -> tuple[RepSpec, np.ndarray]:
-    """The unit character of rep and the dilation that carries rep to it.
-
-    Returns RepSpec(group, +-1, mu), with the sign of lam, and delta
-    (read-only), which scales group coordinate i by |lam| ** w_i with the
-    grading w of _grading: |<f, pi(a) g>| = |<f, pi_{+-1}(delta a) g>| for
-    every f, g and a (Folland & Stein, Hardy Spaces on Homogeneous Groups,
-    1982).  mu has grading weight 0 and stays.  The norm engine meshes the
-    unit character; homogeneity_check tests the relation.
-    """
-    unit = RepSpec(rep.group, math.copysign(1.0, rep.lam), rep.mu)
-    # the grading read at the unit character, whose factors stay in double range
-    delta = abs(rep.lam) ** _grading(unit).astype(float)
-    delta.flags.writeable = False
-    return unit, delta
-
-
 def homogeneity_check(rep: RepSpec, n_points: int = 50, seed: int = 0) -> dict:
     """|<f, pi(a) g>| against |<f, pi_{+-1}(delta a) g>| on random elements.
 
-    The unit character and the dilation delta are _unit_character's, the
-    map the norm engine applies.  The grading comes from the brackets and
-    the factors are declared apart from them, so the relation tests one
+    The unit character and the dilation delta are rep.unit and rep.delta,
+    the map the norm engine applies.  The grading comes from the brackets
+    and the factors are declared apart from them, so the relation tests one
     against the other.
     """
     rng = np.random.default_rng(seed)
@@ -428,8 +444,7 @@ def homogeneity_check(rep: RepSpec, n_points: int = 50, seed: int = 0) -> dict:
     g = default_window(rep)
     a = rng.uniform(-1.5, 1.5, (n_points, rep.group.total_dim))
     lhs = coefficient_log_modulus(rep, a, f, g)
-    unit, delta = _unit_character(rep)
-    rhs = coefficient_log_modulus(unit, a * delta, f, g)
+    rhs = coefficient_log_modulus(rep.unit, a * rep.delta, f, g)
     worst = float(np.max(np.abs(np.expm1(lhs - rhs)), initial=0.0))
     return {"max_rel_error": worst, "ok": worst < 1e-10}
 

@@ -170,7 +170,9 @@ def _same_bits(got, want) -> bool:
     )
 
 
-@pytest.mark.parametrize("spec", SIX_SPECS, ids=[s.name + str(s.heisenberg_d) for s in SIX_SPECS])
+@pytest.mark.parametrize(
+    "spec", SIX_SPECS, ids=[s.name + str(s.total_dim // 2 if s.name == "heisenberg" else 0) for s in SIX_SPECS]
+)
 def test_full_coordinate_chains_match_the_row_major_quotient_chains(spec):
     rng = np.random.default_rng(21)
     n = spec.quotient_dim

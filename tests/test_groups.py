@@ -24,7 +24,7 @@ ALL_SPECS = [group_spec(n, 1) for n in GROUPS] + [group_spec("heisenberg", 2)]
 
 
 def spec_ids():
-    return [s.name if s.name != "heisenberg" else f"heisenberg{s.heisenberg_d}" for s in ALL_SPECS]
+    return [s.name if s.name != "heisenberg" else f"heisenberg{s.total_dim // 2}" for s in ALL_SPECS]
 
 
 def test_heisenberg_pinned_product_and_inverse():

@@ -1,8 +1,10 @@
 """The package root and the public names of its modules."""
 
+import functools
 import importlib
 import importlib.util
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -23,6 +25,32 @@ def test_every_public_name_resolves(name):
     module = importlib.import_module(f"coorbit_lab.{name}")
     missing = [entry for entry in module.__all__ if not hasattr(module, entry)]
     assert missing == []
+
+
+def _resolves(root, path) -> bool:
+    try:
+        functools.reduce(getattr, path, root)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_every_private_and_qualified_name_in_the_readme_resolves():
+    # the README names helpers by hand: a backticked private helper (`_name`)
+    # must exist in some module, and a name qualified by a module or a class
+    # of the package (`coorbit._x`, `Class.attr`, `coorbit_lab.cli`) must
+    # resolve; file names (`groups.py`) and config keys (`norm.p`) are neither
+    modules = {name: importlib.import_module(f"coorbit_lab.{name}") for name in MODULES + ("cli",)}
+    roots = {"coorbit_lab": importlib.import_module("coorbit_lab"), **modules}
+    for module in modules.values():
+        roots.update({k: v for k, v in vars(module).items() if isinstance(v, type) and v.__module__ == module.__name__})
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    names = set(re.findall(r"`([A-Za-z_][\w.]*)[`(]", text))
+    private = sorted(n for n in names if re.fullmatch(r"_[a-z]\w*", n))
+    qualified = sorted(n for n in names if n.split(".")[0] in roots and "." in n and not n.endswith(".py"))
+    assert private and qualified
+    assert [n for n in private if not any(hasattr(m, n) for m in modules.values())] == []
+    assert [n for n in qualified if not _resolves(roots[n.split(".")[0]], n.split(".")[1:])] == []
 
 
 # each kind's smallest useful config, and the modules its run must leave unloaded

@@ -8,7 +8,6 @@ import sys
 import numpy as np
 import pytest
 
-from coorbit_lab import representations
 from coorbit_lab.gaussian import Gaussian, chirp, inner_product, l2_norm, modulate, pullback_affine, unit_gaussian
 from coorbit_lab.groups import GROUPS, group_spec, multiply, section
 from coorbit_lab.numerics import quad_rep_coefficient
@@ -16,8 +15,6 @@ from coorbit_lab.representations import (
     RepSpec,
     _factors,
     _grading,
-    _moving_coordinates,
-    _unit_character,
     act,
     apply_rep,
     coefficient_log_modulus,
@@ -260,7 +257,7 @@ COUPLED = [(), (), (), (2,), (3,), (2, 4)]
 def test_declared_coupled_coordinates_are_the_ones_that_move_the_form(rep, coupled):
     # a quotient coordinate is coupled exactly when moving it changes the chirp C or
     # the substitution S: random probes, and the engine's one-probe derivation
-    assert _moving_coordinates(rep)[0] == coupled
+    assert rep.moving[0] == coupled
     grp = rep.group
     rng = np.random.default_rng(5)
     moving = set()
@@ -271,6 +268,22 @@ def test_declared_coupled_coordinates_are_the_ones_that_move_the_form(rep, coupl
         changed = (np.abs(C[1:] - C[0]) + np.abs(S[1:] - S[0])).max(axis=(1, 2)) > 0
         moving |= set(np.flatnonzero(changed).tolist())
     assert moving == set(coupled)
+
+
+def test_a_caller_cannot_change_the_records_derived_facts():
+    # every norm on the record shares its split and dilation, so they are
+    # tuples and read-only arrays, and the frozen record refuses a new value
+    rep = RepSpec(group_spec("dynin_folland"), 2.0)
+    assert rep.split == ((2, 4), (0, 1, 3, 5)) and rep.split is rep.split
+    with pytest.raises(TypeError):
+        rep.split[0][0] = 3
+    for delta in (rep.delta, rep.quotient_delta):
+        with pytest.raises(ValueError, match="read-only"):
+            delta[0] = 1.0
+    for name in ("moving", "split", "unit", "delta", "quotient_delta", "log_jacobian"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, name, None)
+    assert rep.split == ((2, 4), (0, 1, 3, 5)) and rep.delta.tolist() == [2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0]
 
 
 def test_g5_3_homogeneity():
@@ -338,9 +351,9 @@ def test_the_dilation_is_finite_and_nonzero_at_every_accepted_lambda(rep):
     extremes = [_last_accepted(accepts, 1.0, edge) for edge in (sys.float_info.max, 5e-324)]
     assert extremes[0] > 1e100 and extremes[1] < 1e-100
     for lam in extremes + [-x for x in extremes]:
-        unit, delta = _unit_character(RepSpec(rep.group, lam, rep.mu))
-        assert np.isfinite(delta).all() and (delta > 0).all(), lam
-        assert unit == RepSpec(rep.group, math.copysign(1.0, lam), rep.mu)
+        at = RepSpec(rep.group, lam, rep.mu)
+        assert np.isfinite(at.delta).all() and (at.delta > 0).all(), lam
+        assert at.unit == RepSpec(rep.group, math.copysign(1.0, lam), rep.mu)
 
 
 @pytest.mark.parametrize("rep", KERNEL_REPS, ids=KERNEL_IDS)
@@ -363,7 +376,7 @@ def test_grading_rejects_brackets_that_fix_no_grading(monkeypatch):
     with pytest.raises(ValueError, match="no grading"):
         _grading(RepSpec(skew, 1.0))
     # without the weight-0 coordinates of the shift, the brackets leave weights open
-    monkeypatch.setattr(representations, "_moving_coordinates", lambda rep: ((), ()))
+    monkeypatch.setattr(RepSpec, "moving", property(lambda rep: ((), ())))
     with pytest.raises(ValueError, match="undetermined"):
         _grading(RepSpec(grp, 1.0))
 
