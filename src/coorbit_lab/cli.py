@@ -324,7 +324,7 @@ def _build_coorbit_norm(v: _Parsed) -> dict:
         n = grp.quotient_dim
         if not all(0 <= i < n for i in coords):
             raise v.error(f"weight_coords must lie in 0..{n - 1} for this group", "norm.weight_coords")
-        weight = power_weight(s, coords)
+        weight = v.build(("norm.weight_coords",), power_weight, s, coords)
     spec = v.build(
         ("norm.resolution", "norm.box_half"),
         NormSpec,
@@ -582,8 +582,10 @@ def _run_frame_sweep(config: ExperimentConfig):
     ratio_tol = config.get("tolerance", "ratio")
     rows = []
     subcritical = []  # frame-bound ratios below the critical density
+    verified = True
     for lat in config.built["lattices"]:
         dens = beurling_density(lat)
+        verified = verified and dens["verified"]
         fb = frame_bounds_estimate(
             rep,
             eps=lat.eps,
@@ -600,7 +602,7 @@ def _run_frame_sweep(config: ExperimentConfig):
         "ratio_tolerance": ratio_tol,
         "worst_subcritical_ratio": _worst(subcritical),
     }
-    passed = all(ratio < ratio_tol for ratio in subcritical)
+    passed = verified and all(ratio < ratio_tol for ratio in subcritical)
     return ("eps", "density", "A_est", "B_est"), rows, metrics, passed
 
 

@@ -102,10 +102,12 @@ class WeightSpec:
 
 
 def power_weight(s: float, coords: Sequence[int]) -> WeightSpec:
-    """m(q) = (1 + |q_S|)^s with the euclidean norm over the selected coordinates."""
+    """m(q) = (1 + |q_S|)^s with the euclidean norm over the selected, distinct coordinates."""
     coords = [int(i) for i in coords]
     if any(i < 0 for i in coords):
         raise ValueError(f"weight coordinates must be non-negative, got {tuple(coords)}")
+    if len(set(coords)) < len(coords):
+        raise ValueError(f"weight coordinates must be distinct, got {tuple(coords)}")
     return WeightSpec(s, np.eye(max(coords, default=-1) + 1)[coords])
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coorbit_lab import cli
+from coorbit_lab import cli, frames
 from coorbit_lab.cli import SCHEMAS, ConfigError, main, parse_config
 from coorbit_lab.gaussian import chirp, stft_closed, unit_gaussian
 from coorbit_lab.groups import group_spec
@@ -292,7 +292,7 @@ _BAD_STATE_AND_WEIGHT = [
         f"[group]\nname = {name}\n\n[norm]\nweight_s = 1.0\nweight_coords = {c}\n",
         "norm.weight_coords",
     )
-    for name, c in (("g5_3", 4), ("heisenberg", 5), ("heisenberg", -1))
+    for name, c in (("g5_3", 4), ("heisenberg", 5), ("heisenberg", -1), ("heisenberg", "0,0"))
 ] + [
     (f"weight-s-{s}", f"[group]\nname = heisenberg\n\n[norm]\nweight_s = {s}\nweight_coords = 0\n", "norm.weight_s")
     for s in ("nan", "inf", "-inf", "1e308", "-1e308")
@@ -441,13 +441,23 @@ def test_non_finite_values_are_written_as_null():
     assert cli._finite_or_null(value) == {"a": [1.5, None], "b": [None, {"c": None}], "d": 3}
 
 
-_CAPPED_FRAME_SWEEP = """
+_CAPPED_CLI = """
 import resource, sys
 limit = 4 * 2**30  # 4 GiB of address space, in this process only
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from coorbit_lab.cli import main
-sys.exit(main(["frame-sweep", "--config", sys.argv[1], "--out", sys.argv[2]]))
+sys.exit(main([sys.argv[1], "--config", sys.argv[2], "--out", sys.argv[3]]))
 """
+
+
+def _run_capped(tmp_path, kind, text):
+    """Run kind on config text in a child process capped at 4 GiB of address space."""
+    path = tmp_path / "capped.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    cmd = [sys.executable, "-c", _CAPPED_CLI, kind, str(path), str(out)]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env), out
 
 
 @pytest.mark.parametrize(
@@ -460,16 +470,80 @@ def test_frame_sweep_over_the_work_budget_exits_3(tmp_path, eps_values, count):
     # grid, at eps = 0.02 for 361,201 x 289 Gram entries; both are refused as
     # config errors naming the count before anything is allocated, so a
     # 4 GiB address-space cap is never reached
-    path = tmp_path / "fine.cfg"
-    path.write_text(f"[sweep]\neps_values = {eps_values}\n")
-    out = tmp_path / "out"
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-    cmd = [sys.executable, "-c", _CAPPED_FRAME_SWEEP, str(path), str(out)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    proc, out = _run_capped(tmp_path, "frame-sweep", f"[sweep]\neps_values = {eps_values}\n")
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("config error: frame bounds: ") and "Traceback" not in proc.stderr
     assert f"{count} exceeds the work budget" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,count",
+    [
+        ("[lattice]\ngroup = heisenberg\nheisenberg_d = 5\n", "labels in three 10-dimensional boxes: 29,296,875"),
+        ("[lattice]\ngroup = dynin_folland\nn_points = 100000000\n", "of 100,000,000 points: 600,000,000"),
+    ],
+    ids=["labels", "points"],
+)
+def test_density_over_the_work_budget_exits_3(tmp_path, text, count):
+    # 3 x 5^10 box labels at heisenberg_d = 5 (about 4 GB), and 10^8 points
+    # in six coordinates (4.8 GB), are refused before they are allocated
+    proc, out = _run_capped(tmp_path, "density", text)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("config error: ") and "Traceback" not in proc.stderr
+    assert f"{count} exceeds the work budget" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind,text",
+    [
+        ("density", "[lattice]\ngroup = heisenberg\neps = 1e300\nn_points = 50\n"),
+        ("frame-sweep", "[sweep]\neps_values = 1e300\n"),
+    ],
+    ids=["density", "frame-sweep"],
+)
+def test_box_volume_past_double_range_exits_2_with_the_cause(tmp_path, capsys, kind, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(tmp_path, "huge.cfg", text, kind)
+    assert code == 2
+    summary = _strict_json((out / f"{kind}.json").read_text())
+    assert summary["pass"] is False
+    assert summary["error"] == (
+        "ValueError: the volume of a box of half-width 1.65e+301 at spacing eps = 1e+300 is past double range"
+    )
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_density_at_a_sheared_boundary_spacing_passes(tmp_path):
+    # g5_3 and g6_19 have lattice points exactly on their box boundary at eps = 0.3
+    code, out = run_cli(tmp_path, "edge.cfg", "[lattice]\neps = 0.3\nn_points = 500\n", "density")
+    assert code == 0
+    assert json.loads((out / "density.json").read_text())["pass"] is True
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "outside"])
+def test_a_failed_density_verification_fails_both_kinds(tmp_path, monkeypatch, fault):
+    enumerate_box = frames.lattice_points_in_box
+
+    def faulty(lat, center, r):
+        ks = enumerate_box(lat, center, r)
+        if fault == "duplicate":
+            return np.vstack([ks, ks[:1]])
+        below = ks[np.argmin(ks[:, -1])] - np.eye(lat.ndim, dtype=np.int64)[-1]  # one step past the lowest label
+        return np.vstack([ks, below])
+
+    monkeypatch.setattr(frames, "lattice_points_in_box", faulty)
+    assert frames.beurling_density(frames.QuasiLattice(group_spec("heisenberg", 1), 0.75))["verified"] is False
+    for kind, text in (
+        ("density", "[lattice]\ngroup = heisenberg\nn_points = 50\n"),
+        ("frame-sweep", "[sweep]\neps_values = 0.5\n\n[estimate]\nlattice_radius = 2.0\ndict_halfrange = 1.0\n"),
+    ):
+        code, out = run_cli(tmp_path, f"{kind}.cfg", text, kind)
+        assert code == 2, kind
+        assert json.loads((out / f"{kind}.json").read_text())["pass"] is False
+        assert (out / f"{kind}.csv").exists()
 
 
 def test_lattice_labels_beyond_int64_exit_2_with_the_cause(tmp_path, capsys):

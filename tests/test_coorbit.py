@@ -79,6 +79,9 @@ def test_power_weight_values():
     # as a row of A, index -1 would select the last coordinate
     with pytest.raises(ValueError, match="non-negative"):
         power_weight(1.0, (-1,))
+    # a repeated coordinate would weight it by sqrt(2) |q_0|
+    with pytest.raises(ValueError, match="distinct"):
+        power_weight(1.0, (0, 0))
 
 
 def test_fit_log_quadratic_recovers_plant():

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from coorbit_lab import frames
 from coorbit_lab.frames import (
     _BLOCK,
     QuasiLattice,
@@ -212,6 +213,69 @@ def test_density_on_a_sheared_group():
     d = beurling_density(QuasiLattice(group_spec("g6_19"), 0.75))
     assert d["verified"]
     assert d["estimate"] == pytest.approx(0.75**-4, rel=1e-12)
+
+
+# the 21 round spacings from 0.10 to 2.00 at which a rebuild test without the
+# enumeration's tie rule rejects exact boundary points of g5_3 and g6_19 (seed 0)
+_BOUNDARY_SPACINGS = (
+    0.1, 0.3, 0.35, 0.55, 0.65, 0.7, 0.85, 0.9, 0.95, 1.05, 1.1,
+    1.15, 1.3, 1.35, 1.45, 1.55, 1.65, 1.7, 1.85, 1.9, 1.95,
+)
+
+
+@pytest.mark.parametrize("name", ["g5_3", "g6_19"])
+def test_density_verifies_points_on_the_box_boundary(name):
+    # at eps = 0.3 labels (-14, -6, -5, -5) give a sheared coordinate of
+    # exactly -r = -6.5 eps, which the float rebuild puts one ulp below -r
+    lat = QuasiLattice(group_spec(name), 0.3)
+    r = 6.5 * lat.eps
+    assert quasilattice_points(lat, lattice_points_in_box(lat, np.zeros(4), r)).min() < -r
+    assert [eps for eps in _BOUNDARY_SPACINGS if not beurling_density(QuasiLattice(lat.group, eps))["verified"]] == []
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=GROUPS)
+def test_density_counts_one_exact_box_per_centre(spec, monkeypatch):
+    counts = []
+
+    def counting(lat, center, r):
+        ks = lattice_points_in_box(lat, center, r)
+        counts.append(len(ks))
+        return ks
+
+    monkeypatch.setattr(frames, "lattice_points_in_box", counting)
+    n = spec.quotient_dim
+    m = 16 if n <= 2 else (6 if n <= 4 else 2)
+    d = beurling_density(QuasiLattice(spec, 0.75))
+    assert counts == [(2 * m + 1) ** n] * 3
+    assert sorted(d) == ["estimate", "expected", "verified"]
+    assert d["verified"] and d["estimate"] == pytest.approx(d["expected"], rel=1e-12)
+
+
+def test_tiling_check_stacks_every_neighbour_in_one_pass(monkeypatch):
+    shapes = []
+
+    def recording(lat, ks):
+        shapes.append(ks.shape)
+        return descending(lat, ks)
+
+    descending = frames._descending
+    monkeypatch.setattr(frames, "_descending", recording)
+    assert tiling_check(QuasiLattice(group_spec("g5_3"), 0.75), n_points=300, seed=0)["ok"]
+    assert shapes == [(300, 4), (8, 100, 4)]  # the rebuild, then all 2n neighbours
+
+
+def test_box_enumeration_hands_the_law_coordinate_major_stacks(monkeypatch):
+    layouts = []
+
+    def recording(group, w, j, t):
+        layouts.append(w.flags.f_contiguous)
+        return times_axis(group, w, j, t)
+
+    times_axis = frames._times_axis
+    monkeypatch.setattr(frames, "_times_axis", recording)
+    for spec in ALL_SPECS:
+        lattice_points_in_box(QuasiLattice(spec, 0.75), np.full(spec.quotient_dim, 0.4), 3.1)
+    assert len(layouts) == sum(spec.quotient_dim for spec in ALL_SPECS) and all(layouts)
 
 
 def test_distinct_rows_uses_one_key_per_row():
