@@ -573,26 +573,24 @@ def _run_coorbit_norm(config: ExperimentConfig):
 
 
 def _run_frame_sweep(config: ExperimentConfig):
-    from .frames import beurling_density, frame_bounds_estimate
+    from .frames import beurling_density, density_box, frame_bounds_estimate, frame_section
 
     lam = config.get("sweep", "lam")
     rep = config.built["rep"]
     d_pi = known_formal_dimension(rep)
     factor = config.get("tolerance", "density_factor")
     ratio_tol = config.get("tolerance", "ratio")
+    settings = {key: config.get("estimate", key) for key in ("lattice_radius", "dict_halfrange", "dict_step")}
+    for lat in config.built["lattices"]:  # every eps's checks before any lattice work
+        density_box(lat)
+        frame_section(rep, lat.eps, **settings)
     rows = []
     subcritical = []  # frame-bound ratios below the critical density
     verified = True
     for lat in config.built["lattices"]:
         dens = beurling_density(lat)
         verified = verified and dens["verified"]
-        fb = frame_bounds_estimate(
-            rep,
-            eps=lat.eps,
-            lattice_radius=config.get("estimate", "lattice_radius"),
-            dict_halfrange=config.get("estimate", "dict_halfrange"),
-            dict_step=config.get("estimate", "dict_step"),
-        )
+        fb = frame_bounds_estimate(rep, eps=lat.eps, **settings)
         rows.append((lat.eps, dens["estimate"], fb.lower, fb.upper))
         if dens["estimate"] < factor * d_pi:
             subcritical.append(fb.ratio)
@@ -607,10 +605,13 @@ def _run_frame_sweep(config: ExperimentConfig):
 
 
 def _run_density(config: ExperimentConfig):
-    from .frames import beurling_density, tiling_check
+    from .frames import beurling_density, density_box, tiling_budget, tiling_check
 
     eps = config.get("lattice", "eps")
     n_points = config.get("lattice", "n_points")
+    for lat in config.built["lattices"]:  # every group's checks before any lattice work
+        tiling_budget(lat, n_points)
+        density_box(lat)
     rows = []
     passed = True
     worst = 0

@@ -817,13 +817,11 @@ class NormTask:
 
 @dataclass(frozen=True)
 class ScanResult:
-    label: str
     growth: str
     u_values: tuple[float, ...]
     log_norms: tuple[float, ...]
     slope: float
     intercept: float
-    fit_from: float
     centers: tuple[tuple[float, ...], ...] = ()  # the recentred coupled coordinates per u; () with none
 
 
@@ -834,8 +832,9 @@ def fit_slope(u_values, log_norms, growth: str = "u", u_min: float = 32.0) -> tu
     if mask.sum() < 2 or u[mask].min() == u[mask].max():
         raise ValueError(f"need at least two distinct u values past u_min = {u_min:g} for a slope fit")
     x = np.log(u[mask]) if growth == "u" else np.log1p(u[mask] ** 2)
-    slope, intercept = np.polyfit(x, y[mask], 1)
-    return float(slope), float(intercept)
+    dx, y = x - x.mean(), y[mask]
+    slope = float(dx @ (y - y.mean()) / (dx @ dx))  # the least-squares line through centred sums
+    return slope, float(y.mean() - slope * x.mean())
 
 
 DEFAULT_SCAN = (10.0, 20.0, 40.0, 80.0, 160.0, 320.0)
@@ -862,7 +861,7 @@ def orbit_scan(task: NormTask, u_values: Sequence[float] = DEFAULT_SCAN, u_min_f
     centers = tuple(tuple(float(c) for c in row) for row in found) if found.size else ()
     logs = tuple(float(v) for v in logs)
     slope, intercept = fit_slope(u_values, logs, task.growth, u_min_fit)
-    return ScanResult(task.label, task.growth, u_values, logs, slope, intercept, u_min_fit, centers)
+    return ScanResult(task.growth, u_values, logs, slope, intercept, centers)
 
 
 def chirp_scan_task(p: float, cross: bool = False) -> NormTask:

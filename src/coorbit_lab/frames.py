@@ -8,7 +8,8 @@ coordinates, each coordinate becomes exactly additive once the ones above it
 are stripped, which makes exact tiling factorization and membership tests
 possible in raw coordinates.  For the same reason a half-open box of width
 (2m + 1) eps holds exactly 2m + 1 labels per axis, so the Beurling density
-is read from one exactly enumerated box per centre.
+is read from one exactly enumerated box per centre, and the frame estimate's
+lattice section is one such box at the origin.
 """
 
 from __future__ import annotations
@@ -30,9 +31,12 @@ __all__ = [
     "ascending_point",
     "ordered_coords",
     "locate",
+    "tiling_budget",
     "tiling_check",
+    "density_box",
     "beurling_density",
     "FrameBounds",
+    "frame_section",
     "frame_bounds_estimate",
     "dual_window_estimate",
 ]
@@ -147,6 +151,11 @@ def locate(lat: QuasiLattice, points):
     return ks.astype(np.int64), ts, float(np.abs(project(group, w)).max())
 
 
+def tiling_budget(lat: QuasiLattice, n_points: int) -> None:
+    """Raise WorkBudgetError if tiling_check would draw more than _MAX_ENTRIES coordinates."""
+    check_budget(n_points * lat.ndim, _MAX_ENTRIES, lambda: f"tiling check: coordinates of {n_points:,} points")
+
+
 def tiling_check(lat: QuasiLattice, n_points: int = 10000, seed: int = 0) -> dict:
     """Random points of [-5, 5]^n must factor exactly and uniquely through the tiling.
 
@@ -156,7 +165,7 @@ def tiling_check(lat: QuasiLattice, n_points: int = 10000, seed: int = 0) -> dic
     lattice points put the same sample strictly outside the tile.
     """
     group, eps, n = lat.group, lat.eps, lat.ndim
-    check_budget(n_points * n, _MAX_ENTRIES, lambda: f"tiling check: coordinates of {n_points:,} points")
+    tiling_budget(lat, n_points)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-5.0, 5.0, (n_points, n))
     ks, ts, residual = locate(lat, pts)
@@ -228,21 +237,15 @@ def _distinct_rows(ks) -> bool:
     return not np.any(keys[1:] == keys[:-1])
 
 
-def beurling_density(lat: QuasiLattice, seed: int = 0) -> dict:
-    """Counting density of the quasi-lattice from one half-open box per centre.
+def density_box(lat: QuasiLattice) -> tuple[float, int, float]:
+    """The half-width r, label count and volume of beurling_density's boxes.
 
-    The box center · [-r, r)^n has r = (m + 1/2) eps, with m = 16, 6 or 2 as
-    the quotient dimension n is at most 2, at most 4, or more, and sits at
-    the origin and at two random centres.  It holds 2m + 1 labels per axis,
-    so (2m + 1)^n points in all, and the estimate, the smallest count over
-    the volume, is eps^-n to rounding.  The count comes from the exact box
-    enumeration; "verified" reports that every point, rebuilt from its label,
-    lies in its box under the enumeration's tie rule (a coordinate down to
-    1e-12 eps below -r is inside) and that no label repeats.  A volume past
-    double range raises ValueError, and more than _MAX_ENTRIES labels in the
-    three boxes WorkBudgetError, before anything is allocated.
+    r = (m + 1/2) eps, with m = 16, 6 or 2 as the quotient dimension n is at
+    most 2, at most 4, or more, so a box holds 2m + 1 labels per axis and
+    (2m + 1)^n in all.  A volume past double range raises ValueError, and
+    more than _MAX_ENTRIES labels in three boxes WorkBudgetError.
     """
-    group, eps, n = lat.group, lat.eps, lat.ndim
+    eps, n = lat.eps, lat.ndim
     m = 16 if n <= 2 else (6 if n <= 4 else 2)
     r = (m + 0.5) * eps
     try:
@@ -251,7 +254,24 @@ def beurling_density(lat: QuasiLattice, seed: int = 0) -> dict:
         vol = math.inf
     if not vol < math.inf:
         raise ValueError(f"the volume of a box of half-width {r:g} at spacing eps = {eps:g} is past double range")
-    check_budget(3 * (2 * m + 1) ** n, _MAX_ENTRIES, lambda: f"density: lattice labels in three {n}-dimensional boxes")
+    count = (2 * m + 1) ** n
+    check_budget(3 * count, _MAX_ENTRIES, lambda: f"density: lattice labels in three {n}-dimensional boxes")
+    return r, count, vol
+
+
+def beurling_density(lat: QuasiLattice, seed: int = 0) -> dict:
+    """Counting density of the quasi-lattice from one half-open box per centre.
+
+    The box center · [-r, r)^n of density_box sits at the origin and at two
+    random centres, and the estimate, the smallest count over the volume, is
+    eps^-n to rounding.  The count comes from the exact box enumeration;
+    "verified" reports that every box holds exactly its (2m + 1)^n labels,
+    that none repeats, and that every point, rebuilt from its label, lies in
+    its box under the enumeration's tie rule (a coordinate down to 1e-12 eps
+    below -r is inside).
+    """
+    group, eps, n = lat.group, lat.eps, lat.ndim
+    r, count, vol = density_box(lat)
     rng = np.random.default_rng(seed)
     centers = np.vstack([np.zeros((1, n)), rng.uniform(-2.0, 2.0, (2, n))])
     inv_centers = inverse(group, section(group, centers))
@@ -261,7 +281,8 @@ def beurling_density(lat: QuasiLattice, seed: int = 0) -> dict:
         ks = lattice_points_in_box(lat, center, r)
         counts.append(len(ks))
         rel = project(group, multiply(group, inv_center, _descending(lat, ks)))
-        verified = verified and bool(np.all((rel >= -r - 1e-12 * eps) & (rel < r))) and _distinct_rows(ks)
+        inside = bool(np.all((rel >= -r - 1e-12 * eps) & (rel < r)))
+        verified = verified and len(ks) == count and inside and _distinct_rows(ks)
     return {"estimate": min(counts) / vol, "expected": float(eps ** (-n)), "verified": verified}
 
 
@@ -305,9 +326,10 @@ _MAX_ENTRIES = 1 << 24
 # lattice points whose coefficients are formed at once: the frame Gram is
 # accumulated over blocks, so the estimate's memory does not grow with the lattice
 _BLOCK = 64
-# bound on max(1, |lam|, |mu|) (1 + lattice_radius + eps)^3: the factor tables
-# are polynomials of degree at most 3 in a lattice coordinate, and act
-# multiplies their values by at most 2 pi, which must stay in double range
+# bound on max(1, |lam|, |mu|) (1 + h)^3, h the half-width of the frame
+# section: the factor tables are polynomials of degree at most 3 in a lattice
+# coordinate, and act multiplies their values by at most 2 pi, which must stay
+# in double range
 _MAX_REACH = 1e306
 
 
@@ -317,11 +339,10 @@ def _test_space(d: int, dict_halfrange: float, dict_step: float):
 
     The atoms M_xi T_x phi, (x, xi) on a grid, are the H_d action at
     lambda = -1 on the unit Gaussian phi, so each is its (lin, log_amp).
-    None of this depends on the lattice, so a sweep over eps builds it once.
-    Returns (lin, log_amp, basis), one row of lin per atom.
+    None of this depends on the lattice, so a sweep over eps builds it once,
+    and frame_section checks its size.  Returns (lin, log_amp, basis), one
+    row of lin per atom.
     """
-    atoms = ceil_count((dict_halfrange + 0.5 * dict_step + dict_halfrange) / dict_step) ** (2 * d)
-    check_budget(atoms * atoms, _MAX_ENTRIES, lambda: f"frame bounds: test-space Gram entries at d = {d}")
     offs = np.arange(-dict_halfrange, dict_halfrange + 0.5 * dict_step, dict_step)
     stft = _stft_rep(d)
     z = np.stack(np.meshgrid(*([offs] * (2 * d)), indexing="ij"), axis=-1).reshape(-1, 2 * d)
@@ -335,6 +356,40 @@ def _test_space(d: int, dict_halfrange: float, dict_step: float):
     for arr in (lin, log_amp, basis):
         arr.flags.writeable = False
     return lin, log_amp, basis
+
+
+def frame_section(
+    rep: RepSpec, eps: float, lattice_radius: float, dict_halfrange: float, dict_step: float
+) -> tuple[QuasiLattice, float]:
+    """The lattice of frame_bounds_estimate and the half-width h of its section [-h, h)^n.
+
+    h = (radius + 1/2) eps with radius = ceil(lattice_radius / eps), so the
+    section holds exactly (2 radius + 1)^n labels and every budget is known
+    from the settings.  More than _MAX_ENTRIES labels, test-space Gram
+    entries or lattice-point x test-atom coefficients, or a box whose points
+    carry the factors of pi past double range, raise WorkBudgetError.
+    """
+    lat = QuasiLattice(rep.group, eps)
+    n = lat.ndim
+    radius = ceil_count(lattice_radius / eps)
+    labels = (2 * radius + 1) ** n
+    check_budget(labels, _MAX_ENTRIES, lambda: f"frame bounds: lattice labels on a {n}-dimensional quotient")
+    half = (radius + 0.5) * eps
+    log_reach = math.log(max(1.0, abs(rep.lam), abs(rep.mu))) + 3.0 * math.log1p(half)
+    if not log_reach <= math.log(_MAX_REACH):
+        raise WorkBudgetError(
+            f"frame bounds: lambda = {rep.lam:g} and mu = {rep.mu:g} over a lattice reach of "
+            f"{half:g} carry the factors of pi past double range"
+        )
+    d = rep.acting_dim
+    atoms = ceil_count((dict_halfrange + 0.5 * dict_step + dict_halfrange) / dict_step) ** (2 * d)
+    check_budget(atoms * atoms, _MAX_ENTRIES, lambda: f"frame bounds: test-space Gram entries at d = {d}")
+    check_budget(
+        labels * atoms,
+        _MAX_ENTRIES,
+        lambda: f"frame bounds: Gram entries of {labels:,} lattice points x {atoms:,} test atoms",
+    )
+    return lat, half
 
 
 def frame_bounds_estimate(
@@ -354,41 +409,19 @@ def frame_bounds_estimate(
     The test space depends only on the dimension and the dictionary
     settings, and is built once per such setting.
 
-    The frame Gram sum_gamma c_gamma^H c_gamma, with c_gamma the row of
-    coefficients <psi_j, pi(gamma) g>, is accumulated over blocks of _BLOCK
-    lattice points, so memory is O(_BLOCK J + J^2) for J test atoms whatever
-    the lattice.
-
-    Settings that ask for more than _MAX_ENTRIES labels, test-space Gram
-    entries or lattice-point x test-atom coefficients, or whose lattice
-    points would carry the factors of pi past double range, raise
-    WorkBudgetError before anything is allocated.
+    The lattice section is every lattice point of frame_section's box,
+    enumerated by lattice_points_in_box once frame_section has checked
+    every budget.  The frame
+    Gram sum_gamma c_gamma^H c_gamma, with c_gamma the row of coefficients
+    <psi_j, pi(gamma) g>, is accumulated over blocks of _BLOCK lattice
+    points, so memory is O(_BLOCK J + J^2) for J test atoms whatever the
+    lattice.
     """
+    lat, half = frame_section(rep, eps, lattice_radius, dict_halfrange, dict_step)
+    ks = lattice_points_in_box(lat, np.zeros(lat.ndim), half)
+    gamma = quasilattice_points(lat, ks[np.lexsort(ks.T[::-1])])  # k_0 slowest, so the Gram sums in label-cube order
     g = default_window(rep)
-    d = rep.acting_dim
-    lat = QuasiLattice(rep.group, eps)
-    n = lat.ndim
-    log_reach = math.log(max(1.0, abs(rep.lam), abs(rep.mu))) + 3.0 * math.log1p(lattice_radius + eps)
-    if not log_reach <= math.log(_MAX_REACH):
-        raise WorkBudgetError(
-            f"frame bounds: lambda = {rep.lam:g} and mu = {rep.mu:g} over a lattice reach of "
-            f"{lattice_radius + eps:g} carry the factors of pi past double range"
-        )
-
-    radius = ceil_count(lattice_radius / eps)
-    check_budget(
-        (2 * radius + 1) ** n, _MAX_ENTRIES, lambda: f"frame bounds: lattice labels on a {n}-dimensional quotient"
-    )
-    ks = np.stack(np.meshgrid(*([np.arange(-radius, radius + 1)] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    gamma = quasilattice_points(lat, ks)
-    gamma = gamma[np.all(np.abs(gamma) <= lattice_radius + eps, axis=-1)]
-
-    test_lin, test_amp, basis = _test_space(d, dict_halfrange, dict_step)
-    check_budget(
-        len(gamma) * len(test_amp),
-        _MAX_ENTRIES,
-        lambda: f"frame bounds: Gram entries of {len(gamma):,} lattice points x {len(test_amp):,} test atoms",
-    )
+    test_lin, test_amp, basis = _test_space(rep.acting_dim, dict_halfrange, dict_step)
     frame_gram = np.zeros((len(test_amp), len(test_amp)), dtype=complex)
     for start in range(0, len(gamma), _BLOCK):
         block = section(rep.group, gamma[start : start + _BLOCK])

@@ -496,6 +496,33 @@ def test_density_over_the_work_budget_exits_3(tmp_path, text, count):
 
 
 @pytest.mark.parametrize(
+    "kind,text,count",
+    [
+        ("density", "[lattice]\ngroup = all\nheisenberg_d = 5\n", "labels in three 10-dimensional boxes: 29,296,875"),
+        ("frame-sweep", "[sweep]\neps_values = 0.5,1e-5\n", "lattice labels on a 2-dimensional quotient"),
+        ("frame-sweep", "[sweep]\neps_values = 0.5,0.02\n", "Gram entries of 361,201 lattice points x 289"),
+    ],
+    ids=["density-all-groups", "frame-sweep-labels", "frame-sweep-gram"],
+)
+def test_a_run_over_the_work_budget_is_refused_before_any_lattice_work(
+    tmp_path, capsys, monkeypatch, kind, text, count
+):
+    # no group or spacing before the refused one may do its lattice work
+    calls = []
+    for name in ("tiling_check", "lattice_points_in_box", "_coefficients"):
+
+        def counting(*args, name=name, original=getattr(frames, name), **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(frames, name, counting)
+    code, out = run_cli(tmp_path, "over.cfg", text, kind)
+    assert code == 3
+    assert count in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
     "kind,text",
     [
         ("density", "[lattice]\ngroup = heisenberg\neps = 1e300\nn_points = 50\n"),
@@ -523,7 +550,7 @@ def test_density_at_a_sheared_boundary_spacing_passes(tmp_path):
     assert json.loads((out / "density.json").read_text())["pass"] is True
 
 
-@pytest.mark.parametrize("fault", ["duplicate", "outside"])
+@pytest.mark.parametrize("fault", ["duplicate", "outside", "missing"])
 def test_a_failed_density_verification_fails_both_kinds(tmp_path, monkeypatch, fault):
     enumerate_box = frames.lattice_points_in_box
 
@@ -531,6 +558,8 @@ def test_a_failed_density_verification_fails_both_kinds(tmp_path, monkeypatch, f
         ks = enumerate_box(lat, center, r)
         if fault == "duplicate":
             return np.vstack([ks, ks[:1]])
+        if fault == "missing":  # every label left lies in its box, and none repeats
+            return ks[1:]
         below = ks[np.argmin(ks[:, -1])] - np.eye(lat.ndim, dtype=np.int64)[-1]  # one step past the lowest label
         return np.vstack([ks, below])
 

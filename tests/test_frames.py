@@ -380,10 +380,8 @@ def test_frame_sweep_reuses_the_test_space_bit_for_bit():
 def _unblocked_bounds(rep, eps, lattice_radius, dict_halfrange):
     """The frame estimate with the whole coefficient matrix in one array, as one product."""
     lat = QuasiLattice(rep.group, eps)
-    radius = math.ceil(lattice_radius / eps)
-    ks = np.stack(np.meshgrid(*([np.arange(-radius, radius + 1)] * lat.ndim), indexing="ij"), axis=-1)
-    gamma = quasilattice_points(lat, ks.reshape(-1, lat.ndim))
-    gamma = gamma[np.all(np.abs(gamma) <= lattice_radius + eps, axis=-1)]
+    half = (math.ceil(lattice_radius / eps) + 0.5) * eps
+    gamma = quasilattice_points(lat, _reference_lattice_points_in_box(lat, np.zeros(lat.ndim), half))
     g = default_window(rep)
     test_lin, test_amp, basis = _test_space(rep.acting_dim, dict_halfrange, 0.5)
     coeff = _coefficients(test_lin, test_amp, *act(rep, section(rep.group, gamma), g.quad, g.lin, g.log_amp))
@@ -408,6 +406,16 @@ def test_blocked_frame_gram_matches_one_product(name, eps, lattice_radius, dict_
     assert (n_atoms < _BLOCK) if short else (n_atoms > _BLOCK and n_atoms % _BLOCK != 0)
     assert abs(fb.upper - upper) <= 1e-12 * upper
     assert abs(fb.lower - lower) <= 1e-8 * upper
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=GROUPS)
+def test_frame_section_is_the_exact_box(spec):
+    # the section is every label of [-h, h)^n, h = (ceil(R / eps) + 1/2) eps;
+    # on g5_3 and g6_19 a label cube cut at |gamma| <= R + eps kept 445 of 625
+    rep = RepSpec(spec, 1.0, 1.0 if spec.center_dim == 2 else 0.0)
+    lat, half = QuasiLattice(spec, 1.0), (math.ceil(1.5 / 1.0) + 0.5) * 1.0
+    fb = frame_bounds_estimate(rep, eps=1.0, lattice_radius=1.5, dict_halfrange=0.0)  # one test atom
+    assert fb.n_atoms == len(_reference_lattice_points_in_box(lat, np.zeros(lat.ndim), half)) == 5**lat.ndim
 
 
 def test_frame_bounds_memory_does_not_grow_with_the_lattice():
