@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .gaussian import Gaussian, quad_forms, tensor, unit_gaussian
-from .groups import GroupSpec, group_spec, quotient_multiply, section
+from .groups import group_spec, section
 from .numerics import TailMassWarning, WeightRangeError, ceil_count, check_budget, logsumexp
 from .representations import (
     RepSpec,
@@ -47,8 +47,6 @@ __all__ = [
     "power_weight",
     "coorbit_norm_log",
     "modulation_norm_log",
-    "moderate_check",
-    "weight_pullback_g616",
     "NormTask",
     "ScanResult",
     "orbit_scan",
@@ -94,11 +92,6 @@ class WeightSpec:
     @property
     def coords(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.flatnonzero(self.A.any(axis=0)))
-
-    def log_eval(self, points) -> np.ndarray:
-        cols = list(self.coords)
-        aq = np.asarray(points, dtype=float)[..., cols] @ self.A[:, cols].T
-        return self.s * np.log1p(np.linalg.norm(aq, axis=-1))
 
 
 def power_weight(s: float, coords: Sequence[int]) -> WeightSpec:
@@ -746,43 +739,6 @@ def modulation_norm_log(f: Gaussian, g: Gaussian | None = None, spec: NormSpec |
         raise ValueError(f"window dimension {g.dim} does not match signal dimension {f.dim}")
     norms, _ = _coorbit_log_norms(_stft_rep(f.dim), _States.stack([f]), g, spec)
     return float(norms[0])
-
-
-# ---------------------------------------------------------------------------
-# weights: moderateness and the G6,16 pullback
-
-def moderate_check(group: GroupSpec, weight: WeightSpec, control: WeightSpec, n_pairs: int = 10000) -> dict:
-    """Sampled check of m(xy) <= v(x) m(y) under the quotient group law, on
-    pairs drawn uniformly from [-5, 5]^n."""
-    rng = np.random.default_rng(0)
-    n = group.quotient_dim
-    x = rng.uniform(-5.0, 5.0, (n_pairs, n))
-    y = rng.uniform(-5.0, 5.0, (n_pairs, n))
-    xy = quotient_multiply(group, x, y)
-    excess = weight.log_eval(xy) - control.log_eval(x) - weight.log_eval(y)
-    worst = float(excess.max())
-    return {"max_log_excess": worst, "pairs": n_pairs, "ok": worst <= 1e-9}
-
-
-def weight_pullback_g616(weight: WeightSpec | None, lam: float, mu: float = 0.0) -> WeightSpec | None:
-    """Transport a quotient weight for the 6,16 group to phase-space coordinates.
-
-    The coefficient map identifies quotient points with phase-space points
-    (x1, x2, xi1, xi2) via x5 = x1, x6 = x2, x4 = -xi2/lam,
-    x3 = (mu x2 - xi1)/lam; the weight is composed with that substitution,
-    q = M z, so its matrix becomes A M.
-    """
-    if weight is None:
-        return None
-    if lam == 0.0:
-        raise ValueError("pullback needs lambda != 0")
-    if weight.coords[-1] > 3:
-        raise ValueError(f"weight coordinates {weight.coords} out of range for the 4 quotient coordinates")
-    M = np.zeros((4, 4))
-    M[0, 1:3] = mu / lam, -1.0 / lam
-    M[1, 3] = -1.0 / lam
-    M[2, 0] = M[3, 1] = 1.0
-    return WeightSpec(weight.s, weight.A[:, :4] @ M[: weight.A.shape[1]])
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import Gaussian, log_gauss_integrals, modulate, translate, unit_gaussian
+from .gaussian import log_gauss_integrals, unit_gaussian
 from .groups import GroupSpec, axis_point, inverse, multiply, project, section
-from .numerics import GridSpec, WorkBudgetError, ceil_count, check_budget
+from .numerics import WorkBudgetError, ceil_count, check_budget
 from .representations import RepSpec, _stft_rep, act, default_window
 
 __all__ = [
     "QuasiLattice",
     "quasilattice_points",
-    "ascending_point",
-    "ordered_coords",
     "locate",
     "tiling_budget",
     "tiling_check",
@@ -38,7 +36,6 @@ __all__ = [
     "FrameBounds",
     "frame_section",
     "frame_bounds_estimate",
-    "dual_window_estimate",
 ]
 
 
@@ -99,16 +96,6 @@ def quasilattice_points(lat: QuasiLattice, ks) -> np.ndarray:
     if ks.shape[-1] != lat.ndim:
         raise ValueError(f"expected trailing dimension {lat.ndim}")
     return project(lat.group, _descending(lat, ks))
-
-
-def ascending_point(group: GroupSpec, ts) -> np.ndarray:
-    """e^{t_1 X_1} ... e^{t_n X_n} in the quotient, batched over leading axes."""
-    return project(group, _ascending(group, np.asarray(ts, dtype=float)))
-
-
-def ordered_coords(group: GroupSpec, w) -> np.ndarray:
-    """Invert ascending_point: peel coordinates from the top down."""
-    return _ordered(group, section(group, w))
 
 
 def _labels(x, eps: float, box: float) -> np.ndarray:
@@ -432,77 +419,3 @@ def frame_bounds_estimate(
     lower, upper = float(mu.min()), float(mu.max())
 
     return FrameBounds(lower, upper, lower / max(upper, 1e-300), len(gamma))
-
-
-# ---------------------------------------------------------------------------
-# dual windows on the periodized line (Heisenberg case)
-
-def dual_window_estimate(eps: float = 0.5) -> dict:
-    """Canonical dual window of the periodized Gabor system on the line.
-
-    The Heisenberg lattice at lambda = 1 with spacing eps acts by rolls and
-    modulations on the default periodic grid, so the whole frame operator S
-    is assembled from one sampled window, the unit Gaussian g.  The system is
-    a frame (converged) when the smallest eigenvalue of S exceeds 1e-10 of
-    the largest; a dense solve of S gamma = g gives the dual, and
-    reconstruction residuals on five random Gaussians confirm that it
-    behaves like one.
-    """
-    grid = GridSpec.default_for(1)
-    g = unit_gaussian(1)
-    h = grid.step
-    period = 2.0 * grid.half_width
-    n_pts = grid.points_per_axis
-
-    shift = eps / h
-    if abs(shift - round(shift)) > 1e-9:
-        raise ValueError("eps must be an integer multiple of the grid step")
-    shift = int(round(shift))
-    if n_pts % shift != 0:
-        raise ValueError("the shift must divide the grid size")
-    if abs(eps * period - round(eps * period)) > 1e-9:
-        raise ValueError("eps * period must be an integer for periodic modulations")
-    n_time = n_pts // shift
-    n_freq = 1.0 / (h * eps)
-    if abs(n_freq - round(n_freq)) > 1e-9:
-        raise ValueError("1 / (step * eps) must be an integer")
-    n_freq = int(round(n_freq))
-
-    t = grid.axis()
-    g_samp = np.asarray(g(t), dtype=complex)
-    rolls = np.stack([np.roll(g_samp, k * shift) for k in range(n_time)], axis=1)
-    freqs = (np.arange(n_freq) - n_freq // 2) * eps
-    mods = np.exp(2j * np.pi * t[:, None] * freqs[None, :])
-    v_cols = (rolls[:, :, None] * mods[:, None, :]).reshape(n_pts, -1)
-
-    frame_op = h * (v_cols @ v_cols.conj().T)
-    spectrum = np.linalg.eigvalsh(frame_op)
-    converged = spectrum[0] > 1e-10 * spectrum[-1]
-    dual = np.linalg.solve(frame_op, g_samp)
-
-    rolls_d = np.stack([np.roll(dual, k * shift) for k in range(n_time)], axis=1)
-    vd_cols = (rolls_d[:, :, None] * mods[:, None, :]).reshape(n_pts, -1)
-
-    rng = np.random.default_rng(0)
-    residuals = []
-    for _ in range(5):
-        test = modulate(
-            translate(Gaussian(rng.uniform(0.7, 1.8)), rng.uniform(-2, 2)), rng.uniform(-2, 2)
-        )
-        f_samp = np.asarray(test(t), dtype=complex)
-        coeffs = h * (v_cols.conj().T @ f_samp)
-        f_rec = vd_cols @ coeffs
-        residuals.append(float(np.linalg.norm(f_rec - f_samp) / np.linalg.norm(f_samp)))
-
-    overlap = complex(np.vdot(g_samp, dual) / np.vdot(g_samp, g_samp))
-    snugness = float(np.linalg.norm(dual - overlap * g_samp) / np.linalg.norm(dual))
-    return {
-        "eps": eps,
-        "converged": bool(converged),
-        "dual": dual,
-        "residuals": residuals,
-        "max_residual": float(max(residuals)),
-        "snugness": snugness,
-        "frame_like": bool(converged and max(residuals) < 1e-3),
-        "n_columns": int(v_cols.shape[1]),
-    }

@@ -23,7 +23,6 @@ __all__ = [
     "modulate",
     "chirp",
     "tensor",
-    "pullback_affine",
     "quad_forms",
     "conjugate",
     "log_gauss_integral",
@@ -35,7 +34,6 @@ __all__ = [
     "log_stft_modulus",
     "delta_matrix",
     "chirp_stft_modulus",
-    "chirp_mp_norm",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -54,11 +52,7 @@ def quad_forms(A):
     Each form must be symmetric to 1e-10 of its largest entry, and its real
     part must be positive definite after symmetrizing; else ValueError.
     """
-    At = np.swapaxes(A, -1, -2)
-    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1), initial=0.0))
-    if np.any(np.abs(A - At).max(axis=(-2, -1), initial=0.0) > 1e-10 * scale):
-        raise ValueError("quadratic form must be symmetric")
-    A = 0.5 * (A + At)
+    A = _symmetrized(A, "quadratic form")
     if np.any(np.linalg.eigvalsh(A.real) <= 0.0):
         raise ValueError("real part of the quadratic form must be positive definite")
     return A
@@ -71,11 +65,17 @@ def _as_real_sym(C, dim=None):
         raise ValueError(f"chirp matrix must be square, got shape {C.shape}")
     if dim is not None and C.shape[-1] != dim:
         raise ValueError(f"chirp matrix dimension {C.shape[-1]} does not match {dim}")
-    Ct = np.swapaxes(C, -1, -2)
-    scale = np.maximum(1.0, np.abs(C).max(axis=(-2, -1), initial=0.0))
-    if np.any(np.abs(C - Ct).max(axis=(-2, -1), initial=0.0) > 1e-10 * scale):
-        raise ValueError("chirp matrix must be symmetric")
-    return 0.5 * (C + Ct)
+    return _symmetrized(C, "chirp matrix")
+
+
+def _symmetrized(A, what: str):
+    """0.5 (A + A^T) for a stack (..., d, d); ValueError naming what unless
+    each matrix is symmetric to 1e-10 of its largest entry (or of 1)."""
+    At = np.swapaxes(A, -1, -2)
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1), initial=0.0))
+    if np.any(np.abs(A - At).max(axis=(-2, -1), initial=0.0) > 1e-10 * scale):
+        raise ValueError(f"{what} must be symmetric")
+    return 0.5 * (A + At)
 
 
 class Gaussian:
@@ -112,9 +112,6 @@ class Gaussian:
     def __call__(self, t):
         return np.exp(self.log_value(t))
 
-    def __repr__(self):
-        return f"Gaussian(dim={self.dim}, quad={self.quad!r}, lin={self.lin!r}, log_amp={self.log_amp!r})"
-
 
 def unit_gaussian(dim: int = 1) -> Gaussian:
     """The standard window exp(-pi |t|^2)."""
@@ -148,18 +145,6 @@ def tensor(f: Gaussian, g: Gaussian) -> Gaussian:
     quad[df:, df:] = g.quad
     lin = np.concatenate([f.lin, g.lin])
     return Gaussian(quad, lin, f.log_amp + g.log_amp)
-
-
-def pullback_affine(g: Gaussian, S, v) -> Gaussian:
-    """g(S t + v) for real invertible S."""
-    Sm = np.asarray(S, dtype=float).reshape(g.dim, g.dim)
-    if abs(np.linalg.det(Sm)) < 1e-300:
-        raise ValueError("affine substitution must be invertible")
-    w = np.asarray(v, dtype=float).reshape(g.dim)
-    quad = Sm.T @ g.quad @ Sm
-    lin = Sm.T @ (g.lin - _TWO_PI * g.quad @ w)
-    log_amp = g.log_amp - np.pi * w @ g.quad @ w + g.lin @ w
-    return Gaussian(quad, lin, log_amp)
 
 
 def conjugate(g: Gaussian) -> Gaussian:
@@ -275,13 +260,3 @@ def chirp_stft_modulus(C, x, xi):
     form = np.einsum("...i,...ij,...j->...", zvec, _delta(Cm), zvec)
     out = det4**-0.25 * np.exp(-np.pi * form)
     return float(out) if out.ndim == 0 else out
-
-
-def chirp_mp_norm(C, p: float) -> float:
-    """L^p norm of the chirp spectrogram: p^{-d/p} det(4I+C^2)^{1/(2p)-1/4}."""
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
-    Cm = _as_real_sym(C)
-    d = Cm.shape[0]
-    det4 = np.linalg.det(4.0 * np.eye(d) + Cm @ Cm)
-    return float(p ** (-d / p) * det4 ** (1.0 / (2.0 * p) - 0.25))

@@ -37,17 +37,13 @@ __all__ = [
     "GROUPS",
     "GroupSpec",
     "group_spec",
-    "identity",
     "multiply",
     "inverse",
-    "commutator",
     "section",
     "project",
     "quotient_multiply",
     "axis_point",
     "structure_constants",
-    "bracket_check",
-    "jacobian_check",
 ]
 
 
@@ -99,10 +95,6 @@ class GroupSpec:
         if idx != tuple(range(idx[0], idx[-1] + 1)):
             raise ValueError(f"{self.name}: the noncentral coordinates {idx} are not contiguous")
         return slice(idx[0], idx[-1] + 1)
-
-
-def identity(spec: GroupSpec, shape=()) -> np.ndarray:
-    return np.zeros(tuple(np.atleast_1d(shape)) + (spec.total_dim,)) if shape else np.zeros(spec.total_dim)
 
 
 def axis_point(dim: int, j: int, t) -> np.ndarray:
@@ -262,11 +254,6 @@ def inverse(spec: GroupSpec, a) -> np.ndarray:
     return y
 
 
-def commutator(spec: GroupSpec, a, b) -> np.ndarray:
-    ab = multiply(spec, a, b)
-    return multiply(spec, ab, multiply(spec, inverse(spec, a), inverse(spec, b)))
-
-
 def section(spec: GroupSpec, q) -> np.ndarray:
     """Lift quotient coordinates to the group, central part set to zero; coordinate-major."""
     q = np.asarray(q, dtype=float)
@@ -288,7 +275,7 @@ def quotient_multiply(spec: GroupSpec, qa, qb) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# declared structure constants, and the numeric checks against the laws
+# declared structure constants, which oracles.bracket_check tests against the laws
 
 def structure_constants(spec: GroupSpec) -> np.ndarray:
     """C[i, j, k], the coefficient of E_k in [E_i, E_j], from the declared table."""
@@ -298,51 +285,3 @@ def structure_constants(spec: GroupSpec) -> np.ndarray:
         C[i, j, k] += c
         C[j, i, k] -= c
     return C
-
-
-def bracket_check(spec: GroupSpec) -> dict:
-    """Structure constants from group commutators vs the declared table.
-
-    Richardson-extrapolated: with c(h) = commutator(h e_i, h e_j)/h^2, the
-    estimate 2 c(h) - c(2h) at h = 1e-3 removes the O(h) term.
-    """
-    step = 1e-3
-    n = spec.total_dim
-    declared = structure_constants(spec)
-    worst = 0.0
-    pairs = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            def est(h):
-                return commutator(spec, axis_point(n, i, h), axis_point(n, j, h)) / h**2
-
-            num = 2.0 * est(step) - est(2.0 * step)
-            worst = max(worst, float(np.abs(num - declared[i, j]).max()))
-            pairs += 1
-    return {"max_error": worst, "pairs": pairs, "ok": worst < 1e-4}
-
-
-def jacobian_check(spec: GroupSpec) -> dict:
-    """|det| of left and right translation Jacobians (Haar = Lebesgue check).
-
-    Central differences of step 1e-4 at 40 random pairs from [-2, 2]^n.
-    """
-    n_samples, step = 40, 1e-4
-    rng = np.random.default_rng(0)
-    n = spec.total_dim
-    a = rng.uniform(-2.0, 2.0, size=(n_samples, n))
-    x = rng.uniform(-2.0, 2.0, size=(n_samples, n))
-    worst = {"left": 0.0, "right": 0.0}
-    for side in ("left", "right"):
-        J = np.empty((n_samples, n, n))
-        for i in range(n):
-            dx = np.zeros(n)
-            dx[i] = 0.5 * step
-            if side == "left":
-                diff = multiply(spec, a, x + dx) - multiply(spec, a, x - dx)
-            else:
-                diff = multiply(spec, x + dx, a) - multiply(spec, x - dx, a)
-            J[:, :, i] = diff / step
-        dets = np.linalg.det(J)
-        worst[side] = float(np.abs(np.abs(dets) - 1.0).max())
-    return {**worst, "ok": max(worst.values()) < 1e-6}

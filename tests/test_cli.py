@@ -591,9 +591,6 @@ _NO_SCIPY = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy now fails
 from coorbit_lab.cli import main
-from coorbit_lab.frames import dual_window_estimate
-
-assert dual_window_estimate(eps=0.5)["frame_like"]
 configs = {
     "verify-gaussian": "[samples]\\nclosed = 5\\ngrid = 1\\ndeterminant = 2\\n",
     "orbit-scan": "[scan]\\ntask = chirp-1d\\n",

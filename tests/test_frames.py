@@ -15,19 +15,16 @@ from coorbit_lab.frames import (
     _coefficients,
     _distinct_rows,
     _test_space,
-    ascending_point,
     beurling_density,
-    dual_window_estimate,
     frame_bounds_estimate,
     lattice_points_in_box,
     locate,
-    ordered_coords,
     quasilattice_points,
     tiling_check,
 )
 from coorbit_lab.gaussian import Gaussian
 from coorbit_lab.groups import GROUPS, group_spec, inverse, multiply, project, quotient_multiply, section
-from coorbit_lab.numerics import quad_rep_coefficient
+from coorbit_lab.oracles import quad_rep_coefficient
 from coorbit_lab.representations import RepSpec, act, default_window
 
 ALL_SPECS = [group_spec(n, 1) for n in GROUPS]
@@ -36,6 +33,16 @@ SIX_SPECS = ALL_SPECS + [group_spec("heisenberg", 2)]
 
 def _quotient_inverse(spec, q):
     return project(spec, inverse(spec, section(spec, q)))
+
+
+def ascending_point(group, ts):
+    """e^{t_1 X_1} ... e^{t_n X_n} in the quotient, through the frame layer's full-coordinate chain."""
+    return project(group, frames._ascending(group, np.asarray(ts, dtype=float)))
+
+
+def ordered_coords(group, w):
+    """Invert ascending_point through the frame layer's full-coordinate peel."""
+    return frames._ordered(group, section(group, w))
 
 
 def test_quasilattice_points_against_manual_product():
@@ -443,27 +450,3 @@ def test_test_space_is_built_once_and_read_only():
     for arr in (lin, log_amp, basis):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
-
-
-def test_dual_window_on_a_frame():
-    res = dual_window_estimate(eps=0.5)
-    assert res["converged"]
-    assert res["frame_like"]
-    assert res["max_residual"] < 1e-3
-
-
-def test_dual_window_snugness_improves_with_density():
-    snug_half = dual_window_estimate(eps=0.5)["snugness"]
-    snug_quarter = dual_window_estimate(eps=0.25)["snugness"]
-    assert snug_quarter < snug_half
-
-
-def test_dual_window_detects_the_non_frame():
-    res = dual_window_estimate(eps=2.0)
-    assert not res["frame_like"]
-    assert not res["converged"]  # the smallest eigenvalue of the frame operator is at rounding level
-
-
-def test_dual_window_requires_commensurate_spacing():
-    with pytest.raises(ValueError):
-        dual_window_estimate(eps=0.3)

@@ -7,18 +7,15 @@ from hypothesis import given, settings, strategies as st
 from coorbit_lab.groups import (
     GROUPS,
     axis_point,
-    bracket_check,
-    commutator,
     group_spec,
-    identity,
     inverse,
-    jacobian_check,
     multiply,
     project,
     quotient_multiply,
     section,
     structure_constants,
 )
+from coorbit_lab.oracles import bracket_check, commutator, jacobian_check
 
 ALL_SPECS = [group_spec(n, 1) for n in GROUPS] + [group_spec("heisenberg", 2)]
 
@@ -115,7 +112,7 @@ def test_dynin_folland_inverse_is_the_bch_inverse():
 def test_identity_and_inverse(spec):
     rng = np.random.default_rng(1)
     a = rng.uniform(-2, 2, (40, spec.total_dim))
-    e = identity(spec)
+    e = np.zeros(spec.total_dim)
     assert np.allclose(multiply(spec, e, a), a)
     assert np.allclose(multiply(spec, a, e), a)
     assert np.abs(multiply(spec, a, inverse(spec, a))).max() < 1e-12
@@ -132,7 +129,7 @@ def test_associativity(spec):
 
 
 @given(st.integers(0, len(ALL_SPECS) - 1), st.data())
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 def test_associativity_property(idx, data):
     spec = ALL_SPECS[idx]
     pt = st.lists(st.floats(-3, 3), min_size=spec.total_dim, max_size=spec.total_dim)

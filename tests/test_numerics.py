@@ -7,13 +7,8 @@ from coorbit_lab.gaussian import chirp, chirp_stft_modulus, inner_product, stft_
 from coorbit_lab.groups import group_spec
 from scipy.special import logsumexp as scipy_logsumexp
 
-from coorbit_lab.numerics import (
-    GridSpec,
-    TailMassWarning,
-    dft_stft,
-    logsumexp,
-    quad_rep_coefficient,
-)
+from coorbit_lab.numerics import GridSpec, TailMassWarning, dft_stft, logsumexp
+from coorbit_lab.oracles import quad_rep_coefficient
 from coorbit_lab.representations import RepSpec, apply_rep
 
 
@@ -31,6 +26,9 @@ def test_grid_axes():
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(1, -1.0, 64)
+    for half_width in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            GridSpec(1, half_width, 8)
     with pytest.raises(ValueError):
         GridSpec(0, 4.0, 64)
 

@@ -1,8 +1,10 @@
 """The package root and the public names of its modules."""
 
+import ast
 import functools
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import re
 import subprocess
@@ -11,7 +13,8 @@ import sys
 import pytest
 
 # the library modules; each declares its public names in __all__
-MODULES = ("gaussian", "groups", "representations", "coorbit", "numerics", "frames")
+MODULES = ("gaussian", "groups", "representations", "coorbit", "numerics", "frames", "oracles")
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "coorbit_lab"
 
 
 def test_importing_the_package_loads_none_of_its_modules():
@@ -25,6 +28,52 @@ def test_every_public_name_resolves(name):
     module = importlib.import_module(f"coorbit_lab.{name}")
     missing = [entry for entry in module.__all__ if not hasattr(module, entry)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_name_is_defined_in_its_module(name):
+    # a re-export left behind by a move fails: every public function and class
+    # is defined here, and any other public name (groups.GROUPS) assigned here
+    module = importlib.import_module(f"coorbit_lab.{name}")
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    assigned = {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
+
+    def defined_here(entry):
+        value = getattr(module, entry)
+        if inspect.isfunction(value) or inspect.isclass(value):
+            return value.__module__ == module.__name__
+        return not callable(value) and entry in assigned
+
+    assert [entry for entry in module.__all__ if not defined_here(entry)] == []
+
+
+def _package_imports(path) -> set[str]:
+    """The package modules a source file imports from, by short name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if not module.startswith("coorbit_lab"):
+                    continue
+                module = module.removeprefix("coorbit_lab").lstrip(".")
+            found.update([module.split(".")[0]] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("coorbit_lab."))
+    return found
+
+
+def test_the_oracles_stand_apart_from_the_engine_they_check():
+    imports = {path.stem: _package_imports(path) for path in SRC.glob("*.py")}
+    assert sorted(name for name, used in imports.items() if "oracles" in used and name != "oracles") == []
+    assert imports["oracles"].isdisjoint({"coorbit", "representations"})
+    engine = {"act", "_factors", "_acted_quad", "_acted_lin_amp", "_product_form", "_node_quadratics"}
+    tree = ast.parse((SRC / "oracles.py").read_text(encoding="utf-8"))
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert sorted(named & engine) == []
+    assert imports["numerics"] == set()
 
 
 def _resolves(root, path) -> bool:
@@ -55,12 +104,15 @@ def test_every_private_and_qualified_name_in_the_readme_resolves():
 
 # each kind's smallest useful config, and the modules its run must leave unloaded
 _CLI_RUNS = {
-    "verify-gaussian": ("[samples]\nclosed = 20\ndeterminant = 5\ngrid = 2\ndims = 1\n", ("coorbit", "frames")),
-    "rep-selftest": ("[suite]\ngroup = g5_3\nn_pairs = 20\n", ("coorbit", "frames")),
-    "density": ("[lattice]\ngroup = heisenberg\nn_points = 500\n", ("coorbit",)),
+    "verify-gaussian": (
+        "[samples]\nclosed = 20\ndeterminant = 5\ngrid = 2\ndims = 1\n",
+        ("coorbit", "frames", "oracles"),
+    ),
+    "rep-selftest": ("[suite]\ngroup = g5_3\nn_pairs = 20\n", ("coorbit", "frames", "oracles")),
+    "density": ("[lattice]\ngroup = heisenberg\nn_points = 500\n", ("coorbit", "oracles")),
     "frame-sweep": (
         "[sweep]\neps_values = 0.9\n\n[estimate]\nlattice_radius = 2.0\ndict_halfrange = 1.0\n",
-        ("coorbit",),
+        ("coorbit", "oracles"),
     ),
 }
 _LOADED = (

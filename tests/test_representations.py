@@ -8,23 +8,20 @@ import sys
 import numpy as np
 import pytest
 
-from coorbit_lab.gaussian import Gaussian, chirp, inner_product, l2_norm, modulate, pullback_affine, unit_gaussian
+from _references import coefficient_log_modulus, pullback_affine
+from coorbit_lab.gaussian import Gaussian, chirp, inner_product, l2_norm, log_inner, modulate
 from coorbit_lab.groups import GROUPS, group_spec, multiply, section
-from coorbit_lab.numerics import quad_rep_coefficient
+from coorbit_lab.oracles import pointwise_action, quad_rep_coefficient
 from coorbit_lab.representations import (
     RepSpec,
     _factors,
     _grading,
     act,
     apply_rep,
-    coefficient_log_modulus,
     default_window,
     formal_dimension,
-    homogeneity_check,
     homomorphism_check,
     known_formal_dimension,
-    pointwise_action,
-    rep_coefficient_log_modulus,
     unitarity_check,
 )
 
@@ -37,6 +34,11 @@ def standard_rep(name):
 
 
 ALL_REPS = [standard_rep(n) for n in GROUPS]
+
+
+def rep_coefficient_log_modulus(rep, a, f, g) -> float:
+    """log |<f, pi(a) g>| through one acted Gaussian, safe far outside the windows' joint support."""
+    return float(log_inner(f, apply_rep(rep, a, g)).real)
 
 
 @pytest.mark.parametrize("rep", ALL_REPS, ids=GROUPS)
@@ -284,6 +286,25 @@ def test_a_caller_cannot_change_the_records_derived_facts():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(rep, name, None)
     assert rep.split == ((2, 4), (0, 1, 3, 5)) and rep.delta.tolist() == [2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0]
+
+
+def homogeneity_check(rep, n_points=50, seed=0) -> dict:
+    """|<f, pi(a) g>| against |<f, pi_{+-1}(delta a) g>| on random elements.
+
+    The unit character and the dilation delta are rep.unit and rep.delta,
+    the map the norm engine applies.  The grading comes from the brackets
+    and the factors are declared apart from them, so the relation tests one
+    against the other.
+    """
+    rng = np.random.default_rng(seed)
+    d = rep.acting_dim
+    f = Gaussian(1.4 * np.eye(d) + 0.3j * np.ones((d, d)), np.full(d, 0.3 - 0.2j))
+    g = default_window(rep)
+    a = rng.uniform(-1.5, 1.5, (n_points, rep.group.total_dim))
+    lhs = coefficient_log_modulus(rep, a, f, g)
+    rhs = coefficient_log_modulus(rep.unit, a * rep.delta, f, g)
+    worst = float(np.max(np.abs(np.expm1(lhs - rhs)), initial=0.0))
+    return {"max_rel_error": worst, "ok": worst < 1e-10}
 
 
 def test_g5_3_homogeneity():
