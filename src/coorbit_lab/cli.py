@@ -369,8 +369,6 @@ _BUILDERS = {
 # experiment handlers: each returns (csv_header, csv_rows, metrics, passed)
 
 def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -432,11 +430,11 @@ def _run_verify_gaussian(config: ExperimentConfig):
             C = (C + C.T) / 2.0
             x = rng.uniform(-1.0, 1.0, d)
             f = chirp(window, C)
-            _, freq, S = dft_stft(f, window, grid, shifts=[x])
+            freq, S = dft_stft(f, window, grid, x)
             mesh = np.stack(np.meshgrid(*([freq] * d), indexing="ij"), axis=-1)
             keep = np.all(np.abs(mesh) <= freq_keep, axis=-1)
             predicted = chirp_stft_modulus(C, x, mesh[keep])
-            err = float(np.abs(np.abs(S[0][keep]) - predicted).max())
+            err = float(np.abs(np.abs(S[keep]) - predicted).max())
             rows.append(("grid", d, i, err))
     for i in range(config.get("samples", "determinant")):
         d = 1 + i % 2

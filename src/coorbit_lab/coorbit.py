@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .gaussian import Gaussian, quad_forms, tensor, unit_gaussian
+from .gaussian import Gaussian, l2_norm, quad_forms, tensor, unit_gaussian
 from .groups import group_spec, section
 from .numerics import TailMassWarning, WeightRangeError, ceil_count, check_budget, logsumexp
 from .representations import (
@@ -37,6 +37,7 @@ from .representations import (
     _product_form,
     _stft_rep,
     act,
+    default_window,
 )
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "fit_log_quadratic",
     "power_weight",
     "coorbit_norm_log",
+    "formal_dimension",
     "modulation_norm_log",
     "NormTask",
     "ScanResult",
@@ -592,6 +594,24 @@ def coorbit_norm_log(rep: RepSpec, f: Gaussian, g: Gaussian, spec: NormSpec | No
     return float(norms[0])
 
 
+def formal_dimension(rep: RepSpec, g=None, box_half: float = 8.0, resolution: float = 0.125) -> float:
+    """d_pi estimate from the orthogonality relation: ||g||^4 / int |V_g g|^2.
+
+    Raises ValueError, in place of the TailMassWarning of the norm, when the
+    tail outside the truncation box exceeds 1% of the integral.
+    """
+    if g is None:
+        g = default_window(rep)
+    spec = NormSpec(p=2.0, box_half=box_half, resolution=resolution)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TailMassWarning)
+        try:
+            log_sq = 2.0 * coorbit_norm_log(rep, g, g, spec)
+        except TailMassWarning as tail:
+            raise ValueError(str(tail)) from None
+    return float(np.exp(4.0 * np.log(l2_norm(g)) - log_sq))
+
+
 class _Plan(NamedTuple):
     """A norm as _normalise reads it from its representation and spec alone."""
 
@@ -696,12 +716,10 @@ def _assemble(plan: _Plan, states: _States, g: Gaussian, spec: NormSpec, meshes,
     # one row per coupled node of every state, one column per weight node: the
     # fit coordinates off the weight mesh are integrated out once per node, and
     # the quadratic left in the weighted ones is evaluated on the weight mesh
+    # (one empty point without a weight)
     quad = _node_quadratics(unit, node_states, g, cpts).scaled(p)
-    if wdims:
-        quad = quad.marginalized([i for i, c in enumerate(fitdims) if c not in wdims])
-        vals = LogQuadratic(quad.const[:, None], quad.grad[:, None], quad.hess[..., None, :, :]).value(wpts)
-    else:
-        vals = quad.total()[:, None]
+    quad = quad.marginalized([i for i, c in enumerate(fitdims) if c not in wdims])
+    vals = LogQuadratic(quad.const[:, None], quad.grad[:, None], quad.hess[..., None, :, :]).value(wpts)
     if plan.a is not None:
         s = spec.weight.s
         r = _mesh_radius(plan.a[:, coupled], plan.a[:, wdims], cpts, wpts)

@@ -11,6 +11,7 @@ nothing from the package.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -119,43 +120,30 @@ class GridSpec:
 
 
 def _alternating_phase(grid):
-    """Factor exp(-2 pi i xi_m t_k) splits off (-1)^m per axis for t at -L/2."""
+    """Factor exp(-2 pi i xi_m t_k) splits off (-1)^m per axis for t at -L/2:
+    the product of those signs over the axes, shape (N,)*dim."""
     n = grid.points_per_axis
-    m = np.arange(-n // 2, n // 2)
-    return np.where(m % 2 == 0, 1.0, -1.0)
+    alt = np.where(np.arange(-n // 2, n // 2) % 2 == 0, 1.0, -1.0)
+    return functools.reduce(np.multiply.outer, [alt] * grid.dim)
 
 
-def dft_stft(f, g, grid: GridSpec, shifts):
+def dft_stft(f, g, grid: GridSpec, x):
     """Sampled short-time transform S(x, xi_m) = h^d sum_k f(t_k) conj(g(t_k - x)) e^{-2 pi i xi_m t_k}.
 
-    f and g are callables on grid points, so shifted copies of the window
-    are evaluated exactly (no periodic wrap).  shifts holds the translation
-    vectors x, shape (m, dim).
+    f and g are callables on grid points, so the shifted window is evaluated
+    exactly (no periodic wrap); x is the translation vector, shape (dim,).
 
-    Returns (shifts, freq_axis, S) with S of shape (m,) + (N,)*dim, frequency
-    bins ordered as grid.freq_axis() along every frequency axis.
+    Returns (freq_axis, S) with S of shape (N,)*dim, frequency bins ordered
+    as grid.freq_axis() along every axis.
     """
-    shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
-    if shifts.shape[1] != grid.dim:
-        raise ValueError("shift vectors have the wrong dimension")
-
+    x = np.asarray(x, dtype=float)
+    if x.shape != (grid.dim,):
+        raise ValueError("the shift vector has the wrong dimension")
     mesh = grid.mesh()
-    fv = np.asarray(f(mesh), dtype=complex)
-    alt = _alternating_phase(grid)
-    axes = tuple(range(1, grid.dim + 1))
-    out = np.empty((shifts.shape[0],) + fv.shape, dtype=complex)
-    for i, x in enumerate(shifts):
-        gv = np.asarray(g(mesh - x), dtype=complex)
-        if i == 0:
-            _tail_check(fv * np.conj(gv), "dft_stft")
-        spec = np.fft.fftshift(np.fft.fftn(fv * np.conj(gv)))
-        for ax in axes:
-            shape = [1] * (grid.dim + 1)
-            shape[ax] = grid.points_per_axis
-            spec = spec * alt.reshape(shape[1:])
-        out[i] = spec
-    out *= grid.cell_volume
-    return shifts, grid.freq_axis(), out
+    integrand = np.asarray(f(mesh), dtype=complex) * np.conj(np.asarray(g(mesh - x), dtype=complex))
+    _tail_check(integrand, "dft_stft")
+    spec = np.fft.fftshift(np.fft.fftn(integrand)) * _alternating_phase(grid)
+    return grid.freq_axis(), spec * grid.cell_volume
 
 
 def _tail_check(integrand, what):
@@ -179,17 +167,16 @@ def _tail_check(integrand, what):
         )
 
 
-def logsumexp(values, axis=None):
-    """log(sum(exp(values))) over every entry (a float), or along axis (an array).
+def logsumexp(values) -> float:
+    """log(sum(exp(values))) over every entry.
 
     The entries are shifted by their maximum so nothing overflows.  Where
     that maximum is not finite (-inf when there is no mass) it is the
     result, with no warning.
     """
     values = np.asarray(values, dtype=float)
-    peak = values.max(axis=axis, keepdims=True)
-    # entries under a non-finite maximum stay 0: they add log(count), which
-    # that maximum absorbs, and no inf - inf is formed
-    shifted = np.subtract(values, peak, out=np.zeros_like(values), where=np.isfinite(peak))
-    total = np.squeeze(peak + np.log(np.exp(shifted, out=shifted).sum(axis=axis, keepdims=True)), axis=axis)
-    return float(total) if axis is None else total
+    peak = values.max()
+    if not math.isfinite(peak):
+        return float(peak)
+    shifted = np.subtract(values, peak)
+    return float(peak + np.log(np.exp(shifted, out=shifted).sum()))

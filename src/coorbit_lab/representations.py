@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -21,7 +20,6 @@ import numpy as np
 from .gaussian import Gaussian, l2_norm, quad_forms, unit_gaussian
 from .gaussian import log_inner  # noqa: F401  (perfbench/test_perfbench.py checks that the tracer wraps it here)
 from .groups import GroupSpec, group_spec, multiply, section, structure_constants
-from .numerics import TailMassWarning
 
 __all__ = [
     "RepSpec",
@@ -30,7 +28,6 @@ __all__ = [
     "default_window",
     "homomorphism_check",
     "unitarity_check",
-    "formal_dimension",
     "known_formal_dimension",
 ]
 
@@ -347,26 +344,6 @@ def _grading(rep: RepSpec) -> np.ndarray:
     if min(w) < 0 or any(w[k] != w[i] + w[j] for i, j, k, _ in grp.brackets):
         raise ValueError(f"the brackets of {grp.name} admit no grading with these fixed weights: {w}")
     return np.array(w)
-
-
-def formal_dimension(rep: RepSpec, g=None, box_half: float = 8.0, resolution: float = 0.125) -> float:
-    """d_pi estimate from the orthogonality relation: ||g||^4 / int |V_g g|^2.
-
-    Raises ValueError, in place of the TailMassWarning of the norm, when the
-    tail outside the truncation box exceeds 1% of the integral.
-    """
-    from .coorbit import NormSpec, coorbit_norm_log
-
-    if g is None:
-        g = default_window(rep)
-    spec = NormSpec(p=2.0, box_half=box_half, resolution=resolution)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", TailMassWarning)
-        try:
-            log_sq = 2.0 * coorbit_norm_log(rep, g, g, spec)
-        except TailMassWarning as tail:
-            raise ValueError(str(tail)) from None
-    return float(np.exp(4.0 * np.log(l2_norm(g)) - log_sq))
 
 
 def known_formal_dimension(rep: RepSpec) -> float:

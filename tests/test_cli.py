@@ -776,6 +776,18 @@ def test_node_quadratics_past_double_range_exit_2(tmp_path, capsys, group, key, 
     assert capsys.readouterr().err.startswith("numerical error: OverflowError")
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="mu cancels in the g6_16 engine (ROADMAP item 9)")
+def test_g6_16_norm_at_a_large_mu_is_the_norm_at_mu_0(tmp_path):
+    # the CLI face of test_g6_16_norm_does_not_depend_on_a_large_mu: the
+    # unit-window p = 1 norm is 2 whatever mu is, but this run exits 0 with
+    # pass true, no warning and norm 1.772453850905516
+    text = "[group]\nname = g6_16\nmu = 1e8\n\n[norm]\np = 1.0\n"
+    code, out = run_cli(tmp_path, "mu.cfg", text, "coorbit-norm")
+    summary = _strict_json((out / "coorbit-norm.json").read_text())
+    assert code == 0 and summary["pass"] is True
+    assert summary["metrics"]["norm"] == pytest.approx(2.0, rel=1e-9)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lam", ["1e300", "-1e160"])
 def test_huge_lambda_is_taken_through_the_dilation(tmp_path, lam):

@@ -27,6 +27,7 @@ from coorbit_lab.coorbit import (
     df_modulation_task,
     fit_log_quadratic,
     fit_slope,
+    formal_dimension,
     g53_curve_tasks,
     modulation_norm_log,
     orbit_scan,
@@ -51,7 +52,6 @@ from coorbit_lab.representations import (
     _States,
     act,
     apply_rep,
-    formal_dimension,
     known_formal_dimension,
 )
 
@@ -542,17 +542,29 @@ def _g619_orbit_state(u):
 )
 def test_named_g5_3_truncations_match_or_warn(p, draw):
     # with a uniform coupled axis these read -13.7%, -9.4%, -4.9%, -4.7%,
-    # -17.3% and -13.5% at box 8, each with no warning.  The p = 1 reference
-    # is adaptive quadrature on the slice mass
+    # -17.3% and -13.5% at box 8, each with no warning.  At p = 1 the default
+    # box still cuts off 14.2% and 11.4% of the mass, so those two must warn;
+    # their reference comparison is the xfail below
     rep = RepSpec(group_spec("g5_3"), 1.0)
     f = _g619_orbit_state(20.0) if draw is None else _truncation_family()["g5_3"][1][draw]
     got, warned = _norm_or_warning(rep, f, NormSpec(p=p))
     if p == 2.0:
-        want = _p2_closed_form(rep, f)
+        assert warned or abs(np.expm1(got - _p2_closed_form(rep, f))) < 1e-3
     else:
-        want, error = (x[draw] for x in _family_reference("g5_3", p))
-        assert error < 1e-9
-    assert warned or abs(np.expm1(got - want)) < 1e-3
+        assert warned
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the default box truncates g5_3 at p = 1 (ROADMAP item 15)")
+@pytest.mark.parametrize("draw", [16, 21])
+def test_named_g5_3_p1_truncations_match_the_quadrature_reference(draw):
+    # at the default spec the engine reads 4.2157 and 4.8675, 13.9% and 10.0%
+    # under the references 4.3653 and 4.9731 (adaptive quadrature on the
+    # slice mass)
+    rep, states = _truncation_family()["g5_3"]
+    got, _ = _norm_or_warning(rep, states[draw], NormSpec(p=1.0))
+    want, error = (x[draw] for x in _family_reference("g5_3", 1.0))
+    assert error < 1e-9
+    assert abs(np.expm1(got - want)) < 1e-3
 
 
 def test_weighted_norm_at_negative_lambda_against_grid_sum():

@@ -42,11 +42,11 @@ def test_defaults_by_dimension():
 def test_dft_stft_window_peak():
     g = unit_gaussian(1)
     grid = GridSpec.default_for(1)
-    shifts, freq, S = dft_stft(g, g, grid, shifts=[[0.0]])
+    freq, S = dft_stft(g, g, grid, [0.0])
     k0 = np.argmin(np.abs(freq))
     assert freq[k0] == 0.0
     # <phi, phi> = 2^{-1/2}
-    assert abs(S[0][k0]) == pytest.approx(2.0 ** -0.5, abs=1e-8)
+    assert abs(S[k0]) == pytest.approx(2.0 ** -0.5, abs=1e-8)
 
 
 def test_dft_stft_matches_closed_form_for_chirp():
@@ -54,26 +54,29 @@ def test_dft_stft_matches_closed_form_for_chirp():
     g = unit_gaussian(1)
     f = chirp(g, 1.2)
     x = np.array([0.6])
-    _, freq, S = dft_stft(f, g, grid, shifts=[x])
+    freq, S = dft_stft(f, g, grid, x)
     keep = np.abs(freq) <= 3.0
     want = np.array([chirp_stft_modulus(1.2, x, np.array([w])) for w in freq[keep]])
-    assert np.abs(np.abs(S[0][keep]) - want).max() < 1e-6
+    assert np.abs(np.abs(S[keep]) - want).max() < 1e-6
 
 
 def test_dft_stft_2d_value():
     g = unit_gaussian(2)
     grid = GridSpec.default_for(2)
     x = np.array([0.4, -0.3])
-    _, freq, S = dft_stft(g, g, grid, shifts=[x])
+    freq, S = dft_stft(g, g, grid, x)
     k0 = np.argmin(np.abs(freq))
     want = abs(stft_closed(g, g, x, np.zeros(2)))
-    assert abs(S[0][k0, k0]) == pytest.approx(want, abs=1e-8)
+    assert abs(S[k0, k0]) == pytest.approx(want, abs=1e-8)
+    # one entry would broadcast over both axes of the mesh
+    with pytest.raises(ValueError, match="wrong dimension"):
+        dft_stft(g, g, grid, [0.4])
 
 
 def test_tail_warning_on_cramped_grid():
     g = unit_gaussian(1)
     with pytest.warns(TailMassWarning):
-        dft_stft(g, g, GridSpec(1, 1.0, 64), shifts=[[0.0]])
+        dft_stft(g, g, GridSpec(1, 1.0, 64), [0.0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -83,16 +86,7 @@ def test_logsumexp_against_scipy(shift):
     values = np.random.default_rng(0).normal(0.0, 30.0, 500) + shift
     assert logsumexp(values) == pytest.approx(float(scipy_logsumexp(values)), rel=1e-14)
     assert logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
-    # along axis 1, each finite row is the logsumexp of that row alone, bit
-    # for bit; a row whose maximum is not finite gives that maximum
-    rows = values.reshape(4, 125)
-    rows[1, ::3] = -np.inf
-    got = logsumexp(rows, axis=1)
-    assert got.shape == (4,)
-    assert got == pytest.approx(scipy_logsumexp(rows, axis=1), rel=1e-14)
-    assert [logsumexp(row) for row in rows] == got.tolist()
-    odd = np.array([[-np.inf, -np.inf, -np.inf], [0.0, np.inf, 1e308], [1.0, -np.inf, 2.0]])
-    assert logsumexp(odd, axis=1).tolist() == [-np.inf, np.inf, logsumexp(odd[2])]
+    assert logsumexp(np.array([0.0, np.inf, 1e308])) == np.inf
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "g5_3"])

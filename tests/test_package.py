@@ -76,6 +76,20 @@ def test_the_oracles_stand_apart_from_the_engine_they_check():
     assert imports["numerics"] == set()
 
 
+# the package's layers, lowest first: a module imports only modules before it
+_LAYERS = ("numerics", "gaussian", "groups", "representations", "coorbit", "frames", "cli")
+
+
+def test_the_package_imports_run_one_way():
+    # an import inside a function counts: it runs the layers backwards as
+    # surely as one at the top of the module
+    imports = {path.stem: _package_imports(path) for path in SRC.glob("*.py") if path.stem != "__init__"}
+    allowed = {name: set(_LAYERS[:i]) for i, name in enumerate(_LAYERS)}
+    allowed["oracles"] = {"numerics", "gaussian", "groups"}
+    assert sorted(imports) == sorted(allowed)
+    assert {name: sorted(used - allowed[name]) for name, used in imports.items() if used - allowed[name]} == {}
+
+
 def _resolves(root, path) -> bool:
     try:
         functools.reduce(getattr, path, root)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from _references import coefficient_log_modulus, pullback_affine
+from coorbit_lab.coorbit import formal_dimension
 from coorbit_lab.gaussian import Gaussian, chirp, inner_product, l2_norm, log_inner, modulate
 from coorbit_lab.groups import GROUPS, group_spec, multiply, section
 from coorbit_lab.oracles import pointwise_action, quad_rep_coefficient
@@ -19,7 +20,6 @@ from coorbit_lab.representations import (
     act,
     apply_rep,
     default_window,
-    formal_dimension,
     homomorphism_check,
     known_formal_dimension,
     unitarity_check,
