@@ -3,8 +3,9 @@
 Each invocation runs one experiment kind from a small line-oriented config
 file, writes a CSV table plus a JSON summary into the output directory, and
 exits 0 on success, 2 when a declared tolerance is violated, and 3 on a bad
-config.  parse_config checks every value once: the schema tag holds each
-value's type and domain, and the kind's builder makes the group records,
+config.  One table, _KINDS, holds each kind's schema, builder and runner.
+parse_config checks every value once: the schema tag holds each value's type
+and domain, and the kind's builder makes the group records,
 representations, norm specs, lattices, scan task and grids its runner uses,
 so a value that one of them rejects is reported with its line and key.  The
 run itself checks only what needs more than the config: the state against
@@ -22,6 +23,7 @@ import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,24 +62,39 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The values of one config keyed "section.key", the line of each key the
+    file sets, and the library objects the kind's builder made from them."""
+
     params: dict
-    # the library objects the kind's builder made from params, for its runner
+    lines: dict = field(compare=False, repr=False)
     built: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __getitem__(self, key: str):
+        return self.params[key]
 
     @property
     def kind(self) -> str:
-        return self.params[("experiment", "kind")]
+        return self.params["experiment.kind"]
 
     @property
     def seed(self) -> int:
-        return self.params[("experiment", "seed")]
+        return self.params["experiment.seed"]
 
-    def get(self, section: str, key: str):
-        return self.params[(section, key)]
+    def error(self, message: str, *keys: str) -> ConfigError:
+        """A ConfigError on the first of keys that the file sets (else the first), at its line."""
+        key = next((k for k in keys if k in self.lines), keys[0])
+        return ConfigError(message, self.lines.get(key), key)
+
+    def build(self, keys: tuple[str, ...], factory, *args, **kwargs):
+        """factory(*args, **kwargs); a ValueError it raises is a ConfigError on keys."""
+        try:
+            return factory(*args, **kwargs)
+        except ValueError as exc:
+            raise self.error(str(exc), *keys) from None
 
 
 # ---------------------------------------------------------------------------
-# schemas: (section, key) -> (type tag, default); _REQUIRED means no default.
+# schemas: "section.key" -> (type tag, default); _REQUIRED means no default.
 # A tag is [opt-][domain-]base.  Bases: int, float, str, floats (comma list),
 # ints (comma list).  An "opt-" prefix admits the absence of the key with a
 # None value; a domain holds for every entry of the value.
@@ -89,74 +106,7 @@ _DOMAINS = {
     "ge1": ("finite and >= 1", lambda v: 1 <= v < math.inf),
 }
 
-_COMMON = {
-    ("experiment", "kind"): ("str", None),
-    ("experiment", "seed"): ("nonneg-int", 0),
-}
-
-SCHEMAS: dict[str, dict] = {
-    "verify-gaussian": {
-        **_COMMON,
-        ("samples", "closed"): ("nonneg-int", 1000),
-        ("samples", "determinant"): ("nonneg-int", 100),
-        ("samples", "grid"): ("nonneg-int", 20),
-        ("samples", "dims"): ("ints", (1, 2)),
-        ("tolerance", "closed"): ("float", 1e-10),
-        ("tolerance", "determinant"): ("float", 1e-10),
-        ("tolerance", "grid"): ("float", 1e-6),
-    },
-    "orbit-scan": {
-        **_COMMON,
-        ("scan", "task"): ("str", _REQUIRED),
-        ("scan", "p"): ("ge1-float", 1.0),
-        ("scan", "u_values"): ("fin-floats", (10.0, 20.0, 40.0, 80.0, 160.0, 320.0)),  # coorbit.DEFAULT_SCAN
-        ("scan", "u_min_fit"): ("fin-float", 32.0),
-        ("tolerance", "slope"): ("float", 0.02),
-        ("tolerance", "invariance"): ("float", 0.01),
-        ("tolerance", "expected"): ("opt-float", None),
-    },
-    "coorbit-norm": {
-        **_COMMON,
-        ("group", "name"): ("str", _REQUIRED),
-        ("group", "heisenberg_d"): ("int", 1),
-        ("group", "lam"): ("float", 1.0),
-        ("group", "mu"): ("float", 0.0),
-        ("norm", "p"): ("ge1-float", 2.0),
-        ("norm", "box_half"): ("pos-float", 8.0),
-        ("norm", "resolution"): ("pos-float", 0.125),
-        ("norm", "weight_s"): ("opt-fin-float", None),
-        ("norm", "weight_coords"): ("opt-ints", None),
-        ("state", "f_quad"): ("opt-pos-floats", None),
-        ("state", "f_lin"): ("opt-fin-floats", None),
-        ("tolerance", "orthogonality"): ("float", 1e-3),
-    },
-    "frame-sweep": {
-        **_COMMON,
-        ("sweep", "lam"): ("float", 1.0),
-        ("sweep", "eps_values"): ("pos-floats", (0.5, 0.7, 0.9, 1.1, 1.25, 1.5)),
-        ("estimate", "lattice_radius"): ("pos-float", 6.0),
-        ("estimate", "dict_halfrange"): ("nonneg-float", 4.0),
-        ("estimate", "dict_step"): ("pos-float", 0.5),
-        ("tolerance", "ratio"): ("float", 0.01),
-        ("tolerance", "density_factor"): ("float", 0.95),
-    },
-    "density": {
-        **_COMMON,
-        ("lattice", "group"): ("str", "all"),
-        ("lattice", "heisenberg_d"): ("int", 1),
-        ("lattice", "eps"): ("pos-float", 0.75),
-        ("lattice", "n_points"): ("pos-int", 10000),
-    },
-    "rep-selftest": {
-        **_COMMON,
-        ("suite", "group"): ("str", "all"),
-        ("suite", "heisenberg_d"): ("int", 1),
-        ("suite", "n_pairs"): ("nonneg-int", 500),
-        ("suite", "box"): ("pos-float", 2.0),
-        ("tolerance", "homomorphism"): ("float", 1e-10),
-        ("tolerance", "unitarity"): ("float", 1e-10),
-    },
-}
+_COMMON = {"experiment.kind": ("str", None), "experiment.seed": ("nonneg-int", 0)}
 
 
 def _coerce(tag: str, raw: str, line: int | None, key: str):
@@ -182,7 +132,7 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     line and key.  The experiment kind may come from the file, the argument,
     or both (they must then agree).
     """
-    entries: dict[tuple[str, str], tuple[str, int]] = {}
+    entries: dict[str, tuple[str, int]] = {}
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -202,11 +152,12 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
             raise ConfigError("empty key", line_no)
         if section is None:
             raise ConfigError("entry before any [section] header", line_no, key)
-        if (section, key) in entries:
-            raise ConfigError("duplicate key", line_no, f"{section}.{key}")
-        entries[(section, key)] = (value, line_no)
+        name = f"{section}.{key}"
+        if name in entries:
+            raise ConfigError("duplicate key", line_no, name)
+        entries[name] = (value, line_no)
 
-    file_kind = entries.get(("experiment", "kind"))
+    file_kind = entries.get("experiment.kind")
     if kind is None:
         if file_kind is None:
             raise ConfigError("missing required key", key="experiment.kind")
@@ -215,50 +166,22 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         raise ConfigError(
             f"config is for kind {file_kind[0]!r}, not {kind!r}", file_kind[1], "experiment.kind"
         )
-    if kind not in SCHEMAS:
+    if kind not in _KINDS:
         line = file_kind[1] if file_kind else None
         raise ConfigError(f"unknown experiment kind {kind!r}", line, "experiment.kind")
 
-    schema = SCHEMAS[kind]
-    lines: dict[str, int] = {}
-    params: dict[tuple[str, str], object] = {}
-    for (sec, key), (raw, line_no) in entries.items():
-        if (sec, key) == ("experiment", "kind"):
-            continue
-        if (sec, key) not in schema:
-            raise ConfigError("unknown key", line_no, f"{sec}.{key}")
-        params[(sec, key)] = _coerce(schema[(sec, key)][0], raw, line_no, f"{sec}.{key}")
-        lines[f"{sec}.{key}"] = line_no
-    for (sec, key), (tag, default) in schema.items():
-        if (sec, key) == ("experiment", "kind") or (sec, key) in params:
-            continue
-        if default is _REQUIRED:
-            raise ConfigError("missing required key", key=f"{sec}.{key}")
-        params[(sec, key)] = default
-    params[("experiment", "kind")] = kind
-    return ExperimentConfig(params, _BUILDERS[kind](_Parsed(params, lines)))
-
-
-class _Parsed:
-    """The parsed values of one config, and the line of each key the file sets."""
-
-    def __init__(self, params: dict, lines: dict):
-        self.params, self.lines = params, lines
-
-    def __getitem__(self, key: str):
-        return self.params[tuple(key.split("."))]
-
-    def error(self, message: str, *keys: str) -> ConfigError:
-        """A ConfigError on the first of keys that the file sets (else the first), at its line."""
-        key = next((k for k in keys if k in self.lines), keys[0])
-        return ConfigError(message, self.lines.get(key), key)
-
-    def build(self, keys: tuple[str, ...], factory, *args, **kwargs):
-        """factory(*args, **kwargs); a ValueError it raises is a ConfigError on keys."""
-        try:
-            return factory(*args, **kwargs)
-        except ValueError as exc:
-            raise self.error(str(exc), *keys) from None
+    schema = _KINDS[kind].schema
+    params = {name: default for name, (_, default) in schema.items()}
+    for name, (raw, line_no) in entries.items():
+        if name not in schema:
+            raise ConfigError("unknown key", line_no, name)
+        params[name] = _coerce(schema[name][0], raw, line_no, name)
+    missing = next((name for name, value in params.items() if value is _REQUIRED), None)
+    if missing is not None:
+        raise ConfigError("missing required key", key=missing)
+    params["experiment.kind"] = kind
+    config = ExperimentConfig(params, {name: line_no for name, (_, line_no) in entries.items()})
+    return replace(config, built=_KINDS[kind].build(config))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +206,7 @@ _SCAN_TASKS = {
 }
 
 
-def _groups(v: _Parsed, key: str, every: bool) -> list:
+def _groups(v: ExperimentConfig, key: str, every: bool) -> list:
     """The records of the group key names; with every, "all" names each group."""
     name, sec = v[key], key.split(".")[0]
     choices = (*GROUPS, "all") if every else GROUPS
@@ -293,11 +216,11 @@ def _groups(v: _Parsed, key: str, every: bool) -> list:
     return [v.build((f"{sec}.heisenberg_d",), group_spec, n, hd) for n in (GROUPS if name == "all" else (name,))]
 
 
-def _build_verify_gaussian(v: _Parsed) -> dict:
+def _build_verify_gaussian(v: ExperimentConfig) -> dict:
     return {"grids": [v.build(("samples.dims",), GridSpec.default_for, d) for d in v["samples.dims"]]}
 
 
-def _build_orbit_scan(v: _Parsed) -> dict:
+def _build_orbit_scan(v: ExperimentConfig) -> dict:
     name = v["scan.task"]
     if name not in _SCAN_TASKS:
         raise v.error(f"unknown task {name!r}; expected one of {', '.join(sorted(_SCAN_TASKS))}", "scan.task")
@@ -311,7 +234,7 @@ def _build_orbit_scan(v: _Parsed) -> dict:
     return {"task": _SCAN_TASKS[name][0](v["scan.p"])}
 
 
-def _build_coorbit_norm(v: _Parsed) -> dict:
+def _build_coorbit_norm(v: ExperimentConfig) -> dict:
     from .coorbit import NormSpec, power_weight
 
     (grp,) = _groups(v, "group.name", every=False)
@@ -336,33 +259,23 @@ def _build_coorbit_norm(v: _Parsed) -> dict:
     return {"rep": rep, "spec": spec}
 
 
-def _build_frame_sweep(v: _Parsed) -> dict:
+def _build_frame_sweep(v: ExperimentConfig) -> dict:
     from .frames import QuasiLattice
 
     rep = v.build(("sweep.lam",), RepSpec, group_spec("heisenberg", 1), v["sweep.lam"])
     return {"rep": rep, "lattices": [QuasiLattice(rep.group, eps) for eps in v["sweep.eps_values"]]}
 
 
-def _build_density(v: _Parsed) -> dict:
+def _build_density(v: ExperimentConfig) -> dict:
     from .frames import QuasiLattice
 
     return {"lattices": [QuasiLattice(grp, v["lattice.eps"]) for grp in _groups(v, "lattice.group", every=True)]}
 
 
-def _build_rep_selftest(v: _Parsed) -> dict:
+def _build_rep_selftest(v: ExperimentConfig) -> dict:
     # a two-dimensional centre takes a second parameter, which 6,19 needs nonzero
     grps = _groups(v, "suite.group", every=True)
     return {"reps": [RepSpec(grp, 1.0, 1.0 if grp.center_dim == 2 else 0.0) for grp in grps]}
-
-
-_BUILDERS = {
-    "verify-gaussian": _build_verify_gaussian,
-    "orbit-scan": _build_orbit_scan,
-    "coorbit-norm": _build_coorbit_norm,
-    "frame-sweep": _build_frame_sweep,
-    "density": _build_density,
-    "rep-selftest": _build_rep_selftest,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +327,18 @@ def _worst(errors) -> float:
 
 def _run_verify_gaussian(config: ExperimentConfig):
     rng = np.random.default_rng(config.seed)
-    tol_closed = config.get("tolerance", "closed")
-    tol_grid = config.get("tolerance", "grid")
-    tol_det = config.get("tolerance", "determinant")
+    tol_closed = config["tolerance.closed"]
+    tol_grid = config["tolerance.grid"]
+    tol_det = config["tolerance.determinant"]
     rows = []
     for grid in config.built["grids"]:
         d = grid.dim
         window = unit_gaussian(d)
-        C, x, xi = _closed_samples(rng, d, config.get("samples", "closed"))
+        C, x, xi = _closed_samples(rng, d, config["samples.closed"])
         errs = np.abs(_closed_reference(C, x, xi) - chirp_stft_modulus(C, x, xi))
         rows.extend(("closed", d, i, err) for i, err in enumerate(errs))
         freq_keep = 2.0
-        for i in range(config.get("samples", "grid")):
+        for i in range(config["samples.grid"]):
             C = rng.uniform(-1.5, 1.5, (d, d))
             C = (C + C.T) / 2.0
             x = rng.uniform(-1.0, 1.0, d)
@@ -436,7 +349,7 @@ def _run_verify_gaussian(config: ExperimentConfig):
             predicted = chirp_stft_modulus(C, x, mesh[keep])
             err = float(np.abs(np.abs(S[keep]) - predicted).max())
             rows.append(("grid", d, i, err))
-    for i in range(config.get("samples", "determinant")):
+    for i in range(config["samples.determinant"]):
         d = 1 + i % 2
         C = rng.uniform(-3.0, 3.0, (d, d))
         C = (C + C.T) / 2.0
@@ -475,18 +388,18 @@ def _tail_mass(caught) -> bool:
 def _run_orbit_scan(config: ExperimentConfig):
     from .coorbit import orbit_scan
 
-    name = config.get("scan", "task")
-    p = config.get("scan", "p")
+    name = config["scan.task"]
+    p = config["scan.p"]
     _, mode, expected_fn = _SCAN_TASKS[name]
     task = config.built["task"]
-    expected = config.get("tolerance", "expected")
+    expected = config["tolerance.expected"]
     if expected is None:
         expected = expected_fn(p)
     with _shown_warnings() as caught:
         result = orbit_scan(
             task,
-            u_values=config.get("scan", "u_values"),
-            u_min_fit=config.get("scan", "u_min_fit"),
+            u_values=config["scan.u_values"],
+            u_min_fit=config["scan.u_min_fit"],
         )
     norms = np.exp(result.log_norms)
     rows = [(u, n, task.label) for u, n in zip(result.u_values, norms)]
@@ -503,12 +416,12 @@ def _run_orbit_scan(config: ExperimentConfig):
     }
     if mode == "invariant":
         deviation = float(np.max(np.abs(norms / norms[0] - 1.0)))
-        tol = config.get("tolerance", "invariance")
+        tol = config["tolerance.invariance"]
         metrics["max_relative_deviation"] = deviation
         metrics["invariance_tolerance"] = tol
         passed = deviation <= tol
     else:
-        tol = config.get("tolerance", "slope")
+        tol = config["tolerance.slope"]
         metrics["slope_tolerance"] = tol
         passed = abs(result.slope - expected) <= tol
     passed = passed and not _tail_mass(caught)
@@ -518,16 +431,16 @@ def _run_orbit_scan(config: ExperimentConfig):
 def _build_state(config, dim):
     """The state f of a coorbit-norm run; its entries are checked against the
     acting dimension dim, which only the group fixes."""
-    quad = config.get("state", "f_quad")
-    lin = config.get("state", "f_lin")
+    quad = config["state.f_quad"]
+    lin = config["state.f_lin"]
     if quad is None and lin is None:
         return unit_gaussian(dim)
     if quad is None:
         quad = (1.0,) * dim
     if len(quad) != dim:
-        raise ConfigError(f"f_quad needs {dim} entries for this group", key="state.f_quad")
+        raise config.error(f"f_quad needs {dim} entries for this group", "state.f_quad")
     if lin is not None and len(lin) != dim:
-        raise ConfigError(f"f_lin needs {dim} entries for this group", key="state.f_lin")
+        raise config.error(f"f_lin needs {dim} entries for this group", "state.f_lin")
     f = Gaussian(np.diag(quad), None if lin is None else np.asarray(lin))
     with np.errstate(over="ignore", invalid="ignore"):
         norm = l2_norm(f)
@@ -539,7 +452,7 @@ def _build_state(config, dim):
 def _run_coorbit_norm(config: ExperimentConfig):
     from .coorbit import coorbit_norm_log
 
-    name = config.get("group", "name")
+    name = config["group.name"]
     rep, spec = config.built["rep"], config.built["spec"]
     f = _build_state(config, rep.acting_dim)
     g = unit_gaussian(rep.acting_dim)
@@ -547,7 +460,7 @@ def _run_coorbit_norm(config: ExperimentConfig):
         try:
             log_norm = coorbit_norm_log(rep, f, g, spec)
         except WeightRangeError as exc:
-            raise ConfigError(str(exc), key="norm.weight_s") from None
+            raise config.error(str(exc), "norm.weight_s") from None
     if not log_norm <= _LOG_MAX:
         raise OverflowError(f"the norm exp({log_norm!r}) is not a finite double")
     value = float(np.exp(log_norm))
@@ -565,7 +478,7 @@ def _run_coorbit_norm(config: ExperimentConfig):
                 "relative_error": float(rel),
             }
         )
-        passed = passed and rel < config.get("tolerance", "orthogonality")
+        passed = passed and rel < config["tolerance.orthogonality"]
     rows = [(name, spec.p, value)]
     return ("group", "p", "norm"), rows, metrics, passed
 
@@ -573,12 +486,12 @@ def _run_coorbit_norm(config: ExperimentConfig):
 def _run_frame_sweep(config: ExperimentConfig):
     from .frames import beurling_density, density_box, frame_bounds_estimate, frame_section
 
-    lam = config.get("sweep", "lam")
+    lam = config["sweep.lam"]
     rep = config.built["rep"]
     d_pi = known_formal_dimension(rep)
-    factor = config.get("tolerance", "density_factor")
-    ratio_tol = config.get("tolerance", "ratio")
-    settings = {key: config.get("estimate", key) for key in ("lattice_radius", "dict_halfrange", "dict_step")}
+    factor = config["tolerance.density_factor"]
+    ratio_tol = config["tolerance.ratio"]
+    settings = {key: config[f"estimate.{key}"] for key in ("lattice_radius", "dict_halfrange", "dict_step")}
     for lat in config.built["lattices"]:  # every eps's checks before any lattice work
         density_box(lat)
         frame_section(rep, lat.eps, **settings)
@@ -605,8 +518,8 @@ def _run_frame_sweep(config: ExperimentConfig):
 def _run_density(config: ExperimentConfig):
     from .frames import beurling_density, density_box, tiling_budget, tiling_check
 
-    eps = config.get("lattice", "eps")
-    n_points = config.get("lattice", "n_points")
+    eps = config["lattice.eps"]
+    n_points = config["lattice.n_points"]
     for lat in config.built["lattices"]:  # every group's checks before any lattice work
         tiling_budget(lat, n_points)
         density_box(lat)
@@ -639,15 +552,15 @@ def _run_density(config: ExperimentConfig):
 
 
 def _run_rep_selftest(config: ExperimentConfig):
-    tol_hom = config.get("tolerance", "homomorphism")
-    tol_unit = config.get("tolerance", "unitarity")
+    tol_hom = config["tolerance.homomorphism"]
+    tol_unit = config["tolerance.unitarity"]
     rows = []
     for rep in config.built["reps"]:
         hom = homomorphism_check(
             rep,
-            n_pairs=config.get("suite", "n_pairs"),
+            n_pairs=config["suite.n_pairs"],
             seed=config.seed,
-            box=config.get("suite", "box"),
+            box=config["suite.box"],
         )
         unit = unitarity_check(rep, seed=config.seed)
         rows.append((rep.group.name, hom["max_error"], unit["max_error"]))
@@ -658,13 +571,78 @@ def _run_rep_selftest(config: ExperimentConfig):
     return ("group", "homomorphism_error", "unitarity_error"), rows, metrics, passed
 
 
-_RUNNERS = {
-    "verify-gaussian": _run_verify_gaussian,
-    "orbit-scan": _run_orbit_scan,
-    "coorbit-norm": _run_coorbit_norm,
-    "frame-sweep": _run_frame_sweep,
-    "density": _run_density,
-    "rep-selftest": _run_rep_selftest,
+# ---------------------------------------------------------------------------
+# the kinds: each one's schema, builder and runner
+
+
+class _Kind(NamedTuple):
+    build: Callable[[ExperimentConfig], dict]  # the library objects for ExperimentConfig.built
+    run: Callable[[ExperimentConfig], tuple]  # (csv_header, csv_rows, metrics, passed)
+    schema: dict  # "section.key" -> (type tag, default)
+
+
+_KINDS: dict[str, _Kind] = {
+    "verify-gaussian": _Kind(_build_verify_gaussian, _run_verify_gaussian, {
+        **_COMMON,
+        "samples.closed": ("nonneg-int", 1000),
+        "samples.determinant": ("nonneg-int", 100),
+        "samples.grid": ("nonneg-int", 20),
+        "samples.dims": ("ints", (1, 2)),
+        "tolerance.closed": ("nonneg-float", 1e-10),
+        "tolerance.determinant": ("nonneg-float", 1e-10),
+        "tolerance.grid": ("nonneg-float", 1e-6),
+    }),
+    "orbit-scan": _Kind(_build_orbit_scan, _run_orbit_scan, {
+        **_COMMON,
+        "scan.task": ("str", _REQUIRED),
+        "scan.p": ("ge1-float", 1.0),
+        "scan.u_values": ("fin-floats", (10.0, 20.0, 40.0, 80.0, 160.0, 320.0)),  # coorbit.DEFAULT_SCAN
+        "scan.u_min_fit": ("fin-float", 32.0),
+        "tolerance.slope": ("nonneg-float", 0.02),
+        "tolerance.invariance": ("nonneg-float", 0.01),
+        "tolerance.expected": ("opt-float", None),
+    }),
+    "coorbit-norm": _Kind(_build_coorbit_norm, _run_coorbit_norm, {
+        **_COMMON,
+        "group.name": ("str", _REQUIRED),
+        "group.heisenberg_d": ("int", 1),
+        "group.lam": ("float", 1.0),
+        "group.mu": ("float", 0.0),
+        "norm.p": ("ge1-float", 2.0),
+        "norm.box_half": ("pos-float", 8.0),
+        "norm.resolution": ("pos-float", 0.125),
+        "norm.weight_s": ("opt-fin-float", None),
+        "norm.weight_coords": ("opt-ints", None),
+        "state.f_quad": ("opt-pos-floats", None),
+        "state.f_lin": ("opt-fin-floats", None),
+        "tolerance.orthogonality": ("nonneg-float", 1e-3),
+    }),
+    "frame-sweep": _Kind(_build_frame_sweep, _run_frame_sweep, {
+        **_COMMON,
+        "sweep.lam": ("float", 1.0),
+        "sweep.eps_values": ("pos-floats", (0.5, 0.7, 0.9, 1.1, 1.25, 1.5)),
+        "estimate.lattice_radius": ("pos-float", 6.0),
+        "estimate.dict_halfrange": ("nonneg-float", 4.0),
+        "estimate.dict_step": ("pos-float", 0.5),
+        "tolerance.ratio": ("nonneg-float", 0.01),
+        "tolerance.density_factor": ("pos-float", 0.95),
+    }),
+    "density": _Kind(_build_density, _run_density, {
+        **_COMMON,
+        "lattice.group": ("str", "all"),
+        "lattice.heisenberg_d": ("int", 1),
+        "lattice.eps": ("pos-float", 0.75),
+        "lattice.n_points": ("pos-int", 10000),
+    }),
+    "rep-selftest": _Kind(_build_rep_selftest, _run_rep_selftest, {
+        **_COMMON,
+        "suite.group": ("str", "all"),
+        "suite.heisenberg_d": ("int", 1),
+        "suite.n_pairs": ("nonneg-int", 500),
+        "suite.box": ("pos-float", 2.0),
+        "tolerance.homomorphism": ("nonneg-float", 1e-10),
+        "tolerance.unitarity": ("nonneg-float", 1e-10),
+    }),
 }
 
 
@@ -679,7 +657,7 @@ def run(config: ExperimentConfig, out_dir: str = ".") -> int:
     """
     error = None
     try:
-        header, rows, metrics, passed = _RUNNERS[config.kind](config)
+        header, rows, metrics, passed = _KINDS[config.kind].run(config)
     except WorkBudgetError as exc:
         raise ConfigError(str(exc)) from None
     except (RuntimeError, ValueError, ArithmeticError, MemoryError) as exc:
@@ -710,7 +688,8 @@ def run(config: ExperimentConfig, out_dir: str = ".") -> int:
 
 def _params_tree(config: ExperimentConfig) -> dict:
     tree: dict[str, dict] = {}
-    for (sec, key), value in sorted(config.params.items()):
+    for name, value in sorted(config.params.items()):
+        sec, _, key = name.partition(".")
         tree.setdefault(sec, {})[key] = value
     return tree
 
@@ -734,7 +713,7 @@ def main(argv=None) -> int:
         prog="coorbit-lab",
         description="Run one verification experiment from a config file.",
     )
-    parser.add_argument("kind", choices=tuple(SCHEMAS))
+    parser.add_argument("kind", choices=tuple(_KINDS))
     parser.add_argument("--config", required=True, help="path to the experiment config")
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     parser.add_argument("--seed", default=None, help="override the config seed")
@@ -744,8 +723,8 @@ def main(argv=None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = parse_config(fh.read(), kind=args.kind)
         if args.seed is not None:
-            seed = _coerce(SCHEMAS[args.kind][("experiment", "seed")][0], args.seed, None, "--seed")
-            config = replace(config, params={**config.params, ("experiment", "seed"): seed})
+            seed = _coerce(_KINDS[args.kind].schema["experiment.seed"][0], args.seed, None, "--seed")
+            config = replace(config, params={**config.params, "experiment.seed": seed})
         return run(config, args.out)
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -37,7 +37,6 @@ from .representations import (
     _product_form,
     _stft_rep,
     act,
-    default_window,
 )
 
 __all__ = [
@@ -594,15 +593,15 @@ def coorbit_norm_log(rep: RepSpec, f: Gaussian, g: Gaussian, spec: NormSpec | No
     return float(norms[0])
 
 
-def formal_dimension(rep: RepSpec, g=None, box_half: float = 8.0, resolution: float = 0.125) -> float:
+def formal_dimension(rep: RepSpec, g=None) -> float:
     """d_pi estimate from the orthogonality relation: ||g||^4 / int |V_g g|^2.
 
     Raises ValueError, in place of the TailMassWarning of the norm, when the
     tail outside the truncation box exceeds 1% of the integral.
     """
     if g is None:
-        g = default_window(rep)
-    spec = NormSpec(p=2.0, box_half=box_half, resolution=resolution)
+        g = unit_gaussian(rep.acting_dim)
+    spec = NormSpec(p=2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", TailMassWarning)
         try:

@@ -23,7 +23,7 @@ import numpy as np
 from .gaussian import log_gauss_integrals, unit_gaussian
 from .groups import GroupSpec, axis_point, inverse, multiply, project, section
 from .numerics import WorkBudgetError, ceil_count, check_budget
-from .representations import RepSpec, _stft_rep, act, default_window
+from .representations import RepSpec, _stft_rep, act
 
 __all__ = [
     "QuasiLattice",
@@ -407,7 +407,7 @@ def frame_bounds_estimate(
     lat, half = frame_section(rep, eps, lattice_radius, dict_halfrange, dict_step)
     ks = lattice_points_in_box(lat, np.zeros(lat.ndim), half)
     gamma = quasilattice_points(lat, ks[np.lexsort(ks.T[::-1])])  # k_0 slowest, so the Gram sums in label-cube order
-    g = default_window(rep)
+    g = unit_gaussian(rep.acting_dim)
     test_lin, test_amp, basis = _test_space(rep.acting_dim, dict_halfrange, dict_step)
     frame_gram = np.zeros((len(test_amp), len(test_amp)), dtype=complex)
     for start in range(0, len(gamma), _BLOCK):

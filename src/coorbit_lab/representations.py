@@ -25,7 +25,6 @@ __all__ = [
     "RepSpec",
     "act",
     "apply_rep",
-    "default_window",
     "homomorphism_check",
     "unitarity_check",
     "known_formal_dimension",
@@ -117,10 +116,6 @@ class RepSpec:
     def log_jacobian(self) -> float:
         """sum(log quotient_delta), the log Jacobian of the quotient dilation."""
         return float(np.log(self.quotient_delta).sum())
-
-
-def default_window(rep: RepSpec) -> Gaussian:
-    return unit_gaussian(rep.acting_dim)
 
 
 def _factors(rep: RepSpec, a):
@@ -273,7 +268,7 @@ def homomorphism_check(rep: RepSpec, n_pairs: int = 500, seed: int = 0, box: flo
     parameter difference relative to the largest parameter of the left side.
     """
     rng = np.random.default_rng(seed)
-    g = default_window(rep)
+    g = unit_gaussian(rep.acting_dim)
     ab = rng.uniform(-box, box, (n_pairs, 2, rep.group.total_dim))
     a, b = ab[:, 0], ab[:, 1]
     prod = multiply(rep.group, a, b)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coorbit_lab import cli, frames
-from coorbit_lab.cli import SCHEMAS, ConfigError, main, parse_config
+from coorbit_lab.cli import ConfigError, main, parse_config
 from coorbit_lab.gaussian import chirp, stft_closed, unit_gaussian
 from coorbit_lab.groups import group_spec
 from coorbit_lab.numerics import TailMassWarning
@@ -32,9 +32,9 @@ def test_parse_fills_defaults():
     cfg = parse_config(MINIMAL_SCAN, kind="orbit-scan")
     assert cfg.kind == "orbit-scan"
     assert cfg.seed == 0
-    assert cfg.get("scan", "p") == 1.0
-    assert cfg.get("scan", "u_values") == (10.0, 20.0, 40.0, 80.0, 160.0, 320.0)
-    assert cfg.get("tolerance", "slope") == 0.02
+    assert cfg["scan.p"] == 1.0
+    assert cfg["scan.u_values"] == (10.0, 20.0, 40.0, 80.0, 160.0, 320.0)
+    assert cfg["tolerance.slope"] == 0.02
 
 
 def test_parse_kind_from_file():
@@ -106,7 +106,7 @@ def test_unknown_group_rejected():
 def test_comments_and_blank_lines_ignored():
     text = "# a comment\n\n[scan]\n# another\ntask = chirp-1d\n"
     cfg = parse_config(text, kind="orbit-scan")
-    assert cfg.get("scan", "task") == "chirp-1d"
+    assert cfg["scan.task"] == "chirp-1d"
 
 
 def run_cli(tmp_path, name, text, kind, extra=()):
@@ -153,7 +153,7 @@ def test_every_norm_spec_field_is_set_by_a_norm_key():
     # the weight is set by weight_s and weight_coords together
     from coorbit_lab.coorbit import NormSpec
 
-    keys = {key for section, key in SCHEMAS["coorbit-norm"] if section == "norm"}
+    keys = {name.removeprefix("norm.") for name in cli._KINDS["coorbit-norm"].schema if name.startswith("norm.")}
     for field in dataclasses.fields(NormSpec):
         assert ({"weight_s", "weight_coords"} if field.name == "weight" else {field.name}) <= keys, field.name
 
@@ -162,7 +162,7 @@ def test_orbit_scan_default_ladder_is_the_engines():
     # the schema spells the ladder out, so that parsing a config loads no norm engine
     from coorbit_lab.coorbit import DEFAULT_SCAN
 
-    assert SCHEMAS["orbit-scan"][("scan", "u_values")][1] == DEFAULT_SCAN
+    assert cli._KINDS["orbit-scan"].schema["scan.u_values"][1] == DEFAULT_SCAN
 
 
 def test_orbit_scan_tail_mass_fails_the_run(tmp_path, monkeypatch):
@@ -246,6 +246,35 @@ def test_bad_seed_flag_exits_3(tmp_path, capsys, seed):
     assert not out.exists()
 
 
+# every error tolerance, and the density factor, with the lines a config
+# needs before its [tolerance] section
+_TOLERANCES = [
+    ("verify-gaussian", "", key) for key in ("closed", "determinant", "grid")
+] + [
+    ("orbit-scan", "[scan]\ntask = chirp-1d\n\n", key) for key in ("slope", "invariance")
+] + [
+    ("coorbit-norm", "[group]\nname = heisenberg\n\n", "orthogonality"),
+    ("frame-sweep", "", "ratio"),
+    ("frame-sweep", "", "density_factor"),
+    ("rep-selftest", "", "homomorphism"),
+    ("rep-selftest", "", "unitarity"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("kind,head,key", _TOLERANCES, ids=[f"{kind}-{key}" for kind, _, key in _TOLERANCES])
+def test_bad_tolerance_exits_3_and_names_its_line(tmp_path, capsys, kind, head, key, value):
+    # a NaN bound passes nothing and a NaN density factor checks nothing: rep-selftest
+    # exited 2 on a NaN or negative bound and 0 on an infinite one, and frame-sweep 0
+    # on a NaN density factor, with no spacing counted as subcritical
+    text = head + f"[tolerance]\n{key} = {value}\n"
+    code, out = run_cli(tmp_path, "tol.cfg", text, kind)
+    assert code == 3
+    line = head.count("\n") + 2
+    assert capsys.readouterr().err.startswith(f"config error: line {line}, key 'tolerance.{key}': must be finite and")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "kind,text,where",
     [
@@ -274,11 +303,10 @@ def test_late_config_error_exits_3(tmp_path, capsys):
     # f_quad can only be checked against the group's acting dimension inside
     # the runner: the config parses (the benchmark's CLI set-up parses it too)
     text = "[group]\nname = g5_3\n\n[state]\nf_quad = 1.0,1.0,1.0\n"
-    assert parse_config(text, kind="coorbit-norm").get("state", "f_quad") == (1.0, 1.0, 1.0)
+    assert parse_config(text, kind="coorbit-norm")["state.f_quad"] == (1.0, 1.0, 1.0)
     code, _ = run_cli(tmp_path, "late.cfg", text, "coorbit-norm")
     assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "state.f_quad" in err
+    assert capsys.readouterr().err.startswith("config error: line 5, key 'state.f_quad': ")
 
 
 # coorbit-norm values that a Gaussian, a weight or the norm engine rejects,
@@ -402,7 +430,7 @@ def test_numerical_error_writes_the_json_and_exits_2(tmp_path, capsys, monkeypat
     def failing_runner(config):
         raise exc
 
-    monkeypatch.setitem(cli._RUNNERS, "density", failing_runner)
+    monkeypatch.setitem(cli._KINDS, "density", cli._KINDS["density"]._replace(run=failing_runner))
     code, out = run_cli(tmp_path, "num.cfg", "[lattice]\ngroup = heisenberg\n", "density")
     assert code == 2
     summary = json.loads((out / "density.json").read_text())
@@ -617,16 +645,16 @@ def test_runtime_needs_no_scipy(tmp_path):
 
 # cheap settings per kind; the property below overrides one value at a time
 _CHEAP = {
-    "coorbit-norm": {("group", "name"): "heisenberg"},
-    "density": {("lattice", "group"): "heisenberg", ("lattice", "n_points"): "50"},
+    "coorbit-norm": {"group.name": "heisenberg"},
+    "density": {"lattice.group": "heisenberg", "lattice.n_points": "50"},
     "frame-sweep": {
-        ("sweep", "eps_values"): "1.25",
-        ("estimate", "lattice_radius"): "2.0",
-        ("estimate", "dict_halfrange"): "1.0",
+        "sweep.eps_values": "1.25",
+        "estimate.lattice_radius": "2.0",
+        "estimate.dict_halfrange": "1.0",
     },
-    "verify-gaussian": {("samples", "closed"): "5", ("samples", "grid"): "1", ("samples", "determinant"): "2"},
-    "rep-selftest": {("suite", "group"): "heisenberg", ("suite", "n_pairs"): "5"},
-    "orbit-scan": {("scan", "task"): "chirp-1d", ("scan", "u_values"): "10.0,40.0,80.0"},
+    "verify-gaussian": {"samples.closed": "5", "samples.grid": "1", "samples.determinant": "2"},
+    "rep-selftest": {"suite.group": "heisenberg", "suite.n_pairs": "5"},
+    "orbit-scan": {"scan.task": "chirp-1d", "scan.u_values": "10.0,40.0,80.0"},
 }
 _SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e300, 1e-300])
 
@@ -646,11 +674,13 @@ def _value_for(tag):
 @st.composite
 def _configs(draw):
     kind = draw(st.sampled_from(sorted(_CHEAP)))
-    keys = sorted(k for k, (tag, _) in SCHEMAS[kind].items() if tag != "str")
+    schema = cli._KINDS[kind].schema
+    keys = sorted(k for k, (tag, _) in schema.items() if tag != "str")
     key = draw(st.sampled_from(keys))
-    values = {**_CHEAP[kind], key: draw(_value_for(SCHEMAS[kind][key][0]))}
+    values = {**_CHEAP[kind], key: draw(_value_for(schema[key][0]))}
     sections = {}
-    for (sec, name), value in values.items():
+    for dotted, value in values.items():
+        sec, _, name = dotted.partition(".")
         sections.setdefault(sec, []).append(f"{name} = {value}")
     return kind, "".join(f"[{sec}]\n" + "\n".join(lines) + "\n" for sec, lines in sections.items())
 

@@ -22,10 +22,10 @@ from coorbit_lab.frames import (
     quasilattice_points,
     tiling_check,
 )
-from coorbit_lab.gaussian import Gaussian
+from coorbit_lab.gaussian import Gaussian, unit_gaussian
 from coorbit_lab.groups import GROUPS, group_spec, inverse, multiply, project, quotient_multiply, section
 from coorbit_lab.oracles import quad_rep_coefficient
-from coorbit_lab.representations import RepSpec, act, default_window
+from coorbit_lab.representations import RepSpec, act
 
 ALL_SPECS = [group_spec(n, 1) for n in GROUPS]
 SIX_SPECS = ALL_SPECS + [group_spec("heisenberg", 2)]
@@ -362,7 +362,7 @@ def test_closed_form_gram_entries_match_the_grid_oracle(name):
     # <psi_j, pi(gamma) g> against a Riemann sum of the displayed formula
     grp = group_spec(name, 1)
     rep = RepSpec(grp, 1.0, 1.0 if grp.center_dim == 2 else 0.0)
-    g = default_window(rep)
+    g = unit_gaussian(rep.acting_dim)
     rng = np.random.default_rng(17)
     test_lin, test_amp, _ = _test_space(rep.acting_dim, 1.0, 0.5)
     ks = rng.integers(-2, 3, (12, grp.quotient_dim))
@@ -389,7 +389,7 @@ def _unblocked_bounds(rep, eps, lattice_radius, dict_halfrange):
     lat = QuasiLattice(rep.group, eps)
     half = (math.ceil(lattice_radius / eps) + 0.5) * eps
     gamma = quasilattice_points(lat, _reference_lattice_points_in_box(lat, np.zeros(lat.ndim), half))
-    g = default_window(rep)
+    g = unit_gaussian(rep.acting_dim)
     test_lin, test_amp, basis = _test_space(rep.acting_dim, dict_halfrange, 0.5)
     coeff = _coefficients(test_lin, test_amp, *act(rep, section(rep.group, gamma), g.quad, g.lin, g.log_amp))
     reduced = basis.conj().T @ (coeff.conj().T @ coeff) @ basis

@@ -10,7 +10,7 @@ import pytest
 
 from _references import coefficient_log_modulus, pullback_affine
 from coorbit_lab.coorbit import formal_dimension
-from coorbit_lab.gaussian import Gaussian, chirp, inner_product, l2_norm, log_inner, modulate
+from coorbit_lab.gaussian import Gaussian, chirp, inner_product, l2_norm, log_inner, modulate, unit_gaussian
 from coorbit_lab.groups import GROUPS, group_spec, multiply, section
 from coorbit_lab.oracles import pointwise_action, quad_rep_coefficient
 from coorbit_lab.representations import (
@@ -19,7 +19,6 @@ from coorbit_lab.representations import (
     _grading,
     act,
     apply_rep,
-    default_window,
     homomorphism_check,
     known_formal_dimension,
     unitarity_check,
@@ -63,7 +62,7 @@ def test_unitarity(rep):
 def test_central_character(rep):
     # central elements act as the scalar exp(2 pi i lam z): modulus-one phase only
     grp = rep.group
-    f = default_window(rep)
+    f = unit_gaussian(rep.acting_dim)
     a = np.zeros(grp.total_dim)
     a[grp.center_indices[0]] = 0.7
     acted = apply_rep(rep, a, f)
@@ -75,8 +74,8 @@ def test_central_character(rep):
 def test_coefficient_modulus_ignores_the_central_lift(rep):
     grp = rep.group
     rng = np.random.default_rng(2)
-    f = chirp(default_window(rep), 0.3 * np.eye(rep.acting_dim))
-    g = default_window(rep)
+    f = chirp(unit_gaussian(rep.acting_dim), 0.3 * np.eye(rep.acting_dim))
+    g = unit_gaussian(rep.acting_dim)
     q = rng.uniform(-1.5, 1.5, grp.quotient_dim)
     base = rep_coefficient_log_modulus(rep, section(grp, q), f, g)
     lift = section(grp, q)
@@ -88,8 +87,8 @@ def test_coefficient_modulus_ignores_the_central_lift(rep):
 @pytest.mark.parametrize("rep", ALL_REPS, ids=GROUPS)
 def test_closed_coefficient_against_pointwise_quadrature(rep):
     rng = np.random.default_rng(3)
-    f = chirp(default_window(rep), 0.4 * np.eye(rep.acting_dim))
-    g = default_window(rep)
+    f = chirp(unit_gaussian(rep.acting_dim), 0.4 * np.eye(rep.acting_dim))
+    g = unit_gaussian(rep.acting_dim)
     for _ in range(3):
         a = rng.uniform(-1.0, 1.0, rep.group.total_dim)
         closed = inner_product(f, apply_rep(rep, a, g))
@@ -163,7 +162,7 @@ def test_homomorphism_check_draws_the_scalar_pairs(rep):
     mutated = RepSpec(_flipped_phase(rep.group), rep.lam, rep.mu)
     n = rep.group.total_dim
     rng = np.random.default_rng(8)
-    g = default_window(rep)
+    g = unit_gaussian(rep.acting_dim)
     errors = []
     for _ in range(3):
         a = rng.uniform(-2.0, 2.0, n)
@@ -299,7 +298,7 @@ def homogeneity_check(rep, n_points=50, seed=0) -> dict:
     rng = np.random.default_rng(seed)
     d = rep.acting_dim
     f = Gaussian(1.4 * np.eye(d) + 0.3j * np.ones((d, d)), np.full(d, 0.3 - 0.2j))
-    g = default_window(rep)
+    g = unit_gaussian(rep.acting_dim)
     a = rng.uniform(-1.5, 1.5, (n_points, rep.group.total_dim))
     lhs = coefficient_log_modulus(rep, a, f, g)
     rhs = coefficient_log_modulus(rep.unit, a * rep.delta, f, g)
@@ -414,7 +413,7 @@ def test_rep_spec_validation():
 def test_action_moves_window_as_expected():
     # Heisenberg: position a shifts the argument, momentum a modulates
     rep = standard_rep("heisenberg")
-    g = default_window(rep)
+    g = unit_gaussian(rep.acting_dim)
     a = np.array([0.8, 0.0, 0.0])
     acted = apply_rep(rep, a, g)
     for t in (-0.5, 0.0, 1.2):
