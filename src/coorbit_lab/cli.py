@@ -600,7 +600,7 @@ _KINDS: dict[str, _Kind] = {
         "scan.u_min_fit": ("fin-float", 32.0),
         "tolerance.slope": ("nonneg-float", 0.02),
         "tolerance.invariance": ("nonneg-float", 0.01),
-        "tolerance.expected": ("opt-float", None),
+        "tolerance.expected": ("opt-fin-float", None),
     }),
     "coorbit-norm": _Kind(_build_coorbit_norm, _run_coorbit_norm, {
         **_COMMON,

@@ -489,9 +489,12 @@ def _sinh_axis(center: float, spec: NormSpec):
 
 def _mesh_nodes(spec: NormSpec, n_coupled: int, n_weighted: int):
     """The node count of n_coupled _sinh_axis and n_weighted _linear_axis
-    axes, from the spec alone (inf past float range)."""
-    h, s_max = spec.resolution, math.asinh(spec.box_half)
-    sinh, linear = ceil_count((2.0 * s_max + h) / (2.0 * h)), ceil_count((2.0 * spec.box_half + 0.5 * h) / h)
+    axes, from the spec alone (inf past float range).  Each count is the
+    length np.arange gives its axis, ceil((stop - start) / step), summed in
+    the order numpy sums it."""
+    b, h = spec.box_half, spec.resolution
+    s_max, step = math.asinh(b), 2.0 * h
+    sinh, linear = ceil_count((s_max + 0.5 * step + s_max) / step), ceil_count((b + 0.5 * h + b) / h)
     return sinh**n_coupled * linear**n_weighted
 
 

@@ -33,6 +33,8 @@ from typing import Callable
 
 import numpy as np
 
+from .numerics import check_budget
+
 __all__ = [
     "GROUPS",
     "GroupSpec",
@@ -43,7 +45,6 @@ __all__ = [
     "project",
     "quotient_multiply",
     "axis_point",
-    "structure_constants",
 ]
 
 
@@ -71,9 +72,9 @@ class GroupSpec:
 
     @cached_property
     def center_indices(self) -> tuple[int, ...]:
-        """The coordinates whose row of the bracket table is zero."""
-        C = structure_constants(self)
-        return tuple(int(i) for i in np.flatnonzero(~C.any(axis=(1, 2))))
+        """The coordinates that enter no bracket [E_i, E_j] as E_i or E_j."""
+        bracketed = {x for i, j, _, _ in self.brackets for x in (i, j)}
+        return tuple(x for x in range(self.total_dim) if x not in bracketed)
 
     @property
     def center_dim(self) -> int:
@@ -205,9 +206,16 @@ def _rep_df(rep, a, C, S):
 # ---------------------------------------------------------------------------
 # the records
 
+# budget of H_d, in entries: a RepSpec of it checks its formal dimension on
+# the (2d + 1)^2 bracket form, so the record is refused before that array is
+# asked for; the same 2^24 entries as frames' budget
+_MAX_FORM_ENTRIES = 1 << 24
+
+
 def _heisenberg(d: int) -> GroupSpec:
     if d < 1:
         raise ValueError("heisenberg_d must be >= 1")
+    check_budget((2 * d + 1) ** 2, _MAX_FORM_ENTRIES, lambda: f"H_{d}: entries of its bracket form")
     brackets = tuple((i, d + i, 2 * d, 1.0) for i in range(d))  # [X_i, Y_i] = Z
     return GroupSpec("heisenberg", brackets, _mul_heisenberg, _rep_heisenberg)
 
@@ -273,15 +281,3 @@ def project(spec: GroupSpec, a) -> np.ndarray:
 def quotient_multiply(spec: GroupSpec, qa, qb) -> np.ndarray:
     return project(spec, multiply(spec, section(spec, qa), section(spec, qb)))
 
-
-# ---------------------------------------------------------------------------
-# declared structure constants, which oracles.bracket_check tests against the laws
-
-def structure_constants(spec: GroupSpec) -> np.ndarray:
-    """C[i, j, k], the coefficient of E_k in [E_i, E_j], from the declared table."""
-    n = spec.total_dim
-    C = np.zeros((n, n, n))
-    for i, j, k, c in spec.brackets:
-        C[i, j, k] += c
-        C[j, i, k] -= c
-    return C

@@ -19,12 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from .gaussian import _as_real_sym
-from .groups import GroupSpec, axis_point, inverse, multiply, structure_constants
+from .groups import GroupSpec, axis_point, inverse, multiply
 from .numerics import GridSpec, _tail_check
 
 __all__ = [
     "pointwise_action",
     "quad_rep_coefficient",
+    "structure_constants",
     "commutator",
     "bracket_check",
     "jacobian_check",
@@ -113,6 +114,16 @@ def quad_rep_coefficient(rep, a, f, g) -> complex:
 
 # ---------------------------------------------------------------------------
 # the declared structure constants and the Haar measure, from the laws
+
+def structure_constants(spec: GroupSpec) -> np.ndarray:
+    """C[i, j, k], the coefficient of E_k in [E_i, E_j], from the declared table."""
+    n = spec.total_dim
+    C = np.zeros((n, n, n))
+    for i, j, k, c in spec.brackets:
+        C[i, j, k] += c
+        C[j, i, k] -= c
+    return C
+
 
 def commutator(spec: GroupSpec, a, b) -> np.ndarray:
     ab = multiply(spec, a, b)

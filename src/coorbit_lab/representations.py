@@ -19,7 +19,7 @@ import numpy as np
 
 from .gaussian import Gaussian, l2_norm, quad_forms, unit_gaussian
 from .gaussian import log_inner  # noqa: F401  (perfbench/test_perfbench.py checks that the tracer wraps it here)
-from .groups import GroupSpec, group_spec, multiply, section, structure_constants
+from .groups import GroupSpec, group_spec, multiply, section
 
 __all__ = [
     "RepSpec",
@@ -315,30 +315,19 @@ def _grading(rep: RepSpec) -> np.ndarray:
     bracket breaks the rule.
     """
     grp = rep.group
-    w: list[int | None] = [None] * grp.total_dim
-    for i, fixed in zip(grp.center_indices, (1, 0)):
-        w[i] = fixed
-    for q in rep.moving[1]:
-        w[grp.noncenter_indices[q]] = 0
-    changed = True
-    while changed:
-        changed = False
-        for i, j, k, _ in grp.brackets:
-            known = [w[i], w[j], w[k]]
-            if known.count(None) == 1:
-                wi, wj, wk = known
-                if wk is None:
-                    w[k] = wi + wj
-                elif wi is None:
-                    w[i] = wk - wj
-                else:
-                    w[j] = wk - wi
-                changed = True
-    if None in w:
-        raise ValueError(f"the brackets of {grp.name} leave a weight undetermined: {w}")
-    if min(w) < 0 or any(w[k] != w[i] + w[j] for i, j, k, _ in grp.brackets):
-        raise ValueError(f"the brackets of {grp.name} admit no grading with these fixed weights: {w}")
-    return np.array(w)
+    fixed = dict(zip(grp.center_indices, (1, 0)))
+    fixed.update((grp.noncenter_indices[q], 0) for q in rep.moving[1])
+    # one row w_k - w_i - w_j = 0 per bracket, then one row w_i = fixed[i] per fixed weight
+    eye = np.eye(grp.total_dim)
+    rows = np.array([eye[k] - eye[i] - eye[j] for i, j, k, _ in grp.brackets] + [eye[i] for i in fixed])
+    rhs = np.array([0.0] * len(grp.brackets) + list(fixed.values()))
+    solution, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
+    if rank < grp.total_dim:
+        raise ValueError(f"the brackets of {grp.name} leave a weight undetermined: rank {rank} of {grp.total_dim}")
+    w = np.rint(solution).astype(int)
+    if w.min() < 0 or (rows @ w != rhs).any():
+        raise ValueError(f"the brackets of {grp.name} admit no grading with these fixed weights: {w.tolist()}")
+    return w
 
 
 def known_formal_dimension(rep: RepSpec) -> float:
@@ -352,9 +341,12 @@ def known_formal_dimension(rep: RepSpec) -> float:
     (Moore & Wolf, Trans. AMS 185, 1973; Corwin & Greenleaf 1990, sec. 4.5).
     """
     grp = rep.group
-    ell = np.zeros(grp.total_dim)
-    ell[list(grp.center_indices)] = (rep.lam, rep.mu)[: grp.center_dim]
-    outer = list(grp.noncenter_indices)
-    B = (structure_constants(grp) @ ell)[np.ix_(outer, outer)]
+    ell = dict(zip(grp.center_indices, (rep.lam, rep.mu)))
+    B = np.zeros((grp.total_dim, grp.total_dim))
+    for i, j, k, c in grp.brackets:
+        if k in ell:
+            B[i, j] += c * ell[k]
+            B[j, i] -= c * ell[k]
+    outer = grp.noncenter_slice
     with np.errstate(over="ignore"):  # a singular B has log|det B| = -inf, so d_pi = 0
-        return float(np.exp(0.5 * np.linalg.slogdet(B)[1]))
+        return float(np.exp(0.5 * np.linalg.slogdet(B[outer, outer])[1]))

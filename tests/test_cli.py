@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -159,10 +160,26 @@ def test_every_norm_spec_field_is_set_by_a_norm_key():
 
 
 def test_orbit_scan_default_ladder_is_the_engines():
-    # the schema spells the ladder out, so that parsing a config loads no norm engine
-    from coorbit_lab.coorbit import DEFAULT_SCAN
+    # the schema spells the ladder out, so that parsing a config loads no norm
+    # engine; so it spells out every other default it copies from the library
+    from coorbit_lab.coorbit import DEFAULT_SCAN, NormSpec, orbit_scan
+    from coorbit_lab.representations import homomorphism_check
 
-    assert cli._KINDS["orbit-scan"].schema["scan.u_values"][1] == DEFAULT_SCAN
+    def defaults(fn):
+        return {name: param.default for name, param in inspect.signature(fn).parameters.items()}
+
+    norm_spec = {field.name: field.default for field in dataclasses.fields(NormSpec)}
+    estimate = [key for key in cli._KINDS["frame-sweep"].schema if key.startswith("estimate.")]
+    library = {
+        ("orbit-scan", "scan.u_values"): DEFAULT_SCAN,
+        ("orbit-scan", "scan.u_min_fit"): defaults(orbit_scan)["u_min_fit"],
+        **{("coorbit-norm", f"norm.{k}"): norm_spec[k] for k in ("p", "box_half", "resolution")},
+        **{("frame-sweep", key): defaults(frames.frame_bounds_estimate)[key.split(".")[1]] for key in estimate},
+        ("density", "lattice.n_points"): defaults(frames.tiling_check)["n_points"],
+        **{("rep-selftest", f"suite.{k}"): defaults(homomorphism_check)[k] for k in ("n_pairs", "box")},
+    }
+    assert len(estimate) == 3
+    assert {pair: cli._KINDS[pair[0]].schema[pair[1]][1] for pair in library} == library
 
 
 def test_orbit_scan_tail_mass_fails_the_run(tmp_path, monkeypatch):
@@ -275,6 +292,26 @@ def test_bad_tolerance_exits_3_and_names_its_line(tmp_path, capsys, kind, head, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_expected_slope_exits_3_and_names_its_line(tmp_path, capsys, value):
+    # a NaN or infinite expected slope ran the scan and exited 2, with the
+    # slope written as null; a negative slope stays a valid expectation
+    head = "[scan]\ntask = chirp-1d\n\n[tolerance]\n"
+    assert parse_config(head + "expected = -0.5\n", kind="orbit-scan")["tolerance.expected"] == -0.5
+    code, out = run_cli(tmp_path, "expected.cfg", head + f"expected = {value}\n", "orbit-scan")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("config error: line 5, key 'tolerance.expected': must be finite")
+    assert not out.exists()
+
+
+# a Heisenberg group whose bracket form is past its budget, in each kind that builds one
+_HUGE_H = [
+    ("coorbit-norm", "[group]\nname = heisenberg\n", "group"),
+    ("density", "[lattice]\ngroup = heisenberg\n", "lattice"),
+    ("rep-selftest", "[suite]\ngroup = heisenberg\n", "suite"),
+]
+
+
 @pytest.mark.parametrize(
     "kind,text,where",
     [
@@ -289,8 +326,10 @@ def test_bad_tolerance_exits_3_and_names_its_line(tmp_path, capsys, kind, head, 
         ),
         ("frame-sweep", "[sweep]\nlam = 0\n", "line 2, key 'sweep.lam'"),
         ("density", "[lattice]\ngroup = heisenberg\nheisenberg_d = 0\n", "line 3, key 'lattice.heisenberg_d'"),
-    ],
-    ids=["g5_3-lam-0", "heisenberg-mu-1", "heisenberg-d-0", "box-half", "weight-coords", "sweep-lam-0", "lattice-d-0"],
+    ]
+    + [(kind, head + "heisenberg_d = 1000000\n", f"line 3, key '{sec}.heisenberg_d'") for kind, head, sec in _HUGE_H],
+    ids=["g5_3-lam-0", "heisenberg-mu-1", "heisenberg-d-0", "box-half", "weight-coords", "sweep-lam-0", "lattice-d-0"]
+    + [f"{kind}-heisenberg-d-1e6" for kind, _, _ in _HUGE_H],
 )
 def test_value_a_library_object_rejects_names_its_line(kind, text, where):
     # the group record, RepSpec, weight and NormSpec are built at parse time

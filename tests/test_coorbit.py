@@ -1312,6 +1312,21 @@ def test_weighted_modulation_norm_obeys_the_node_budget(monkeypatch):
         modulation_norm_log(unit_gaussian(1), unit_gaussian(1), spec)
 
 
+def test_mesh_nodes_counts_the_nodes_the_axes_hold():
+    # box half-widths on and off the grid of each step: the budget's count must
+    # be each built axis's length (it read 24 linear nodes at box_half = 1.175,
+    # resolution = 0.1, where the axis holds 25)
+    wrong = []
+    for h in (0.1, 0.07, 0.3, 0.125):
+        for b in ((k + f) * h for k in range(1, 100) for f in (0.0, 0.25, 0.5, 0.75)):
+            spec = NormSpec(box_half=b, resolution=h)
+            n_sinh, n_linear = len(coorbit._sinh_axis(0.0, spec)[0]), len(coorbit._linear_axis(spec)[0])
+            counts = [coorbit._mesh_nodes(spec, 1, 0), coorbit._mesh_nodes(spec, 0, 1), coorbit._mesh_nodes(spec, 2, 1)]
+            if counts != [n_sinh, n_linear, n_sinh**2 * n_linear]:
+                wrong.append((b, h, counts))
+    assert wrong == []
+
+
 def test_tail_raise_on_cramped_box():
     # a narrow window spreads its coefficient past the default box: the outer
     # shell carries 1.24% of the mass at 50 I, over the 1% that formal_dimension allows

@@ -13,9 +13,9 @@ from coorbit_lab.groups import (
     project,
     quotient_multiply,
     section,
-    structure_constants,
 )
-from coorbit_lab.oracles import bracket_check, commutator, jacobian_check
+from coorbit_lab.numerics import WorkBudgetError
+from coorbit_lab.oracles import bracket_check, commutator, jacobian_check, structure_constants
 
 ALL_SPECS = [group_spec(n, 1) for n in GROUPS] + [group_spec("heisenberg", 2)]
 
@@ -259,3 +259,19 @@ def test_heisenberg_dimension_parameter():
     assert h2.total_dim == 5
     assert h2.center_indices == (4,)
     assert group_spec("g5_3").center_indices == (0,)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_ids())
+def test_centre_is_the_zero_rows_of_the_structure_constants(spec):
+    # read off the bracket list, the centre is where the oracle's dense tensor has no row
+    C = structure_constants(spec)
+    assert spec.center_indices == tuple(np.flatnonzero(~C.any(axis=(1, 2))).tolist())
+
+
+def test_heisenberg_record_is_refused_past_its_bracket_form_budget():
+    # (2d + 1)^2 entries against 2^24, refused before any array is built
+    assert group_spec("heisenberg", 2047).total_dim == 4095
+    with pytest.raises(WorkBudgetError, match="16,785,409 exceeds the work budget of 16,777,216"):
+        group_spec("heisenberg", 2048)
+    with pytest.raises(WorkBudgetError, match="H_1000000: entries of its bracket form"):
+        group_spec("heisenberg", 10**6)
