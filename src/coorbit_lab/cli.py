@@ -226,7 +226,15 @@ def _build_orbit_scan(v: ExperimentConfig) -> dict:
         raise v.error(f"unknown task {name!r}; expected one of {', '.join(sorted(_SCAN_TASKS))}", "scan.task")
     if len(set(v["scan.u_values"])) < 3:
         raise v.error("need at least three distinct scan points for a fit", "scan.u_values")
-    lowest = min((u for u in v["scan.u_values"] if u >= v["scan.u_min_fit"]), default=1.0)
+    fitted = {u for u in v["scan.u_values"] if u >= v["scan.u_min_fit"]}
+    if len(fitted) < 2:
+        raise v.error(
+            f"need at least two distinct u values at or past u_min_fit = {v['scan.u_min_fit']:g} for the slope fit, "
+            f"got {len(fitted)}",
+            "scan.u_min_fit",
+            "scan.u_values",
+        )
+    lowest = min(fitted)
     if lowest <= 0:
         raise v.error(
             f"every u from u_min_fit on enters the slope fit and must be positive, got {lowest:g}", "scan.u_min_fit"

@@ -33,8 +33,8 @@ from .representations import (
     _States,
     _acted_lin_amp,
     _acted_quad,
+    _check_positive_real,
     _factors,
-    _product_form,
     _stft_rep,
     act,
 )
@@ -187,6 +187,9 @@ class LogQuadratic(NamedTuple):
         if not dims:
             return self
         keep = [i for i in range(self.ndim) if i not in dims]
+        if not keep:  # the same factorisation and solve as total(), on every dimension
+            const = self.total()
+            return LogQuadratic(const, np.zeros(np.shape(const) + (0,)), np.zeros(np.shape(const) + (0, 0)))
         g_s, h_st = self.grad[..., dims, None], _block(self.hess, dims, keep)
         batch = np.broadcast_shapes(g_s.shape[:-2], h_st.shape[:-2])
         rhs = np.concatenate([np.broadcast_to(x, batch + x.shape[-2:]) for x in (g_s, h_st)], axis=-1)
@@ -225,7 +228,7 @@ def _factor_solve(hess, rhs):
 
 def _log_integral(const, low, z):
     """const + (k/2) log 2 pi - sum log diag(low) + z.z / 2 (LogQuadratic.total)."""
-    log_det = 0.5 * low.shape[-1] * math.log(2.0 * math.pi) - np.log(low.diagonal(0, -2, -1)).sum(axis=-1)
+    log_det = 0.5 * low.shape[-1] * math.log(2.0 * math.pi) - np.add.reduce(np.log(low.diagonal(0, -2, -1)), axis=-1)
     return const + log_det + 0.5 * np.einsum("...i,...i->...", z, z)
 
 
@@ -322,10 +325,11 @@ def fit_log_quadratic(func: Callable[[np.ndarray], float], ndim: int) -> LogQuad
 
 class _WindowSide(NamedTuple):
     """What the node quadratics read of the window g, one entry per node:
-    quad (m, d, d), the acted quad at r = 0; lin (m, k + 4, d), the acted
-    lin on each factor row; amp (m, 4), Re of the acted amplitude on the
-    three check rows and r = 0; grad (m, k), the part of the gradient no
-    state moves, amp(e_i) - amp(0) - H_la[i, i] / 2; and
+    quad (m, d, d), the conjugate of the acted quad at r = 0; lin
+    (m, k + 4, d), the conjugate of the acted lin on each factor row (the
+    product f conj(pi g) reads them so); amp (m, 4), Re of the acted
+    amplitude on the three check rows and r = 0; grad (m, k), the part of
+    the gradient no state moves, amp(e_i) - amp(0) - H_la[i, i] / 2; and
     H_la = -2 pi V^T Re(g.quad) V (m, k, k)."""
 
     quad: np.ndarray
@@ -335,7 +339,6 @@ class _WindowSide(NamedTuple):
     h_la: np.ndarray
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the C/S test and _validate report overflow
 def _window_side(rep: RepSpec, g_quad, g_lin, g_log_amp, nodes) -> _WindowSide:
     """The part of _node_quadratics that reads only rep, the window and the nodes.
 
@@ -343,7 +346,8 @@ def _window_side(rep: RepSpec, g_quad, g_lin, g_log_amp, nodes) -> _WindowSide:
     holds the k + 4 rows of each node (_row_offsets).  C and S may move only
     with the coupled coordinates of rep.split: every row's C and S must
     equal its node's r = 0 row bit for bit, else the split is wrong and the
-    log modulus is not quadratic, which raises.
+    log modulus is not quadratic, which raises.  It runs under the kernel's
+    errstate: the C/S test and _validate report overflow.
     """
     group = rep.group
     coupled, fitdims = rep.split
@@ -353,7 +357,7 @@ def _window_side(rep: RepSpec, g_quad, g_lin, g_log_amp, nodes) -> _WindowSide:
     if coupled:
         qv[..., coupled] = nodes[:, None, :]
     qv[..., fitdims] = offsets
-    factors = _factors(rep, section(group, qv).reshape(m * rows, -1))
+    factors = _factors(rep, section(group, qv.reshape(m * rows, -1)))
     _, C, _, S, v = factors
     C, S, v = C.reshape(m, rows, *C.shape[1:]), S.reshape(m, rows, *S.shape[1:]), v.reshape(m, rows, -1)
     # row 3 of each node is r = 0, the rows after it e_1, ..., e_k
@@ -366,36 +370,50 @@ def _window_side(rep: RepSpec, g_quad, g_lin, g_log_amp, nodes) -> _WindowSide:
             "representation's factors"
         )
     lin, amp = _acted_lin_amp(factors, g_quad, g_lin, g_log_amp)
-    lin, amp = lin.reshape(m, rows, -1), amp.reshape(m, rows).real
+    amp = amp.real.reshape(m, rows)
     V = v[:, 4:] - v[:, 3:4]
     h_la = -2.0 * np.pi * V @ g_quad.real @ V.swapaxes(-1, -2)
     grad = amp[:, 4:] - amp[:, 3:4] - 0.5 * h_la.diagonal(0, -2, -1)
     quad = _acted_quad(C[:, 3], S[:, 3], g_quad)
-    return _WindowSide(quad, lin, amp[:, :4], grad, h_la)
+    return _WindowSide(np.conj(quad, out=quad), np.conj(lin, out=lin).reshape(m, rows, -1), amp[:, :4], grad, h_la)
+
+
+def _shared_nodes(rep: RepSpec) -> np.ndarray:
+    """The nodes every state of a norm meets: the one empty node of a rep
+    with no coupled coordinate, else the probe's ladder (_PROBE_LADDER) on
+    the first coupled coordinate with 0 on the others, where _coupled_axes
+    starts every centre."""
+    coupled = rep.split[0]
+    nodes = np.zeros((len(_PROBE_LADDER) if coupled else 1, len(coupled)))
+    if coupled:
+        nodes[:, 0] = _PROBE_LADDER
+    return nodes
 
 
 @lru_cache(maxsize=32)
 def _cached_window_side(rep: RepSpec, quad: bytes, lin: bytes, log_amp: bytes) -> _WindowSide:
-    """_window_side at the one node of a rep with no coupled coordinate
-    (read-only), cached by value: the window arrives as the bytes of its
-    complex fields, so an equal-valued copy of it hits, and any other bit
-    misses.  A fill that raises is not cached."""
+    """_window_side at rep's _shared_nodes (read-only), cached by value: the
+    window arrives as the bytes of its complex fields, so an equal-valued
+    copy of it hits, and any other bit misses.  A fill that raises is not
+    cached."""
     d = rep.acting_dim
     window = np.frombuffer(quad, complex).reshape(d, d), np.frombuffer(lin, complex), np.frombuffer(log_amp, complex)[0]
-    side = _window_side(rep, *window, np.zeros((1, 0)))
+    side = _window_side(rep, *window, _shared_nodes(rep))
     for field in side:
         field.flags.writeable = False
     return side
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _validate reports a model past double range
-def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQuadratic:
-    """The quadratic r -> log |<f_j, pi(section(q)) g>| at each coupled node j.
+@np.errstate(over="ignore", invalid="ignore")  # the C/S test and _validate report overflow
+def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts=None) -> LogQuadratic:
+    """The quadratic r -> log |<f, pi(section(q)) g>| at coupled nodes q.
 
-    cpts holds one node per row: a value for each coupled coordinate of rep
-    (rep.split); r runs over the other quotient coordinates, in order.
-    states holds one state f_j per node.  At a node Q is fixed, L = L0 + J r
-    is affine and so is the shift v = v0 + V r, so the kernel's
+    cpts holds one node per row, a value for each coupled coordinate of rep
+    (rep.split), and states one state f_j per node.  cpts None stands for
+    rep's _shared_nodes, which each state of states meets in turn: the
+    models come state-major, len(_shared_nodes(rep)) per state.  r runs
+    over the other quotient coordinates, in order.  At a node Q is fixed,
+    L = L0 + J r is affine and so is the shift v = v0 + V r, so the kernel's
     Re la - log|det Q| / 2 + Re(L.Q^-1 L) / 4 pi is quadratic in r with
 
         hess = Re(J^T Q^-1 J) / 2 pi + H_la,   H_la = -2 pi V^T Re(g.quad) V,
@@ -408,65 +426,77 @@ def _node_quadratics(rep: RepSpec, states: _States, g: Gaussian, cpts) -> LogQua
 
     The window side (_window_side) reads only rep, g and the nodes: the
     factor table, the exact C/S test, the action of pi on g, V, H_la and
-    the part of grad that no state moves.  With no coupled coordinate
-    every node is the same empty node, so that side is read once, from
-    _cached_window_side, a cache of at most 32 entries keyed by rep and the
-    bytes of g's fields, and broadcast over the states.  Coupled meshes and
-    the probe read it inline, per block.  The state side runs on every
-    call: Q is formed once per node, with one Cholesky factorisation (the
-    positive-definiteness check of _product_form), one slogdet and one
-    (k + 4)-column solve against the
-    rows L = (the checks' L, L0, J_1, ..., J_k).  One product L Q^-1 L^T
-    then holds the kernel's check values and const on its first four
-    diagonal entries, Re(J^T Q^-1 L0) and Re(J^T Q^-1 J), and every model
-    must reproduce its check values (_validate).
+    the part of grad that no state moves.  The shared nodes' side is read
+    once, from _cached_window_side, a cache of at most 32 entries keyed by
+    rep and the bytes of g's fields, and broadcast over the states: the
+    closed form's empty node, which is every node of a rep with no coupled
+    coordinate, and the probe's first ladder.  Other nodes (the climbs and
+    the meshes) read it inline, per block.  The state side (_state_side)
+    runs on every call: Q is formed once per node, with one Cholesky
+    factorisation (the positive-definiteness check, _check_positive_real),
+    one slogdet and one (k + 4)-column solve against the rows L = (the
+    checks' L, L0, J_1, ..., J_k).  One product L Q^-1 L^T then holds the
+    kernel's check values and const on its first four diagonal entries,
+    Re(J^T Q^-1 L0) and Re(J^T Q^-1 J), and every model must reproduce its
+    check values (_validate).
 
-    A call whose nodes fit in one block of _BLOCK factor rows returns that
-    block's model; more nodes run block by block, each written into the
-    returned arrays, so the block size moves no bit.  A block costs the
-    same fixed work whatever it holds: about forty-five array operations,
-    indexing and _validate included, and three numpy.linalg calls on the
-    state side, which is all a cached window side leaves, and about sixty
-    more on an inline window side.  The
-    kernel reads only moduli, so it leaves out the unit phase of the action
-    (act adds it).
+    A call whose states fit in one block of _BLOCK factor rows returns that
+    block's model; more run block by block, each written into the returned
+    arrays, so the block size moves no bit.  A block costs the same fixed
+    work whatever it holds: about forty array operations, indexing and
+    _validate included, and three numpy.linalg calls on the state side,
+    which is all a cached window side leaves, and about sixty more on an
+    inline window side.  The kernel reads only moduli, so it leaves out the
+    unit phase of the action (act adds it).
     """
     coupled, fitdims = rep.split
     k = len(fitdims)
-    n_nodes = len(cpts)
-    cached = None
-    if not coupled:
-        fields = (np.asarray(x, dtype=complex).tobytes() for x in (g.quad, g.lin, g.log_amp))
-        cached = _cached_window_side(rep, *fields)
-
-    def model(block):
-        side = cached
-        if side is None:
-            side = _window_side(rep, g.quad, g.lin, g.log_amp, cpts[block])
-        Q, L = _product_form(states.quad[block], states.lin[block, None], side.quad, side.lin)
-        # rows 0 to 2 are the checks, row 3 is r = 0: their L, then J_1, ..., J_k as
-        # differences of the rows' L (J taken off the window side alone,
-        # conj(lin(e_i) - lin(0)), misses the large-u chirp scans' closed forms
-        # by about a tenth more in rms)
-        L[:, 4:] -= L[:, 3:4]
-        _, log_abs_det = np.linalg.slogdet(Q)
-        form = (L @ np.linalg.solve(Q, L.swapaxes(-1, -2))).real / (2.0 * np.pi)  # Re(L_a Q^-1 L_b) / 2 pi
-        # the kernel's log modulus at each check row and at r = 0, with its node's Q
-        vals = states.log_amp[block, None].real + side.amp - 0.5 * log_abs_det[:, None]
-        vals += 0.5 * form.diagonal(0, -2, -1)[:, :4]
-        h = form[:, 4:, 4:] + side.h_la
-        quad = LogQuadratic(vals[:, 3], side.grad + form[:, 4:, 3], 0.5 * (h + h.swapaxes(-1, -2)))
-        _validate(quad, vals[:, :3], quad.const)
-        return quad
-
-    step = max(1, _BLOCK // (k + 4))
-    if n_nodes <= step:
-        return model(slice(0, n_nodes))
-    out = const, grad, hess = LogQuadratic(np.empty(n_nodes), np.empty((n_nodes, k)), np.empty((n_nodes, k, k)))
-    for start in range(0, n_nodes, step):
-        block = slice(start, start + step)
-        const[block], grad[block], hess[block] = model(block)
+    side, per_state = None, 1
+    if cpts is None or not coupled:  # with no coupled coordinate every node is the empty node
+        side = _cached_window_side(rep, *[np.asarray(x, dtype=complex).tobytes() for x in (g.quad, g.lin, g.log_amp)])
+        per_state = len(side.amp)
+        if per_state > 1:  # a node axis after the state axis: each state meets every shared node
+            states = _States(states.quad[:, None], states.lin[:, None], states.log_amp[:, None])
+    n = len(states.log_amp)
+    step = max(1, _BLOCK // ((k + 4) * per_state))  # states per block
+    if n <= step:
+        return _state_side(side if side is not None else _window_side(rep, g.quad, g.lin, g.log_amp, cpts), states)
+    out = const, grad, hess = LogQuadratic(
+        np.empty(n * per_state), np.empty((n * per_state, k)), np.empty((n * per_state, k, k))
+    )
+    for start in range(0, n, step):
+        block, rows = slice(start, start + step), slice(start * per_state, (start + step) * per_state)
+        block_side = side if side is not None else _window_side(rep, g.quad, g.lin, g.log_amp, cpts[block])
+        const[rows], grad[rows], hess[rows] = _state_side(block_side, states.rows(block))
     return out
+
+
+def _state_side(side: _WindowSide, states: _States) -> LogQuadratic:
+    """The part of _node_quadratics that reads the states: the models of
+    states against side, which broadcast.  states holds one state per node
+    of side, or any number against side's one node, or carries a node axis
+    of length 1 after its state axis, so that each state meets every node of
+    side; those models come flat, state-major."""
+    Q = states.quad + side.quad
+    _check_positive_real(Q)
+    L = states.lin[:, None] + side.lin
+    # rows 0 to 2 are the checks, row 3 is r = 0: their L, then J_1, ..., J_k as
+    # differences of the rows' L (J taken off the window side alone,
+    # conj(lin(e_i) - lin(0)), misses the large-u chirp scans' closed forms
+    # by about a tenth more in rms)
+    L[..., 4:, :] -= L[..., 3:4, :]
+    _, log_abs_det = np.linalg.slogdet(Q)
+    form = (L @ np.linalg.solve(Q, L.swapaxes(-1, -2))).real / (2.0 * np.pi)  # Re(L_a Q^-1 L_b) / 2 pi
+    # the kernel's log modulus at each check row and at r = 0, with its node's Q
+    vals = states.log_amp[:, None].real + side.amp - 0.5 * log_abs_det[..., None]
+    vals += 0.5 * form.diagonal(0, -2, -1)[..., :4]
+    h = form[..., 4:, 4:] + side.h_la
+    quad = LogQuadratic(vals[..., 3], side.grad + form[..., 4:, 3], 0.5 * (h + h.swapaxes(-1, -2)))
+    _validate(quad, vals[..., :3], quad.const)
+    if quad.const.ndim > 1:  # states at every node of side: state-major
+        k = quad.ndim
+        return LogQuadratic(quad.const.reshape(-1), quad.grad.reshape(-1, k), quad.hess.reshape(-1, k, k))
+    return quad
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +571,9 @@ def _mesh_radius(a_c, a_w, cpts, wpts):
     return np.sqrt(r, out=r)
 
 
-_PROBE_MAGNITUDES = tuple(float(2**k) for k in range(1, 11))  # 2 .. 1024
+# the probe's first candidates, one row of them per climb: 0, then +-2, +-4, .., +-1024 (read-only)
+_PROBE_LADDER = np.array([0.0] + [c for k in range(1, 11) for c in (2.0**k, -(2.0**k))])
+_PROBE_LADDER.flags.writeable = False
 
 
 def _probe_center(slice_mass: Callable[[np.ndarray, np.ndarray], np.ndarray], n_rows: int) -> np.ndarray:
@@ -550,32 +582,33 @@ def _probe_center(slice_mass: Callable[[np.ndarray, np.ndarray], np.ndarray], n_
     slice_mass(rows, centers) maps centers (len(rows), K), one row of
     candidates per function listed in rows, to their masses, same shape.
     The hill climbs run in lockstep: a geometric ladder (one call with every
-    row) finds each mode's order of magnitude, then each climb walks to its
-    mode with halving steps.  Each later call reads, for every climb not yet
-    done, all the steps it could take from its center without moving: +-step,
-    +-step/2, ... down to the last step >= 0.25, a row padded with its last
-    pair.  The sequential climb is replayed on those masses up to its first
-    move, so a call costs one move, not one step.  A final center is within
-    a fraction of the integration box of the true peak.  Per row, ties go to
-    the earlier candidate: 0, then +mag before -mag, and the current center
-    before +step before -step.
+    row, each of them _PROBE_LADDER) finds each mode's order of magnitude,
+    then each climb walks to its mode with halving steps.  Each later call
+    reads, for every climb not yet done, all the steps it could take from
+    its center without moving: +-step, +-step/2, ... down to the last
+    step >= 0.25, a row padded with its last pair.  The sequential climb is
+    replayed on those masses up to its first move, so a call costs one
+    move, not one step.  A final center is within a fraction of the
+    integration box of the true peak.  Per row, ties go to the earlier
+    candidate: 0, then +mag before -mag, and the current center before
+    +step before -step.
     """
-    ladder = np.array([0.0] + [c for mag in _PROBE_MAGNITUDES for c in (mag, -mag)])
     rows = np.arange(n_rows)
-    masses = slice_mass(rows, np.tile(ladder, (n_rows, 1)))
+    masses = slice_mass(rows, _PROBE_LADDER[None].repeat(n_rows, axis=0))
     best = np.argmax(masses, axis=1)
-    best_c, best_v = ladder[best], masses[rows, best]
+    best_c, best_v = _PROBE_LADDER[best], masses[rows, best]
     step = np.maximum(1.0, np.abs(best_c) / 2.0)
     active = rows
     while len(active):
         # step = m 2^e with 0.5 <= m < 1 keeps step / 2^j >= 0.25 for j < e + 2;
         # a climb with fewer steps than the longest repeats its last
-        n_steps = np.frexp(step[active])[1] + 2
-        steps = step[active, None] / 2.0 ** np.minimum(np.arange(n_steps.max()), n_steps[:, None] - 1)
+        at_step = step[active]
+        n_steps = np.frexp(at_step)[1] + 2
+        steps = at_step[:, None] / 2.0 ** np.minimum(np.arange(n_steps.max()), n_steps[:, None] - 1)
         pairs = best_c[active, None, None] + steps[..., None] * np.array([1.0, -1.0])
         mass = slice_mass(active, pairs.reshape(len(active), -1)).reshape(pairs.shape)
         k = np.argmax(mass, axis=2)
-        top = np.take_along_axis(mass, k[..., None], axis=2)[..., 0]
+        top = mass.max(axis=2)  # mass at k
         gains = top > best_v[active, None]
         # the first step that gains is the move; a climb with none is done
         i = np.flatnonzero(gains.any(axis=1))
@@ -592,7 +625,7 @@ def _probe_center(slice_mass: Callable[[np.ndarray, np.ndarray], np.ndarray], n_
 
 def coorbit_norm_log(rep: RepSpec, f: Gaussian, g: Gaussian, spec: NormSpec | None = None) -> float:
     """log of the L^p_m norm of q -> <f, pi(section(q)) g> over the quotient."""
-    norms, _ = _coorbit_log_norms(rep, _States.stack([f]), g, spec)
+    norms, _ = _coorbit_log_norms(rep, _States.one(f), g, spec)
     return float(norms[0])
 
 
@@ -625,7 +658,8 @@ class _Plan(NamedTuple):
 
 def _coorbit_log_norms(rep, states, g, spec=None, where=None):
     """coorbit_norm_log for every state f_i of states at once: _normalise, then
-    _coupled_axes when anything is meshed, then _assemble.  spec None is NormSpec().
+    the closed form when nothing is meshed, else _coupled_axes and _assemble.
+    spec None is NormSpec().
 
     Returns the log norms (U,) and the centers (U, c) the recentring probe
     found on the c coupled coordinates, in the caller's coordinates.  Every
@@ -645,11 +679,14 @@ def _coorbit_log_norms(rep, states, g, spec=None, where=None):
     spec = NormSpec() if spec is None else spec
     plan = _normalise(rep, spec, len(states.log_amp))
     coupled = rep.unit.split[0]
-    centers, meshes = np.zeros((len(states.log_amp), 0)), None
-    if coupled or plan.wdims:  # something is meshed
-        centers, meshes = _coupled_axes(plan, states, g, spec)
-        centers = centers / rep.quotient_delta[list(coupled)]
-    return _assemble(plan, states, g, spec, meshes, where) - rep.log_jacobian / spec.p, centers
+    if not (coupled or plan.wdims):  # nothing is meshed: every direction in closed form
+        log_norms = _node_quadratics(rep.unit, states, g).scaled(spec.p).total() / spec.p
+        log_norms -= rep.log_jacobian / spec.p
+        return log_norms, np.zeros((len(log_norms), 0))
+    centers, mesh = _coupled_axes(plan, states, g, spec)
+    log_norms = _assemble(plan, states, g, spec, mesh, where)
+    log_norms -= rep.log_jacobian / spec.p
+    return log_norms, centers / rep.quotient_delta[list(coupled)]
 
 
 def _normalise(rep, spec, n_states) -> _Plan:
@@ -684,36 +721,39 @@ def _normalise(rep, spec, n_states) -> _Plan:
 
 def _coupled_axes(plan: _Plan, states: _States, g: Gaussian, spec: NormSpec):
     """The centers (U, c) _probe_center finds on the coupled coordinates, one
-    after another, and each state's mesh of _sinh_axis about its centers."""
+    after another, and the mesh of _sinh_axis about them: points (U, M, c),
+    one row of M per state, with the log weights and outer-shell flags (M,)
+    every state shares."""
     unit = plan.rep.unit
     centers = np.zeros((len(states.log_amp), len(unit.split[0])))
     for j in range(centers.shape[1]):
 
         def smass(rows, c, j=j):
-            cv = np.repeat(centers[rows], c.shape[1], axis=0)
-            cv[:, j] = c.ravel()
-            node_states = states.rows(np.repeat(rows, c.shape[1]))
-            return _node_quadratics(unit, node_states, g, cv).scaled(spec.p).total().reshape(c.shape)
+            if j == 0 and c.shape[1] == len(_PROBE_LADDER) and (c == _PROBE_LADDER).all():
+                # the ladder with every center still 0: the shared nodes, window side cached
+                quad = _node_quadratics(unit, states.rows(rows), g)
+            else:
+                cv = np.repeat(centers[rows], c.shape[1], axis=0)
+                cv[:, j] = c.ravel()
+                quad = _node_quadratics(unit, states.rows(np.repeat(rows, c.shape[1])), g, cv)
+            return quad.scaled(spec.p).total().reshape(c.shape)
 
         centers[:, j] = _probe_center(smass, len(centers))
-    return centers, [_product_mesh([_sinh_axis(c, spec) for c in row]) for row in centers]
+    offsets, logw, boundary = _product_mesh([_sinh_axis(0.0, spec) for _ in range(centers.shape[1])])
+    return centers, (centers[:, None, :] + offsets, logw, boundary)
 
 
-def _assemble(plan: _Plan, states: _States, g: Gaussian, spec: NormSpec, meshes, where) -> np.ndarray:
-    """The log norms (U,) before the Jacobian: in closed form without meshes, else
-    summed on them with the weight's term, per state, and tail-checked."""
+def _assemble(plan: _Plan, states: _States, g: Gaussian, spec: NormSpec, mesh, where) -> np.ndarray:
+    """The log norms (U,) before the Jacobian, summed on the coupled mesh of
+    _coupled_axes with the weight's term, per state, and tail-checked."""
     p, unit, wdims, name = spec.p, plan.rep.unit, plan.wdims, plan.name
     coupled, fitdims = unit.split
-    if meshes is None:
-        # every direction in closed form
-        nodes = np.zeros((len(states.log_amp), 0))  # the one empty node of each state
-        return _node_quadratics(unit, states, g, nodes).scaled(p).total() / p
-
-    where = where or [""] * len(meshes)
+    points, clogw, cbound = mesh
+    n_states, per_state = points.shape[:2]
+    where = where or [""] * n_states
     wpts, wlogw, wbound = _product_mesh([_linear_axis(spec) for _ in wdims])
-    counts = [len(mesh[0]) for mesh in meshes]
-    cpts = np.concatenate([mesh[0] for mesh in meshes])
-    node_states = states.rows(np.repeat(np.arange(len(meshes)), counts))
+    cpts = points.reshape(n_states * per_state, len(coupled))
+    node_states = states.rows(np.repeat(np.arange(n_states), per_state))
 
     # one row per coupled node of every state, one column per weight node: the
     # fit coordinates off the weight mesh are integrated out once per node, and
@@ -732,18 +772,20 @@ def _assemble(plan: _Plan, states: _States, g: Gaussian, spec: NormSpec, meshes,
 
     # per state: the log mass over its coupled and weight nodes, one flat row
     # (a 2-D reduction by axis would sum in another order), and its outer shell
-    norms = []
-    for (_, clogw, cbound), contribs, at in zip(meshes, np.split(vals, np.cumsum(counts)[:-1]), where):
-        contribs += clogw[:, None]
-        contribs += wlogw
-        row = contribs.ravel()
+    contribs = vals.reshape(n_states, per_state, -1)
+    contribs += clogw[:, None]
+    contribs += wlogw
+    boundary = (cbound[:, None] | wbound[None, :]).ravel()
+    shell = boundary.any()
+    norms = np.empty(n_states)
+    for i, at in enumerate(where):
+        row = contribs[i].ravel()
         total_log = logsumexp(row)
-        boundary = (cbound[:, None] | wbound[None, :]).ravel()
-        if boundary.any():
+        if shell:
             # compress, not row[boundary]: several times faster on one long row
             _check_tail(logsumexp(row.compress(boundary)), total_log, lambda: name() + at)
-        norms.append(total_log / p)
-    return np.array(norms)
+        norms[i] = total_log / p
+    return norms
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +799,7 @@ def modulation_norm_log(f: Gaussian, g: Gaussian | None = None, spec: NormSpec |
     g = unit_gaussian(f.dim) if g is None else g
     if g.dim != f.dim:
         raise ValueError(f"window dimension {g.dim} does not match signal dimension {f.dim}")
-    norms, _ = _coorbit_log_norms(_stft_rep(f.dim), _States.stack([f]), g, spec)
+    norms, _ = _coorbit_log_norms(_stft_rep(f.dim), _States.one(f), g, spec)
     return float(norms[0])
 
 

@@ -229,20 +229,21 @@ def density_box(lat: QuasiLattice) -> tuple[float, int, float]:
 
     r = (m + 1/2) eps, with m = 16, 6 or 2 as the quotient dimension n is at
     most 2, at most 4, or more, so a box holds 2m + 1 labels per axis and
-    (2m + 1)^n in all.  A volume past double range raises ValueError, and
-    more than _MAX_ENTRIES labels in three boxes WorkBudgetError.
+    (2m + 1)^n in all.  More than _MAX_ENTRIES labels in three boxes raise
+    WorkBudgetError, checked first so that every run over the budget is
+    refused as such, and then a volume past double range ValueError.
     """
     eps, n = lat.eps, lat.ndim
     m = 16 if n <= 2 else (6 if n <= 4 else 2)
     r = (m + 0.5) * eps
+    count = (2 * m + 1) ** n
+    check_budget(3 * count, _MAX_ENTRIES, lambda: f"density: lattice labels in three {n}-dimensional boxes")
     try:
         vol = (2.0 * r) ** n
     except OverflowError:
         vol = math.inf
     if not vol < math.inf:
         raise ValueError(f"the volume of a box of half-width {r:g} at spacing eps = {eps:g} is past double range")
-    count = (2 * m + 1) ** n
-    check_budget(3 * count, _MAX_ENTRIES, lambda: f"density: lattice labels in three {n}-dimensional boxes")
     return r, count, vol
 
 

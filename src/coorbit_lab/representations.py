@@ -203,6 +203,11 @@ class _States(NamedTuple):
             np.array([h.log_amp for h in gaussians]),
         )
 
+    @classmethod
+    def one(cls, f: Gaussian) -> "_States":
+        """f as a one-row stack, its quad and lin as views."""
+        return cls(f.quad[None], f.lin[None], np.array([f.log_amp]))
+
     def rows(self, idx) -> "_States":
         return _States(self.quad[idx], self.lin[idx], self.log_amp[idx])
 
@@ -233,16 +238,21 @@ def _product_form(f_quad, f_lin, quad, lin):
 
     f_quad and f_lin are one Gaussian's or stacked states': they broadcast
     against the stacks of h, so one state or one per row both work.  Raises
-    unless every real part of Q is positive definite, which the integral of
-    the product needs: one batched Cholesky factorisation of the real parts
-    decides it.
+    unless every real part of Q is positive definite (_check_positive_real).
     """
     Q = f_quad + np.conj(quad)
+    _check_positive_real(Q)
+    return Q, f_lin + np.conj(lin)
+
+
+def _check_positive_real(Q) -> None:
+    """Raise unless every real part of the stack Q is positive definite, as
+    the integral of a product form needs: one batched Cholesky factorisation
+    of the real parts decides it."""
     try:
         np.linalg.cholesky(Q.real)
     except np.linalg.LinAlgError:
         raise ValueError("real part of the quadratic form must be positive definite") from None
-    return Q, f_lin + np.conj(lin)
 
 
 # ---------------------------------------------------------------------------

@@ -212,16 +212,19 @@ def test_orbit_scan_needs_three_distinct_u_values(tmp_path, capsys):
     assert "distinct" in capsys.readouterr().err
 
 
-def test_orbit_scan_with_one_abscissa_past_u_min_exits_2(tmp_path):
-    # three distinct u, but only u = 40 lies past u_min_fit = 32: no slope
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out = run_cli(tmp_path, "one.cfg", MINIMAL_SCAN + "u_values = 10,20,40,40\n", "orbit-scan")
-    assert code == 2
-    summary = json.loads((out / "orbit-scan.json").read_text())
-    assert summary["pass"] is False
-    assert summary["error"].startswith("ValueError: need at least two distinct u values past u_min")
-    assert not (out / "orbit-scan.csv").exists()
+@pytest.mark.parametrize(
+    "text,line,key",
+    [("u_values = 10,20,40,40\n", 4, "scan.u_values"), ("u_min_fit = 1e6\n", 4, "scan.u_min_fit")],
+    ids=["one-u-past-32", "none-past-1e6"],
+)
+def test_orbit_scan_with_one_abscissa_past_u_min_exits_3(tmp_path, capsys, text, line, key):
+    # three distinct u, but only u = 40 lies past u_min_fit = 32, or none past
+    # 1e6: no slope, which the settings alone decide, so no norm is taken
+    code, out = run_cli(tmp_path, "one.cfg", MINIMAL_SCAN + text, "orbit-scan")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {line}, key '{key}': need at least two distinct u values")
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -608,6 +611,16 @@ def test_box_volume_past_double_range_exits_2_with_the_cause(tmp_path, capsys, k
         "ValueError: the volume of a box of half-width 1.65e+301 at spacing eps = 1e+300 is past double range"
     )
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_density_over_the_label_budget_exits_3_before_its_box_volume(tmp_path, capsys):
+    # at heisenberg_d = 300 the box volume is past double range, but the
+    # 3 x 5^600 labels are over the budget first: a config error, not a failed run
+    code, out = run_cli(tmp_path, "wide.cfg", "[lattice]\ngroup = heisenberg\nheisenberg_d = 300\n", "density")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: density: lattice labels in three 600-dimensional boxes: about 10^420")
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_density_at_a_sheared_boundary_spacing_passes(tmp_path):

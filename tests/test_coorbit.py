@@ -567,7 +567,7 @@ def test_named_g5_3_p1_truncations_match_the_quadrature_reference(draw):
     assert abs(np.expm1(got - want)) < 1e-3
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the sinh step misses a wide window (ROADMAP item 15)")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the sinh step misses a wide window (ROADMAP item 23)")
 @pytest.mark.parametrize("w", [0.1, 0.07, 0.05])
 @pytest.mark.parametrize("name", ["g5_3", "dynin_folland"])
 def test_wide_window_against_itself_matches_the_closed_form_or_warns(name, w):
@@ -726,9 +726,14 @@ def test_dynin_folland_covariance_named_draws(p):
 
 def _claim_coupled(monkeypatch, coupled):
     """Make every RepSpec built from here on claim the coupled coordinates
-    coupled(true ones), keeping its affine ones and so its grading."""
+    coupled(true ones), keeping its affine ones and so its grading.  The
+    window-side cache, keyed by a rep's value, is swapped for an empty one
+    until the test ends, so no entry crosses the claim either way."""
     moving = RepSpec.moving.func
     monkeypatch.setattr(RepSpec, "moving", property(lambda rep: (coupled(moving(rep)[0]), moving(rep)[1])))
+    cached = coorbit._cached_window_side
+    fresh = functools.lru_cache(maxsize=cached.cache_info().maxsize)(cached.__wrapped__)
+    monkeypatch.setattr(coorbit, "_cached_window_side", fresh)
 
 
 def test_engine_validates_every_node(monkeypatch):
@@ -925,6 +930,7 @@ def test_engine_reads_k_plus_4_factor_rows_per_node(monkeypatch):
 
     monkeypatch.setattr(coorbit, "_factors", counting)
     monkeypatch.setattr(coorbit, "_probe_center", probing)
+    coorbit._cached_window_side.cache_clear()  # the first ladder's rows are read on a cold cache only
     rep = RepSpec(group_spec("dynin_folland"), 1.0)
     coorbit_norm_log(rep, Gaussian(np.eye(3) * 1.2, np.full(3, 0.1)), unit_gaussian(3), NormSpec(p=2.0))
     n_nodes = len(coorbit._sinh_axis(0.0, NormSpec())[0]) ** 2
@@ -1061,6 +1067,75 @@ def test_the_state_side_runs_on_every_call_to_a_cached_window_side():
         with pytest.raises(ValueError, match="positive definite"):
             coorbit._node_quadratics(rep, bad, g, np.zeros((1, 0)))
     assert coorbit._cached_window_side.cache_info()[:2] == (2, 1)
+
+
+def _record_window_sides(monkeypatch):
+    """Wrap coorbit._window_side; the list it returns gets the nodes of each call."""
+    seen = []
+    inner = coorbit._window_side
+
+    def recording(rep, g_quad, g_lin, g_log_amp, nodes):
+        seen.append(np.array(nodes))
+        return inner(rep, g_quad, g_lin, g_log_amp, nodes)
+
+    monkeypatch.setattr(coorbit, "_window_side", recording)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["g5_3", "g6_19", "dynin_folland"])
+def test_a_warm_coupled_norm_builds_no_window_side_for_its_ladder(monkeypatch, name):
+    # the probe's first ladder meets every state at the same 21 nodes: a cold
+    # norm builds their window side once, a warm one reads it from the cache,
+    # and both give the same bits
+    rep = RepSpec(group_spec(name), 1.0, 1.0 if name == "g6_19" else 0.0)
+    ladder = coorbit._shared_nodes(rep.unit)
+    assert ladder.shape == (21, len(rep.split[0])) and not ladder[:, 1:].any()
+    d = rep.acting_dim
+    f, g = Gaussian(np.diag([1.3, 0.8, 1.1][:d]), [0.4, -0.2j, 0.1][:d]), unit_gaussian(d)
+    seen = _record_window_sides(monkeypatch)
+    coorbit._cached_window_side.cache_clear()
+    runs = []
+    for built in (1, 0):  # cold, then warm
+        seen.clear()
+        runs.append(_hex(coorbit_norm_log(rep, f, g, NormSpec(p=1.0))))
+        assert sum(np.array_equal(nodes, ladder) for nodes in seen) == built
+    assert coorbit._cached_window_side.cache_info()[:2] == (1, 1)  # hits, misses
+    assert runs[0] == runs[1]
+
+
+def test_a_second_state_on_the_same_window_hits_the_ladder_cache():
+    coorbit._cached_window_side.cache_clear()
+    rep, g = RepSpec(group_spec("g5_3"), 1.0), unit_gaussian(2)
+    for f in (Gaussian(np.diag([1.3, 0.8]), [0.4, -0.2]), Gaussian(np.diag([0.9, 1.2]), [0.1j, 0.3])):
+        coorbit_norm_log(rep, f, g, NormSpec(p=2.0))
+    assert coorbit._cached_window_side.cache_info()[:2] == (1, 1)
+
+
+def test_a_stacked_scan_reads_its_ladder_window_side_on_21_nodes(monkeypatch):
+    # six states meet the same ladder: its window side is built on its 21
+    # nodes and broadcast, not on 21 nodes per state
+    seen = _record_window_sides(monkeypatch)
+    coorbit._cached_window_side.cache_clear()
+    orbit_scan(g53_curve_tasks(1.0)[0], DEFAULT_SCAN)
+    sizes = [len(nodes) for nodes in seen]
+    assert sizes[0] == 21 and 21 * len(DEFAULT_SCAN) not in sizes
+
+
+@pytest.mark.parametrize("name", ["g5_3", "dynin_folland"])
+def test_shared_nodes_give_the_bits_of_the_same_nodes_named_per_state(monkeypatch, name):
+    # each state meets every shared node on the cached window side; naming
+    # the nodes per state reads it inline.  They agree bit for bit, in one
+    # block, in blocks of three states, and one state per block
+    rep, states, g, _ = _block_case(name)
+    states = states.rows(slice(0, 7))
+    ladder = coorbit._shared_nodes(rep)
+    n, rows = len(states.log_amp), len(rep.split[1]) + 4
+    named = coorbit._node_quadratics(rep, states.rows(np.repeat(np.arange(n), len(ladder))), g, np.tile(ladder, (n, 1)))
+    for block in (rows * len(ladder) * n, rows * len(ladder) * 3, 1):
+        monkeypatch.setattr(coorbit, "_BLOCK", block)
+        shared = coorbit._node_quadratics(rep, states, g)
+        for field, ref in zip(shared, named):
+            assert field.shape == ref.shape and field.tobytes() == ref.tobytes()
 
 
 def test_engine_rejects_a_split_that_leaves_out_a_coupled_coordinate(monkeypatch):
@@ -1451,13 +1526,16 @@ def test_orbit_scan_is_the_per_u_scalar_norms(task, ladder):
 
 
 def _count_node_reads(monkeypatch):
-    """Wrap coorbit._node_quadratics; the list it returns gets the node count of each call."""
+    """Wrap coorbit._node_quadratics; the list it returns gets the node count
+    of each call, one per model it returns (each state at each shared node
+    when the call names no nodes)."""
     calls = []
     inner = coorbit._node_quadratics
 
-    def counting(rep, states, g, cpts):
-        calls.append(len(cpts))
-        return inner(rep, states, g, cpts)
+    def counting(rep, states, g, cpts=None):
+        quad = inner(rep, states, g, cpts)
+        calls.append(len(quad.const))
+        return quad
 
     monkeypatch.setattr(coorbit, "_node_quadratics", counting)
     return calls
@@ -1479,6 +1557,7 @@ def test_coorbit_scan_probes_in_lockstep(monkeypatch):
     # each of +-step pairs, then one mesh read of every state's nodes
     own = g53_curve_tasks(1.0)[0]
     calls = _count_node_reads(monkeypatch)
+    coorbit._cached_window_side.cache_clear()
     res = orbit_scan(own, DEFAULT_SCAN)
     u = len(DEFAULT_SCAN)
     assert calls[0] == 21 * u
