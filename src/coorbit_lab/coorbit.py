@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .gaussian import Gaussian, l2_norm, quad_forms, tensor, unit_gaussian
+from .gaussian import Gaussian, _check_positive_real, l2_norm, quad_forms, tensor, unit_gaussian
 from .groups import group_spec, section
 from .numerics import TailMassWarning, WeightRangeError, ceil_count, check_budget, logsumexp
 from .representations import (
@@ -33,7 +33,6 @@ from .representations import (
     _States,
     _acted_lin_amp,
     _acted_quad,
-    _check_positive_real,
     _factors,
     _stft_rep,
     act,
@@ -85,6 +84,8 @@ class WeightSpec:
         if A.ndim != 2 or not np.isfinite(A).all():
             raise ValueError(f"A must be a finite matrix, got shape {A.shape}")
         A.flags.writeable = False
+        if not math.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s}")
         object.__setattr__(self, "s", float(self.s))
         object.__setattr__(self, "A", A)
         if not self.coords:
@@ -124,7 +125,7 @@ class NormSpec:
 
     def __post_init__(self):
         if not math.isfinite(self.p):
-            raise ValueError("p = inf is not supported; use a finite exponent >= 1")
+            raise ValueError(f"p = {self.p} is not supported; use a finite exponent >= 1")
         if self.p < 1.0:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if not all(v > 0 and math.isfinite(v) for v in (self.box_half, self.resolution)):

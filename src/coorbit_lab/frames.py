@@ -22,7 +22,7 @@ import numpy as np
 
 from .gaussian import log_gauss_integrals, unit_gaussian
 from .groups import GroupSpec, axis_point, inverse, multiply, project, section
-from .numerics import WorkBudgetError, ceil_count, check_budget
+from .numerics import _MAX_ENTRIES, WorkBudgetError, ceil_count, check_budget
 from .representations import RepSpec, _stft_rep, act
 
 __all__ = [
@@ -307,10 +307,6 @@ def _coefficients(test_lin, test_amp, quad, lin, log_amp) -> np.ndarray:
 # test-space Gram eigenvalues kept, relative to the largest: the cut that
 # keeps near-dependent atoms from faking a collapsed lower bound
 _GRAM_CUT = 1e-8
-# budget of the frame estimate, in entries: the lattice labels and the
-# test-space Gram are arrays of that size; the lattice points x test atoms
-# coefficients bound the work, since they are formed _BLOCK points at a time
-_MAX_ENTRIES = 1 << 24
 # lattice points whose coefficients are formed at once: the frame Gram is
 # accumulated over blocks, so the estimate's memory does not grow with the lattice
 _BLOCK = 64

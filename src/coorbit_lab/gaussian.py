@@ -25,7 +25,6 @@ __all__ = [
     "tensor",
     "quad_forms",
     "conjugate",
-    "log_gauss_integral",
     "log_gauss_integrals",
     "inner_product",
     "log_inner",
@@ -49,13 +48,21 @@ def _as_quad(A):
 def quad_forms(A):
     """A stack (..., d, d) of quadratic forms, checked and symmetrized.
 
-    Each form must be symmetric to 1e-10 of its largest entry, and its real
-    part must be positive definite after symmetrizing; else ValueError.
+    Each form must be finite and symmetric to 1e-10 of its largest entry,
+    and its real part positive definite after symmetrizing; else ValueError.
     """
     A = _symmetrized(A, "quadratic form")
-    if np.any(np.linalg.eigvalsh(A.real) <= 0.0):
-        raise ValueError("real part of the quadratic form must be positive definite")
+    _check_positive_real(A)
     return A
+
+
+def _check_positive_real(Q) -> None:
+    """Raise unless the real part of every form of the stack Q is positive
+    definite: one batched Cholesky factorisation of the real parts decides it."""
+    try:
+        np.linalg.cholesky(Q.real)
+    except np.linalg.LinAlgError:
+        raise ValueError("real part of the quadratic form must be positive definite") from None
 
 
 def _as_real_sym(C, dim=None):
@@ -70,9 +77,11 @@ def _as_real_sym(C, dim=None):
 
 def _symmetrized(A, what: str):
     """0.5 (A + A^T) for a stack (..., d, d); ValueError naming what unless
-    each matrix is symmetric to 1e-10 of its largest entry (or of 1)."""
-    At = np.swapaxes(A, -1, -2)
+    each matrix is finite and symmetric to 1e-10 of its largest entry (or of 1)."""
     scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1), initial=0.0))
+    if not np.isfinite(scale).all():  # before A - A^T, where inf - inf would warn
+        raise ValueError(f"{what} must be finite")
+    At = np.swapaxes(A, -1, -2)
     if np.any(np.abs(A - At).max(axis=(-2, -1), initial=0.0) > 1e-10 * scale):
         raise ValueError(f"{what} must be symmetric")
     return 0.5 * (A + At)
@@ -183,18 +192,15 @@ def log_gauss_integrals(quad, lin, log_amp):
     return log_amp - log_det + quadratic / (4.0 * np.pi)
 
 
-def log_gauss_integral(g: Gaussian) -> complex:
-    """log of integral of g over R^d: one row of log_gauss_integrals."""
-    return complex(log_gauss_integrals(g.quad[None], g.lin[None], g.log_amp)[0])
-
-
 def _product(f: Gaussian, g: Gaussian) -> Gaussian:
     return Gaussian(f.quad + g.quad, f.lin + g.lin, f.log_amp + g.log_amp)
 
 
 def log_inner(f: Gaussian, g: Gaussian) -> complex:
-    """log <f, g> with the inner product conjugate-linear in g."""
-    return log_gauss_integral(_product(f, conjugate(g)))
+    """log <f, g> with the inner product conjugate-linear in g: the integral
+    of f conj(g), one row of log_gauss_integrals."""
+    h = _product(f, conjugate(g))
+    return complex(log_gauss_integrals(h.quad[None], h.lin[None], h.log_amp)[0])
 
 
 def inner_product(f: Gaussian, g: Gaussian) -> complex:

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import check_budget
+from .numerics import _MAX_ENTRIES, check_budget
 
 __all__ = [
     "GROUPS",
@@ -206,16 +206,12 @@ def _rep_df(rep, a, C, S):
 # ---------------------------------------------------------------------------
 # the records
 
-# budget of H_d, in entries: a RepSpec of it checks its formal dimension on
-# the (2d + 1)^2 bracket form, so the record is refused before that array is
-# asked for; the same 2^24 entries as frames' budget
-_MAX_FORM_ENTRIES = 1 << 24
-
-
 def _heisenberg(d: int) -> GroupSpec:
     if d < 1:
         raise ValueError("heisenberg_d must be >= 1")
-    check_budget((2 * d + 1) ** 2, _MAX_FORM_ENTRIES, lambda: f"H_{d}: entries of its bracket form")
+    # a RepSpec of H_d checks its formal dimension on the (2d + 1)^2 bracket
+    # form, so the record is refused before that array is asked for
+    check_budget((2 * d + 1) ** 2, _MAX_ENTRIES, lambda: f"H_{d}: entries of its bracket form")
     brackets = tuple((i, d + i, 2 * d, 1.0) for i in range(d))  # [X_i, Y_i] = Z
     return GroupSpec("heisenberg", brackets, _mul_heisenberg, _rep_heisenberg)
 

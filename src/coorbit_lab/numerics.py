@@ -46,6 +46,11 @@ class WeightRangeError(WorkBudgetError):
     """A weight whose log p |s| log(1 + |A q|) leaves double range on a norm's mesh."""
 
 
+# the work budget, in array entries, of the H_d record and of the lattice and
+# frame routines
+_MAX_ENTRIES = 1 << 24
+
+
 def check_budget(count: int, budget: int, what: Callable[[], str]) -> None:
     """Raise WorkBudgetError naming the count unless count <= budget.
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import Gaussian, l2_norm, quad_forms, unit_gaussian
+from .gaussian import Gaussian, l2_norm, log_gauss_integrals, quad_forms, unit_gaussian
 from .gaussian import log_inner  # noqa: F401  (perfbench/test_perfbench.py checks that the tracer wraps it here)
 from .groups import GroupSpec, group_spec, multiply, section
 
@@ -196,14 +196,6 @@ class _States(NamedTuple):
     log_amp: np.ndarray
 
     @classmethod
-    def stack(cls, gaussians) -> "_States":
-        return cls(
-            np.array([h.quad for h in gaussians]),
-            np.array([h.lin for h in gaussians]),
-            np.array([h.log_amp for h in gaussians]),
-        )
-
-    @classmethod
     def one(cls, f: Gaussian) -> "_States":
         """f as a one-row stack, its quad and lin as views."""
         return cls(f.quad[None], f.lin[None], np.array([f.log_amp]))
@@ -223,36 +215,6 @@ def apply_rep(rep: RepSpec, a, f: Gaussian) -> Gaussian:
 def _stft_rep(d: int) -> RepSpec:
     """The Schroedinger representation of H_d with pi(x, xi, 0) g = M_xi T_x g."""
     return RepSpec(group_spec("heisenberg", d), -1.0)
-
-
-def _log_integral_modulus(Q, L, la):
-    """log |integral of exp(la - pi t.Qt + L.t)| for stacked parameters."""
-    _, log_abs_det = np.linalg.slogdet(Q)
-    y = np.linalg.solve(Q, L[..., None])[..., 0]
-    return la.real - 0.5 * log_abs_det + np.einsum("ni,ni->n", L, y).real / (4.0 * np.pi)
-
-
-def _product_form(f_quad, f_lin, quad, lin):
-    """(Q, L) of f conj(h) for stacked h = exp(log_amp - pi t.(quad)t + lin.t);
-    its la is f.log_amp + conj(log_amp).
-
-    f_quad and f_lin are one Gaussian's or stacked states': they broadcast
-    against the stacks of h, so one state or one per row both work.  Raises
-    unless every real part of Q is positive definite (_check_positive_real).
-    """
-    Q = f_quad + np.conj(quad)
-    _check_positive_real(Q)
-    return Q, f_lin + np.conj(lin)
-
-
-def _check_positive_real(Q) -> None:
-    """Raise unless every real part of the stack Q is positive definite, as
-    the integral of a product form needs: one batched Cholesky factorisation
-    of the real parts decides it."""
-    try:
-        np.linalg.cholesky(Q.real)
-    except np.linalg.LinAlgError:
-        raise ValueError("real part of the quadratic form must be positive definite") from None
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +272,7 @@ def unitarity_check(rep: RepSpec, n_samples: int = 100, seed: int = 0, box: floa
     quad, lin, log_amp = act(rep, a, g.quad, g.lin, g.log_amp)
     quad = _checked(rep, a, quad)
     # ||h||^2 is the integral of h conj(h)
-    log_sq = _log_integral_modulus(quad + np.conj(quad), lin + np.conj(lin), log_amp + np.conj(log_amp))
+    log_sq = log_gauss_integrals(quad + np.conj(quad), lin + np.conj(lin), log_amp + np.conj(log_amp)).real
     worst = float(np.max(np.abs(np.exp(0.5 * log_sq) - ref) / ref, initial=0.0))
     return {"max_error": worst, "samples": n_samples, "ok": worst < 1e-10}
 

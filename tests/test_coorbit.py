@@ -14,7 +14,7 @@ import pytest
 from scipy import integrate
 from scipy.special import logsumexp
 
-from _references import coefficient_log_modulus
+from _references import coefficient_log_modulus, stack_states
 from coorbit_lab import coorbit
 from coorbit_lab.coorbit import (
     DEFAULT_SCAN,
@@ -102,8 +102,9 @@ def weight_pullback_g616(weight, lam, mu=0.0):
 def test_norm_spec_validation():
     with pytest.raises(ValueError):
         NormSpec(p=0.5)
-    with pytest.raises(ValueError):
-        NormSpec(p=np.inf)
+    for p in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"p = {p} is not supported"):
+            NormSpec(p=p)
     with pytest.raises(ValueError):
         NormSpec(p=1.0, resolution=-0.5)
 
@@ -120,6 +121,10 @@ def test_power_weight_values():
     # a repeated coordinate would weight it by sqrt(2) |q_0|
     with pytest.raises(ValueError, match="distinct"):
         power_weight(1.0, (0, 0))
+    # a weight that is not finite is refused here, before any norm probes or meshes with it
+    for s in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"s must be finite, got {s}"):
+            power_weight(s, (0,))
 
 
 def test_fit_log_quadratic_recovers_plant():
@@ -384,7 +389,7 @@ def test_large_lambda_p1_against_fine_references(name, lam, want):
     rep = RepSpec(group_spec(name), lam)
     g = unit_gaussian(rep.acting_dim)
     if len(rep.split[0]) == 1:  # one coupled coordinate: the engine is held against the reference itself
-        [log_want], [error] = _quadrature_log_norms(rep, _States.stack([g]), 1.0)
+        [log_want], [error] = _quadrature_log_norms(rep, stack_states([g]), 1.0)
         assert error < 1e-9 and np.exp(log_want) == pytest.approx(want, rel=1e-12)
         want = np.exp(log_want)
     assert np.exp(coorbit_norm_log(rep, g, g, NormSpec(p=1.0))) == pytest.approx(want, rel=1e-7)
@@ -477,7 +482,7 @@ def _quadrature_log_norms(rep, stack, p):
 def _family_reference(name, p):
     """_quadrature_log_norms of the 40 draws of _truncation_family()[name] (read-only)."""
     rep, states = _truncation_family()[name]
-    want, error = _quadrature_log_norms(rep, _States.stack(states), p)
+    want, error = _quadrature_log_norms(rep, stack_states(states), p)
     want.flags.writeable = error.flags.writeable = False
     return want, error
 
@@ -488,7 +493,7 @@ def _norms_and_warnings(rep, states, spec):
     where = [f" at draw {i}" for i in range(len(states))]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TailMassWarning)
-        got, _ = coorbit._coorbit_log_norms(rep, _States.stack(states), unit_gaussian(rep.acting_dim), spec, where)
+        got, _ = coorbit._coorbit_log_norms(rep, stack_states(states), unit_gaussian(rep.acting_dim), spec, where)
     return got, {int(re.search(r" at draw (\d+):", str(w.message))[1]) for w in caught}
 
 
@@ -784,7 +789,7 @@ def test_closed_form_quadratic_matches_the_stencil_fit(name, d, mu, lam):
     # stencil over direct kernel values is the independent reference
     rep, states, g, nodes, rng = _node_case(name, d, mu, lam)
     coupled, fitdims = map(list, rep.split)  # lists: a top-level tuple indexes several axes
-    quads = coorbit._node_quadratics(rep, _States.stack(states), g, nodes)
+    quads = coorbit._node_quadratics(rep, stack_states(states), g, nodes)
     for j, node in enumerate(nodes):
 
         def kernel(r, node=node, f=states[j]):
@@ -807,7 +812,7 @@ def test_closed_form_quadratic_is_exact_near_a_far_mode():
     rep = sibling.rep
     coupled, fitdims = map(list, rep.split)  # lists: a top-level tuple indexes several axes
     nodes = np.linspace(-8.0, 8.0, 9)[:, None]
-    quads = coorbit._node_quadratics(rep, _States.stack([f] * len(nodes)), g, nodes)
+    quads = coorbit._node_quadratics(rep, stack_states([f] * len(nodes)), g, nodes)
     rng = np.random.default_rng(5)
     for j, node in enumerate(nodes):
         quad = LogQuadratic(quads.const[j], quads.grad[j], quads.hess[j])
@@ -833,14 +838,14 @@ def test_engine_check_values_are_the_kernel_at_the_check_points(monkeypatch, nam
         validate(quad, fx, f0)
 
     monkeypatch.setattr(coorbit, "_validate", recording)
-    coorbit._node_quadratics(rep, _States.stack(states), g, nodes)
+    coorbit._node_quadratics(rep, stack_states(states), g, nodes)
     [fx] = seen
     checks = coorbit._check_offsets(len(fitdims))
     q = np.zeros((len(nodes), len(checks), rep.group.quotient_dim))
     q[..., coupled] = nodes[:, None, :]
     q[..., fitdims] = checks
     a = section(rep.group, q).reshape(-1, rep.group.total_dim)
-    want = coefficient_log_modulus(rep, a, _States.stack([f for f in states for _ in checks]), g)
+    want = coefficient_log_modulus(rep, a, stack_states([f for f in states for _ in checks]), g)
     assert np.all(np.abs(fx.ravel() - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
@@ -850,7 +855,7 @@ def _block_case(name):
     nodes of the sinh mesh of g5_3 and dynin_folland."""
     if name != "heisenberg":
         rep, states, g, nodes, _ = _node_case(name, 1, 0.0, 2.0)
-        return rep, _States.stack(states), g, nodes
+        return rep, stack_states(states), g, nodes
     rep = RepSpec(group_spec(name), 2.0)
     rng = np.random.default_rng(17)
     states = [
@@ -858,7 +863,7 @@ def _block_case(name):
         for _ in range(7)
     ]
     g = Gaussian(1.3 + 0.15j, [0.1 - 0.3j], 0.4)
-    return rep, _States.stack(states), g, np.zeros((len(states), 0))
+    return rep, stack_states(states), g, np.zeros((len(states), 0))
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "g5_3", "dynin_folland"])
@@ -1212,7 +1217,7 @@ def test_g5_3_norm_regression_pin():
     # adaptive quadrature on the slice mass reads 1.9017378898, the engine 1.9017378751
     rep = RepSpec(group_spec("g5_3"), 1.0)
     state, _ = g53_curve_tasks(1.0)[0].prepare(10.0)
-    [want], [error] = _quadrature_log_norms(rep, _States.stack([state]), 1.0)
+    [want], [error] = _quadrature_log_norms(rep, stack_states([state]), 1.0)
     assert error < 1e-9
     got = np.exp(coorbit_norm_log(rep, state, unit_gaussian(2), NormSpec(p=1.0)))
     assert got == pytest.approx(np.exp(want), rel=1e-6)
@@ -1416,7 +1421,7 @@ def test_every_tail_warning_points_at_the_callers_line():
     rep, f = RepSpec(group_spec("g5_3"), 1.0), unit_gaussian(2)
     small = NormSpec(p=1.0, box_half=1.0, resolution=0.25)
     weighted = NormSpec(p=1.0, weight=power_weight(1.0, (0,)), box_half=1.0, resolution=0.25)
-    task = NormTask("small-box", small, lambda u: _States.stack([f] * len(u)), f, rep=rep)
+    task = NormTask("small-box", small, lambda u: stack_states([f] * len(u)), f, rep=rep)
     calls = [
         lambda: coorbit_norm_log(rep, f, f, small),
         lambda: modulation_norm_log(f, None, weighted),
@@ -1501,7 +1506,7 @@ def _scan_tasks():
     weighted = NormSpec(p=1.5, weight=power_weight(1.0, (0, 1)), resolution=0.25)
 
     def states(u):
-        return _States.stack([chirp(unit_gaussian(1), np.array([[0.02 * x]])) for x in u])
+        return stack_states([chirp(unit_gaussian(1), np.array([[0.02 * x]])) for x in u])
 
     task = NormTask("weighted", weighted, states, unit_gaussian(1))
     tasks.append(pytest.param(task, "default", id="weighted-modulation"))
@@ -1587,7 +1592,7 @@ def test_stacked_tail_check_names_only_the_state_that_spills():
     rep = RepSpec(group_spec("g5_3"), 1.0)
 
     def states(u):
-        return _States.stack([Gaussian(np.diag([20.0 if x == 40.0 else 1.0, 1.0])) for x in u])
+        return stack_states([Gaussian(np.diag([20.0 if x == 40.0 else 1.0, 1.0])) for x in u])
 
     task = NormTask("spill", NormSpec(p=2.0, box_half=1.5), states, unit_gaussian(2), rep=rep)
     with warnings.catch_warnings(record=True) as caught:
@@ -1659,7 +1664,7 @@ def test_stacked_ladder_is_the_per_u_construction(name):
 
     task = _SCAN_TASKS[name][0](1.0)
     u = np.array(DEFAULT_SCAN + _LADDERS["5-640"] + (0.0, 1e-3, 2.5e4))
-    want = _States.stack([_PER_U_STATES[name](x) for x in u])
+    want = stack_states([_PER_U_STATES[name](x) for x in u])
     for got, ref in zip(task.states(u), want):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     f, g = task.prepare(u[2])

@@ -15,7 +15,6 @@ from coorbit_lab.gaussian import (
     delta_matrix,
     inner_product,
     l2_norm,
-    log_gauss_integral,
     log_gauss_integrals,
     log_inner,
     log_stft_modulus,
@@ -65,7 +64,7 @@ def test_gauss_integral_against_quadrature():
     for _ in range(5):
         g = random_gaussian(rng, 1)
         num = quad_c(lambda t: g(np.array([t])))
-        assert np.exp(log_gauss_integral(g)) == pytest.approx(num, rel=1e-9)
+        assert np.exp(log_gauss_integrals(g.quad, g.lin, g.log_amp)) == pytest.approx(num, rel=1e-9)
 
 
 def test_inner_product_against_quadrature():
@@ -188,17 +187,20 @@ def test_chirp_stft_modulus_takes_a_stack_of_chirps(dim):
             chirp_stft_modulus(C, x, xi)
 
 
-def test_log_gauss_integral_is_one_row_of_the_stacked_form():
+def test_log_inner_is_one_row_of_the_stacked_form():
+    # one Gaussian taken alone, and log_inner's product of it with the unit
+    # window, give the bits of their rows of one stacked call
     rng = np.random.default_rng(44)
     gs = []
     for _ in range(5):
         quad = rng.uniform(0.5, 2) * np.eye(2) + 1j * np.diag(rng.uniform(-1, 1, 2))
         lin = rng.normal(size=2) + 1j * rng.normal(size=2)
         gs.append(Gaussian(quad, lin, rng.normal() + 1j * rng.normal()))
-    stacked = log_gauss_integrals(
-        np.stack([g.quad for g in gs]), np.stack([g.lin for g in gs]), np.array([g.log_amp for g in gs])
-    )
-    assert [complex(v) for v in stacked] == [log_gauss_integral(g) for g in gs]
+    quads, lins, amps = np.stack([g.quad for g in gs]), np.stack([g.lin for g in gs]), np.array([g.log_amp for g in gs])
+    stacked = log_gauss_integrals(quads, lins, amps)
+    assert [complex(v) for v in stacked] == [complex(log_gauss_integrals(g.quad, g.lin, g.log_amp)) for g in gs]
+    products = log_gauss_integrals(quads + np.eye(2), lins, amps)
+    assert [complex(v) for v in products] == [log_inner(g, unit_gaussian(2)) for g in gs]
 
 
 def test_delta_matrix_determinant_identity():
@@ -254,3 +256,14 @@ def test_stacked_forms_are_checked_like_single_ones():
         quad_forms(skew)
     with pytest.raises(ValueError, match="positive definite"):
         Gaussian(indefinite[3])
+    # a form or chirp that is not finite is refused before A - A^T, whose
+    # RuntimeWarning the suite's settings would raise in place of the ValueError
+    for make in (
+        lambda: Gaussian(np.array([[np.nan]])),
+        lambda: Gaussian([[np.inf]]),
+        lambda: quad_forms(np.where(np.eye(2, dtype=bool), stack, np.inf)),
+    ):
+        with pytest.raises(ValueError, match="quadratic form must be finite"):
+            make()
+    with pytest.raises(ValueError, match="chirp matrix must be finite"):
+        chirp(unit_gaussian(1), np.nan)

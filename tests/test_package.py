@@ -63,17 +63,40 @@ def _package_imports(path) -> set[str]:
     return found
 
 
+def _names_in(tree) -> set[str]:
+    """The names a syntax tree reads, imports or qualifies by attribute."""
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return named | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+
+
 def test_the_oracles_stand_apart_from_the_engine_they_check():
     imports = {path.stem: _package_imports(path) for path in SRC.glob("*.py")}
     assert sorted(name for name, used in imports.items() if "oracles" in used and name != "oracles") == []
     assert imports["oracles"].isdisjoint({"coorbit", "representations"})
-    engine = {"act", "_factors", "_acted_quad", "_acted_lin_amp", "_product_form", "_node_quadratics"}
-    tree = ast.parse((SRC / "oracles.py").read_text(encoding="utf-8"))
-    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    engine = {"act", "_factors", "_acted_quad", "_acted_lin_amp", "_node_quadratics"}
+    named = _names_in(ast.parse((SRC / "oracles.py").read_text(encoding="utf-8")))
     assert sorted(named & engine) == []
     assert imports["numerics"] == set()
+
+
+def test_every_private_helper_has_a_caller_in_src():
+    # a private function or class that only the tests name belongs in the tests;
+    # its own definition does not count, so recursion is no caller
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")).body for path in SRC.glob("*.py")}
+    statements = [(node, _names_in(node)) for body in modules.values() for node in body]
+    helpers = [
+        (stem, node)
+        for stem, body in modules.items()
+        for node in body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and re.fullmatch(r"_[^_]\w*", node.name)
+    ]
+    unnamed = [
+        f"{stem}.{node.name}"
+        for stem, node in helpers
+        if not any(node.name in names for other, names in statements if other is not node)
+    ]
+    assert unnamed == []
 
 
 # the package's layers, lowest first: a module imports only modules before it
